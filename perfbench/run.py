@@ -62,7 +62,8 @@ MIN_ROUNDS = 2
 TAIL_BEYOND = 10  # the tail latency has at least this many samples above it
 REFERENCE_MODULUS = 10**400
 REFERENCE_BIG = 7**4000
-REF_WINDOW = 10  # an op's cost uses the median reference of the 2*REF_WINDOW+2 timed around it
+REFERENCE_KEYS = 300  # tuple keys the dictionary half of the reference builds and sorts
+REF_WINDOW = 1  # an op's cost uses the median reference of the 2*REF_WINDOW+2 timed around it
 
 
 @dataclass
@@ -80,7 +81,8 @@ class Measurement:
     @property
     def costs(self) -> list[float]:
         """Each op's latency in units of the reference time around it: the
-        median over a window of ops, so one noisy reference moves nothing."""
+        median of the two references before the op and the two after it, so
+        one noisy reference moves nothing."""
         return [
             lat / statistics.median(self.refs[max(0, i - REF_WINDOW):i + REF_WINDOW + 2])
             for i, lat in enumerate(self.latencies)
@@ -91,10 +93,14 @@ def reference_seconds() -> float:
     """Time one call of a fixed stdlib computation.
 
     It mixes Python-level loops over small big integers with one product and
-    quotient of large ones, as the package does, but runs no latin3 code, so
-    no change to the program can move it. Timed next to every op, it measures how fast the machine is at that
-    moment: on a shared machine that speed drifts by a factor of two within
-    minutes, and dividing by it removes the drift from the op costs.
+    quotient of large ones, as the closed forms do, and builds, looks up and
+    sorts tuple keys of a dictionary, as the engine's memo and the oracle do.
+    It runs no latin3 code, so no change to the program can move it. Timed
+    next to every op, it measures how fast the machine is at that moment: on
+    a shared machine that speed drifts by a factor of two within minutes, and
+    integer arithmetic and dictionary work drift by different amounts, so the
+    reference has both and dividing by it removes most of the drift from the
+    op costs.
     """
     start = time.perf_counter()
     acc = 0
@@ -102,6 +108,12 @@ def reference_seconds() -> float:
         acc += math.comb(200 + i, 50) * math.perm(100, i % 40) // (i + 1)
         acc %= REFERENCE_MODULUS
     acc = REFERENCE_BIG * (REFERENCE_BIG + acc) // (REFERENCE_BIG - 1)
+    memo: dict[tuple[int, ...], int] = {}
+    for i in range(1, REFERENCE_KEYS):
+        key = tuple((i * 2654435761 >> shift) & 4095 for shift in (0, 5, 10, 15, 20, 25))
+        memo[key] = memo.get(key[::-1], acc & 1) + key[0]
+    for key in sorted(memo):
+        acc += memo[key]
     return time.perf_counter() - start
 
 
