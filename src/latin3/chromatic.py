@@ -6,8 +6,9 @@ The engine runs the deletion-contraction recursion
 
 with exact integer polynomial arithmetic.  Structural shortcuts (edgeless
 graphs, disconnected splits, cliques, trees, cycles) and an optional per-call
-memo keyed on an exact canonical code keep the recursion tree small; none of
-them affect the result, which is what the tests pin down against brute force.
+memo, keyed on the graph relabeled by color refinement, keep the recursion
+tree small; none of them affect the result, which is what the tests pin down
+against brute force.
 
 count_colorings_bruteforce is the grounding oracle: a deliberately naive
 backtracking count over explicit color assignments that shares no logic with
@@ -16,8 +17,6 @@ the engine.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -27,8 +26,6 @@ from .graphs import Graph
 Coeffs = tuple[int, ...]
 
 DEFAULT_MAX_VERTICES = 14
-MEMO_VERTEX_CEILING = 9
-CANON_PERM_CAP = 8000
 
 
 @dataclass(frozen=True)
@@ -188,18 +185,17 @@ def _contract(adj: Coeffs, u: int, v: int) -> Coeffs:
     return tuple(rows)
 
 
-def _canonical_code(adj: Coeffs) -> Optional[tuple[int, int]]:
-    """Exact canonical form for small graphs, or None when too costly.
+def _memo_key(adj: Coeffs) -> tuple[int, int]:
+    """Exact memo key: the adjacency rows relabeled into refinement order.
 
-    Vertices are partitioned by iterated neighborhood refinement (a vertex's
-    color is refined by the multiset of its neighbors' colors until stable);
-    the edge-set code is then minimized over all orderings that respect the
-    partition.  Isomorphic graphs get equal codes, non-isomorphic graphs
-    distinct ones, so the memo can key on it safely.
+    Vertices are colored by iterated neighborhood refinement (a vertex's
+    color is refined by the multiset of its neighbors' colors until stable),
+    renumbered by color with ties broken by index, and the relabeled rows are
+    packed into one int.  Equal keys mean the graphs are identical after
+    relabeling, so they share a polynomial; the key is not canonical, and
+    isomorphic graphs whose ties break differently simply miss the memo.
     """
     n = len(adj)
-    if n > MEMO_VERTEX_CEILING:
-        return None
     colors = [bin(m).count("1") for m in adj]
     while True:
         sigs = [
@@ -211,33 +207,17 @@ def _canonical_code(adj: Coeffs) -> Optional[tuple[int, int]]:
         if refined == colors:
             break
         colors = refined
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    cost = 1
-    for members in classes.values():
-        cost *= math.factorial(len(members))
-        if cost > CANON_PERM_CAP:
-            return None
-    ordered = [classes[c] for c in sorted(classes)]
-    best = None
-    for parts in itertools.product(*(itertools.permutations(c) for c in ordered)):
-        position = {}
-        i = 0
-        for part in parts:
-            for v in part:
-                position[v] = i
-                i += 1
-        code = 0
-        for v in range(n):
-            pv = position[v]
-            for w in _bits(adj[v]):
-                pw = position[w]
-                if pv < pw:
-                    code |= 1 << (pv * n + pw)
-        if best is None or code < best:
-            best = code
-    return n, best
+    order = sorted(range(n), key=colors.__getitem__)
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    code = 0
+    for v in order:
+        row = 0
+        for w in _bits(adj[v]):
+            row |= 1 << position[w]
+        code = code << n | row
+    return n, code
 
 
 def _pick_edge(adj: Coeffs) -> tuple[int, int]:
@@ -279,14 +259,14 @@ def _chrom(adj: Coeffs, memo: Optional[dict]) -> Coeffs:
         return _tree_coeffs(n)
     if all(bin(m).count("1") == 2 for m in adj):
         return _cycle_coeffs(n)
-    key = _canonical_code(adj) if memo is not None else None
-    if key is not None:
+    if memo is not None:
+        key = _memo_key(adj)
         hit = memo.get(key)
         if hit is not None:
             return hit
     u, v = _pick_edge(adj)
     out = _sub(_chrom(_delete(adj, u, v), memo), _chrom(_contract(adj, u, v), memo))
-    if key is not None:
+    if memo is not None:
         memo[key] = out
     return out
 
@@ -297,8 +277,9 @@ def chromatic_poly(
     """Exact chromatic polynomial of a simple graph by deletion-contraction.
 
     The recursion is exponential in the worst case, so graphs above
-    max_vertices are rejected outright.  memoize=False turns off the
-    canonical-code cache; the result is identical either way.
+    max_vertices are rejected outright.  memoize=False turns off the memo
+    keyed on the refinement-relabeled graph; the result is identical either
+    way.
     """
     if g.vertex_count > max_vertices:
         raise VertexLimitError(

@@ -195,6 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Counts are exact and may have any number of digits; CPython caps
+    # int-to-str conversion at 4300 digits by default (3.11, 3.10.7 and later).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

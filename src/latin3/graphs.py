@@ -122,14 +122,13 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
 def build_gn(n: int) -> Graph:
     """The 3-row rook graph G(n) = K3 x Kn on vertices (i-1)*n + (j-1).
 
-    Built as a Cartesian product and cross-checked, vertex for vertex, against
-    the line graph of K_{3,n}; the two constructions must agree exactly.
+    Built as a Cartesian product.  It equals, vertex for vertex, the line
+    graph of K_{3,n}; verify's gn-construction check and the graph tests
+    compare the two constructions.
     """
     if n < 1:
         raise ValueError(f"build_gn: n must be >= 1, got {n}")
-    g = cartesian_product(complete(3), complete(n))
-    assert g == line_graph(complete_bipartite(3, n)), "G(n) constructions disagree"
-    return g
+    return cartesian_product(complete(3), complete(n))
 
 
 def gn_labeling(n: int) -> dict[str, int]:

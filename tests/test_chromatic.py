@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from latin3.chromatic import (
     Poly,
+    _chrom,
     chromatic_poly,
     count_colorings_bruteforce,
     eval_poly,
@@ -107,10 +108,29 @@ def test_deletion_contraction_identity_random():
 
 
 def test_memoization_is_transparent():
-    for g in random_graphs(seed=11, count=8, max_vertices=6):
+    # G(4,2,2) (10 vertices) and an 11-vertex graph run the memo on larger graphs
+    graphs = random_graphs(seed=11, count=8, max_vertices=6)
+    graphs.append(build_gnpq(4, 2, 2))
+    graphs += random_graphs(seed=13, count=1, min_vertices=11, max_vertices=11)
+    for g in graphs:
         with_memo = chromatic_poly(g, memoize=True)
         without = chromatic_poly(g, memoize=False)
         assert with_memo == without
+
+
+def test_memo_shared_by_graphs_refinement_cannot_split():
+    # The cube Q3 and the Wagner graph are non-isomorphic, 3-regular and
+    # vertex-transitive, so color refinement leaves each one a single class and
+    # the memo key rests on the tie-break alone.
+    cube = Graph.from_edges(8, [(v, v ^ (1 << k)) for v in range(8) for k in range(3)])
+    wagner = Graph.from_edges(
+        8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
+    )
+    memo: dict = {}
+    for g in (cube, wagner):
+        shared = _chrom(g.adjacency_masks(), memo)
+        assert Poly.of(shared) == chromatic_poly(g, memoize=False)
+    assert chromatic_poly(cube) != chromatic_poly(wagner)
 
 
 def test_shape_invariants():

@@ -1,10 +1,17 @@
 """End-to-end tests for the latin3 command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latin3
+from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.cli import main
+from latin3.graphs import build_gn
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +80,20 @@ def test_table_defaults_lambda_to_n(capsys):
     code, out, _ = run_cli(capsys, "table", "--formula", "thm3", "--n", "3")
     assert code == 0
     assert out == "3 3 thm3 12\n"
+
+
+def test_table_prints_counts_past_4300_digits(capsys):
+    lam = 10**1100
+    code, out, _ = run_cli(
+        capsys, "table", "--formula", "thm3", "--n", "2",
+        "--lambda", str(lam), "--format", "csv",
+    )
+    assert code == 0
+    value = out.splitlines()[1].split(",")[3]
+    # the engine's polynomial shares no code with thm3_g
+    expected = eval_poly(chromatic_poly(build_gn(2)), lam)
+    assert len(str(expected)) > 4300
+    assert value == str(expected)
 
 
 def test_table_routes_agree(capsys):
@@ -162,6 +183,22 @@ def test_verify_n_max_out_of_range(capsys, n_max):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_verify_output_is_unchanged_by_optimize_flag():
+    # python -O strips asserts, so no invariant may live only in one
+    env = dict(os.environ)
+    src = str(Path(latin3.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for flags in (["-O"], []):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "latin3", "verify", "--n-max", "2"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_is_deterministic(capsys):
