@@ -221,7 +221,8 @@ def _memo_key(adj: Coeffs) -> tuple[int, int]:
 
 
 def _pick_edge(adj: Coeffs) -> tuple[int, int]:
-    """Deterministic edge choice: maximize the endpoint degree sum."""
+    """Deterministic edge choice: maximize the endpoint degree sum.  An
+    edgeless adjacency raises ValueError."""
     degrees = [bin(m).count("1") for m in adj]
     best = None
     best_score = -1
@@ -233,7 +234,8 @@ def _pick_edge(adj: Coeffs) -> tuple[int, int]:
             if score > best_score:
                 best_score = score
                 best = (u, v)
-    assert best is not None
+    if best is None:
+        raise ValueError("_pick_edge: the graph has no edges")
     return best
 
 

@@ -166,7 +166,7 @@ def test_08_riordan_consistency(check):
     check("riordan-consistency", failures)
 
 
-def test_09_determinism(check):
+def test_09_determinism(check, latin3_env):
     commands = [
         ("verify", "--n-max", "2"),
         ("table", "--formula", "thm3", "--n", "1..4",
@@ -180,6 +180,7 @@ def test_09_determinism(check):
                 [sys.executable, "-m", "latin3", *argv],
                 capture_output=True,
                 check=False,
+                env=latin3_env,
             )
             for _ in range(2)
         ]

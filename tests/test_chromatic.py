@@ -1,11 +1,15 @@
 """Tests for the deletion-contraction chromatic engine."""
 
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latin3.chromatic import (
     Poly,
     _chrom,
+    _pick_edge,
     chromatic_poly,
     count_colorings_bruteforce,
     eval_poly,
@@ -159,6 +163,27 @@ def test_vertex_limit():
     with pytest.raises(VertexLimitError):
         chromatic_poly(big)
     assert chromatic_poly(big, max_vertices=15).degree == 15
+
+
+def test_pick_edge_rejects_edgeless_adjacency():
+    assert _pick_edge((0b10, 0b01)) == (0, 1)
+    with pytest.raises(ValueError):
+        _pick_edge((0, 0, 0))
+
+
+def test_pick_edge_rejects_edgeless_adjacency_under_optimize(latin3_env):
+    # python -O strips asserts, so the check must be an explicit raise
+    code = (
+        "from latin3.chromatic import _pick_edge\n"
+        "try:\n    _pick_edge((0, 0, 0))\n"
+        "except ValueError:\n    print('ValueError')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, env=latin3_env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "ValueError"
 
 
 def test_bruteforce_edge_cases():

@@ -1,14 +1,11 @@
 """End-to-end tests for the latin3 command-line interface."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import latin3
 from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.cli import main
 from latin3.graphs import build_gn
@@ -108,6 +105,20 @@ def test_table_routes_agree(capsys):
     assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
+def test_table_closed_forms_count_zero_below_n_symbols(capsys):
+    rows = {}
+    for formula in ("aps", "thm3", "engine"):
+        code, out, _ = run_cli(
+            capsys, "table", "--formula", formula, "--n", "3", "--lambda", "0..4",
+        )
+        assert code == 0
+        rows[formula] = [
+            (n, lam, value) for n, lam, _, value in map(str.split, out.splitlines())
+        ]
+    assert rows["aps"] == rows["thm3"] == rows["engine"]
+    assert [value for _, _, value in rows["engine"]] == ["0", "0", "0", "12", "1056"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -116,7 +127,7 @@ def test_table_routes_agree(capsys):
         ("table", "--formula", "thm3", "--n", "x..2"),
         ("table", "--formula", "thm3", "--n", "2", "--lambda", "3",
          "--lambda-offset", "1"),
-        ("table", "--formula", "thm3", "--n", "2", "--lambda", "1"),
+        ("table", "--formula", "thm3", "--n", "2", "--lambda", "-1"),
     ],
 )
 def test_table_invalid_arguments_exit_2(capsys, argv):
@@ -185,16 +196,13 @@ def test_verify_n_max_out_of_range(capsys, n_max):
     assert err.startswith("error:")
 
 
-def test_verify_output_is_unchanged_by_optimize_flag():
+def test_verify_output_is_unchanged_by_optimize_flag(latin3_env):
     # python -O strips asserts, so no invariant may live only in one
-    env = dict(os.environ)
-    src = str(Path(latin3.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = []
     for flags in (["-O"], []):
         proc = subprocess.run(
             [sys.executable, *flags, "-m", "latin3", "verify", "--n-max", "2"],
-            capture_output=True, env=env, timeout=120,
+            capture_output=True, env=latin3_env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
@@ -267,6 +275,12 @@ def test_gnpq_contracted_rung(capsys):
     code, out, _ = run_cli(capsys, "gnpq", "1", "0", "1", "3")
     assert code == 0
     assert out.splitlines()[-1] == "EQUAL"
+
+
+def test_gnpq_below_n_symbols(capsys):
+    code, out, _ = run_cli(capsys, "gnpq", "3", "1", "2", "2")
+    assert code == 0
+    assert out == "closed-form: 0\nengine: 0\nEQUAL\n"
 
 
 def test_gnpq_partial_split_reports_engine_only(capsys):

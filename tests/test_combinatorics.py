@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from latin3.combinatorics import binom, factorial, falling, gen_binom, gen_derangement
+from latin3.combinatorics import (
+    binom,
+    derangement_table,
+    factorial,
+    falling,
+    gen_binom,
+    gen_derangement,
+)
+from latin3.oracle import count_injections_forbidden
 
 
 def test_factorial_small_values():
@@ -110,3 +118,21 @@ def test_gen_derangement_classical_sequence():
 def test_gen_derangement_rejects_bad_ranges(lam, n, t):
     with pytest.raises(ValueError):
         gen_derangement(lam, n, t)
+
+
+def test_derangement_table_matches_inclusion_exclusion():
+    table = derangement_table(30)
+    assert [len(row) for row in table] == list(range(1, 32))
+    for m, row in enumerate(table):
+        assert row == [gen_derangement(m, m, t) for t in range(m + 1)]
+
+
+def test_derangement_table_matches_enumeration():
+    for m, row in enumerate(derangement_table(6)):
+        assert row == [count_injections_forbidden(m, m, t) for t in range(m + 1)]
+
+
+def test_derangement_table_rejects_negative():
+    assert derangement_table(0) == [[1]]
+    with pytest.raises(ValueError):
+        derangement_table(-1)

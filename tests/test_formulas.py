@@ -10,7 +10,7 @@ Expected values fall into three classes:
 import pytest
 
 from latin3.chromatic import chromatic_poly, eval_poly
-from latin3.combinatorics import factorial
+from latin3.combinatorics import factorial, falling
 from latin3.formulas import (
     aps_g,
     g_npq_closed,
@@ -66,9 +66,21 @@ def test_aps_two_columns_matches_engine():
 
 def test_aps_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        aps_g(3, 2)
-    with pytest.raises(ValueError):
         aps_g(0, 3)
+    with pytest.raises(ValueError):
+        aps_g(3, -1)
+
+
+def test_closed_forms_are_zero_below_n_symbols():
+    # Fewer than n symbols cannot fill a row; the engine's polynomials vanish
+    # there too, so every closed form must return exactly their value, 0.
+    for n in range(1, 4):
+        gn = chromatic_poly(build_gn(n))
+        for lam in range(n):
+            assert aps_g(n, lam) == thm3_g(n, lam) == eval_poly(gn, lam) == 0
+            for p in range(n + 1):
+                engine = eval_poly(chromatic_poly(build_gnpq(n, p, n - p)), lam)
+                assert g_npq_closed(n, p, n - p, lam) == engine == 0
 
 
 def test_aps_divisibility_never_trips():
@@ -125,11 +137,29 @@ def test_g_npq_matches_engine_exhaustively():
                 assert g_npq_closed(n, p, q, lam) == eval_poly(poly, lam)
 
 
+def test_split_sums_rebuild_from_public_terms():
+    # falling(lam, n) * sum A * B^2 from the per-term functions, each of
+    # which builds its own derangement row, must equal g_npq_closed, which
+    # shares one table across the whole sum.
+    for n in range(1, 11):
+        for lam in (n, n + 3):
+            for k in range(n + 1):
+                l = n - k
+                total = 0
+                for t1 in range(min(k, l) + 1):
+                    b_val = term_B(lam, k, l, t1)
+                    for t2 in range(l - t1 + 1):
+                        total += term_A(lam, k, l, t1, t2) * b_val * b_val
+                assert falling(lam, n) * total == g_npq_closed(n, k, l, lam)
+
+
 def test_g_npq_rejects_bad_arguments():
     with pytest.raises(ValueError):
         g_npq_closed(2, 1, 0, 4)  # p + q != n has no closed form here
     with pytest.raises(ValueError):
-        g_npq_closed(2, 1, 1, 1)  # lam < n
+        g_npq_closed(0, 0, 0, 4)
+    with pytest.raises(ValueError):
+        g_npq_closed(2, 1, 1, -1)
 
 
 # --- Alternating-sum route ----------------------------------------------------
@@ -147,11 +177,17 @@ def test_thm3_agrees_with_aps_on_grid():
             assert thm3_g(n, lam) == aps_g(n, lam)
 
 
+@pytest.mark.parametrize("n", [30, 51])
+def test_thm3_square_matches_aps_and_riordan(n):
+    # n = 51 is the top of the square benchmark's range.
+    assert thm3_g(n, n) == aps_g(n, n) == factorial(n) * riordan_l3(n)
+
+
 def test_thm3_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        thm3_g(2, 1)
-    with pytest.raises(ValueError):
         thm3_g(0, 1)
+    with pytest.raises(ValueError):
+        thm3_g(2, -1)
 
 
 # --- Splitting-sum invariance --------------------------------------------------
