@@ -319,7 +319,8 @@ def count_colorings_bruteforce(g: Graph, lam: int, *, node_budget: int = 10**9) 
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
-                    f"coloring search exceeded the node budget of {node_budget}"
+                    f"coloring search exceeded the node budget of {node_budget}: "
+                    f"visited {nodes} nodes, completed {count} colorings"
                 )
             if all(colors[w] != c for w in earlier[v]):
                 colors[v] = c

@@ -57,11 +57,15 @@ def aps_g(n: int, lam: int) -> int:
             ((lam-n+a)!)^2 / (a! c!) * C(3(lam-n) + 3a + b + 2, b).
 
     The sum is stated for lam >= n; below that no row fits and the count is 0.
-    The sum is accumulated as a plain integer (n!/(a!c!) enters each term as
-    binom(n,a) * binom(n-a,c) * b!, which is integral), the lam! factor is
-    applied, and the ((lam-n)!)^3 division happens once at the end with an
-    exactness check: a nonzero remainder would mean the implementation is
-    wrong, so it raises instead of truncating.
+    With d = lam - n the factorials cancel before anything is evaluated:
+    lam!/d! = falling(lam, n), ((d+a)!/d!)^2 = falling(d+a, a)^2 and
+    n!/(a! c!) = binom(n,a) * binom(n-a,c) * b!, so
+
+        falling(lam, n) * sum_{a+b+c=n} (-1)^b 2^c falling(d+a, a)^2
+            binom(n,a) binom(n-a,c) b! C(3d + 3a + b + 2, b).
+
+    Every factor is an integer of O(n log lam) bits, so no lam! is built and
+    nothing is divided.
     """
     _check_n_lam("aps_g", n, lam)
     if lam < n:
@@ -73,21 +77,14 @@ def aps_g(n: int, lam: int) -> int:
             gamma = n - alpha - beta
             term = (
                 2**gamma
-                * factorial(d + alpha) ** 2
+                * falling(d + alpha, alpha) ** 2
                 * binom(n, alpha)
                 * binom(n - alpha, gamma)
                 * factorial(beta)
                 * binom(3 * d + 3 * alpha + beta + 2, beta)
             )
             total += -term if beta % 2 else term
-    numerator = factorial(lam) * total
-    quotient, remainder = divmod(numerator, factorial(d) ** 3)
-    if remainder:
-        raise ArithmeticError(
-            f"aps_g({n}, {lam}): prefactor division is not exact; "
-            "the closed form was evaluated incorrectly"
-        )
-    return quotient
+    return falling(lam, n) * total
 
 
 def _check_split(lam: int, k: int, l: int) -> None:
@@ -97,9 +94,12 @@ def _check_split(lam: int, k: int, l: int) -> None:
         raise ValueError(f"need lam >= k + l, got lam={lam} k={k} l={l}")
 
 
-def _term_a(d: int, k: int, l: int, t1: int, t2: int, row_l: list[int]) -> int:
-    """term_A with d = lam - n and row_l[t] = gen_derangement(l, l, t)."""
-    return binom(k, t1) * binom(l, t2) * binom(d, l - t1 - t2) * row_l[t2]
+def _term_a(d: int, l: int, t1: int, t2: int, row_l: list[int]) -> int:
+    """term_A / C(k, t1), with d = lam - n and row_l[t] = gen_derangement(l, l, t).
+
+    C(k, t1) does not depend on t2, so callers multiply it in once per t1.
+    """
+    return binom(l, t2) * binom(d, l - t1 - t2) * row_l[t2]
 
 
 def _term_b(d: int, k: int, t1: int, row_k: list[int]) -> int:
@@ -123,7 +123,7 @@ def term_A(lam: int, k: int, l: int, t1: int, t2: int) -> int:
         raise ValueError(f"term_A: need 0 <= t1 <= min(k,l), got t1={t1} k={k} l={l}")
     if not 0 <= t2 <= l - t1:
         raise ValueError(f"term_A: need 0 <= t2 <= l - t1, got t2={t2} l={l} t1={t1}")
-    return _term_a(lam - k - l, k, l, t1, t2, derangement_table(l)[l])
+    return binom(k, t1) * _term_a(lam - k - l, l, t1, t2, derangement_table(l)[l])
 
 
 def term_B(lam: int, k: int, l: int, t1: int) -> int:
@@ -147,8 +147,8 @@ def _split_sum(d: int, k: int, l: int, table: list[list[int]]) -> int:
     total = 0
     for t1 in range(min(k, l) + 1):
         b_val = _term_b(d, k, t1, row_k)
-        a_sum = sum(_term_a(d, k, l, t1, t2, row_l) for t2 in range(l - t1 + 1))
-        total += a_sum * b_val * b_val
+        a_sum = sum(_term_a(d, l, t1, t2, row_l) for t2 in range(l - t1 + 1))
+        total += binom(k, t1) * a_sum * b_val * b_val
     return total
 
 

@@ -53,7 +53,8 @@ def count_latin(
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
-                f"rectangle search exceeded the node budget of {node_budget}"
+                f"rectangle search exceeded the node budget of {node_budget}: "
+                f"visited {nodes} nodes, completed {count} rectangles"
             )
 
     def fill(col: int) -> None:
@@ -113,7 +114,8 @@ def enumerate_latin(
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(
-                    f"rectangle enumeration exceeded the node budget of {node_budget}"
+                    f"rectangle enumeration exceeded the node budget of {node_budget}: "
+                    f"visited {nodes} nodes, completed {len(out)} rectangles"
                 )
             if row_used[row] >> s & 1 or col_used[col] >> s & 1:
                 continue

@@ -193,3 +193,7 @@ def test_bruteforce_edge_cases():
         count_colorings_bruteforce(complete(3), -1)
     with pytest.raises(BudgetExceededError):
         count_colorings_bruteforce(build_gn(2), 4, node_budget=10)
+    # The triangle on 3 colors: the 10th attempt is the one past a budget of
+    # 9, after the colorings (1,2,3) and (1,3,2) were completed.
+    with pytest.raises(BudgetExceededError, match="visited 10 nodes, completed 2 colorings"):
+        count_colorings_bruteforce(complete(3), 3, node_budget=9)

@@ -119,6 +119,19 @@ def test_table_closed_forms_count_zero_below_n_symbols(capsys):
     assert [value for _, _, value in rows["engine"]] == ["0", "0", "0", "12", "1056"]
 
 
+def test_table_aps_and_thm3_agree_at_a_million_symbols(capsys):
+    rows = {}
+    for formula in ("aps", "thm3"):
+        code, out, _ = run_cli(
+            capsys, "table", "--formula", formula, "--n", "3", "--lambda", "1000000",
+        )
+        assert code == 0
+        n, lam, _, value = out.split()
+        rows[formula] = (n, lam, value)
+    assert rows["aps"] == rows["thm3"]
+    assert rows["aps"][2] == str(eval_poly(chromatic_poly(build_gn(3)), 10**6))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -157,6 +170,25 @@ def test_table_brute_node_budget(capsys):
     )
     assert code == 3
     assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "formula, completed",
+    [("brute", "completed 2 colorings"), ("latin-oracle", "completed 2 rectangles")],
+)
+def test_table_budget_error_reports_progress(capsys, formula, completed):
+    # G(1) is a triangle: with 3 colors the 10th attempt is the one past a
+    # budget of 9, after the colorings (1,2,3) and (1,3,2) were completed.
+    code, out, err = run_cli(
+        capsys,
+        "table", "--formula", formula, "--n", "1", "--lambda", "3",
+        "--node-budget", "9",
+    )
+    assert code == 3
+    assert out == ""
+    assert "node budget of 9" in err
+    assert "visited 10 nodes" in err
+    assert completed in err
 
 
 def test_table_oracle_node_budget(capsys):

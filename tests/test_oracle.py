@@ -50,6 +50,15 @@ def test_count_latin_budget():
         count_latin(4, 5, node_budget=1000)
 
 
+def test_budget_errors_report_progress():
+    # One column on 3 symbols: the 10th placement attempt is the one past a
+    # budget of 9, after the columns (1,2,3) and (1,3,2) were completed.
+    with pytest.raises(BudgetExceededError, match="visited 10 nodes, completed 2 rectangles"):
+        count_latin(1, 3, node_budget=9)
+    with pytest.raises(BudgetExceededError, match="visited 10 nodes, completed 2 rectangles"):
+        enumerate_latin(1, 3, 10, node_budget=9)
+
+
 def test_enumerate_single_column():
     rects = enumerate_latin(1, 3, 10)
     assert len(rects) == 6
