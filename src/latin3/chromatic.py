@@ -1,14 +1,23 @@
 """Chromatic polynomials from first principles.
 
-The engine runs the deletion-contraction recursion
+The engine computes P(G, lambda) with exact integer polynomial arithmetic by
+applying, to each graph it meets, the first of these rules that fits:
 
-    P(G, lambda) = P(G - uv, lambda) - P(G_uv, lambda)
+* no vertices: P = 1;
+* isolated vertices: each contributes a factor lambda;
+* several components: P is the product over the components;
+* a simplicial vertex v, whose d neighbors are pairwise adjacent:
+  P(G) = (lambda - d) P(G - v).  Cliques and trees reduce to nothing by
+  this rule alone;
+* a cycle: P = (lambda-1)^n + (-1)^n (lambda-1);
+* a dense graph, with more than half of the possible edges: addition-
+  contraction on a non-edge uv, P(G) = P(G + uv) + P(G / uv);
+* otherwise deletion-contraction on an edge uv, P(G) = P(G - uv) - P(G / uv).
 
-with exact integer polynomial arithmetic.  Structural shortcuts (edgeless
-graphs, disconnected splits, cliques, trees, cycles) and an optional per-call
-memo, keyed on the graph relabeled by color refinement, keep the recursion
-tree small; none of them affect the result, which is what the tests pin down
-against brute force.
+An optional per-call memo, keyed on the graph relabeled by color refinement,
+maps each graph that reaches one of the two branching rules to its
+polynomial.  None of this affects the result, which is what the tests pin
+down against brute force and against a bare deletion-contraction.
 
 count_colorings_bruteforce is the grounding oracle: a deliberately naive
 backtracking count over explicit color assignments that shares no logic with
@@ -93,22 +102,6 @@ def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(out)
 
 
-def _falling_coeffs(v: int) -> Coeffs:
-    """lambda (lambda-1) ... (lambda-v+1), the chromatic polynomial of K_v."""
-    out: Coeffs = (1,)
-    for k in range(v):
-        out = _mul(out, (-k, 1))
-    return out
-
-
-def _tree_coeffs(v: int) -> Coeffs:
-    """lambda (lambda-1)^(v-1), the chromatic polynomial of any tree on v >= 1 vertices."""
-    out: Coeffs = (0, 1)
-    for _ in range(v - 1):
-        out = _mul(out, (-1, 1))
-    return out
-
-
 def _cycle_coeffs(v: int) -> Coeffs:
     """(lambda-1)^v + (-1)^v (lambda-1), the chromatic polynomial of the v-cycle."""
     out: Coeffs = (1,)
@@ -168,8 +161,18 @@ def _delete(adj: Coeffs, u: int, v: int) -> Coeffs:
     return tuple(rows)
 
 
+def _add_edge(adj: Coeffs, u: int, v: int) -> Coeffs:
+    rows = list(adj)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    return tuple(rows)
+
+
 def _contract(adj: Coeffs, u: int, v: int) -> Coeffs:
-    """Merge v into u (u < v) and drop index v, collapsing parallel edges."""
+    """Merge v into u (u < v) and drop index v, collapsing parallel edges.
+
+    u and v need not be adjacent; an edge between them is dropped.
+    """
     merged = (adj[u] | adj[v]) & ~((1 << u) | (1 << v))
     rows = []
     for w in range(len(adj)):
@@ -188,42 +191,65 @@ def _contract(adj: Coeffs, u: int, v: int) -> Coeffs:
 def _memo_key(adj: Coeffs) -> tuple[int, int]:
     """Exact memo key: the adjacency rows relabeled into refinement order.
 
-    Vertices are colored by iterated neighborhood refinement (a vertex's
-    color is refined by the multiset of its neighbors' colors until stable),
-    renumbered by color with ties broken by index, and the relabeled rows are
-    packed into one int.  Equal keys mean the graphs are identical after
-    relabeling, so they share a polynomial; the key is not canonical, and
-    isomorphic graphs whose ties break differently simply miss the memo.
+    Vertices start colored by degree.  Each round a vertex's signature is its
+    color plus, for every color class, how many of its neighbors lie in that
+    class (a popcount of its row against the class mask); ranking the distinct
+    signatures gives the next coloring.  A round that adds no class leaves the
+    partition stable, so refinement stops there.  Vertices are then renumbered
+    by color with ties broken by index, and the relabeled rows are packed into
+    one int.  Equal keys mean the graphs are identical after relabeling, so
+    they share a polynomial; the key is not canonical, and isomorphic graphs
+    whose ties break differently simply miss the memo.
     """
     n = len(adj)
-    colors = [bin(m).count("1") for m in adj]
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[w] for w in _bits(adj[v]))))
-            for v in range(n)
-        ]
+    colors = [m.bit_count() for m in adj]
+    classes = len(set(colors))
+    while classes < n:
+        masks: dict[int, int] = {}
+        for v, c in enumerate(colors):
+            masks[c] = masks.get(c, 0) | 1 << v
+        class_masks = [masks[c] for c in sorted(masks)]
+        sigs = [(c, *[(m & k).bit_count() for k in class_masks]) for c, m in zip(colors, adj)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        refined = [rank[s] for s in sigs]
-        if refined == colors:
+        if len(rank) == classes:
             break
-        colors = refined
+        classes = len(rank)
+        colors = [rank[s] for s in sigs]
     order = sorted(range(n), key=colors.__getitem__)
     position = [0] * n
     for i, v in enumerate(order):
-        position[v] = i
+        position[v] = 1 << i
     code = 0
     for v in order:
         row = 0
-        for w in _bits(adj[v]):
-            row |= 1 << position[w]
+        m = adj[v]
+        while m:
+            low = m & -m
+            row |= position[low.bit_length() - 1]
+            m ^= low
         code = code << n | row
     return n, code
+
+
+def _simplicial(adj: Coeffs) -> Optional[int]:
+    """The first vertex whose neighborhood is a clique, or None."""
+    for v, nbrs in enumerate(adj):
+        rest = nbrs
+        while rest:
+            # neighbor w (bit low) must see every other neighbor of v
+            low = rest & -rest
+            if (nbrs & ~adj[low.bit_length() - 1]) != low:
+                break
+            rest ^= low
+        else:
+            return v
+    return None
 
 
 def _pick_edge(adj: Coeffs) -> tuple[int, int]:
     """Deterministic edge choice: maximize the endpoint degree sum.  An
     edgeless adjacency raises ValueError."""
-    degrees = [bin(m).count("1") for m in adj]
+    degrees = [m.bit_count() for m in adj]
     best = None
     best_score = -1
     for u in range(len(adj)):
@@ -239,7 +265,31 @@ def _pick_edge(adj: Coeffs) -> tuple[int, int]:
     return best
 
 
-def _chrom(adj: Coeffs, memo: Optional[dict]) -> Coeffs:
+def _pick_non_edge(adj: Coeffs) -> tuple[int, int]:
+    """Deterministic non-edge choice: maximize the common neighbors.  A
+    complete adjacency raises ValueError."""
+    n = len(adj)
+    best = None
+    best_score = -1
+    for u in range(n):
+        # vertices u+1..n-1 that are not neighbors of u
+        for v in _bits(((1 << n) - (2 << u)) & ~adj[u]):
+            score = (adj[u] & adj[v]).bit_count()
+            if score > best_score:
+                best_score = score
+                best = (u, v)
+    if best is None:
+        raise ValueError("_pick_non_edge: the graph is complete")
+    return best
+
+
+def _count(stats: Optional[dict], name: str) -> None:
+    if stats is not None:
+        stats[name] += 1
+
+
+def _chrom(adj: Coeffs, memo: Optional[dict], stats: Optional[dict] = None) -> Coeffs:
+    _count(stats, "nodes")
     n = len(adj)
     if n == 0:
         return (1,)
@@ -247,48 +297,82 @@ def _chrom(adj: Coeffs, memo: Optional[dict]) -> Coeffs:
     isolated = n - len(live)
     if isolated:
         # each isolated vertex contributes a free factor of lambda
-        return (0,) * isolated + _chrom(_induced(adj, live), memo)
+        _count(stats, "isolated")
+        return (0,) * isolated + _chrom(_induced(adj, live), memo, stats)
     comps = _components(adj)
     if len(comps) > 1:
+        _count(stats, "components")
         out: Coeffs = (1,)
         for comp in comps:
-            out = _mul(out, _chrom(_induced(adj, comp), memo))
+            out = _mul(out, _chrom(_induced(adj, comp), memo, stats))
         return out
-    edge_count = sum(bin(m).count("1") for m in adj) // 2
-    if edge_count == n * (n - 1) // 2:
-        return _falling_coeffs(n)
-    if edge_count == n - 1:
-        return _tree_coeffs(n)
-    if all(bin(m).count("1") == 2 for m in adj):
+    v = _simplicial(adj)
+    if v is not None:
+        # v's d neighbors are pairwise adjacent, so they use d distinct
+        # colors in every proper coloring of G - v, leaving lambda - d for v
+        _count(stats, "simplicial")
+        rest = _induced(adj, [w for w in range(n) if w != v])
+        return _mul((-adj[v].bit_count(), 1), _chrom(rest, memo, stats))
+    if all(m.bit_count() == 2 for m in adj):
+        _count(stats, "cycle")
         return _cycle_coeffs(n)
     if memo is not None:
         key = _memo_key(adj)
         hit = memo.get(key)
         if hit is not None:
+            _count(stats, "memo_hits")
             return hit
-    u, v = _pick_edge(adj)
-    out = _sub(_chrom(_delete(adj, u, v), memo), _chrom(_contract(adj, u, v), memo))
+        _count(stats, "memo_misses")
+    edge_count = sum(m.bit_count() for m in adj) // 2
+    if 4 * edge_count > n * (n - 1):
+        # dense: P(G) = P(G + uv) + P(G / uv) on a non-edge uv
+        _count(stats, "addition")
+        u, v = _pick_non_edge(adj)
+        added = _add_edge(adj, u, v)
+        out = _add(_chrom(added, memo, stats), _chrom(_contract(adj, u, v), memo, stats))
+    else:
+        _count(stats, "deletion")
+        u, v = _pick_edge(adj)
+        out = _sub(
+            _chrom(_delete(adj, u, v), memo, stats),
+            _chrom(_contract(adj, u, v), memo, stats),
+        )
     if memo is not None:
         memo[key] = out
     return out
 
 
+STAT_NAMES = (
+    "nodes", "memo_hits", "memo_misses",
+    "isolated", "components", "cycle", "simplicial", "deletion", "addition",
+)
+
+
 def chromatic_poly(
-    g: Graph, *, max_vertices: int = DEFAULT_MAX_VERTICES, memoize: bool = True
+    g: Graph,
+    *,
+    max_vertices: int = DEFAULT_MAX_VERTICES,
+    memoize: bool = True,
+    stats: Optional[dict] = None,
 ) -> Poly:
-    """Exact chromatic polynomial of a simple graph by deletion-contraction.
+    """Exact chromatic polynomial of a simple graph.
 
     The recursion is exponential in the worst case, so graphs above
     max_vertices are rejected outright.  memoize=False turns off the memo
     keyed on the refinement-relabeled graph; the result is identical either
-    way.
+    way.  A dict passed as stats gets the counts named in STAT_NAMES added
+    to it: recursion nodes, memo hits and misses, and how often each rule
+    fired.
     """
     if g.vertex_count > max_vertices:
         raise VertexLimitError(
             f"graph has {g.vertex_count} vertices, exceeding the limit of {max_vertices}"
         )
+    if stats is not None:
+        for name in STAT_NAMES:
+            stats.setdefault(name, 0)
     memo: Optional[dict] = {} if memoize else None
-    return Poly.of(_chrom(g.adjacency_masks(), memo))
+    return Poly.of(_chrom(g.adjacency_masks(), memo, stats))
 
 
 def count_colorings_bruteforce(g: Graph, lam: int, *, node_budget: int = 10**9) -> int:

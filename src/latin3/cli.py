@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .chromatic import DEFAULT_MAX_VERTICES, chromatic_poly, eval_poly, count_colorings_bruteforce
 from .errors import BudgetExceededError, VertexLimitError
@@ -124,10 +125,13 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
         text = Path(args.graph_file).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {args.graph_file}: {exc}") from None
-    poly = chromatic_poly(parse_graph(text), max_vertices=args.max_vertices)
+    stats: Optional[dict] = {} if args.stats else None
+    poly = chromatic_poly(parse_graph(text), max_vertices=args.max_vertices, stats=stats)
     print(f"degree={poly.degree}")
     for coefficient in poly.coefficients:
         print(coefficient)
+    if stats is not None:
+        print(json.dumps(stats), file=sys.stderr)
     return 0
 
 
@@ -179,6 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chromatic.add_argument("graph_file")
     chromatic.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    chromatic.add_argument(
+        "--stats", action="store_true",
+        help="print the engine's counters as one JSON line on stderr",
+    )
     chromatic.set_defaults(func=cmd_chromatic)
 
     gnpq = sub.add_parser(

@@ -15,6 +15,7 @@ Every route is exact integer arithmetic throughout; agreement between them
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .combinatorics import binom, derangement_table, factorial, falling, gen_binom
@@ -85,6 +86,37 @@ def aps_g(n: int, lam: int) -> int:
             )
             total += -term if beta % 2 else term
     return falling(lam, n) * total
+
+
+def aps_literal(n: int, lam: int) -> int:
+    """The APS triple sum exactly as the paper writes it, for lam >= n,
+
+        lam! n! / ((lam-n)!)^3 * sum_{a+b+c=n} (-1)^b 2^c
+            ((lam-n+a)!)^2 / (a! c!) * C(3(lam-n) + 3a + b + 2, b),
+
+    with full factorials (math.factorial, math.comb) and exact divisions.
+    A division that leaves a remainder raises ArithmeticError.  It builds
+    lam!, so it is only a reference for aps_g at modest lam.
+    """
+    _check_n_lam("aps_literal", n, lam)
+    if lam < n:
+        raise ValueError(f"aps_literal: the literal form needs lam >= n, got n={n} lam={lam}")
+    f = math.factorial
+    d = lam - n
+
+    def exact(num: int, den: int, what: str) -> int:
+        quotient, remainder = divmod(num, den)
+        if remainder:
+            raise ArithmeticError(f"aps_literal({n}, {lam}): {what} leaves remainder {remainder}")
+        return quotient
+
+    total = 0
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            c = n - a - b
+            term = exact(f(n) * f(d + a) ** 2, f(a) * f(c), f"n! ((d+a)!)^2 / (a! c!) at a={a} c={c}")
+            total += (-1) ** b * 2**c * term * math.comb(3 * d + 3 * a + b + 2, b)
+    return exact(f(lam) * total, f(d) ** 3, "lam! * sum / ((lam-n)!)^3")
 
 
 def _check_split(lam: int, k: int, l: int) -> None:

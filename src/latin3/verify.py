@@ -130,12 +130,18 @@ def _fast_checks(cfg: VerifyConfig) -> list[CheckResult]:
         return None
 
     def aps_divisibility() -> Optional[str]:
+        # aps_g divides by nothing; the paper's literal factorial form does,
+        # and must divide exactly and agree with it
         for n in range(1, min(cfg.n_max, FORMULA_N_GUARD) + 1):
             for off in range(cfg.lambda_offset_max + 1):
+                lam = n + off
                 try:
-                    formulas.aps_g(n, n + off)
+                    literal = formulas.aps_literal(n, lam)
                 except ArithmeticError as exc:
                     return str(exc)
+                fast = formulas.aps_g(n, lam)
+                if fast != literal:
+                    return f"n={n} lam={lam}: aps={fast} literal={literal}"
         return None
 
     def formula_equivalence() -> Optional[str]:

@@ -1,15 +1,20 @@
-"""Tests for the deletion-contraction chromatic engine."""
+"""Tests for the chromatic engine and its brute-force oracle."""
 
+import itertools
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latin3 import chromatic
 from latin3.chromatic import (
+    STAT_NAMES,
     Poly,
     _chrom,
     _pick_edge,
+    _pick_non_edge,
     chromatic_poly,
     count_colorings_bruteforce,
     eval_poly,
@@ -171,6 +176,12 @@ def test_pick_edge_rejects_edgeless_adjacency():
         _pick_edge((0, 0, 0))
 
 
+def test_pick_non_edge_rejects_complete_adjacency():
+    assert _pick_non_edge((0b010, 0b101, 0b010)) == (0, 2)
+    with pytest.raises(ValueError):
+        _pick_non_edge((0b110, 0b101, 0b011))
+
+
 def test_pick_edge_rejects_edgeless_adjacency_under_optimize(latin3_env):
     # python -O strips asserts, so the check must be an explicit raise
     code = (
@@ -197,3 +208,104 @@ def test_bruteforce_edge_cases():
     # 9, after the colorings (1,2,3) and (1,3,2) were completed.
     with pytest.raises(BudgetExceededError, match="visited 10 nodes, completed 2 colorings"):
         count_colorings_bruteforce(complete(3), 3, node_budget=9)
+
+
+def _bare_dc(n, edges):
+    """P(G) by bare deletion-contraction on a vertex count and a frozenset of
+    edges (any labels): no shortcut, no memo, shares no code with the engine."""
+    if not edges:
+        return (0,) * n + (1,)
+    e = min(edges)
+    u, v = e
+    rest = edges - {e}
+    relabel = {v: u}
+    merged = frozenset(
+        tuple(sorted((relabel.get(a, a), relabel.get(b, b)))) for a, b in rest
+    )
+    deleted, contracted = _bare_dc(n, rest), _bare_dc(n - 1, merged) + (0,)
+    return tuple(x - y for x, y in zip(deleted, contracted))
+
+
+def test_every_graph_on_five_vertices_matches_bare_deletion_contraction():
+    pairs = list(itertools.combinations(range(5), 2))
+    stats: dict = {}
+    for mask in range(1 << len(pairs)):
+        edges = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        g = Graph.from_edges(5, edges)
+        want = Poly.of(_bare_dc(5, edges))
+        assert chromatic_poly(g, stats=stats) == want, sorted(edges)
+        assert chromatic_poly(g, memoize=False) == want, sorted(edges)
+    # every rule but deletion fired: on five vertices the only sparse connected
+    # graph without a simplicial vertex is the 5-cycle
+    rules = ("isolated", "components", "cycle", "simplicial", "addition")
+    assert all(stats[name] > 0 for name in rules), stats
+
+
+def _seeded_graphs():
+    rng = random.Random(2024)
+    out = []
+    for vertices in range(7, 11):
+        pairs = list(itertools.combinations(range(vertices), 2))
+        for density in (0.35, 0.6, 0.7, 0.8, 0.9):
+            out.append(Graph.from_edges(vertices, rng.sample(pairs, round(density * len(pairs)))))
+    # K_8 minus a perfect matching; the fan on 8 vertices (a path plus an apex),
+    # whose vertices become simplicial one after another
+    out.append(Graph.from_edges(8, [p for p in itertools.combinations(range(8), 2) if p[1] != p[0] + 4]))
+    out.append(Graph.from_edges(8, [(i, i + 1) for i in range(6)] + [(i, 7) for i in range(7)]))
+    return out
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+def test_seeded_graphs_match_bruteforce(memoize):
+    stats: dict = {}
+    for g in _seeded_graphs():
+        poly = chromatic_poly(g, memoize=memoize, stats=stats)
+        for lam in (3, 4):
+            assert eval_poly(poly, lam) == count_colorings_bruteforce(g, lam), sorted(g.edges)
+    assert stats["addition"] > 0 and stats["deletion"] > 0, stats
+
+
+def test_cocktail_party_and_fan_hand_values():
+    cocktail, fan = _seeded_graphs()[-2:]
+    # the four non-adjacent pairs of K_8 minus a matching need four colors,
+    # so with four colors each pair takes one: 4! colorings
+    assert [eval_poly(chromatic_poly(cocktail), lam) for lam in (3, 4)] == [0, 24]
+    # apex, then each path vertex joins an edge: lambda (lambda-1) (lambda-2)^6
+    want = Poly((0, 1)) * Poly((-1, 1))
+    for _ in range(6):
+        want = want * Poly((-2, 1))
+    assert chromatic_poly(fan) == want
+
+
+def test_stats_repeat_exactly():
+    first: dict = {}
+    second: dict = {}
+    chromatic_poly(build_gn(3), stats=first)
+    chromatic_poly(build_gn(3), stats=second)
+    assert list(first) == list(STAT_NAMES)
+    assert first == second
+    assert first["nodes"] > 0
+
+
+def test_stats_count_every_memo_lookup(monkeypatch):
+    lookups = []
+    real = chromatic._memo_key
+
+    def counted(adj):
+        lookups.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(chromatic, "_memo_key", counted)
+    stats: dict = {}
+    chromatic_poly(build_gn(4), stats=stats)
+    assert stats["memo_hits"] + stats["memo_misses"] == len(lookups)
+    # each miss stores one memo entry; G(4)'s memo held 2,396 entries under
+    # deletion-contraction alone
+    assert stats["memo_misses"] < 2396
+    assert stats["addition"] > 0 and stats["simplicial"] > 0
+
+    lookups.clear()
+    unmemoized: dict = {}
+    chromatic_poly(build_gn(3), memoize=False, stats=unmemoized)
+    assert lookups == []
+    assert unmemoized["memo_hits"] == unmemoized["memo_misses"] == 0

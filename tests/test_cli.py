@@ -265,6 +265,21 @@ def test_chromatic_triangle(capsys, tmp_path):
     assert out == "degree=3\n0\n2\n-3\n1\n"
 
 
+def test_chromatic_stats_go_to_stderr_only(capsys, tmp_path):
+    g = build_gn(3)
+    text = f"{g.vertex_count}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges))
+    path = write_graph(tmp_path, text)
+    code, plain_out, plain_err = run_cli(capsys, "chromatic", path)
+    assert (code, plain_err) == (0, "")
+    code, out, err = run_cli(capsys, "chromatic", path, "--stats")
+    assert code == 0
+    assert out == plain_out
+    assert err.count("\n") == 1
+    want: dict = {}
+    chromatic_poly(g, stats=want)
+    assert json.loads(err) == want
+
+
 def test_chromatic_edgeless(capsys, tmp_path):
     path = write_graph(tmp_path, "2\n")
     code, out, _ = run_cli(capsys, "chromatic", path)

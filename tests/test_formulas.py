@@ -7,14 +7,13 @@ Expected values fall into three classes:
   - structural identities checked across whole parameter grids.
 """
 
-import math
-
 import pytest
 
 from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.combinatorics import factorial, falling
 from latin3.formulas import (
     aps_g,
+    aps_literal,
     g_npq_closed,
     riordan_l3,
     term_A,
@@ -89,37 +88,16 @@ def test_aps_divisibility_never_trips():
     # aps_g cancels the factorials into falling factorials and divides by
     # nothing, so a mis-cancelled term would show up as a wrong value, never as
     # a raise.  The count must still be a count everywhere on the grid; exact
-    # divisibility of the literal form is checked against _aps_literal below.
+    # divisibility of the literal form is checked against aps_literal below.
     for n in range(1, 7):
         for lam in range(n, n + 5):
             assert aps_g(n, lam) >= 0
 
 
-def _aps_literal(n, lam):
-    """The APS triple sum exactly as the paper writes it,
-
-        lam! n! / ((lam-n)!)^3 * sum_{a+b+c=n} (-1)^b 2^c
-            ((lam-n+a)!)^2 / (a! c!) * C(3(lam-n) + 3a + b + 2, b),
-
-    with full factorials and exact divisions that must leave no remainder."""
-    f = math.factorial
-    d = lam - n
-    total = 0
-    for a in range(n + 1):
-        for b in range(n - a + 1):
-            c = n - a - b
-            quotient, remainder = divmod(f(n) * f(d + a) ** 2, f(a) * f(c))
-            assert remainder == 0
-            total += (-1) ** b * 2**c * quotient * math.comb(3 * d + 3 * a + b + 2, b)
-    quotient, remainder = divmod(f(lam) * total, f(d) ** 3)
-    assert remainder == 0
-    return quotient
-
-
 def test_aps_matches_literal_factorial_form():
     for n in range(1, 7):
         for lam in [*range(n, n + 9), 1000, 2500]:
-            assert aps_g(n, lam) == _aps_literal(n, lam)
+            assert aps_g(n, lam) == aps_literal(n, lam)
 
 
 def test_aps_agrees_with_thm3_at_large_lambda():

@@ -4,6 +4,7 @@ the other test modules; here we only need small, fast configurations."""
 
 import pytest
 
+from latin3 import formulas
 from latin3.verify import CheckResult, VerifyConfig, render_report, run_verify
 
 
@@ -37,6 +38,19 @@ def test_first_row_check_needs_large_enough_n():
     assert "latin-first-row" not in names(small)
     large = run_verify(VerifyConfig(n_max=3, include_engine=False))
     assert "latin-first-row" in names(large)
+
+
+def test_aps_divisibility_fails_on_a_wrong_aps_g(monkeypatch):
+    cfg = VerifyConfig(n_max=2, include_engine=False, include_oracle=False)
+    before = {r.name: r for r in run_verify(cfg)}
+    assert before["aps-divisibility"].passed
+    real = formulas.aps_g
+    monkeypatch.setattr(formulas, "aps_g", lambda n, lam: real(n, lam) + 1)
+    after = {r.name: r for r in run_verify(cfg)}
+    assert list(after) == list(before)
+    check = after["aps-divisibility"]
+    assert not check.passed
+    assert check.detail == "n=1 lam=1: aps=1 literal=0"
 
 
 def test_runs_are_deterministic():
