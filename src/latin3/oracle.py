@@ -3,12 +3,22 @@
 Nothing in this module knows about binomials, polynomials, or graphs: the
 counts come from explicit backtracking over symbol placements, which is what
 makes them trustworthy cross-checks for everything else in the package.
+
+count_latin remembers, for the length of one call, how many ways each exact
+state of its search (the three rows' used-symbol sets) can be finished, so
+no state is searched twice.  It uses no symmetry and no relabelling of
+symbols.  The budgets of the backtracking searches count nodes, one per
+attempted symbol placement; a memo hit costs no node, and the "completed"
+count in a budget error includes the rectangles a hit stood for.
+enumerate_latin stays plain backtracking, so comparing the two compares two
+different searches.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Optional
 
 from .errors import BudgetExceededError
 
@@ -21,10 +31,20 @@ Rectangle = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 def _check_params(n: int, lam: int, node_budget: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if lam < 1:
-        raise ValueError(f"lam must be >= 1, got {lam}")
+    if lam < 0:
+        raise ValueError(f"lam must be >= 0, got {lam}")
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
+
+
+STAT_NAMES = ("nodes", "memo_hits", "memo_misses")
+
+
+def _search_budget_error(node_budget: int, done: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"rectangle search exceeded the node budget of {node_budget}: "
+        f"visited {node_budget + 1} nodes, completed {done} rectangles"
+    )
 
 
 def count_latin(
@@ -33,6 +53,7 @@ def count_latin(
     fixed_first_row: bool = False,
     *,
     node_budget: int = DEFAULT_NODE_BUDGET,
+    stats: Optional[dict] = None,
 ) -> int:
     """Count 3 x n arrays over {1..lam} with no repeat in any row or column.
 
@@ -40,51 +61,67 @@ def count_latin(
     distinct symbols — with per-row used-symbol bitmasks, so dead columns are
     abandoned as early as possible.  With fixed_first_row the first row is
     pinned to (1, ..., n), which matches the first-row-normalized count when
-    lam = n.  Every attempted symbol placement costs one node against the
-    budget.
+    lam = n.  There are none when lam = 0.
+
+    How many ways the remaining columns can be filled depends only on the
+    three rows' used-symbol sets (the column index is how many symbols row 0
+    has used), so each such state is searched once per call and its count is
+    remembered for the rest of that call.  The memo key is the exact state:
+    no symbol relabelling or symmetry is used.
+
+    Every attempted symbol placement costs one node against the budget; a
+    memo hit costs none.  A budget error reports the nodes visited and the
+    rectangles completed so far, counting every rectangle a memo hit stood
+    for.  A dict passed as stats gets the counts named in STAT_NAMES added to
+    it: nodes, memo hits and memo misses (states searched).
     """
     _check_params(n, lam, node_budget)
-    used = [0, 0, 0]
-    nodes = 0
-    count = 0
+    memo: dict[tuple[int, int, int], int] = {}
+    nodes = hits = misses = 0
+    done = 0  # rectangles completed so far, memo hits included
 
-    def tick() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"rectangle search exceeded the node budget of {node_budget}: "
-                f"visited {nodes} nodes, completed {count} rectangles"
-            )
-
-    def fill(col: int) -> None:
-        nonlocal count
+    def fill(col: int, u0: int, u1: int, u2: int) -> int:
+        nonlocal nodes, hits, misses, done
         if col == n:
-            count += 1
-            return
+            done += 1
+            return 1
+        key = (u0, u1, u2)
+        found = memo.get(key)
+        if found is not None:
+            hits += 1
+            done += found
+            return found
+        misses += 1
+        total = 0
         top = (col + 1,) if fixed_first_row else range(1, lam + 1)
         for a in top:
-            tick()
-            if a > lam or used[0] >> a & 1:
+            nodes += 1
+            if nodes > node_budget:
+                raise _search_budget_error(node_budget, done)
+            if a > lam or u0 >> a & 1:
                 continue
             for b in range(1, lam + 1):
-                tick()
-                if b == a or used[1] >> b & 1:
+                nodes += 1
+                if nodes > node_budget:
+                    raise _search_budget_error(node_budget, done)
+                if b == a or u1 >> b & 1:
                     continue
                 for c in range(1, lam + 1):
-                    tick()
-                    if c == a or c == b or used[2] >> c & 1:
+                    nodes += 1
+                    if nodes > node_budget:
+                        raise _search_budget_error(node_budget, done)
+                    if c == a or c == b or u2 >> c & 1:
                         continue
-                    used[0] |= 1 << a
-                    used[1] |= 1 << b
-                    used[2] |= 1 << c
-                    fill(col + 1)
-                    used[0] &= ~(1 << a)
-                    used[1] &= ~(1 << b)
-                    used[2] &= ~(1 << c)
+                    total += fill(col + 1, u0 | 1 << a, u1 | 1 << b, u2 | 1 << c)
+        memo[key] = total
+        return total
 
-    fill(0)
-    return count
+    try:
+        return fill(0, 0, 0, 0)
+    finally:
+        if stats is not None:
+            for name, value in zip(STAT_NAMES, (nodes, hits, misses)):
+                stats[name] = stats.get(name, 0) + value
 
 
 def enumerate_latin(

@@ -107,7 +107,7 @@ def test_table_routes_agree(capsys):
 
 def test_table_closed_forms_count_zero_below_n_symbols(capsys):
     rows = {}
-    for formula in ("aps", "thm3", "engine"):
+    for formula in ("aps", "thm3", "engine", "brute", "latin-oracle"):
         code, out, _ = run_cli(
             capsys, "table", "--formula", formula, "--n", "3", "--lambda", "0..4",
         )
@@ -115,7 +115,7 @@ def test_table_closed_forms_count_zero_below_n_symbols(capsys):
         rows[formula] = [
             (n, lam, value) for n, lam, _, value in map(str.split, out.splitlines())
         ]
-    assert rows["aps"] == rows["thm3"] == rows["engine"]
+    assert rows["aps"] == rows["thm3"] == rows["engine"] == rows["brute"] == rows["latin-oracle"]
     assert [value for _, _, value in rows["engine"]] == ["0", "0", "0", "12", "1056"]
 
 

@@ -28,8 +28,9 @@ from latin3.oracle import count_latin
 # --- Row-count series -------------------------------------------------------
 
 # Frozen after cross-checking count_latin(n, n, fixed_first_row=True) for
-# n <= 4; the n=5 value is confirmed by the same oracle in the acceptance
-# suite's slow lane and by the g(n,n) = n! * L3(n) bridge.
+# n <= 4; the n=5 value is confirmed by the same oracle in
+# test_riordan_matches_enumeration_past_n_4 and by the g(n,n) = n! * L3(n)
+# bridge.
 L3_SERIES = {1: 0, 2: 0, 3: 2, 4: 24, 5: 552}
 
 
@@ -259,3 +260,13 @@ def test_closed_forms_count_rectangles():
             expected = count_latin(n, lam)
             assert aps_g(n, lam) == expected
             assert thm3_g(n, lam) == expected
+
+
+@pytest.mark.parametrize("n, lam", [(4, 6), (5, 5), (6, 6)])
+def test_closed_forms_count_rectangles_past_n_4(n, lam):
+    assert count_latin(n, lam) == thm3_g(n, lam) == aps_g(n, lam)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_riordan_matches_enumeration_past_n_4(n):
+    assert count_latin(n, n, fixed_first_row=True) == riordan_l3(n)

@@ -5,6 +5,7 @@ import pytest
 from latin3.combinatorics import factorial, gen_derangement
 from latin3.errors import BudgetExceededError
 from latin3.oracle import (
+    STAT_NAMES,
     count_injections_forbidden,
     count_latin,
     enumerate_latin,
@@ -40,9 +41,18 @@ def test_count_latin_rejects_bad_params():
     with pytest.raises(ValueError):
         count_latin(0, 3)
     with pytest.raises(ValueError):
-        count_latin(2, 0)
+        count_latin(2, -1)
     with pytest.raises(ValueError):
         count_latin(2, 3, node_budget=0)
+    with pytest.raises(ValueError):
+        enumerate_latin(2, -1, 5)
+
+
+def test_no_rectangles_on_zero_symbols():
+    for n in (1, 2, 3):
+        assert count_latin(n, 0) == 0
+        assert count_latin(n, 0, fixed_first_row=True) == 0
+        assert enumerate_latin(n, 0, 5) == []
 
 
 def test_count_latin_budget():
@@ -57,6 +67,86 @@ def test_budget_errors_report_progress():
         count_latin(1, 3, node_budget=9)
     with pytest.raises(BudgetExceededError, match="visited 10 nodes, completed 2 rectangles"):
         enumerate_latin(1, 3, 10, node_budget=9)
+
+
+def test_budget_error_counts_the_rectangles_a_memo_hit_stands_for():
+    # Columns (1,2,3),(2,3,1) and (1,2,3),(3,1,2), then (1,3,2),(2,1,3) and
+    # (1,3,2),(3,2,1) each complete one 3 x 3 square in the first 95
+    # placement attempts.  The 96th completes (2,1,3),(1,3,2), which reaches
+    # the used-symbol sets that (1,3,2),(2,1,3) left, so a memo hit supplies
+    # its one completion without a node; the 97th attempt is past a budget
+    # of 96.
+    with pytest.raises(BudgetExceededError, match="visited 96 nodes, completed 4 rectangles"):
+        count_latin(3, 3, node_budget=95)
+    stats: dict = {}
+    with pytest.raises(BudgetExceededError, match="visited 97 nodes, completed 5 rectangles"):
+        count_latin(3, 3, node_budget=96, stats=stats)
+    assert stats == {"nodes": 97, "memo_hits": 1, "memo_misses": 8}
+
+
+def _reference_count_latin(n, lam, fixed_first_row=False):
+    """count_latin without its memo: plain column-by-column backtracking with
+    the same candidate loops.  Returns (count, nodes)."""
+    used = [0, 0, 0]
+    nodes = count = 0
+
+    def fill(col):
+        nonlocal nodes, count
+        if col == n:
+            count += 1
+            return
+        for a in (col + 1,) if fixed_first_row else range(1, lam + 1):
+            nodes += 1
+            if a > lam or used[0] >> a & 1:
+                continue
+            for b in range(1, lam + 1):
+                nodes += 1
+                if b == a or used[1] >> b & 1:
+                    continue
+                for c in range(1, lam + 1):
+                    nodes += 1
+                    if c == a or c == b or used[2] >> c & 1:
+                        continue
+                    for row, s in enumerate((a, b, c)):
+                        used[row] ^= 1 << s
+                    fill(col + 1)
+                    for row, s in enumerate((a, b, c)):
+                        used[row] ^= 1 << s
+
+    fill(0)
+    return count, nodes
+
+
+def test_memo_is_transparent():
+    cells = [(n, lam) for n in (1, 2, 3) for lam in range(7)] + [(4, 4), (4, 5)]
+    for n, lam in cells:
+        for pinned in (False, True):
+            want, _ = _reference_count_latin(n, lam, pinned)
+            assert count_latin(n, lam, pinned) == want, (n, lam, pinned)
+
+
+def test_stats_repeat_exactly():
+    first: dict = {}
+    second: dict = {}
+    count_latin(3, 4, stats=first)
+    count_latin(3, 4, stats=second)
+    assert list(first) == list(STAT_NAMES)
+    assert first == second
+    assert first["nodes"] > 0 and first["memo_hits"] > 0
+    count_latin(3, 4, stats=second)
+    assert second == {name: 2 * first[name] for name in STAT_NAMES}
+
+
+def test_memo_visits_fewer_nodes_than_plain_backtracking():
+    stats: dict = {}
+    count, nodes = _reference_count_latin(4, 5)
+    assert count_latin(4, 5, stats=stats) == count
+    assert stats["nodes"] < nodes
+    # the search with no repeated state costs exactly the same nodes
+    one_column: dict = {}
+    count_latin(1, 4, stats=one_column)
+    _, one_column_nodes = _reference_count_latin(1, 4)
+    assert one_column == {"nodes": one_column_nodes, "memo_hits": 0, "memo_misses": 1}
 
 
 def test_enumerate_single_column():
