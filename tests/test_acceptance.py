@@ -1,26 +1,37 @@
 """Acceptance gate: the nine cross-checks that certify the library end to end.
 
-Every criterion is exact (integer equality, zero tolerance).  Each test prints
-one machine-greppable status line of the form
+Criteria 1-8 are checks of ``latin3.verify``'s registry, run once at the gate
+config.  A criterion passes when every check behind it passed and checked at
+least the cells ``CRITERIA`` lists, so a narrowed grid fails it as a wrong
+value does.  Criterion 9 runs the CLI twice per command.  Every criterion is
+exact.  Each test prints one machine-greppable status line of the form
 
     ACCEPTANCE <criterion>: PASS|FAIL
 
 directly to the real stdout so the verdicts survive pytest's capture, then
-fails loudly with the first offending cell if anything disagreed.
+fails loudly with the first offending check if anything disagreed.
 """
 
 import subprocess
 import sys
-from functools import lru_cache
 
 import pytest
 
-from latin3.chromatic import chromatic_poly, eval_poly
-from latin3.combinatorics import factorial, gen_derangement
-from latin3.formulas import aps_g, g_npq_closed, riordan_l3, theorem2_sum, thm3_g
-from latin3.graphs import build_gn, build_gnpq, delete_edge, identify
-from latin3.oracle import count_injections_forbidden, count_latin
-from latin3.verify import DEFAULT_SEED, random_graphs
+from latin3.verify import VerifyConfig, run_verify
+
+GATE_CONFIG = VerifyConfig(n_max=6, lambda_offset_max=4)
+
+# criterion -> {verify check behind it: the fewest cells it may check at GATE_CONFIG}
+CRITERIA = {
+    "formula-equivalence": {"formula-equivalence": 30},
+    "engine-grounding": {"engine-closed-forms": 14},
+    "surgery-grounding": {"surgery-closed-form": 43},
+    "theorem2-identity": {"theorem2-m-invariance": 36},
+    "reduction-identity": {"reduction-identity": 284},
+    "derangement-grounding": {"derangement-oracle": 120},
+    "latin-bridge": {"latin-bridge": 17, "latin-first-row": 2},
+    "riordan-consistency": {"riordan-oracle": 4, "riordan-bridge": 19},
+}
 
 
 @pytest.fixture
@@ -36,134 +47,58 @@ def check(capfd):
     return _check
 
 
-@lru_cache(maxsize=None)
-def gn_poly(n: int):
-    return chromatic_poly(build_gn(n))
+@pytest.fixture(scope="module")
+def gate_results():
+    return {r.name: r for r in run_verify(GATE_CONFIG)}
 
 
-def test_01_formula_equivalence(check):
-    failures = []
-    for n in range(1, 7):
-        for lam in range(n, n + 5):
-            a, b = thm3_g(n, lam), aps_g(n, lam)
-            if a != b:
-                failures.append(f"(n={n}, lam={lam}): thm3 {a} != aps {b}")
-    check("formula-equivalence", failures)
+@pytest.fixture
+def criterion(check, gate_results):
+    """Judge one criterion by the verify checks behind it."""
+
+    def _criterion(name: str) -> None:
+        failures = []
+        for check_name, min_cells in CRITERIA[name].items():
+            result = gate_results[check_name]
+            if not result.passed:
+                failures.append(f"{check_name}: {result.detail}")
+            elif result.cells < min_cells:
+                failures.append(f"{check_name}: {result.cells} cells, want >= {min_cells}")
+        check(name, failures)
+
+    return _criterion
 
 
-def test_02_engine_grounding(check):
-    cells = [(n, lam) for n in (1, 2, 3) for lam in range(n, n + 4)]
-    cells += [(4, 4), (4, 5)]
-    failures = []
-    for n, lam in cells:
-        engine = eval_poly(gn_poly(n), lam)
-        for name, value in (("thm3", thm3_g(n, lam)), ("aps", aps_g(n, lam))):
-            if engine != value:
-                failures.append(
-                    f"(n={n}, lam={lam}): engine {engine} != {name} {value}"
-                )
-    check("engine-grounding", failures)
+def test_01_formula_equivalence(criterion):
+    criterion("formula-equivalence")
 
 
-def test_03_surgery_grounding(check):
-    failures = []
-    if g_npq_closed(1, 1, 0, 3) != 12:
-        failures.append("g(1,1,0,3) != 12 (path on 3 vertices at 3 colors)")
-    if g_npq_closed(1, 0, 1, 3) != 6:
-        failures.append("g(1,0,1,3) != 6 (single edge at 3 colors)")
-    for n in range(1, 4):
-        for k in range(n + 1):
-            l = n - k
-            poly = chromatic_poly(build_gnpq(n, k, l))
-            for lam in range(n, 7):
-                closed = g_npq_closed(n, k, l, lam)
-                engine = eval_poly(poly, lam)
-                if closed != engine:
-                    failures.append(
-                        f"g({n},{k},{l},{lam}): closed {closed} != engine {engine}"
-                    )
-    check("surgery-grounding", failures)
+def test_02_engine_grounding(criterion):
+    criterion("engine-grounding")
 
 
-def test_04_theorem2_identity(check):
-    def engine_eval(n, p, q, lam):
-        return eval_poly(chromatic_poly(build_gnpq(n, p, q)), lam)
-
-    failures = []
-    for n in range(1, 4):
-        for lam in range(1, 7):
-            reference = eval_poly(gn_poly(n), lam)
-            for m in range(1, n + 1):
-                total = theorem2_sum(n, m, lam, engine_eval)
-                if total != reference:
-                    failures.append(
-                        f"(n={n}, m={m}, lam={lam}): sum {total} != engine {reference}"
-                    )
-    check("theorem2-identity", failures)
+def test_03_surgery_grounding(criterion):
+    criterion("surgery-grounding")
 
 
-def test_05_reduction_identity(check):
-    graphs = random_graphs(DEFAULT_SEED)
-    assert len(graphs) == 50
-    failures = []
-    for i, g in enumerate(graphs):
-        p = chromatic_poly(g)
-        for u, v in sorted(g.edges):
-            deleted = chromatic_poly(delete_edge(g, u, v))
-            contracted = chromatic_poly(identify(g, u, v))
-            if p != deleted - contracted:
-                failures.append(f"graph #{i} ({g.vertex_count}v), edge ({u},{v})")
-    check("reduction-identity", failures)
+def test_04_theorem2_identity(criterion):
+    criterion("theorem2-identity")
 
 
-def test_06_derangement_grounding(check):
-    failures = []
-    cells = 0
-    for lam in range(8):
-        for n in range(lam + 1):
-            for t in range(n + 1):
-                cells += 1
-                closed = gen_derangement(lam, n, t)
-                oracle = count_injections_forbidden(lam, n, t)
-                if closed != oracle:
-                    failures.append(
-                        f"D({lam},{n},{t}): closed {closed} != oracle {oracle}"
-                    )
-    if cells != 120:
-        failures.append(f"expected 120 grid cells, visited {cells}")
-    check("derangement-grounding", failures)
+def test_05_reduction_identity(criterion):
+    criterion("reduction-identity")
 
 
-def test_07_latin_bridge(check):
-    cells = [(n, lam) for n in range(1, 4) for lam in range(n, 7)]
-    cells += [(4, 4), (4, 5)]
-    failures = []
-    for n, lam in cells:
-        counted = count_latin(n, lam)
-        closed = thm3_g(n, lam)
-        if counted != closed:
-            failures.append(f"(n={n}, lam={lam}): oracle {counted} != thm3 {closed}")
-    for n in (3, 4):
-        free = count_latin(n, n)
-        pinned = count_latin(n, n, fixed_first_row=True)
-        if free != factorial(n) * pinned:
-            failures.append(f"n={n}: {free} != {n}! * {pinned}")
-    check("latin-bridge", failures)
+def test_06_derangement_grounding(criterion):
+    criterion("derangement-grounding")
 
 
-def test_08_riordan_consistency(check):
-    failures = []
-    for n in (3, 4):
-        direct = riordan_l3(n)
-        oracle = count_latin(n, n, fixed_first_row=True)
-        if direct != oracle:
-            failures.append(f"n={n}: riordan {direct} != enumeration {oracle}")
-    for n in range(3, 21):
-        lhs = factorial(n) * riordan_l3(n)
-        rhs = thm3_g(n, n)
-        if lhs != rhs:
-            failures.append(f"n={n}: n!*riordan {lhs} != thm3 {rhs}")
-    check("riordan-consistency", failures)
+def test_07_latin_bridge(criterion):
+    criterion("latin-bridge")
+
+
+def test_08_riordan_consistency(criterion):
+    criterion("riordan-consistency")
 
 
 def test_09_determinism(check, latin3_env):

@@ -1,10 +1,12 @@
-"""Tests for the self-check harness itself: lane selection, determinism,
-report rendering.  The identities the harness checks are covered in depth by
-the other test modules; here we only need small, fast configurations."""
+"""Tests for the self-check harness itself: lane selection, check order,
+failure paths, determinism, report rendering.  The identities the harness
+checks are covered in depth by the other test modules; here we only need
+small, fast configurations."""
 
 import pytest
 
-from latin3 import formulas
+from latin3 import formulas, verify
+from latin3.chromatic import Poly
 from latin3.verify import CheckResult, VerifyConfig, render_report, run_verify
 
 
@@ -51,6 +53,61 @@ def test_aps_divisibility_fails_on_a_wrong_aps_g(monkeypatch):
     check = after["aps-divisibility"]
     assert not check.passed
     assert check.detail == "n=1 lam=1: aps=1 literal=0"
+    assert check.cells == 1
+
+
+def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
+    # Every check that reads thm3_g fails, and no other.  The engine
+    # polynomials are shared across checks, so this also shows that no check
+    # compares a shared value with itself.  The report keeps all 23 checks in
+    # registry order, failed ones included.
+    real = formulas.thm3_g
+    monkeypatch.setattr(formulas, "thm3_g", lambda n, lam: real(n, lam) + 1)
+    results = run_verify(VerifyConfig(n_max=4))
+    assert names(results) == [
+        "binom-symmetry",
+        "pascal-gen-binom",
+        "derangement-t0-falling",
+        "gn-construction",
+        "gnpq-structure",
+        "identify-symmetry",
+        "aps-divisibility",
+        "formula-equivalence",
+        "riordan-bridge",
+        "engine-closed-forms",
+        "surgery-closed-form",
+        "theorem2-m-invariance",
+        "reduction-identity",
+        "memo-transparency",
+        "engine-vs-brute",
+        "multiplicativity",
+        "chromatic-shape",
+        "derangement-oracle",
+        "classical-derangements",
+        "latin-bridge",
+        "latin-first-row",
+        "riordan-oracle",
+        "enumeration-consistency",
+    ]
+    assert {r.name for r in results if not r.passed} == {
+        "formula-equivalence",
+        "engine-closed-forms",
+        "latin-bridge",
+        "riordan-bridge",
+    }
+
+
+def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
+    # |c_i| keeps the degree, the leading 1 and the zero constant term, so
+    # only the sign rule can catch it
+    real = verify.chromatic_poly
+    monkeypatch.setattr(
+        verify, "chromatic_poly", lambda g, **kw: Poly.of(map(abs, real(g, **kw).coefficients))
+    )
+    results = {r.name: r for r in run_verify(VerifyConfig(n_max=1, include_oracle=False))}
+    shape = results["chromatic-shape"]
+    assert not shape.passed
+    assert shape.detail == "a 3-vertex graph has coefficients (0, 2, 3, 1)"
 
 
 def test_runs_are_deterministic():
