@@ -22,10 +22,7 @@ from .graphs import (
     complete_bipartite,
     delete_edge,
     format_graph,
-    gn_labeling,
-    gnpq_labeling,
     identify,
-    identify_with_map,
     line_graph,
     parse_graph,
 )
@@ -79,10 +76,7 @@ __all__ = [
     "g_npq_closed",
     "gen_binom",
     "gen_derangement",
-    "gn_labeling",
-    "gnpq_labeling",
     "identify",
-    "identify_with_map",
     "is_latin_rectangle",
     "line_graph",
     "parse_graph",

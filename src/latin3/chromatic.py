@@ -4,11 +4,11 @@ The engine computes P(G, lambda) with exact integer polynomial arithmetic by
 applying, to each graph it meets, the first of these rules that fits:
 
 * no vertices: P = 1;
-* isolated vertices: each contributes a factor lambda;
 * several components: P is the product over the components;
 * a simplicial vertex v, whose d neighbors are pairwise adjacent:
   P(G) = (lambda - d) P(G - v).  Cliques and trees reduce to nothing by
-  this rule alone;
+  this rule alone, and an isolated vertex, a component of its own, is the
+  case d = 0;
 * a cycle: P = (lambda-1)^n + (-1)^n (lambda-1);
 * a dense graph, with more than half of the possible edges: addition-
   contraction on a non-edge uv, P(G) = P(G + uv) + P(G / uv);
@@ -293,12 +293,6 @@ def _chrom(adj: Coeffs, memo: Optional[dict], stats: Optional[dict] = None) -> C
     n = len(adj)
     if n == 0:
         return (1,)
-    live = [v for v in range(n) if adj[v]]
-    isolated = n - len(live)
-    if isolated:
-        # each isolated vertex contributes a free factor of lambda
-        _count(stats, "isolated")
-        return (0,) * isolated + _chrom(_induced(adj, live), memo, stats)
     comps = _components(adj)
     if len(comps) > 1:
         _count(stats, "components")
@@ -344,7 +338,7 @@ def _chrom(adj: Coeffs, memo: Optional[dict], stats: Optional[dict] = None) -> C
 
 STAT_NAMES = (
     "nodes", "memo_hits", "memo_misses",
-    "isolated", "components", "cycle", "simplicial", "deletion", "addition",
+    "components", "cycle", "simplicial", "deletion", "addition",
 )
 
 

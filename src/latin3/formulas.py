@@ -5,7 +5,7 @@ that ties the surgered-graph counts together:
 
 * riordan_l3(n)        -- rectangles over {1..n} with first row pinned to 1..n
 * aps_g(n, lam)        -- rectangles over {1..lam}, triple-sum closed form
-* thm3_g(n, lam)       -- the same count assembled from g_npq_closed
+* thm3_g(n, lam)       -- the same count: theorem2_sum over g_npq_closed
 * theorem2_sum         -- the binomial alternating sum over split counts,
                           usable with any evaluator for the surgered graphs
 
@@ -205,14 +205,15 @@ def g_npq_closed(n: int, k: int, l: int, lam: int) -> int:
 
 
 def thm3_g(n: int, lam: int) -> int:
-    """Number of 3 x n Latin rectangles on {1..lam} assembled from the split
-    counts by the alternating binomial sum
+    """Number of 3 x n Latin rectangles on {1..lam}: theorem2_sum at m = n
+    with the closed form for the split counts,
 
         sum_{l=0}^{n} (-1)^l C(n,l) g_npq_closed(n, n-l, l, lam).
 
-    All n + 1 splits share one derangement_table(n), built once per call by
-    D(m, t) = D(m, t-1) - D(m-1, t-1) in O(n^2) subtractions, and the common
-    factor falling(lam, n) is applied once.  The count is 0 for 0 <= lam < n.
+    The evaluator is g_npq_closed without its per-call setup: all n + 1
+    splits share one derangement_table(n), built once per call by
+    D(m, t) = D(m, t-1) - D(m-1, t-1) in O(n^2) subtractions, and
+    falling(lam, n) is computed once.  The count is 0 for 0 <= lam < n.
     Agrees with aps_g and with the chromatic engine on G(n); the test suite
     holds all three routes together.
     """
@@ -221,11 +222,8 @@ def thm3_g(n: int, lam: int) -> int:
         return 0
     d = lam - n
     table = derangement_table(n)
-    total = 0
-    for l in range(n + 1):
-        term = binom(n, l) * _split_sum(d, n - l, l, table)
-        total += -term if l % 2 else term
-    return falling(lam, n) * total
+    factor = falling(lam, n)
+    return theorem2_sum(n, n, lam, lambda _n, k, l, _lam: factor * _split_sum(d, k, l, table))
 
 
 def theorem2_sum(

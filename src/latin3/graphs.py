@@ -4,12 +4,14 @@ Vertices are the integers 0..vertex_count-1.  The central family is the
 rook-style graph G(n) on 3 rows and n columns (two cells adjacent iff they
 share a row or a column), which this module builds two independent ways and
 checks against itself: as the Cartesian product K3 x Kn and as the line graph
-of K_{3,n}.  Cell (row i, column j), both 1-based in labels, sits at vertex
-index (i-1)*n + (j-1).
+of K_{3,n}.  Cell (row i, column j), both 1-based, sits at vertex index
+(i-1)*n + (j-1).
 
 G(n,p,q) is the surgered variant: the first p columns lose their row-1/row-2
-edge, and in the next q columns the row-1 and row-2 cells are identified
-(the merged vertex for column j is labeled y<j>).
+edge, and in the next q columns the row-1 and row-2 cells are identified.
+Its vertices keep G(n)'s numbering with the removed row-2 cells squeezed
+out: the merged cell of column j takes its row-1 index j-1, and each vertex
+above a removed row-2 cell moves down by one.
 """
 
 from __future__ import annotations
@@ -131,13 +133,6 @@ def build_gn(n: int) -> Graph:
     return cartesian_product(complete(3), complete(n))
 
 
-def gn_labeling(n: int) -> dict[str, int]:
-    """Structural names for G(n)'s vertices: 'x<row>_<col>' -> index, 1-based."""
-    if n < 1:
-        raise ValueError(f"gn_labeling: n must be >= 1, got {n}")
-    return {f"x{i + 1}_{j + 1}": i * n + j for i in range(3) for j in range(n)}
-
-
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """Remove edge uv; the edge must exist."""
     e = (u, v) if u < v else (v, u)
@@ -146,13 +141,12 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.vertex_count, g.edges - {e})
 
 
-def identify_with_map(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Merge vertices u and v (u != v), returning the new graph and the index map.
+def identify(g: Graph, u: int, v: int) -> Graph:
+    """Merge vertices u and v (u != v).
 
     The merged vertex lands at min(u, v); vertices above max(u, v) shift down
     by one so indices stay compact.  Any u-v edge disappears and parallel
-    edges collapse.  map[old_index] = new_index, with u and v both mapping to
-    the merged vertex — the construction is symmetric in u and v.
+    edges collapse.  The construction is symmetric in u and v.
     """
     if u == v:
         raise ValueError("identify: vertices must be distinct")
@@ -168,44 +162,28 @@ def identify_with_map(g: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]
         na, nb = index_map[a], index_map[b]
         if na != nb:
             edges.add((na, nb) if na < nb else (nb, na))
-    return Graph(g.vertex_count - 1, frozenset(edges)), index_map
-
-
-def identify(g: Graph, u: int, v: int) -> Graph:
-    """Merge vertices u and v; see identify_with_map."""
-    return identify_with_map(g, u, v)[0]
-
-
-def _build_gnpq_labeled(n: int, p: int, q: int) -> tuple[Graph, dict[str, int]]:
-    if n < 1:
-        raise ValueError(f"build_gnpq: n must be >= 1, got {n}")
-    if p < 0 or q < 0 or p + q > n:
-        raise ValueError(f"build_gnpq: need p, q >= 0 and p + q <= n, got p={p} q={q} n={n}")
-    g = build_gn(n)
-    labels = gn_labeling(n)
-    for j in range(p):
-        g = delete_edge(g, labels[f"x1_{j + 1}"], labels[f"x2_{j + 1}"])
-    for j in range(p, p + q):
-        a, b = labels.pop(f"x1_{j + 1}"), labels.pop(f"x2_{j + 1}")
-        g, index_map = identify_with_map(g, a, b)
-        labels = {name: index_map[idx] for name, idx in labels.items()}
-        labels[f"y{j + 1}"] = index_map[a]
-    return g, labels
+    return Graph(g.vertex_count - 1, frozenset(edges))
 
 
 def build_gnpq(n: int, p: int, q: int) -> Graph:
     """G(n,p,q): G(n) with the row-1/row-2 edge deleted in columns 1..p and the
     row-1/row-2 cells identified in columns p+1..p+q.
 
-    Has 3n - q vertices.  G(n,0,0) is G(n) itself.
+    Has 3n - q vertices.  G(n,0,0) is G(n) itself.  The merged cell of
+    (0-based) column j is vertex j, its row-1 index; every vertex above a
+    removed row-2 cell moves down by one.  The columns are merged right to
+    left, so no merge shifts a column that is still to be merged.
     """
-    return _build_gnpq_labeled(n, p, q)[0]
-
-
-def gnpq_labeling(n: int, p: int, q: int) -> dict[str, int]:
-    """Structural names for G(n,p,q): surviving cells keep 'x<row>_<col>'; the
-    merged row-1/row-2 cell of column j is 'y<j>'."""
-    return _build_gnpq_labeled(n, p, q)[1]
+    if n < 1:
+        raise ValueError(f"build_gnpq: n must be >= 1, got {n}")
+    if p < 0 or q < 0 or p + q > n:
+        raise ValueError(f"build_gnpq: need p, q >= 0 and p + q <= n, got p={p} q={q} n={n}")
+    g = build_gn(n)
+    for j in range(p):
+        g = delete_edge(g, j, n + j)
+    for j in reversed(range(p, p + q)):
+        g = identify(g, j, n + j)
+    return g
 
 
 def parse_graph(text: str) -> Graph:

@@ -130,9 +130,15 @@ def _gnpq_structure(run: _Run) -> Cells:
         yield None if build_gnpq(n, 0, 0) == build_gn(n) else f"G({n},0,0) != G({n})"
         for p in range(n + 1):
             for q in range(n - p + 1):
-                v = build_gnpq(n, p, q).vertex_count
-                yield None if v == 3 * n - q else (
-                    f"G({n},{p},{q}) has {v} vertices, want {3 * n - q}"
+                g = build_gnpq(n, p, q)
+                yield None if g.vertex_count == 3 * n - q else (
+                    f"G({n},{p},{q}) has {g.vertex_count} vertices, want {3 * n - q}"
+                )
+                # a deleted rung drops one edge; a merge drops its rung and one
+                # of its two edges to row 3; two merged cells keep one row edge
+                e = 3 * comb.binom(n, 2) + 3 * n - p - 2 * q - comb.binom(q, 2)
+                yield None if g.edge_count == e else (
+                    f"G({n},{p},{q}) has {g.edge_count} edges, want {e}"
                 )
 
 

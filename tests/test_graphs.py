@@ -1,5 +1,7 @@
 """Tests for graph construction, surgery, and the text format."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,10 +15,7 @@ from latin3.graphs import (
     complete_bipartite,
     delete_edge,
     format_graph,
-    gn_labeling,
-    gnpq_labeling,
     identify,
-    identify_with_map,
     line_graph,
     parse_graph,
 )
@@ -95,10 +94,16 @@ def test_build_gn_counts_and_labeled_equality():
 
 
 def test_gn_labeling():
-    assert gn_labeling(2) == {
-        "x1_1": 0, "x1_2": 1, "x2_1": 2, "x2_2": 3, "x3_1": 4, "x3_2": 5,
-    }
-    assert sorted(gn_labeling(4).values()) == list(range(12))
+    # cell (row i, column j), 0-based, is vertex i*n + j: two cells are
+    # adjacent iff they share a row or a column
+    for n in range(1, 5):
+        g = build_gn(n)
+        cells = [(i, j) for i in range(3) for j in range(n)]
+        assert [i * n + j for i, j in cells] == list(range(g.vertex_count))
+        for a, (i, j) in enumerate(cells):
+            for b, (k, l) in enumerate(cells):
+                if a < b:
+                    assert g.has_edge(a, b) == (i == k or j == l)
 
 
 def test_delete_edge():
@@ -111,18 +116,20 @@ def test_delete_edge():
 
 
 def test_identify_small():
-    g, index_map = identify_with_map(complete(2), 0, 1)
-    assert (g.vertex_count, g.edge_count) == (1, 0)
-    assert index_map == (0, 0)
+    assert identify(complete(2), 0, 1) == Graph(1, frozenset())
     assert identify(complete(3), 1, 2) == complete(2)
     leaves = identify(path(3), 0, 2)
     assert (leaves.vertex_count, leaves.edge_count) == (2, 1)
 
 
 def test_identify_map_is_compact():
-    merged, index_map = identify_with_map(build_gn(2), 1, 4)
-    assert merged.vertex_count == 5
-    assert index_map == (0, 1, 2, 3, 1, 4)
+    # prism: merging 1 and 4 lands at 1 and moves 5 down to 4, so the five
+    # vertices left are 0..4 and every one keeps an edge
+    merged = identify(build_gn(2), 1, 4)
+    assert merged == Graph.from_edges(
+        5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+    )
+    assert {v for e in merged.edges for v in e} == set(range(5))
 
 
 def test_identify_rejects_bad_vertices():
@@ -166,16 +173,20 @@ def test_build_gnpq_rejects_bad_split():
 
 def test_gnpq_labeling_structure():
     g = build_gnpq(3, 1, 2)
-    labels = gnpq_labeling(3, 1, 2)
-    assert sorted(labels.values()) == list(range(g.vertex_count))
-    assert "y2" in labels and "y3" in labels
-    for gone in ("x1_2", "x2_2", "x1_3", "x2_3"):
-        assert gone not in labels
+    x1_1, y2, y3, x2_1 = 0, 1, 2, 3
+    x3 = {j: 3 + j for j in (1, 2, 3)}
+    # x1_2, x2_2, x1_3 and x2_3 became y2 and y3, so these seven cells are
+    # all of the vertices
+    assert sorted([x1_1, y2, y3, x2_1, *x3.values()]) == list(range(g.vertex_count))
     # the deleted column keeps both cells; merged vertices inherit row edges
-    assert "x1_1" in labels and "x2_1" in labels
-    assert g.has_edge(labels["y2"], labels["x1_1"])
-    assert g.has_edge(labels["y2"], labels["y3"])
-    assert not g.has_edge(labels["x1_1"], labels["x2_1"])  # rung was deleted
+    assert g.has_edge(y2, x1_1) and g.has_edge(y2, x2_1)
+    assert g.has_edge(y2, y3)
+    assert g.has_edge(y2, x3[2]) and g.has_edge(y3, x3[3])
+    assert not g.has_edge(x1_1, x2_1)  # rung was deleted
+    rows = [(x1_1, y2, y3), (x2_1, y2, y3), tuple(x3.values())]
+    columns = [(x1_1, x3[1]), (x2_1, x3[1]), (y2, x3[2]), (y3, x3[3])]
+    row_edges = [(a, b) for row in rows for a, b in itertools.combinations(row, 2)]
+    assert g == Graph.from_edges(7, row_edges + columns)
 
 
 def test_parse_graph_basic():

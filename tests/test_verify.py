@@ -5,7 +5,7 @@ small, fast configurations."""
 
 import pytest
 
-from latin3 import formulas, verify
+from latin3 import formulas, graphs, verify
 from latin3.chromatic import Poly
 from latin3.verify import CheckResult, VerifyConfig, render_report, run_verify
 
@@ -95,6 +95,16 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
         "latin-bridge",
         "riordan-bridge",
     }
+
+
+def test_gnpq_structure_fails_on_a_surgery_that_keeps_the_rungs(monkeypatch):
+    # G(n,0,q) has the 3n - q vertices of G(n,p,q); only its p extra rung
+    # edges tell it apart
+    monkeypatch.setattr(verify, "build_gnpq", lambda n, p, q: graphs.build_gnpq(n, 0, q))
+    results = run_verify(VerifyConfig(n_max=1, include_engine=False, include_oracle=False))
+    assert {r.name for r in results if not r.passed} == {"gnpq-structure"}
+    failed = next(r for r in results if r.name == "gnpq-structure")
+    assert failed.detail == "G(1,1,0) has 3 edges, want 2"
 
 
 def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
