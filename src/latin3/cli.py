@@ -23,6 +23,7 @@ from .verify import DEFAULT_SEED, VerifyConfig, render_report, run_verify
 
 FORMULA_CHOICES = ("riordan", "aps", "thm3", "engine", "brute", "latin-oracle")
 FORMAT_CHOICES = ("plain", "csv", "json")
+STATS_HELP = "print the engine's counters as one JSON line on stderr"
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -71,9 +72,17 @@ def _table_cells(args: argparse.Namespace) -> list[tuple[int, int]]:
     ]
 
 
+def _print_stats(stats: Optional[dict]) -> None:
+    if stats is not None:
+        print(json.dumps(stats), file=sys.stderr)
+
+
 def cmd_table(args: argparse.Namespace) -> int:
+    if args.stats and args.formula != "engine":
+        raise ValueError(f"--stats needs --formula engine; {args.formula} keeps no counters")
     cells = _table_cells(args)
     gn_polys = {}
+    stats: Optional[dict] = {} if args.stats else None
 
     def value(n: int, lam: int) -> int:
         if args.formula == "riordan":
@@ -84,7 +93,9 @@ def cmd_table(args: argparse.Namespace) -> int:
             return thm3_g(n, lam)
         if args.formula == "engine":
             if n not in gn_polys:
-                gn_polys[n] = chromatic_poly(build_gn(n), max_vertices=args.max_vertices)
+                gn_polys[n] = chromatic_poly(
+                    build_gn(n), max_vertices=args.max_vertices, stats=stats
+                )
             return eval_poly(gn_polys[n], lam)
         if args.formula == "brute":
             return count_colorings_bruteforce(build_gn(n), lam, node_budget=args.node_budget)
@@ -104,6 +115,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     else:
         for n, lam, formula, val in rows:
             print(f"{n} {lam} {formula} {val}")
+    _print_stats(stats)
     return 0
 
 
@@ -130,23 +142,26 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
     print(f"degree={poly.degree}")
     for coefficient in poly.coefficients:
         print(coefficient)
-    if stats is not None:
-        print(json.dumps(stats), file=sys.stderr)
+    _print_stats(stats)
     return 0
 
 
 def cmd_gnpq(args: argparse.Namespace) -> int:
     g = build_gnpq(args.n, args.p, args.q)
-    engine = eval_poly(chromatic_poly(g, max_vertices=args.max_vertices), args.lam)
+    stats: Optional[dict] = {} if args.stats else None
+    engine = eval_poly(chromatic_poly(g, max_vertices=args.max_vertices, stats=stats), args.lam)
+    code = 0
     if args.p + args.q == args.n:
         closed = g_npq_closed(args.n, args.p, args.q, args.lam)
         print(f"closed-form: {closed}")
         print(f"engine: {engine}")
         print("EQUAL" if closed == engine else "UNEQUAL")
-        return 0 if closed == engine else 1
-    print(f"closed-form: n/a (needs p+q = n; got p+q={args.p + args.q}, n={args.n})")
-    print(f"engine: {engine}")
-    return 0
+        code = 0 if closed == engine else 1
+    else:
+        print(f"closed-form: n/a (needs p+q = n; got p+q={args.p + args.q}, n={args.n})")
+        print(f"engine: {engine}")
+    _print_stats(stats)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,6 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=FORMAT_CHOICES, default="plain")
     table.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     table.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    table.add_argument(
+        "--stats", action="store_true",
+        help=STATS_HELP + ", summed over the table's graphs (--formula engine only)",
+    )
     table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the identity cross-check matrix")
@@ -183,10 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chromatic.add_argument("graph_file")
     chromatic.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    chromatic.add_argument(
-        "--stats", action="store_true",
-        help="print the engine's counters as one JSON line on stderr",
-    )
+    chromatic.add_argument("--stats", action="store_true", help=STATS_HELP)
     chromatic.set_defaults(func=cmd_chromatic)
 
     gnpq = sub.add_parser(
@@ -197,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     gnpq.add_argument("q", type=int)
     gnpq.add_argument("lam", type=int, metavar="lambda")
     gnpq.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+    gnpq.add_argument("--stats", action="store_true", help=STATS_HELP)
     gnpq.set_defaults(func=cmd_gnpq)
 
     return parser

@@ -45,15 +45,19 @@ def gen_binom(a: int, b: int) -> int:
     """Generalized binomial coefficient a * (a-1) * ... * (a-b+1) / b!.
 
     The upper argument may be any integer, including negative values; the
-    lower argument must be >= 0.  The product of b consecutive integers is
-    always divisible by b!, so the division below is exact.
+    lower argument must be >= 0.  One math.comb call gives the value: C(a, b)
+    for a >= 0 (0 when b > a), and for a < 0 the reflection
+
+        gen_binom(a, b) = (-1)^b * C(b - a - 1, b),
+
+    which follows from negating each of the b factors of the product.
     """
     if b < 0:
         raise ValueError(f"gen_binom: b must be >= 0, got {b}")
-    num = 1
-    for i in range(b):
-        num *= a - i
-    return num // math.factorial(b)
+    if a >= 0:
+        return math.comb(a, b)
+    c = math.comb(b - a - 1, b)
+    return -c if b % 2 else c
 
 
 def gen_derangement(lam: int, n: int, t: int) -> int:

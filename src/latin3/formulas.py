@@ -16,7 +16,8 @@ Every route is exact integer arithmetic throughout; agreement between them
 from __future__ import annotations
 
 import math
-from typing import Callable
+import operator
+from typing import Callable, NamedTuple
 
 from .combinatorics import binom, derangement_table, factorial, falling, gen_binom
 
@@ -28,9 +29,11 @@ def riordan_l3(n: int) -> int:
 
         n! * sum_{k+j<=n} (2^j / j!) * k! * gen_binom(-3(k+1), n-k-j)
 
-    by folding n!/j! into the falling factorial falling(n, n-j).  Degenerate
-    widths n = 1, 2 evaluate to 0, matching the enumeration oracle (a column
-    needs three distinct symbols).
+    by folding n!/j! into the falling factorial falling(n, n-j).  Each
+    gen_binom is one math.comb call, so the double sum costs O(n^2) C-level
+    calls and big-integer products.  Degenerate widths n = 1, 2 evaluate to
+    0, matching the enumeration oracle (a column needs three distinct
+    symbols).
     """
     if n < 1:
         raise ValueError(f"riordan_l3: n must be >= 1, got {n}")
@@ -66,7 +69,8 @@ def aps_g(n: int, lam: int) -> int:
             binom(n,a) binom(n-a,c) b! C(3d + 3a + b + 2, b).
 
     Every factor is an integer of O(n log lam) bits, so no lam! is built and
-    nothing is divided.
+    nothing is divided.  falling(d+a, a)^2 binom(n, a) depends on a alone, so
+    it multiplies each inner sum over b once instead of every term.
     """
     _check_n_lam("aps_g", n, lam)
     if lam < n:
@@ -74,17 +78,17 @@ def aps_g(n: int, lam: int) -> int:
     d = lam - n
     total = 0
     for alpha in range(n + 1):
+        inner = 0
         for beta in range(n - alpha + 1):
             gamma = n - alpha - beta
             term = (
                 2**gamma
-                * falling(d + alpha, alpha) ** 2
-                * binom(n, alpha)
                 * binom(n - alpha, gamma)
                 * factorial(beta)
                 * binom(3 * d + 3 * alpha + beta + 2, beta)
             )
-            total += -term if beta % 2 else term
+            inner += -term if beta % 2 else term
+        total += falling(d + alpha, alpha) ** 2 * binom(n, alpha) * inner
     return falling(lam, n) * total
 
 
@@ -126,20 +130,66 @@ def _check_split(lam: int, k: int, l: int) -> None:
         raise ValueError(f"need lam >= k + l, got lam={lam} k={k} l={l}")
 
 
-def _term_a(d: int, l: int, t1: int, t2: int, row_l: list[int]) -> int:
-    """term_A / C(k, t1), with d = lam - n and row_l[t] = gen_derangement(l, l, t).
+def _pascal(row: list[int], count: int) -> list[list[int]]:
+    """count rows, each the one before extended by Pascal's rule: if row[j] =
+    C(x, j), the result's entry [s][j] is C(x + s, j)."""
+    rows = [row]
+    for _ in range(count - 1):
+        prev = rows[-1]
+        rows.append([1, *map(operator.add, prev[1:], prev)])
+    return rows
+
+
+class _Tables(NamedTuple):
+    """Everything the Theorem-3 factors read for one n and one d = lam - n.
+
+    derange[m][t] = gen_derangement(m, m, t) for t <= m <= n;
+    comb[a][b]    = C(a, b) for a, b <= n;
+    comb_d[s][j]  = C(d + s, j) for s <= n // 2 and j <= n.
+
+    t1 <= min(k, l) <= n // 2, so comb_d covers every C(d + t1, .) a split
+    of n needs.  Built once per call by _tables and dropped with it.
+    """
+
+    d: int
+    derange: list[list[int]]
+    comb: list[list[int]]
+    comb_d: list[list[int]]
+
+
+def _tables(d: int, n: int) -> _Tables:
+    """The tables for width n at d = lam - n: O(n^2) additions and n + 1
+    math.comb calls, besides derangement_table(n)."""
+    return _Tables(
+        d,
+        derangement_table(n),
+        _pascal([1] + [0] * n, n + 1),
+        _pascal([binom(d, j) for j in range(n + 1)], n // 2 + 1),
+    )
+
+
+def _term_a(l: int, t1: int, t2s: range, tab: _Tables) -> int:
+    """term_A / C(k, t1) summed over t2 in t2s, where term_A / C(k, t1) is
+
+        C(l, t2) * C(d, l-t1-t2) * gen_derangement(l, l, t2).
 
     C(k, t1) does not depend on t2, so callers multiply it in once per t1.
     """
-    return binom(l, t2) * binom(d, l - t1 - t2) * row_l[t2]
+    comb_l, comb_d, row_l = tab.comb[l], tab.comb_d[0], tab.derange[l]
+    total = 0
+    for t2 in t2s:
+        total += comb_l[t2] * comb_d[l - t1 - t2] * row_l[t2]
+    return total
 
 
-def _term_b(d: int, k: int, t1: int, row_k: list[int]) -> int:
-    """term_B with d = lam - n and row_k[t] = gen_derangement(k, k, t)."""
-    return sum(
-        binom(k - t1, t3) * binom(d + t1, k - t3) * row_k[t3]
-        for t3 in range(k - t1 + 1)
-    )
+def _term_b(k: int, t1: int, tab: _Tables) -> int:
+    """term_B, summed over t3 >= max(0, k-t1-d) only: below that
+    C(d+t1, k-t3) has its lower index above its upper one and is 0."""
+    comb, comb_d, row_k = tab.comb[k - t1], tab.comb_d[t1], tab.derange[k]
+    total = 0
+    for t3 in range(max(0, k - t1 - tab.d), k - t1 + 1):
+        total += comb[t3] * comb_d[k - t3] * row_k[t3]
+    return total
 
 
 def term_A(lam: int, k: int, l: int, t1: int, t2: int) -> int:
@@ -148,14 +198,15 @@ def term_A(lam: int, k: int, l: int, t1: int, t2: int) -> int:
 
         C(k,t1) * C(l,t2) * C(lam-n, l-t1-t2) * gen_derangement(l, l, t2)
 
-    with n = k + l.
+    with n = k + l.  It reads the same per-call tables as _split_sum.
     """
     _check_split(lam, k, l)
     if not 0 <= t1 <= min(k, l):
         raise ValueError(f"term_A: need 0 <= t1 <= min(k,l), got t1={t1} k={k} l={l}")
     if not 0 <= t2 <= l - t1:
         raise ValueError(f"term_A: need 0 <= t2 <= l - t1, got t2={t2} l={l} t1={t1}")
-    return binom(k, t1) * _term_a(lam - k - l, l, t1, t2, derangement_table(l)[l])
+    tab = _tables(lam - k - l, k + l)
+    return tab.comb[k][t1] * _term_a(l, t1, range(t2, t2 + 1), tab)
 
 
 def term_B(lam: int, k: int, l: int, t1: int) -> int:
@@ -164,23 +215,29 @@ def term_B(lam: int, k: int, l: int, t1: int) -> int:
 
         sum_{t3=0}^{k-t1} C(k-t1,t3) * C(lam-n+t1, k-t3) * gen_derangement(k, k, t3)
 
-    with n = k + l.
+    with n = k + l.  It reads the same per-call tables as _split_sum.
     """
     _check_split(lam, k, l)
     if not 0 <= t1 <= min(k, l):
         raise ValueError(f"term_B: need 0 <= t1 <= min(k,l), got t1={t1} k={k} l={l}")
-    return _term_b(lam - k - l, k, t1, derangement_table(k)[k])
+    return _term_b(k, t1, _tables(lam - k - l, k + l))
 
 
-def _split_sum(d: int, k: int, l: int, table: list[list[int]]) -> int:
-    """sum_{t1} sum_{t2} A * B^2 for the split (k, l), with d = lam - n and
-    table = derangement_table(m) for some m >= max(k, l)."""
-    row_k, row_l = table[k], table[l]
+def _split_sum(k: int, l: int, tab: _Tables) -> int:
+    """sum_{t1} sum_{t2} A * B^2 for the split (k, l), with tab =
+    _tables(lam - n, n) for n = k + l.
+
+    Only nonzero terms are visited.  C(d, l-t1-t2) in A vanishes for
+    t2 < l-t1-d, so t2 runs from max(0, l-t1-d) to l-t1; _term_b trims t3
+    the same way.  At d = 0 one t2 and one t3 survive per t1, so a split
+    costs O(min(k, l)) table reads and big-integer products.
+    """
+    comb_k, d = tab.comb[k], tab.d
     total = 0
     for t1 in range(min(k, l) + 1):
-        b_val = _term_b(d, k, t1, row_k)
-        a_sum = sum(_term_a(d, l, t1, t2, row_l) for t2 in range(l - t1 + 1))
-        total += binom(k, t1) * a_sum * b_val * b_val
+        b_val = _term_b(k, t1, tab)
+        a_sum = _term_a(l, t1, range(max(0, l - t1 - d), l - t1 + 1), tab)
+        total += comb_k[t1] * a_sum * b_val * b_val
     return total
 
 
@@ -189,19 +246,22 @@ def g_npq_closed(n: int, k: int, l: int, lam: int) -> int:
 
         falling(lam, n) * sum_{t1=0}^{min(k,l)} sum_{t2=0}^{l-t1} A * B^2.
 
-    B depends only on t1, so it is hoisted out of the inner sum.  Every
-    gen_derangement(m, m, t) the factors need is read from one
-    derangement_table(n), built once per call by the recurrence
-    D(m, t) = D(m, t-1) - D(m-1, t-1).  Row 3 of G(n,k,l) is still an
-    n-clique, so for 0 <= lam < n the count is 0.  The closed form is stated
-    only for k + l = n; other splits are rejected (the engine handles them).
+    B depends only on t1, so it is hoisted out of the inner sum.  With
+    d = lam - n, the terms with t2 < l-t1-d (in A) and t3 < k-t1-d (in B)
+    are exactly 0 and are skipped.  Every binomial and every
+    gen_derangement(m, m, t) the factors need is read from tables built once
+    per call: derangement_table(n), by D(m, t) = D(m, t-1) - D(m-1, t-1),
+    and Pascal triangles of C(a, b) for a <= n and of C(d + s, j) for
+    s <= n // 2.  Row 3 of G(n,k,l) is still an n-clique, so for
+    0 <= lam < n the count is 0.  The closed form is stated only for
+    k + l = n; other splits are rejected (the engine handles them).
     """
     _check_n_lam("g_npq_closed", n, lam)
     if k < 0 or l < 0 or k + l != n:
         raise ValueError(f"g_npq_closed: need k + l = n with k, l >= 0, got k={k} l={l} n={n}")
     if lam < n:
         return 0
-    return falling(lam, n) * _split_sum(lam - n, k, l, derangement_table(n))
+    return falling(lam, n) * _split_sum(k, l, _tables(lam - n, n))
 
 
 def thm3_g(n: int, lam: int) -> int:
@@ -211,19 +271,19 @@ def thm3_g(n: int, lam: int) -> int:
         sum_{l=0}^{n} (-1)^l C(n,l) g_npq_closed(n, n-l, l, lam).
 
     The evaluator is g_npq_closed without its per-call setup: all n + 1
-    splits share one derangement_table(n), built once per call by
-    D(m, t) = D(m, t-1) - D(m-1, t-1) in O(n^2) subtractions, and
-    falling(lam, n) is computed once.  The count is 0 for 0 <= lam < n.
-    Agrees with aps_g and with the chromatic engine on G(n); the test suite
-    holds all three routes together.
+    splits share one set of tables (derangement_table(n) and the two
+    Pascal triangles, O(n^2) additions in all), and falling(lam, n) is
+    computed once.  Each split visits only its nonzero terms, so at
+    lam = n the whole sum is O(n^2) table reads and products.  The count is
+    0 for 0 <= lam < n.  Agrees with aps_g and with the chromatic engine on
+    G(n); the test suite holds all three routes together.
     """
     _check_n_lam("thm3_g", n, lam)
     if lam < n:
         return 0
-    d = lam - n
-    table = derangement_table(n)
+    tab = _tables(lam - n, n)
     factor = falling(lam, n)
-    return theorem2_sum(n, n, lam, lambda _n, k, l, _lam: factor * _split_sum(d, k, l, table))
+    return theorem2_sum(n, n, lam, lambda _n, k, l, _lam: factor * _split_sum(k, l, tab))
 
 
 def theorem2_sum(

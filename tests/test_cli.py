@@ -8,7 +8,7 @@ import pytest
 
 from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.cli import main
-from latin3.graphs import build_gn
+from latin3.graphs import build_gn, build_gnpq
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +160,28 @@ def test_table_engine_vertex_limit(capsys):
     code, _, err = run_cli(capsys, "table", "--formula", "engine", "--n", "5")
     assert code == 3
     assert "vert" in err.lower()
+
+
+def test_table_engine_stats_go_to_stderr_only(capsys):
+    argv = ("table", "--formula", "engine", "--n", "2..3", "--lambda-offset", "0..1")
+    code, plain_out, plain_err = run_cli(capsys, *argv)
+    assert (code, plain_err) == (0, "")
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 0
+    assert out == plain_out
+    assert err.count("\n") == 1
+    # One polynomial per n; the counters are summed over both graphs.
+    want: dict = {}
+    chromatic_poly(build_gn(2), stats=want)
+    chromatic_poly(build_gn(3), stats=want)
+    assert json.loads(err) == want
+
+
+def test_table_stats_needs_the_engine(capsys):
+    code, out, err = run_cli(capsys, "table", "--formula", "thm3", "--n", "2", "--stats")
+    assert code == 2
+    assert out == ""
+    assert "--stats needs --formula engine" in err
 
 
 def test_table_brute_node_budget(capsys):
@@ -338,6 +360,19 @@ def test_gnpq_partial_split_reports_engine_only(capsys):
     assert "p+q=1" in lines[0] and "n=2" in lines[0]
     assert lines[1] == "engine: 384"
     assert "EQUAL" not in out
+
+
+@pytest.mark.parametrize("argv", [("3", "1", "2", "4"), ("3", "1", "0", "4")])
+def test_gnpq_stats_go_to_stderr_only(capsys, argv):
+    code, plain_out, plain_err = run_cli(capsys, "gnpq", *argv)
+    assert (code, plain_err) == (0, "")
+    code, out, err = run_cli(capsys, "gnpq", *argv, "--stats")
+    assert code == 0
+    assert out == plain_out
+    assert err.count("\n") == 1
+    want: dict = {}
+    chromatic_poly(build_gnpq(*map(int, argv[:3])), stats=want)
+    assert json.loads(err) == want
 
 
 def test_gnpq_invalid_split(capsys):

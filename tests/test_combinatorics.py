@@ -77,8 +77,20 @@ def test_gen_binom_matches_binom_on_nonneg(a, b):
 
 @given(st.integers(-40, -1), st.integers(0, 20))
 def test_gen_binom_reflection(a, b):
-    # the reflection identity is a consequence, not the definition
+    # gen_binom evaluates negative a by this reflection, so this restates the
+    # implementation; test_gen_binom_literal_definition is the independent check
     assert gen_binom(a, b) == (-1) ** b * binom(-a + b - 1, b)
+
+
+def test_gen_binom_literal_definition():
+    # a * (a-1) * ... * (a-b+1) / b!, computed here from the product itself
+    for a in range(-40, 41):
+        for b in range(26):
+            num = 1
+            for i in range(b):
+                num *= a - i
+            quotient, remainder = divmod(num, factorial(b))
+            assert remainder == 0 and gen_binom(a, b) == quotient, (a, b)
 
 
 def test_gen_binom_pascal_exhaustive():

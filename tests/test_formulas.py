@@ -10,7 +10,7 @@ Expected values fall into three classes:
 import pytest
 
 from latin3.chromatic import chromatic_poly, eval_poly
-from latin3.combinatorics import factorial, falling
+from latin3.combinatorics import binom, factorial, falling, gen_derangement
 from latin3.formulas import (
     aps_g,
     aps_literal,
@@ -157,11 +157,13 @@ def test_g_npq_matches_engine_exhaustively():
 
 
 def test_split_sums_rebuild_from_public_terms():
-    # falling(lam, n) * sum A * B^2 from the per-term functions, each of
-    # which builds its own derangement row, must equal g_npq_closed, which
-    # shares one table across the whole sum.
-    for n in range(1, 11):
-        for lam in (n, n + 3):
+    # falling(lam, n) * sum A * B^2 over the full ranges of t1, t2 (and t3
+    # inside term_B), from per-term calls that each build their own tables,
+    # must equal g_npq_closed, which shares one set of tables and skips the
+    # terms its trimmed ranges prove zero.  lam < 2n makes d = lam - n < n,
+    # where the trim skips terms.
+    for n in range(1, 13):
+        for lam in range(n, n + 5):
             for k in range(n + 1):
                 l = n - k
                 total = 0
@@ -170,6 +172,27 @@ def test_split_sums_rebuild_from_public_terms():
                     for t2 in range(l - t1 + 1):
                         total += term_A(lam, k, l, t1, t2) * b_val * b_val
                 assert falling(lam, n) * total == g_npq_closed(n, k, l, lam)
+
+
+def test_terms_match_their_full_range_definitions():
+    # term_A and term_B share the bodies _split_sum uses, trims included, so
+    # they are also checked against their definitions, summed here over the
+    # full t3 range with no zero term skipped.
+    for n in range(1, 13):
+        for lam in range(n, n + 5):
+            d = lam - n
+            for k in range(n + 1):
+                l = n - k
+                for t1 in range(min(k, l) + 1):
+                    b_full = sum(
+                        binom(k - t1, t3) * binom(d + t1, k - t3) * gen_derangement(k, k, t3)
+                        for t3 in range(k - t1 + 1)
+                    )
+                    assert term_B(lam, k, l, t1) == b_full, (lam, k, l, t1)
+                    for t2 in range(l - t1 + 1):
+                        a_full = (binom(k, t1) * binom(l, t2) * binom(d, l - t1 - t2)
+                                  * gen_derangement(l, l, t2))
+                        assert term_A(lam, k, l, t1, t2) == a_full, (lam, k, l, t1, t2)
 
 
 def test_g_npq_rejects_bad_arguments():
@@ -194,6 +217,14 @@ def test_thm3_agrees_with_aps_on_grid():
     for n in range(1, 7):
         for lam in range(n, n + 5):
             assert thm3_g(n, lam) == aps_g(n, lam)
+
+
+def test_thm3_equals_aps_as_polynomials():
+    # For lam >= n both routes are polynomials in lam of degree 3n, so
+    # agreement at the 3n + 1 points lam = n..4n proves the identity for n.
+    for n in range(1, 21):
+        for lam in range(n, 4 * n + 1):
+            assert thm3_g(n, lam) == aps_g(n, lam), (n, lam)
 
 
 @pytest.mark.parametrize("n", [30, 51])
