@@ -78,8 +78,10 @@ def _print_stats(stats: Optional[dict]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.stats and args.formula != "engine":
-        raise ValueError(f"--stats needs --formula engine; {args.formula} keeps no counters")
+    if args.stats and args.formula not in ("engine", "latin-oracle"):
+        raise ValueError(
+            f"--stats needs --formula engine or latin-oracle; {args.formula} keeps no counters"
+        )
     cells = _table_cells(args)
     gn_polys = {}
     stats: Optional[dict] = {} if args.stats else None
@@ -99,7 +101,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             return eval_poly(gn_polys[n], lam)
         if args.formula == "brute":
             return count_colorings_bruteforce(build_gn(n), lam, node_budget=args.node_budget)
-        return count_latin(n, lam, node_budget=args.node_budget)
+        return count_latin(n, lam, node_budget=args.node_budget, stats=stats)
 
     rows = [(n, lam, args.formula, str(value(n, lam))) for n, lam in cells]
     if args.format == "csv":
@@ -185,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     table.add_argument(
         "--stats", action="store_true",
-        help=STATS_HELP + ", summed over the table's graphs (--formula engine only)",
+        help="print the engine's counters, summed over the table's graphs, or "
+        "count_latin's, summed over its cells, as one JSON line on stderr "
+        "(--formula engine or latin-oracle only)",
     )
     table.set_defaults(func=cmd_table)
 

@@ -10,6 +10,8 @@ no state is searched twice.  It uses no symmetry and no relabelling of
 symbols.  The budgets of the backtracking searches count nodes, one per
 attempted symbol placement; a memo hit costs no node, and the "completed"
 count in a budget error includes the rectangles a hit stood for.
+count_latin charges its last column's row-2 attempts in one step (see its
+docstring), with the same nodes as visiting them one by one.
 enumerate_latin stays plain backtracking, so comparing the two compares two
 different searches.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Optional
 
 from .errors import BudgetExceededError
@@ -70,13 +73,19 @@ def count_latin(
     no symbol relabelling or symmetry is used.
 
     Every attempted symbol placement costs one node against the budget; a
-    memo hit costs none.  A budget error reports the nodes visited and the
-    rectangles completed so far, counting every rectangle a memo hit stood
-    for.  A dict passed as stats gets the counts named in STAT_NAMES added to
-    it: nodes, memo hits and memo misses (states searched).
+    memo hit costs none.  In the last column each free row-2 symbol completes
+    a rectangle, so once rows 0 and 1 are placed there the lam attempts for
+    row 2 are charged together and the free symbols counted by popcount,
+    whenever the budget covers all lam of them; otherwise they are tried one
+    by one, so a budget error fires at the same node.  A budget error
+    reports the nodes visited and the rectangles completed so far, counting
+    every rectangle a memo hit stood for.  A dict passed as stats gets the
+    counts named in STAT_NAMES added to it: nodes, memo hits and memo misses
+    (states searched).
     """
     _check_params(n, lam, node_budget)
     memo: dict[tuple[int, int, int], int] = {}
+    symbols = (1 << (lam + 1)) - 2  # the bits of 1..lam
     nodes = hits = misses = 0
     done = 0  # rectangles completed so far, memo hits included
 
@@ -93,6 +102,7 @@ def count_latin(
             return found
         misses += 1
         total = 0
+        last = col == n - 1
         top = (col + 1,) if fixed_first_row else range(1, lam + 1)
         for a in top:
             nodes += 1
@@ -105,6 +115,13 @@ def count_latin(
                 if nodes > node_budget:
                     raise _search_budget_error(node_budget, done)
                 if b == a or u1 >> b & 1:
+                    continue
+                if last and nodes + lam <= node_budget:
+                    # every free c completes a rectangle: no c can fail later
+                    nodes += lam
+                    free = (symbols & ~(u2 | 1 << a | 1 << b)).bit_count()
+                    total += free
+                    done += free
                     continue
                 for c in range(1, lam + 1):
                     nodes += 1
@@ -173,15 +190,18 @@ def enumerate_latin(
 def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
     """True iff rect is a well-formed 3 x n array over {1..lam} with
     pairwise-distinct symbols in every row and every column."""
-    if len(rect) != 3 or any(len(row) != n for row in rect):
+    if len(rect) != 3:
         return False
+    r0, r1, r2 = rect
+    if len(r0) != n or len(r1) != n or len(r2) != n:
+        return False
+    if n == 0:  # three empty rows; min() below needs a symbol
+        return True
     for row in rect:
-        if any(not 1 <= s <= lam for s in row):
+        if len(set(row)) != n or min(row) < 1 or max(row) > lam:
             return False
-        if len(set(row)) != n:
-            return False
-    for col in zip(*rect):
-        if len(set(col)) != 3:
+    for x, y, z in zip(r0, r1, r2):
+        if x == y or x == z or y == z:
             return False
     return True
 
@@ -194,6 +214,9 @@ def count_injections_forbidden(
 
     Walks every injection via itertools.permutations and filters, so it is an
     oracle fully independent of the inclusion-exclusion formula it grounds.
+    Each injection is one node; all perm(lam, n) of them are charged against
+    the budget before the walk starts, and each one's fixed points are
+    tested at C level (map over operator.eq).
     """
     if not 0 <= t <= n <= lam:
         raise ValueError(
@@ -205,8 +228,9 @@ def count_injections_forbidden(
         raise BudgetExceededError(
             f"enumerating perm({lam}, {n}) injections exceeds the node budget of {node_budget}"
         )
+    forbidden = range(1, t + 1)  # f(j) != j for these j
     count = 0
     for f in itertools.permutations(range(1, lam + 1), n):
-        if all(f[j] != j + 1 for j in range(t)):
+        if not any(map(operator.eq, f, forbidden)):
             count += 1
     return count

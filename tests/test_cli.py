@@ -9,6 +9,7 @@ import pytest
 from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.cli import main
 from latin3.graphs import build_gn, build_gnpq
+from latin3.oracle import count_latin
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +176,23 @@ def test_table_engine_stats_go_to_stderr_only(capsys):
     chromatic_poly(build_gn(2), stats=want)
     chromatic_poly(build_gn(3), stats=want)
     assert json.loads(err) == want
+
+
+def test_table_latin_oracle_stats_go_to_stderr_only(capsys):
+    argv = ("table", "--formula", "latin-oracle", "--n", "1..3", "--lambda-offset", "0..2")
+    code, plain_out, plain_err = run_cli(capsys, *argv)
+    assert (code, plain_err) == (0, "")
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 0
+    assert out == plain_out
+    assert err.count("\n") == 1
+    # The counters are summed over the table's cells.
+    want: dict = {}
+    for n in (1, 2, 3):
+        for lam in range(n, n + 3):
+            count_latin(n, lam, stats=want)
+    assert json.loads(err) == want
+    assert want["nodes"] > 0 and want["memo_hits"] > 0
 
 
 def test_table_stats_needs_the_engine(capsys):

@@ -1,5 +1,7 @@
 """Tests for the brute-force enumeration oracles."""
 
+import random
+
 import pytest
 
 from latin3.combinatorics import factorial, gen_derangement
@@ -149,6 +151,97 @@ def test_memo_visits_fewer_nodes_than_plain_backtracking():
     assert one_column == {"nodes": one_column_nodes, "memo_hits": 0, "memo_misses": 1}
 
 
+def _count_latin_leaf_by_leaf(n, lam, fixed_first_row=False, *, node_budget, stats):
+    """count_latin as it was before its last column was charged in one step:
+    the same memo and candidate loops, with every last-column placement
+    visited on its own.  Kept to pin the nodes, counters and budget errors."""
+    memo = {}
+    nodes = hits = misses = 0
+    done = 0
+
+    def fail():
+        return BudgetExceededError(
+            f"rectangle search exceeded the node budget of {node_budget}: "
+            f"visited {node_budget + 1} nodes, completed {done} rectangles"
+        )
+
+    def fill(col, u0, u1, u2):
+        nonlocal nodes, hits, misses, done
+        if col == n:
+            done += 1
+            return 1
+        key = (u0, u1, u2)
+        found = memo.get(key)
+        if found is not None:
+            hits += 1
+            done += found
+            return found
+        misses += 1
+        total = 0
+        for a in (col + 1,) if fixed_first_row else range(1, lam + 1):
+            nodes += 1
+            if nodes > node_budget:
+                raise fail()
+            if a > lam or u0 >> a & 1:
+                continue
+            for b in range(1, lam + 1):
+                nodes += 1
+                if nodes > node_budget:
+                    raise fail()
+                if b == a or u1 >> b & 1:
+                    continue
+                for c in range(1, lam + 1):
+                    nodes += 1
+                    if nodes > node_budget:
+                        raise fail()
+                    if c == a or c == b or u2 >> c & 1:
+                        continue
+                    total += fill(col + 1, u0 | 1 << a, u1 | 1 << b, u2 | 1 << c)
+        memo[key] = total
+        return total
+
+    try:
+        return fill(0, 0, 0, 0)
+    finally:
+        for name, value in zip(STAT_NAMES, (nodes, hits, misses)):
+            stats[name] = stats.get(name, 0) + value
+
+
+def _outcome(search, n, lam, pinned, budget):
+    stats: dict = {}
+    try:
+        result = search(n, lam, pinned, node_budget=budget, stats=stats)
+    except BudgetExceededError as exc:
+        result = str(exc)
+    return result, stats
+
+
+def test_last_column_charging_keeps_every_budget_outcome():
+    # Every budget near the start of the search and near its end (`total`
+    # nodes in all), where the last column's leaves are charged in one step or, when
+    # the budget cannot cover them, one by one: the value, the counters and
+    # the budget error's text are those of visiting every leaf.
+    checked = 0
+    for n in (1, 2, 3):
+        for lam in range(6):
+            for pinned in (False, True):
+                full: dict = {}
+                _count_latin_leaf_by_leaf(n, lam, pinned, node_budget=10**9, stats=full)
+                total = full["nodes"]
+                # the end window is strided on the larger searches to keep
+                # the test under about a second
+                stride = 1 if total < 1000 else 17
+                budgets = set(range(1, min(600, total + 1) + 1))
+                budgets |= set(range(total + 1, max(0, total - 300), -stride))
+                budgets |= {total, total + 1}
+                for budget in sorted(budgets - {0}):
+                    want = _outcome(_count_latin_leaf_by_leaf, n, lam, pinned, budget)
+                    got = _outcome(count_latin, n, lam, pinned, budget)
+                    assert got == want, (n, lam, pinned, budget)
+                    checked += 1
+    assert checked > 4000
+
+
 def test_enumerate_single_column():
     rects = enumerate_latin(1, 3, 10)
     assert len(rects) == 6
@@ -193,6 +286,58 @@ def test_is_latin_rectangle_rejects_bad_arrays():
     assert not is_latin_rectangle(((1, 2), (2, 3), (1, 1)), 2, 3)  # column repeat
     assert not is_latin_rectangle(((1, 2), (2, 4), (3, 1)), 2, 3)  # symbol too big
     assert not is_latin_rectangle(((0, 2), (2, 3), (3, 1)), 2, 3)  # symbol too small
+
+
+def _is_latin_rectangle_per_symbol(rect, n, lam):
+    """is_latin_rectangle as it was before the set/min/max row test: a
+    generator over every symbol and a set per column."""
+    if len(rect) != 3 or any(len(row) != n for row in rect):
+        return False
+    for row in rect:
+        if any(not 1 <= s <= lam for s in row):
+            return False
+        if len(set(row)) != n:
+            return False
+    for col in zip(*rect):
+        if len(set(col)) != 3:
+            return False
+    return True
+
+
+def test_is_latin_rectangle_matches_the_per_symbol_validator():
+    rng = random.Random(20241018)
+    valid = 0
+    for _ in range(20000):
+        n = rng.randrange(5)
+        lam = rng.randrange(7)
+        if 1 <= n <= lam and lam >= 3 and rng.random() < 0.5:
+            # a true rectangle, then maybe one cell changed
+            rect = [list(row) for row in rng.choice(enumerate_latin(n, lam, 8))]
+            if rng.random() < 0.5:
+                rng.choice(rect)[rng.randrange(n)] = rng.randrange(lam + 2)
+        else:
+            rect = [[rng.randrange(lam + 2) for _ in range(n)] for _ in range(3)]
+        shape = rng.random()
+        if shape < 0.05:
+            rect.append([rng.randrange(1, lam + 2) for _ in range(n)])  # a fourth row
+        elif shape < 0.1:
+            rect.pop()  # two rows
+        elif shape < 0.15:
+            row = rng.choice(rect)  # ragged
+            if row and rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append(rng.randrange(1, lam + 2))
+        rect = tuple(tuple(row) for row in rect)
+        want = _is_latin_rectangle_per_symbol(rect, n, lam)
+        assert is_latin_rectangle(rect, n, lam) == want, (rect, n, lam)
+        valid += want
+    assert valid > 1000
+    # three empty rows are the one 3 x 0 rectangle, on any number of symbols
+    for lam in (0, 1, 3):
+        assert is_latin_rectangle(((), (), ()), 0, lam)
+        assert not is_latin_rectangle(((), ()), 0, lam)
+        assert not is_latin_rectangle(((), (), (), ()), 0, lam)
 
 
 def test_injection_examples():
