@@ -103,7 +103,10 @@ def cmd_table(args: argparse.Namespace) -> int:
             return count_colorings_bruteforce(build_gn(n), lam, node_budget=args.node_budget)
         return count_latin(n, lam, node_budget=args.node_budget, stats=stats)
 
-    rows = [(n, lam, args.formula, str(value(n, lam))) for n, lam in cells]
+    try:
+        rows = [(n, lam, args.formula, str(value(n, lam))) for n, lam in cells]
+    finally:
+        _print_stats(stats)
     if args.format == "csv":
         print("n,lambda,formula,value")
         for n, lam, formula, val in rows:
@@ -117,7 +120,6 @@ def cmd_table(args: argparse.Namespace) -> int:
     else:
         for n, lam, formula, val in rows:
             print(f"{n} {lam} {formula} {val}")
-    _print_stats(stats)
     return 0
 
 
@@ -139,19 +141,26 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
         text = Path(args.graph_file).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {args.graph_file}: {exc}") from None
+    g = parse_graph(text)
     stats: Optional[dict] = {} if args.stats else None
-    poly = chromatic_poly(parse_graph(text), max_vertices=args.max_vertices, stats=stats)
+    try:
+        poly = chromatic_poly(g, max_vertices=args.max_vertices, stats=stats)
+    finally:
+        _print_stats(stats)
     print(f"degree={poly.degree}")
     for coefficient in poly.coefficients:
         print(coefficient)
-    _print_stats(stats)
     return 0
 
 
 def cmd_gnpq(args: argparse.Namespace) -> int:
     g = build_gnpq(args.n, args.p, args.q)
     stats: Optional[dict] = {} if args.stats else None
-    engine = eval_poly(chromatic_poly(g, max_vertices=args.max_vertices, stats=stats), args.lam)
+    try:
+        poly = chromatic_poly(g, max_vertices=args.max_vertices, stats=stats)
+    finally:
+        _print_stats(stats)
+    engine = eval_poly(poly, args.lam)
     code = 0
     if args.p + args.q == args.n:
         closed = g_npq_closed(args.n, args.p, args.q, args.lam)
@@ -162,7 +171,6 @@ def cmd_gnpq(args: argparse.Namespace) -> int:
     else:
         print(f"closed-form: n/a (needs p+q = n; got p+q={args.p + args.q}, n={args.n})")
         print(f"engine: {engine}")
-    _print_stats(stats)
     return code
 
 

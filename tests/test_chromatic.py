@@ -176,6 +176,36 @@ def test_pick_edge_rejects_edgeless_adjacency():
         _pick_edge((0, 0, 0))
 
 
+def _adjacency(n, edges):
+    return Graph.from_edges(n, edges).adjacency_masks()
+
+
+def test_pick_edge_takes_a_least_degree_vertex():
+    # star with its center at 0: the leaf 1 is the least-degree vertex, and
+    # the pair comes back as (min, max)
+    assert _pick_edge(_adjacency(5, [(0, v) for v in range(1, 5)])) == (0, 1)
+    # path 3-1-0-2: the endpoints 2 and 3 have degree 1; 2 wins the tie
+    assert _pick_edge(_adjacency(4, [(3, 1), (1, 0), (0, 2)])) == (0, 2)
+    # 0, 2 and 4 tie at degree 2, so u = 0; of its neighbors 1 (degree 3)
+    # and 2 (degree 2), the least-degree one is taken, not the lowest index
+    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+    assert _pick_edge(_adjacency(5, edges)) == (0, 2)
+    # an isolated vertex is skipped; around the 4-cycle 1-2-3-4 every degree
+    # ties, so the lowest indices win
+    assert _pick_edge(_adjacency(5, [(1, 2), (2, 3), (3, 4), (4, 1)])) == (1, 2)
+
+
+def test_engine_node_counts_stay_bounded():
+    # Branching at a least-degree vertex takes G(4) in 394 nodes and G(5) in
+    # 759; the greatest-degree-sum edge took G(4) in 4,668.
+    stats: dict = {}
+    chromatic_poly(build_gn(4), stats=stats)
+    assert stats["nodes"] <= 500, stats
+    stats = {}
+    chromatic_poly(build_gn(5), max_vertices=15, stats=stats)
+    assert stats["nodes"] <= 1000, stats
+
+
 def test_pick_non_edge_rejects_complete_adjacency():
     assert _pick_non_edge((0b010, 0b101, 0b010)) == (0, 2)
     with pytest.raises(ValueError):
@@ -299,9 +329,9 @@ def test_stats_count_every_memo_lookup(monkeypatch):
     stats: dict = {}
     chromatic_poly(build_gn(4), stats=stats)
     assert stats["memo_hits"] + stats["memo_misses"] == len(lookups)
-    # each miss stores one memo entry; G(4)'s memo held 2,396 entries under
-    # deletion-contraction alone
-    assert stats["memo_misses"] < 2396
+    # each miss stores one memo entry; branching at a least-degree vertex
+    # leaves G(4)'s memo with 64 entries
+    assert stats["memo_misses"] < 200
     assert stats["addition"] > 0 and stats["simplicial"] > 0
 
     lookups.clear()

@@ -195,6 +195,35 @@ def test_table_latin_oracle_stats_go_to_stderr_only(capsys):
     assert want["nodes"] > 0 and want["memo_hits"] > 0
 
 
+def test_table_stats_print_before_a_budget_error(capsys):
+    argv = ("table", "--formula", "latin-oracle", "--n", "4", "--lambda", "6",
+            "--node-budget", "1000")
+    code, plain_out, plain_err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 3
+    assert out == plain_out == ""
+    # the counters, filled up to the node past the budget, come first
+    counters, error = err.splitlines()
+    assert json.loads(counters)["nodes"] == 1001
+    assert error == plain_err.strip()
+    assert error.startswith("error:") and "node budget of 1000" in error
+
+
+def test_table_stats_print_before_a_vertex_limit_error(capsys):
+    # G(1) and G(2) have 3 and 6 vertices; G(3)'s 9 exceed the limit of 7
+    argv = ("table", "--formula", "engine", "--n", "1..3", "--lambda", "3",
+            "--max-vertices", "7", "--stats")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    counters, error = err.splitlines()
+    want: dict = {}
+    chromatic_poly(build_gn(1), stats=want)
+    chromatic_poly(build_gn(2), stats=want)
+    assert json.loads(counters) == want
+    assert error.startswith("error:") and "limit of 7" in error
+
+
 def test_table_stats_needs_the_engine(capsys):
     code, out, err = run_cli(capsys, "table", "--formula", "thm3", "--n", "2", "--stats")
     assert code == 2
@@ -391,6 +420,18 @@ def test_gnpq_stats_go_to_stderr_only(capsys, argv):
     want: dict = {}
     chromatic_poly(build_gnpq(*map(int, argv[:3])), stats=want)
     assert json.loads(err) == want
+
+
+def test_gnpq_and_chromatic_stats_print_before_a_vertex_limit_error(capsys, tmp_path):
+    # the search never starts, so the counters are printed as they stand
+    path = write_graph(tmp_path, "15\n")
+    for argv in (("gnpq", "4", "0", "0", "5", "--max-vertices", "11"), ("chromatic", path)):
+        code, out, err = run_cli(capsys, *argv, "--stats")
+        assert code == 3
+        assert out == ""
+        counters, error = err.splitlines()
+        assert json.loads(counters) == {}
+        assert error.startswith("error:") and "exceeding the limit" in error
 
 
 def test_gnpq_invalid_split(capsys):

@@ -156,6 +156,21 @@ def test_g_npq_matches_engine_exhaustively():
                 assert g_npq_closed(n, p, q, lam) == eval_poly(poly, lam)
 
 
+def test_engine_proves_theorem3_and_surgery_at_n5():
+    # G(5) and every G(5, k, 5 - k) have at most 15 vertices, so their
+    # chromatic polynomials have degree at most 15; for lam >= n the closed
+    # forms are polynomials too, and agreement at the 16 points 5..20 makes
+    # each an identity in lam.
+    lams = range(5, 21)
+    gn = chromatic_poly(build_gn(5), max_vertices=15)
+    for lam in lams:
+        assert thm3_g(5, lam) == aps_g(5, lam) == eval_poly(gn, lam)
+    for k in range(6):
+        poly = chromatic_poly(build_gnpq(5, k, 5 - k), max_vertices=15)
+        for lam in lams:
+            assert g_npq_closed(5, k, 5 - k, lam) == eval_poly(poly, lam), (k, lam)
+
+
 def test_split_sums_rebuild_from_public_terms():
     # falling(lam, n) * sum A * B^2 over the full ranges of t1, t2 (and t3
     # inside term_B), from per-term calls that each build their own tables,
