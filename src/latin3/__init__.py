@@ -41,6 +41,7 @@ from .oracle import (
     count_injections_forbidden,
     count_latin,
     enumerate_latin,
+    injection_counts,
     is_latin_rectangle,
 )
 from .verify import CheckResult, VerifyConfig, render_report, run_verify
@@ -77,6 +78,7 @@ __all__ = [
     "gen_binom",
     "gen_derangement",
     "identify",
+    "injection_counts",
     "is_latin_rectangle",
     "line_graph",
     "parse_graph",

@@ -154,6 +154,8 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
 
 
 def cmd_gnpq(args: argparse.Namespace) -> int:
+    if args.lam < 0:
+        raise ValueError(f"lambda must be >= 0, got {args.lam}")
     g = build_gnpq(args.n, args.p, args.q)
     stats: Optional[dict] = {} if args.stats else None
     try:

@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .combinatorics import binom, derangement_table, factorial, falling, gen_binom
+from .combinatorics import binom, derangement_table, falling, gen_binom
+
+
+def _factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!], one multiplication each."""
+    return list(accumulate(range(1, n + 1), operator.mul, initial=1))
 
 
 def riordan_l3(n: int) -> int:
@@ -37,10 +43,11 @@ def riordan_l3(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"riordan_l3: n must be >= 1, got {n}")
+    fact = _factorials(n)
     total = 0
     for j in range(n + 1):
         inner = sum(
-            factorial(k) * gen_binom(-3 * (k + 1), n - k - j)
+            fact[k] * gen_binom(-3 * (k + 1), n - k - j)
             for k in range(n - j + 1)
         )
         total += 2**j * falling(n, n - j) * inner
@@ -76,6 +83,7 @@ def aps_g(n: int, lam: int) -> int:
     if lam < n:
         return 0
     d = lam - n
+    fact = _factorials(n)
     total = 0
     for alpha in range(n + 1):
         inner = 0
@@ -84,7 +92,7 @@ def aps_g(n: int, lam: int) -> int:
             term = (
                 2**gamma
                 * binom(n - alpha, gamma)
-                * factorial(beta)
+                * fact[beta]
                 * binom(3 * d + 3 * alpha + beta + 2, beta)
             )
             inner += -term if beta % 2 else term

@@ -7,21 +7,26 @@ makes them trustworthy cross-checks for everything else in the package.
 count_latin remembers, for the length of one call, how many ways each exact
 state of its search (the three rows' used-symbol sets) can be finished, so
 no state is searched twice.  It uses no symmetry and no relabelling of
-symbols.  The budgets of the backtracking searches count nodes, one per
-attempted symbol placement; a memo hit costs no node, and the "completed"
-count in a budget error includes the rectangles a hit stood for.
+symbols.  Its budget counts nodes, one per attempted symbol placement; a
+memo hit costs no node, and the "completed" count in a budget error
+includes the rectangles a hit stood for.
 count_latin charges its last column's row-2 attempts in one step (see its
 docstring), with the same nodes as visiting them one by one.
-enumerate_latin stays plain backtracking, so comparing the two compares two
-different searches.
+
+enumerate_latin fills a row at a time from the list of perm(lam, n)
+candidate rows, and a node is one attempted row.  It remembers which rows
+are compatible but no counts, so it stays a plain search and comparing it
+with count_latin compares two different searches.  injection_counts walks
+the perm(lam, n) injections once and counts them for every number t of
+forbidden fixed points; count_injections_forbidden reads one t from it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from typing import Optional
+from itertools import compress, islice, permutations, repeat
+from typing import Iterable, Optional
 
 from .errors import BudgetExceededError
 
@@ -146,44 +151,86 @@ def enumerate_latin(
 ) -> list[Rectangle]:
     """The first `limit` valid rectangles in row-major lexicographic order.
 
-    Cells are filled row by row, trying symbols in ascending order, so the
-    rectangles come out already sorted; no post-hoc sort is needed.
+    Fills a row at a time.  The perm(lam, n) injections are the candidate
+    rows, listed once in lexicographic order; row 0 tries each of them, row 1
+    tries them all and keeps those that share no column symbol with row 0,
+    and row 2 those that share none with either.  So the rectangles come out
+    already sorted, and every rectangle is one 3-tuple of shared row tuples.
+    Each row's compatible rows are found once per call and kept for the rest
+    of it.  No count is remembered: this is a plain search, independent of
+    count_latin's memo.
+
+    Every attempted row costs one node, compatible or not.  Rejected rows
+    are charged by the index gap between compatible ones, and once rows 0
+    and 1 are placed, row 2's perm(lam, n) attempts are charged in one step
+    whenever the budget covers them, so a budget error fires at the same
+    node, with the same completed count, as trying every row one by one.  A
+    call whose perm(lam, n) exceeds the budget raises before the rows are
+    built.
     """
     _check_params(n, lam, node_budget)
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    grid = [[0] * n for _ in range(3)]
-    row_used = [0, 0, 0]
-    col_used = [0] * n
     out: list[Rectangle] = []
+    if limit == 0:
+        return out
+    size = math.perm(lam, n)
+    if size > node_budget:
+        raise BudgetExceededError(
+            f"rectangle enumeration exceeded the node budget of {node_budget}: "
+            f"its perm({lam}, {n}) = {size} candidate rows do not fit"
+        )
+    rows = list(permutations(range(1, lam + 1), n))
+    columns = list(zip(*rows))
+    partners: dict[int, tuple[tuple[int, ...], frozenset[int]]] = {}
+
+    def compatible(i: int) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The indices of the rows sharing no column symbol with row i,
+        ascending and as a set."""
+        found = partners.get(i)
+        if found is None:
+            keep: Iterable[int] = range(size)
+            for column, s in zip(columns, rows[i]):
+                symbols = map(column.__getitem__, keep)
+                keep = list(compress(keep, map(operator.ne, symbols, repeat(s))))
+            found = partners[i] = (tuple(keep), frozenset(keep))
+        return found
+
     nodes = 0
 
-    def fill(pos: int) -> None:
+    def charge(count: int) -> None:
         nonlocal nodes
-        if pos == 3 * n:
-            out.append(tuple(tuple(row) for row in grid))
-            return
-        row, col = divmod(pos, n)
-        for s in range(1, lam + 1):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"rectangle enumeration exceeded the node budget of {node_budget}: "
-                    f"visited {nodes} nodes, completed {len(out)} rectangles"
-                )
-            if row_used[row] >> s & 1 or col_used[col] >> s & 1:
-                continue
-            grid[row][col] = s
-            row_used[row] |= 1 << s
-            col_used[col] |= 1 << s
-            fill(pos + 1)
-            row_used[row] &= ~(1 << s)
-            col_used[col] &= ~(1 << s)
-            if len(out) >= limit:
-                return
+        nodes += count
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"rectangle enumeration exceeded the node budget of {node_budget}: "
+                f"visited {node_budget + 1} nodes, completed {len(out)} rectangles"
+            )
 
-    if limit > 0:
-        fill(0)
+    for i, r0 in enumerate(rows):
+        charge(1)
+        ones = compatible(i)[0]
+        prev = -1
+        for j in ones:
+            charge(j - prev)  # the rejected rows since the last one tried, and row j
+            prev = j
+            twos = filter(compatible(j)[1].__contains__, ones)
+            if nodes + size <= node_budget:
+                nodes += size
+                rects = zip(repeat(r0), repeat(rows[j]), map(rows.__getitem__, twos))
+                out.extend(islice(rects, limit - len(out)))
+            else:
+                prev_two = -1
+                for k in twos:
+                    charge(k - prev_two)
+                    prev_two = k
+                    out.append((r0, rows[j], rows[k]))
+                    if len(out) >= limit:
+                        return out
+                charge(size - 1 - prev_two)
+            if len(out) >= limit:
+                return out
+        charge(size - 1 - prev)
     return out
 
 
@@ -206,31 +253,51 @@ def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
     return True
 
 
-def count_injections_forbidden(
-    lam: int, n: int, t: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
-    """Exhaustively count injections f: {1..n} -> {1..lam} with f(j) != j
-    for j = 1..t.
+_CHUNK = 4096  # injections tested per C-level pass in injection_counts
 
-    Walks every injection via itertools.permutations and filters, so it is an
-    oracle fully independent of the inclusion-exclusion formula it grounds.
-    Each injection is one node; all perm(lam, n) of them are charged against
-    the budget before the walk starts, and each one's fixed points are
-    tested at C level (map over operator.eq).
+
+def injection_counts(
+    lam: int, n: int, *, node_budget: int = DEFAULT_NODE_BUDGET
+) -> list[int]:
+    """Exhaustively count, for every t = 0..n, the injections
+    f: {1..n} -> {1..lam} with f(j) != j for j = 1..t.
+
+    Walks every injection once via itertools.permutations and filters, so it
+    is an oracle fully independent of the inclusion-exclusion formula it
+    grounds.  The injections stream in chunks of a few thousand; each chunk
+    is narrowed column by column at C level (compress over operator.ne) to
+    the injections with no fixed point so far, and the t-th count gains the
+    survivors of the first t columns, so memory stays bounded.  Each
+    injection is one node; all perm(lam, n) of them are charged against the
+    budget before the walk starts.
     """
-    if not 0 <= t <= n <= lam:
-        raise ValueError(
-            f"count_injections_forbidden: need 0 <= t <= n <= lam, got lam={lam} n={n} t={t}"
-        )
+    if not 0 <= n <= lam:
+        raise ValueError(f"injection_counts: need 0 <= n <= lam, got lam={lam} n={n}")
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     if math.perm(lam, n) > node_budget:
         raise BudgetExceededError(
             f"enumerating perm({lam}, {n}) injections exceeds the node budget of {node_budget}"
         )
-    forbidden = range(1, t + 1)  # f(j) != j for these j
-    count = 0
-    for f in itertools.permutations(range(1, lam + 1), n):
-        if not any(map(operator.eq, f, forbidden)):
-            count += 1
-    return count
+    counts = [0] * (n + 1)
+    walk = permutations(range(1, lam + 1), n)
+    while chunk := list(islice(walk, _CHUNK)):
+        counts[0] += len(chunk)
+        for j in range(n):
+            column = map(operator.itemgetter(j), chunk)
+            chunk = list(compress(chunk, map(operator.ne, column, repeat(j + 1))))
+            counts[j + 1] += len(chunk)
+    return counts
+
+
+def count_injections_forbidden(
+    lam: int, n: int, t: int, *, node_budget: int = DEFAULT_NODE_BUDGET
+) -> int:
+    """Exhaustively count injections f: {1..n} -> {1..lam} with f(j) != j
+    for j = 1..t: entry t of injection_counts, whose walk and budget it
+    shares."""
+    if not 0 <= t <= n <= lam:
+        raise ValueError(
+            f"count_injections_forbidden: need 0 <= t <= n <= lam, got lam={lam} n={n} t={t}"
+        )
+    return injection_counts(lam, n, node_budget=node_budget)[t]

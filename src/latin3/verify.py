@@ -17,6 +17,7 @@ the same report.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -76,16 +77,33 @@ def random_graphs(
 @dataclass
 class _Run:
     """What the checks of one run_verify call share: the config, the seeded
-    graph pool and one engine polynomial per graph any check has needed."""
+    graph pool, one engine polynomial per graph any check has needed, and one
+    brute-force count per oracle cell any check has needed."""
 
     cfg: VerifyConfig
     pool: list[Graph]
     polys: dict[Graph, Poly] = field(default_factory=dict)
+    latin_counts: dict[tuple[int, int, bool], int] = field(default_factory=dict)
+    injection_counts: dict[tuple[int, int], list[int]] = field(default_factory=dict)
 
     def poly(self, g: Graph) -> Poly:
         if g not in self.polys:
             self.polys[g] = chromatic_poly(g)
         return self.polys[g]
+
+    def count(self, n: int, lam: int, pinned: bool = False) -> int:
+        """oracle.count_latin(n, lam, pinned), counted once per run."""
+        key = (n, lam, pinned)
+        if key not in self.latin_counts:
+            self.latin_counts[key] = oracle.count_latin(n, lam, pinned)
+        return self.latin_counts[key]
+
+    def injections(self, lam: int, n: int) -> list[int]:
+        """oracle.injection_counts(lam, n), walked once per run."""
+        key = (lam, n)
+        if key not in self.injection_counts:
+            self.injection_counts[key] = oracle.injection_counts(lam, n)
+        return self.injection_counts[key]
 
 
 Cells = Iterator[Optional[str]]
@@ -282,9 +300,10 @@ def _chromatic_shape(run: _Run) -> Cells:
 def _derangement_oracle(run: _Run) -> Cells:
     for lam in range(8):
         for n in range(lam + 1):
+            counts = run.injections(lam, n)
             for t in range(n + 1):
                 formula = comb.gen_derangement(lam, n, t)
-                brute = oracle.count_injections_forbidden(lam, n, t)
+                brute = counts[t]
                 yield None if formula == brute else (
                     f"lam={lam} n={n} t={t}: formula={formula} oracle={brute}"
                 )
@@ -293,7 +312,7 @@ def _derangement_oracle(run: _Run) -> Cells:
 def _classical_derangements(run: _Run) -> Cells:
     for n in range(9):
         formula = comb.gen_derangement(n, n, n)
-        brute = oracle.count_injections_forbidden(n, n, n)
+        brute = run.injections(n, n)[n]
         yield None if formula == brute else f"n={n}: formula={formula} oracle={brute}"
 
 
@@ -302,7 +321,7 @@ def _latin_bridge(run: _Run) -> Cells:
     if run.cfg.n_max >= 4:
         cells += [(4, 4), (4, 5)]
     for n, lam in cells:
-        counted = oracle.count_latin(n, lam)
+        counted = run.count(n, lam)
         formula = formulas.thm3_g(n, lam)
         yield None if counted == formula else (
             f"n={n} lam={lam}: enumeration={counted} thm3={formula}"
@@ -311,32 +330,31 @@ def _latin_bridge(run: _Run) -> Cells:
 
 def _latin_first_row(run: _Run) -> Cells:
     for n in range(3, min(run.cfg.n_max, 4) + 1):
-        free = oracle.count_latin(n, n, False)
-        pinned = comb.factorial(n) * oracle.count_latin(n, n, True)
+        free = run.count(n, n)
+        pinned = comb.factorial(n) * run.count(n, n, True)
         yield None if free == pinned else f"n={n}: free={free} n!*pinned={pinned}"
 
 
 def _riordan_oracle(run: _Run) -> Cells:
     for n in range(1, min(run.cfg.n_max, 4) + 1):
         formula = formulas.riordan_l3(n)
-        counted = oracle.count_latin(n, n, True)
+        counted = run.count(n, n, True)
         yield None if formula == counted else f"n={n}: riordan={formula} enumeration={counted}"
 
 
 def _enumeration_consistency(run: _Run) -> Cells:
     for n in range(1, min(run.cfg.n_max, 3) + 1):
         for lam in range(1, 6):
-            want = oracle.count_latin(n, lam)
+            want = run.count(n, lam)
             rects = oracle.enumerate_latin(n, lam, want + 1)
-            invalid = [r for r in rects if not oracle.is_latin_rectangle(r, n, lam)]
             if len(rects) != want:
                 yield f"n={n} lam={lam}: enumerated {len(rects)}, counted {want}"
-            elif rects != sorted(rects):
+            elif not all(map(operator.lt, rects, rects[1:])):
+                # strictly increasing: sorted, and no rectangle repeated
                 yield f"n={n} lam={lam}: output is not in lexicographic order"
-            elif invalid:
-                yield f"n={n} lam={lam}: invalid rectangle {invalid[0]}"
             else:
-                yield None
+                bad = next((r for r in rects if not oracle.is_latin_rectangle(r, n, lam)), None)
+                yield None if bad is None else f"n={n} lam={lam}: invalid rectangle {bad}"
 
 
 class _Check(NamedTuple):

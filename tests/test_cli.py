@@ -441,6 +441,15 @@ def test_gnpq_invalid_split(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [("2", "1", "0", "-1"), ("2", "1", "1", "-1")])
+def test_gnpq_rejects_negative_lambda(capsys, argv):
+    # both the partial split, which has no closed form, and the full one
+    code, out, err = run_cli(capsys, "gnpq", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: lambda must be >= 0, got -1\n"
+
+
 def test_gnpq_vertex_limit(capsys):
     code, _, _ = run_cli(capsys, "gnpq", "5", "0", "0", "5")
     assert code == 3

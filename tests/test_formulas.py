@@ -10,7 +10,7 @@ Expected values fall into three classes:
 import pytest
 
 from latin3.chromatic import chromatic_poly, eval_poly
-from latin3.combinatorics import binom, factorial, falling, gen_derangement
+from latin3.combinatorics import binom, factorial, falling, gen_binom, gen_derangement
 from latin3.formulas import (
     aps_g,
     aps_literal,
@@ -108,6 +108,45 @@ def test_aps_agrees_with_thm3_at_large_lambda():
     for n in range(1, 7):
         for lam in (10**4, 3 * 10**4, 10**6):
             assert aps_g(n, lam) == thm3_g(n, lam)
+
+
+def _riordan_l3_calling_factorial(n):
+    """riordan_l3 as it was before it read k! from a per-call list."""
+    total = 0
+    for j in range(n + 1):
+        inner = sum(
+            factorial(k) * gen_binom(-3 * (k + 1), n - k - j) for k in range(n - j + 1)
+        )
+        total += 2**j * falling(n, n - j) * inner
+    return total
+
+
+def _aps_g_calling_factorial(n, lam):
+    """aps_g as it was before it read beta! from a per-call list."""
+    if lam < n:
+        return 0
+    d = lam - n
+    total = 0
+    for alpha in range(n + 1):
+        inner = 0
+        for beta in range(n - alpha + 1):
+            gamma = n - alpha - beta
+            term = (
+                2**gamma
+                * binom(n - alpha, gamma)
+                * factorial(beta)
+                * binom(3 * d + 3 * alpha + beta + 2, beta)
+            )
+            inner += -term if beta % 2 else term
+        total += falling(d + alpha, alpha) ** 2 * binom(n, alpha) * inner
+    return falling(lam, n) * total
+
+
+def test_factorial_tables_keep_every_value():
+    for n in range(1, 61):
+        assert riordan_l3(n) == _riordan_l3_calling_factorial(n), n
+        for lam in (0, n - 1, n, n + 1, 2 * n, 10**4):
+            assert aps_g(n, lam) == _aps_g_calling_factorial(n, lam), (n, lam)
 
 
 # --- Surgery building blocks -------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for the brute-force enumeration oracles."""
 
+import math
+import operator
 import random
+from itertools import islice, permutations
 
 import pytest
 
@@ -11,6 +14,7 @@ from latin3.oracle import (
     count_injections_forbidden,
     count_latin,
     enumerate_latin,
+    injection_counts,
     is_latin_rectangle,
 )
 
@@ -262,7 +266,7 @@ def test_enumerate_is_sorted_valid_and_complete():
             want = count_latin(n, lam)
             rects = enumerate_latin(n, lam, want + 5)
             assert len(rects) == want
-            assert rects == sorted(rects)
+            assert all(map(operator.lt, rects, rects[1:]))  # sorted, no repeats
             assert all(is_latin_rectangle(r, n, lam) for r in rects)
 
 
@@ -271,6 +275,140 @@ def test_enumerate_truncates_at_limit():
     assert len(full) == count_latin(2, 3) == 12
     assert enumerate_latin(2, 3, 5) == full[:5]
     assert enumerate_latin(2, 3, 0) == []
+
+
+def _enumerate_latin_cell_by_cell(n, lam, visit):
+    """enumerate_latin as it was before it filled a row at a time: every
+    cell in row-major order, symbols ascending.  Hands each rectangle to
+    visit as it is found and stops once visit returns True."""
+    grid = [[0] * n for _ in range(3)]
+    row_used = [0, 0, 0]
+    col_used = [0] * n
+
+    def fill(pos):
+        if pos == 3 * n:
+            return visit(tuple(tuple(row) for row in grid))
+        row, col = divmod(pos, n)
+        for s in range(1, lam + 1):
+            if row_used[row] >> s & 1 or col_used[col] >> s & 1:
+                continue
+            grid[row][col] = s
+            row_used[row] |= 1 << s
+            col_used[col] |= 1 << s
+            stop = fill(pos + 1)
+            row_used[row] &= ~(1 << s)
+            col_used[col] &= ~(1 << s)
+            if stop:
+                return True
+        return False
+
+    fill(0)
+
+
+def test_enumerate_matches_the_cell_by_cell_enumerator():
+    cells = [(n, lam) for n in (1, 2, 3) for lam in range(7)] + [(4, 4)]
+    for n, lam in cells:
+        for limit in (0, 1, 2, 5, 17):
+            want = []
+            if limit:
+                _enumerate_latin_cell_by_cell(
+                    n, lam, lambda rect: want.append(rect) or len(want) >= limit
+                )
+            assert enumerate_latin(n, lam, limit) == want, (n, lam, limit)
+        # the whole list, compared as it is found: (3, 6) has 317,760
+        full = enumerate_latin(n, lam, 10**6)
+        found = iter(full)
+        mismatches = []
+
+        def compare(rect):
+            if rect != next(found, None):
+                mismatches.append(rect)
+            return False
+
+        _enumerate_latin_cell_by_cell(n, lam, compare)
+        assert not mismatches, (n, lam, mismatches[:1])
+        assert next(found, None) is None, (n, lam)
+        assert len(full) == count_latin(n, lam), (n, lam)
+
+
+def _enumerate_latin_row_by_row(n, lam, limit, *, node_budget):
+    """enumerate_latin as a naive walk: for each of the three rows every
+    candidate row is tried on its own, one node each, after the same
+    up-front check of perm(lam, n) against the budget."""
+    out = []
+    if limit == 0:
+        return out
+    size = math.perm(lam, n)
+    if size > node_budget:
+        raise BudgetExceededError(
+            f"rectangle enumeration exceeded the node budget of {node_budget}: "
+            f"its perm({lam}, {n}) = {size} candidate rows do not fit"
+        )
+    rows = list(permutations(range(1, lam + 1), n))
+    nodes = 0
+
+    def attempt():
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"rectangle enumeration exceeded the node budget of {node_budget}: "
+                f"visited {nodes} nodes, completed {len(out)} rectangles"
+            )
+
+    def apart(r, s):
+        return all(x != y for x, y in zip(r, s))
+
+    for r0 in rows:
+        attempt()
+        for r1 in rows:
+            attempt()
+            if not apart(r0, r1):
+                continue
+            for r2 in rows:
+                attempt()
+                if apart(r0, r2) and apart(r1, r2):
+                    out.append((r0, r1, r2))
+                    if len(out) >= limit:
+                        return out
+    return out
+
+
+def _enumerate_outcome(search, n, lam, limit, budget):
+    try:
+        return search(n, lam, limit, node_budget=budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_row_charging_keeps_every_budget_outcome():
+    # Rejected rows charged by index gap and row 2 charged in one step give
+    # the value and the budget error of trying every row one by one, at
+    # every budget, with the limit cutting the walk short or not.
+    errors = 0
+    for n in (1, 2):
+        for lam in range(5):
+            for limit in (1, 10**6):
+                for budget in range(1, 601):
+                    want = _enumerate_outcome(_enumerate_latin_row_by_row, n, lam, limit, budget)
+                    got = _enumerate_outcome(enumerate_latin, n, lam, limit, budget)
+                    assert got == want, (n, lam, limit, budget)
+                    errors += isinstance(want, str)
+    assert errors > 500
+
+
+def test_enumerate_checks_its_rows_against_the_budget_first():
+    with pytest.raises(
+        BudgetExceededError, match=r"its perm\(6, 3\) = 120 candidate rows do not fit"
+    ):
+        enumerate_latin(3, 6, 1, node_budget=119)
+    assert len(enumerate_latin(3, 6, 1, node_budget=120)) == 1
+
+
+def test_enumerate_shares_its_row_tuples():
+    rects = enumerate_latin(2, 4, 300)
+    rows = {id(row) for rect in rects for row in rect}
+    assert len(rows) == math.perm(4, 2)
 
 
 def test_enumerate_rejects_negative_limit():
@@ -355,11 +493,59 @@ def test_injection_matches_formula_exhaustively():
                 ), f"lam={lam} n={n} t={t}"
 
 
+def _count_injections_one_by_one(lam, n, t, *, node_budget=10**9):
+    """count_injections_forbidden as it was before one walk served every t:
+    each injection's fixed points among 1..t tested on its own."""
+    if math.perm(lam, n) > node_budget:
+        raise BudgetExceededError(
+            f"enumerating perm({lam}, {n}) injections exceeds the node budget of {node_budget}"
+        )
+    forbidden = range(1, t + 1)
+    return sum(
+        1
+        for f in permutations(range(1, lam + 1), n)
+        if not any(map(operator.eq, f, forbidden))
+    )
+
+
+def _injection_outcome(search, *args, budget):
+    try:
+        return search(*args, node_budget=budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def test_injection_counts_match_the_one_by_one_walk():
+    # (8, 8) and (8, 7) each hold 40,320 injections, so the walk crosses
+    # chunk boundaries
+    for lam in range(9):
+        for n in range(lam + 1):
+            want = [_count_injections_one_by_one(lam, n, t) for t in range(n + 1)]
+            assert injection_counts(lam, n) == want, (lam, n)
+            for t in range(n + 1):
+                assert count_injections_forbidden(lam, n, t) == want[t], (lam, n, t)
+            budget = math.perm(lam, n) - 1
+            if budget >= 1:
+                t = n // 2
+                error = _injection_outcome(_count_injections_one_by_one, lam, n, t, budget=budget)
+                assert error.startswith("enumerating perm(")
+                assert _injection_outcome(injection_counts, lam, n, budget=budget) == error
+                got = _injection_outcome(count_injections_forbidden, lam, n, t, budget=budget)
+                assert got == error
+                assert count_injections_forbidden(lam, n, t, node_budget=budget + 1) == want[t]
+
+
 def test_injection_rejects_bad_ranges():
     with pytest.raises(ValueError):
         count_injections_forbidden(2, 3, 1)
     with pytest.raises(ValueError):
         count_injections_forbidden(5, 3, 4)
+    with pytest.raises(ValueError):
+        injection_counts(2, 3)
+    with pytest.raises(ValueError):
+        injection_counts(3, -1)
+    with pytest.raises(ValueError):
+        injection_counts(3, 2, node_budget=0)
 
 
 def test_injection_budget():

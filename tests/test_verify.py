@@ -3,9 +3,11 @@ failure paths, determinism, report rendering.  The identities the harness
 checks are covered in depth by the other test modules; here we only need
 small, fast configurations."""
 
+from collections import Counter
+
 import pytest
 
-from latin3 import formulas, graphs, verify
+from latin3 import formulas, graphs, oracle, verify
 from latin3.chromatic import Poly
 from latin3.verify import CheckResult, VerifyConfig, render_report, run_verify
 
@@ -118,6 +120,48 @@ def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
     shape = results["chromatic-shape"]
     assert not shape.passed
     assert shape.detail == "a 3-vertex graph has coefficients (0, 2, 3, 1)"
+
+
+def test_enumeration_consistency_fails_on_a_repeated_rectangle(monkeypatch):
+    # a repeat in place of a missing rectangle keeps the length, the order
+    # and every rectangle valid; only a strict increase catches it
+    real = oracle.enumerate_latin
+
+    def repeat_first(n, lam, limit, **kw):
+        rects = real(n, lam, limit, **kw)
+        return rects[:1] + rects[:-1]
+
+    monkeypatch.setattr(oracle, "enumerate_latin", repeat_first)
+    results = {r.name: r for r in run_verify(VerifyConfig(n_max=1, include_engine=False))}
+    check = results["enumeration-consistency"]
+    assert not check.passed
+    assert check.detail == "n=1 lam=3: output is not in lexicographic order"
+    assert check.cells == 3
+    assert [r.name for r in results.values() if not r.passed] == ["enumeration-consistency"]
+
+
+def test_oracle_lane_counts_each_cell_once(monkeypatch):
+    # latin-bridge, latin-first-row, riordan-oracle and enumeration-consistency
+    # share count_latin's cells; derangement-oracle and classical-derangements
+    # share the injection walks
+    calls = {"count_latin": Counter(), "injection_counts": Counter()}
+    for name in calls:
+        real = getattr(oracle, name)
+
+        def counted(*args, _real=real, _calls=calls[name]):
+            _calls[args] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    results = run_verify(VerifyConfig(n_max=4, include_engine=False))
+    assert all(r.passed for r in results)
+    # 17 latin-bridge cells, the pinned (1,1), (2,2), (3,3) and (4,4), and
+    # enumeration-consistency's (2,1), (3,1) and (3,2)
+    assert len(calls["count_latin"]) == 24
+    # every (lam, n) with n <= lam <= 7, and (8, 8)
+    assert len(calls["injection_counts"]) == 37
+    for counter in calls.values():
+        assert set(counter.values()) == {1}
 
 
 def test_runs_are_deterministic():
