@@ -374,12 +374,16 @@ def chromatic_poly(
     return Poly.of(_chrom(g.adjacency_masks(), memo, stats))
 
 
-def count_colorings_bruteforce(g: Graph, lam: int, *, node_budget: int = 10**9) -> int:
+def count_colorings_bruteforce(
+    g: Graph, lam: int, *, node_budget: int = 10**9, stats: Optional[dict] = None
+) -> int:
     """Count proper colorings of g with colors {1..lam} by plain backtracking.
 
     Independent of the polynomial engine by design: vertices are colored in
     index order and every color attempt is checked against earlier neighbors.
-    Each attempt costs one node against the budget.
+    Each attempt costs one node against the budget.  A dict passed as stats
+    gets the nodes visited added to its "nodes" entry, also when the budget
+    stops the search.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
@@ -410,5 +414,9 @@ def count_colorings_bruteforce(g: Graph, lam: int, *, node_budget: int = 10**9) 
                 fill(v + 1)
         colors[v] = 0
 
-    fill(0)
+    try:
+        fill(0)
+    finally:
+        if stats is not None:
+            stats["nodes"] = stats.get("nodes", 0) + nodes
     return count

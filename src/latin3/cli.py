@@ -78,9 +78,10 @@ def _print_stats(stats: Optional[dict]) -> None:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.stats and args.formula not in ("engine", "latin-oracle"):
+    if args.stats and args.formula not in ("engine", "latin-oracle", "brute"):
         raise ValueError(
-            f"--stats needs --formula engine or latin-oracle; {args.formula} keeps no counters"
+            f"--stats needs --formula engine, latin-oracle or brute; "
+            f"{args.formula} keeps no counters"
         )
     cells = _table_cells(args)
     gn_polys = {}
@@ -100,7 +101,9 @@ def cmd_table(args: argparse.Namespace) -> int:
                 )
             return eval_poly(gn_polys[n], lam)
         if args.formula == "brute":
-            return count_colorings_bruteforce(build_gn(n), lam, node_budget=args.node_budget)
+            return count_colorings_bruteforce(
+                build_gn(n), lam, node_budget=args.node_budget, stats=stats
+            )
         return count_latin(n, lam, node_budget=args.node_budget, stats=stats)
 
     try:
@@ -198,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "--stats", action="store_true",
         help="print the engine's counters, summed over the table's graphs, or "
-        "count_latin's, summed over its cells, as one JSON line on stderr "
-        "(--formula engine or latin-oracle only)",
+        "count_latin's or the brute-force colouring's, summed over its cells, "
+        "as one JSON line on stderr (--formula engine, latin-oracle or brute only)",
     )
     table.set_defaults(func=cmd_table)
 

@@ -10,8 +10,11 @@ no state is searched twice.  It uses no symmetry and no relabelling of
 symbols.  Its budget counts nodes, one per attempted symbol placement; a
 memo hit costs no node, and the "completed" count in a budget error
 includes the rectangles a hit stood for.
-count_latin charges its last column's row-2 attempts in one step (see its
-docstring), with the same nodes as visiting them one by one.
+count_latin walks only the free symbols of each row and charges the used
+ones it skips by index gap, and it settles each last-column state in one
+step, counting its completions by inclusion-exclusion over the three rows'
+free sets (see its docstring).  Both charge exactly the nodes of visiting
+every placement one by one, and a budget error fires at the same node.
 
 enumerate_latin fills a row at a time from the list of perm(lam, n)
 candidate rows, and a node is one attempted row.  It remembers which rows
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import compress, islice, permutations, repeat
+from itertools import chain, compress, islice, permutations, repeat
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError
@@ -78,21 +81,39 @@ def count_latin(
     no symbol relabelling or symmetry is used.
 
     Every attempted symbol placement costs one node against the budget; a
-    memo hit costs none.  In the last column each free row-2 symbol completes
-    a rectangle, so once rows 0 and 1 are placed there the lam attempts for
-    row 2 are charged together and the free symbols counted by popcount,
-    whenever the budget covers all lam of them; otherwise they are tried one
-    by one, so a budget error fires at the same node.  A budget error
-    reports the nodes visited and the rectangles completed so far, counting
-    every rectangle a memo hit stood for.  A dict passed as stats gets the
-    counts named in STAT_NAMES added to it: nodes, memo hits and memo misses
-    (states searched).
+    memo hit costs none.  Each loop walks only the free symbols, read from a
+    per-call table keyed by the used-symbol mask, and charges the used ones
+    it skips by the index gap between free ones.  In the last column no
+    placement can fail later, so a state there is settled in one step when
+    the budget covers all of its nodes: with A, B and F the free symbols of
+    rows 0, 1 and 2 (A only col + 1 when pinned) and pairs = |A||B| - |A&B|,
+    it completes pairs|F| - |A&F||B| - |B&F||A| + 2|A&B&F| rectangles and
+    costs lam (1 when pinned) + (|A| + pairs) lam nodes.  Otherwise its
+    placements are tried one by one, so a budget error fires at the same
+    node as visiting every placement.  A budget error reports the nodes
+    visited and the rectangles completed so far, counting every rectangle a
+    memo hit stood for.  A dict passed as stats gets the counts named in
+    STAT_NAMES added to it: nodes, memo hits and memo misses (states
+    searched).
     """
     _check_params(n, lam, node_budget)
     memo: dict[tuple[int, int, int], int] = {}
+    frees: dict[int, tuple[int, ...]] = {}
     symbols = (1 << (lam + 1)) - 2  # the bits of 1..lam
     nodes = hits = misses = 0
     done = 0  # rectangles completed so far, memo hits included
+
+    def free(used: int) -> tuple[int, ...]:
+        """The symbols of 1..lam outside the mask used, ascending."""
+        found = frees.get(used)
+        if found is None:
+            found = frees[used] = tuple(s for s in range(1, lam + 1) if not used >> s & 1)
+        return found
+
+    def over() -> BudgetExceededError:
+        nonlocal nodes
+        nodes = node_budget + 1
+        return _search_budget_error(node_budget, done)
 
     def fill(col: int, u0: int, u1: int, u2: int) -> int:
         nonlocal nodes, hits, misses, done
@@ -106,35 +127,57 @@ def count_latin(
             done += found
             return found
         misses += 1
+        first, end = (col, col + 1) if fixed_first_row else (0, lam)  # row 0 tries first+1..end
+        if col == n - 1:
+            a_free = symbols & (1 << col + 1 if fixed_first_row else ~u0)
+            b_free = symbols & ~u1
+            c_free = symbols & ~u2
+            na, nb = a_free.bit_count(), b_free.bit_count()
+            pairs = na * nb - (a_free & b_free).bit_count()
+            cost = end - first + (na + pairs) * lam
+            if nodes + cost <= node_budget:
+                nodes += cost
+                total = (
+                    pairs * c_free.bit_count()
+                    - (a_free & c_free).bit_count() * nb
+                    - (b_free & c_free).bit_count() * na
+                    + 2 * (a_free & b_free & c_free).bit_count()
+                )
+                done += total
+                memo[key] = total
+                return total
         total = 0
-        last = col == n - 1
-        top = (col + 1,) if fixed_first_row else range(1, lam + 1)
+        top = ((col + 1,) if col < lam else ()) if fixed_first_row else free(u0)
+        prev_a = first
         for a in top:
-            nodes += 1
+            nodes += a - prev_a  # the used symbols skipped, and a
             if nodes > node_budget:
-                raise _search_budget_error(node_budget, done)
-            if a > lam or u0 >> a & 1:
-                continue
-            for b in range(1, lam + 1):
-                nodes += 1
+                raise over()
+            prev_a = a
+            bit_a = 1 << a
+            prev_b = 0
+            for b in free(u1 | bit_a):
+                nodes += b - prev_b
                 if nodes > node_budget:
-                    raise _search_budget_error(node_budget, done)
-                if b == a or u1 >> b & 1:
-                    continue
-                if last and nodes + lam <= node_budget:
-                    # every free c completes a rectangle: no c can fail later
-                    nodes += lam
-                    free = (symbols & ~(u2 | 1 << a | 1 << b)).bit_count()
-                    total += free
-                    done += free
-                    continue
-                for c in range(1, lam + 1):
-                    nodes += 1
+                    raise over()
+                prev_b = b
+                bit_b = 1 << b
+                prev_c = 0
+                for c in free(u2 | bit_a | bit_b):
+                    nodes += c - prev_c
                     if nodes > node_budget:
-                        raise _search_budget_error(node_budget, done)
-                    if c == a or c == b or u2 >> c & 1:
-                        continue
-                    total += fill(col + 1, u0 | 1 << a, u1 | 1 << b, u2 | 1 << c)
+                        raise over()
+                    prev_c = c
+                    total += fill(col + 1, u0 | bit_a, u1 | bit_b, u2 | 1 << c)
+                nodes += lam - prev_c
+                if nodes > node_budget:
+                    raise over()
+            nodes += lam - prev_b
+            if nodes > node_budget:
+                raise over()
+        nodes += end - prev_a
+        if nodes > node_budget:
+            raise over()
         memo[key] = total
         return total
 
@@ -251,6 +294,29 @@ def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
         if x == y or x == z or y == z:
             return False
     return True
+
+
+def _first_invalid(rects: list[Rectangle], n: int, lam: int) -> Optional[Rectangle]:
+    """The first of rects that is_latin_rectangle rejects, or None.
+
+    The same answer as testing each rectangle in turn, found at C level:
+    every distinct row is validated once, and each column of each row pair
+    is streamed over rects without a transposed copy.  Only when something
+    fails are the rectangles tested one by one, to find the first bad one.
+    """
+    if all(map((3).__eq__, map(len, rects))):
+        rows_ok = all(
+            len(row) == n and len(set(row)) == n and (n == 0 or 1 <= min(row) and max(row) <= lam)
+            for row in set(chain.from_iterable(rects))
+        )
+        get = operator.itemgetter
+        if rows_ok and not any(
+            any(map(operator.eq, map(get(j), map(get(x), rects)), map(get(j), map(get(y), rects))))
+            for x, y in ((0, 1), (0, 2), (1, 2))
+            for j in range(n)
+        ):
+            return None
+    return next((r for r in rects if not is_latin_rectangle(r, n, lam)), None)
 
 
 _CHUNK = 4096  # injections tested per C-level pass in injection_counts

@@ -353,7 +353,7 @@ def _enumeration_consistency(run: _Run) -> Cells:
                 # strictly increasing: sorted, and no rectangle repeated
                 yield f"n={n} lam={lam}: output is not in lexicographic order"
             else:
-                bad = next((r for r in rects if not oracle.is_latin_rectangle(r, n, lam)), None)
+                bad = oracle._first_invalid(rects, n, lam)
                 yield None if bad is None else f"n={n} lam={lam}: invalid rectangle {bad}"
 
 

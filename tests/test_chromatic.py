@@ -240,6 +240,19 @@ def test_bruteforce_edge_cases():
         count_colorings_bruteforce(complete(3), 3, node_budget=9)
 
 
+def test_bruteforce_stats_count_every_attempt():
+    # Two isolated vertices on 3 colors: 3 attempts for the first, then 3
+    # for the second under each of its colors.
+    stats: dict = {}
+    assert count_colorings_bruteforce(Graph.from_edges(2, []), 3, stats=stats) == 9
+    assert stats == {"nodes": 12}
+    # the triangle's nodes are added to what the dict holds, also when the
+    # budget stops the search
+    with pytest.raises(BudgetExceededError, match="visited 10 nodes"):
+        count_colorings_bruteforce(complete(3), 3, node_budget=9, stats=stats)
+    assert stats == {"nodes": 22}
+
+
 def _bare_dc(n, edges):
     """P(G) by bare deletion-contraction on a vertex count and a frozenset of
     edges (any labels): no shortcut, no memo, shares no code with the engine."""

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from latin3.chromatic import chromatic_poly, eval_poly
+from latin3.chromatic import chromatic_poly, count_colorings_bruteforce, eval_poly
 from latin3.cli import main
 from latin3.graphs import build_gn, build_gnpq
 from latin3.oracle import count_latin
@@ -224,11 +224,43 @@ def test_table_stats_print_before_a_vertex_limit_error(capsys):
     assert error.startswith("error:") and "limit of 7" in error
 
 
+def test_table_brute_stats_go_to_stderr_only(capsys):
+    argv = ("table", "--formula", "brute", "--n", "1..2", "--lambda", "3..4")
+    code, plain_out, plain_err = run_cli(capsys, *argv)
+    assert (code, plain_err) == (0, "")
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 0
+    assert out == plain_out
+    # the nodes are summed over the table's cells
+    want: dict = {}
+    for n in (1, 2):
+        for lam in (3, 4):
+            count_colorings_bruteforce(build_gn(n), lam, stats=want)
+    assert err == json.dumps(want) + "\n"
+    assert set(want) == {"nodes"} and want["nodes"] > 0
+
+
+def test_table_brute_stats_print_before_a_budget_error(capsys):
+    argv = ("table", "--formula", "brute", "--n", "2", "--lambda", "4",
+            "--node-budget", "500")
+    code, plain_out, plain_err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 3
+    assert out == plain_out == ""
+    counters, error = err.splitlines()
+    assert json.loads(counters) == {"nodes": 501}
+    assert error == plain_err.strip()
+    assert error == (
+        "error: coloring search exceeded the node budget of 500: "
+        "visited 501 nodes, completed 108 colorings"
+    )
+
+
 def test_table_stats_needs_the_engine(capsys):
     code, out, err = run_cli(capsys, "table", "--formula", "thm3", "--n", "2", "--stats")
     assert code == 2
     assert out == ""
-    assert "--stats needs --formula engine" in err
+    assert "--stats needs --formula engine, latin-oracle or brute; thm3 keeps no counters" in err
 
 
 def test_table_brute_node_budget(capsys):

@@ -11,6 +11,7 @@ from latin3.combinatorics import factorial, gen_derangement
 from latin3.errors import BudgetExceededError
 from latin3.oracle import (
     STAT_NAMES,
+    _first_invalid,
     count_injections_forbidden,
     count_latin,
     enumerate_latin,
@@ -221,28 +222,35 @@ def _outcome(search, n, lam, pinned, budget):
 
 
 def test_last_column_charging_keeps_every_budget_outcome():
-    # Every budget near the start of the search and near its end (`total`
-    # nodes in all), where the last column's leaves are charged in one step or, when
-    # the budget cannot cover them, one by one: the value, the counters and
-    # the budget error's text are those of visiting every leaf.
+    # A last-column state is charged in one step or, when the budget cannot
+    # cover it, placement by placement, and the used symbols each loop skips
+    # are charged by index gap.  At every budget near the start of the search
+    # and near its end (`total` nodes in all) for n <= 3, and at budgets
+    # strided over the whole search for (4, 4), (4, 5) and (5, 3), the value,
+    # the counters and the budget error's text are those of visiting every
+    # placement.  Pinned, (5, 3) reaches a column past lam.
     checked = 0
-    for n in (1, 2, 3):
-        for lam in range(6):
-            for pinned in (False, True):
-                full: dict = {}
-                _count_latin_leaf_by_leaf(n, lam, pinned, node_budget=10**9, stats=full)
-                total = full["nodes"]
+    cells = [(n, lam) for n in (1, 2, 3) for lam in range(6)] + [(4, 4), (4, 5), (5, 3)]
+    for n, lam in cells:
+        for pinned in (False, True):
+            full: dict = {}
+            _count_latin_leaf_by_leaf(n, lam, pinned, node_budget=10**9, stats=full)
+            total = full["nodes"]
+            if n <= 3:
                 # the end window is strided on the larger searches to keep
                 # the test under about a second
                 stride = 1 if total < 1000 else 17
                 budgets = set(range(1, min(600, total + 1) + 1))
                 budgets |= set(range(total + 1, max(0, total - 300), -stride))
-                budgets |= {total, total + 1}
-                for budget in sorted(budgets - {0}):
-                    want = _outcome(_count_latin_leaf_by_leaf, n, lam, pinned, budget)
-                    got = _outcome(count_latin, n, lam, pinned, budget)
-                    assert got == want, (n, lam, pinned, budget)
-                    checked += 1
+            else:
+                budgets = set(range(1, total, max(1, total // 16)))
+                budgets |= set(range(total - 3, total))
+            budgets |= {total, total + 1}
+            for budget in sorted(budgets - {0}):
+                want = _outcome(_count_latin_leaf_by_leaf, n, lam, pinned, budget)
+                got = _outcome(count_latin, n, lam, pinned, budget)
+                assert got == want, (n, lam, pinned, budget)
+                checked += 1
     assert checked > 4000
 
 
@@ -476,6 +484,65 @@ def test_is_latin_rectangle_matches_the_per_symbol_validator():
         assert is_latin_rectangle(((), (), ()), 0, lam)
         assert not is_latin_rectangle(((), ()), 0, lam)
         assert not is_latin_rectangle(((), (), (), ()), 0, lam)
+
+
+def _first_invalid_one_by_one(rects, n, lam):
+    return next((r for r in rects if not is_latin_rectangle(r, n, lam)), None)
+
+
+def _column_clash(rect, x, y, j):
+    """rect with row x's column-j symbol put in row y's column j.  Row y keeps
+    distinct symbols: the symbol is swapped in from elsewhere in row y, or
+    written over the old one when row y lacks it."""
+    rows = [list(row) for row in rect]
+    target = rows[x][j]
+    if target in rows[y]:
+        k = rows[y].index(target)
+        rows[y][j], rows[y][k] = rows[y][k], rows[y][j]
+    else:
+        rows[y][j] = target
+    return tuple(map(tuple, rows))
+
+
+def test_first_invalid_matches_the_one_by_one_scan():
+    rng = random.Random(1318)
+    n, lam = 3, 5
+    base = enumerate_latin(n, lam, 240)
+
+    def mutants(rect):
+        rows = [list(row) for row in rect]
+        r, j = rng.randrange(3), rng.randrange(n)
+        rows[r][j] = rng.choice((0, lam + 1, -2))  # a symbol out of range
+        yield tuple(map(tuple, rows))
+        rows = [list(row) for row in rect]
+        r, j = rng.randrange(3), rng.randrange(n)
+        rows[r][j] = rows[r][(j + 1 + rng.randrange(n - 1)) % n]  # a row repeat
+        yield tuple(map(tuple, rows))
+        for x, y in ((0, 1), (0, 2), (1, 2)):
+            for j in range(n):
+                yield _column_clash(rect, x, y, j)
+                yield _column_clash(rect, y, x, j)
+        yield rect[:2]  # two rows
+        yield rect + rect[:1]  # four rows
+        yield (rect[0][:-1],) + rect[1:]  # ragged: a short row
+        yield rect[:2] + (rect[2] + (rng.randrange(1, lam + 1),),)  # a long row
+
+    checked = 0
+    for pos in (0, len(base) // 2, len(base) - 1):
+        for bad in mutants(base[pos]):
+            rects = base[:pos] + [bad] + base[pos + 1:]
+            want = _first_invalid_one_by_one(rects, n, lam)
+            assert want is not None
+            assert _first_invalid(rects, n, lam) == want, (pos, bad)
+            # with a second bad rectangle further on, the first one is found
+            later = rects + [bad[:2]]
+            assert _first_invalid(later, n, lam) == want
+            checked += 1
+    assert checked == 3 * 24
+    assert _first_invalid(base, n, lam) is None
+    assert _first_invalid([], n, lam) is None
+    assert _first_invalid([((), (), ())], 0, lam) is None
+    assert _first_invalid([((), (), ()), ((), ())], 0, lam) == ((), ())
 
 
 def test_injection_examples():
