@@ -18,12 +18,17 @@ The deleted edge is taken at a vertex of least degree (R. C. Read, "An
 introduction to chromatic polynomials", J. Combin. Theory 4 (1968), reduces
 graphs by eliminating low-degree vertices).  A few deletions there make that
 vertex simplicial, so the recursion runs close to a vertex-elimination order:
-G(4) takes 394 nodes, where the edge of greatest endpoint degree sum took
-4,668.
+G(4) takes 131 recursion nodes (394 when each simplicial vertex took a node of
+its own), where the edge of greatest endpoint degree sum took 4,668 such nodes.
 
-An optional per-call memo, keyed on the graph relabeled by color refinement,
-maps each graph that reaches one of the two branching rules to its
-polynomial.  None of this affects the result, which is what the tests pin
+One recursion node removes every simplicial vertex it can, one after
+another, and multiplies in their linear factors at the end.  It looks for
+components only at the root and after an edge deletion: removing a simplicial
+vertex, contracting and adding an edge keep a connected graph connected.
+
+An optional per-call memo, keyed on the graph relabeled by one ordering pass
+(see _memo_key), maps each graph that reaches one of the two branching rules
+to its polynomial.  None of this affects the result, which is what the tests pin
 down against brute force and against a bare deletion-contraction.
 
 count_colorings_bruteforce is the grounding oracle: a deliberately naive
@@ -175,54 +180,44 @@ def _add_edge(adj: Coeffs, u: int, v: int) -> Coeffs:
     return tuple(rows)
 
 
+def _drop(adj: Coeffs, v: int) -> Coeffs:
+    """Remove vertex v: its row goes, and every later vertex's bit shifts down one."""
+    low = (1 << v) - 1
+    return tuple((m & low) | (m >> 1 & ~low) for m in adj[:v] + adj[v + 1:])
+
+
 def _contract(adj: Coeffs, u: int, v: int) -> Coeffs:
     """Merge v into u (u < v) and drop index v, collapsing parallel edges.
 
     u and v need not be adjacent; an edge between them is dropped.
     """
-    merged = (adj[u] | adj[v]) & ~((1 << u) | (1 << v))
-    rows = []
-    for w in range(len(adj)):
-        if w == v:
-            continue
-        if w == u:
-            m = merged
-        else:
-            m = adj[w]
-            if m >> v & 1:
-                m = (m & ~(1 << v)) | (1 << u)
-        rows.append((m & ((1 << v) - 1)) | (m >> (v + 1) << v))
-    return tuple(rows)
+    bu, bv = 1 << u, 1 << v
+    rows = tuple(m | bu if m & bv else m for m in adj)
+    return _drop(rows[:u] + ((adj[u] | adj[v]) & ~(bu | bv),) + rows[u + 1:], v)
 
 
 def _memo_key(adj: Coeffs) -> tuple[int, int]:
-    """Exact memo key: the adjacency rows relabeled into refinement order.
+    """Exact memo key: the adjacency rows relabeled into one ordering pass.
 
-    Vertices start colored by degree.  Each round a vertex's signature is its
-    color plus, for every color class, how many of its neighbors lie in that
-    class (a popcount of its row against the class mask); ranking the distinct
-    signatures gives the next coloring.  A round that adds no class leaves the
-    partition stable, so refinement stops there.  Vertices are then renumbered
-    by color with ties broken by index, and the relabeled rows are packed into
-    one int.  Equal keys mean the graphs are identical after relabeling, so
-    they share a polynomial; the key is not canonical, and isomorphic graphs
-    whose ties break differently simply miss the memo.
+    Vertices are sorted once by (degree, sorted degrees of the neighbors),
+    ties going to the lower index, and the relabeled rows are packed into one
+    int.  The ordering is a single round of color refinement from the degree
+    coloring, not refinement run until it is stable.  Equal keys mean the
+    graphs are identical after relabeling, so they share a polynomial.  The
+    key is exact but not canonical: isomorphic graphs whose orderings differ
+    (a tie broken differently) simply miss the memo.
     """
     n = len(adj)
-    colors = [m.bit_count() for m in adj]
-    classes = len(set(colors))
-    while classes < n:
-        masks: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            masks[c] = masks.get(c, 0) | 1 << v
-        class_masks = [masks[c] for c in sorted(masks)]
-        sigs = [(c, *[(m & k).bit_count() for k in class_masks]) for c, m in zip(colors, adj)]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        if len(rank) == classes:
-            break
-        classes = len(rank)
-        colors = [rank[s] for s in sigs]
-    order = sorted(range(n), key=colors.__getitem__)
+    degrees = [m.bit_count() for m in adj]
+    classes: dict[int, int] = {}
+    for v, d in enumerate(degrees):
+        classes[d] = classes.get(d, 0) | 1 << v
+    class_masks = [classes[d] for d in sorted(classes)]
+    # Two vertices of equal degree compare by their sorted neighbor degrees
+    # exactly as by their neighbor counts per degree class, lowest class
+    # first, negated: one pass of popcounts instead of a sort per vertex.
+    signatures = [(d, [-(m & k).bit_count() for k in class_masks]) for d, m in zip(degrees, adj)]
+    order = sorted(range(n), key=signatures.__getitem__)
     position = [0] * n
     for i, v in enumerate(order):
         position[v] = 1 << i
@@ -293,25 +288,40 @@ def _count(stats: Optional[dict], name: str) -> None:
         stats[name] += 1
 
 
-def _chrom(adj: Coeffs, memo: Optional[dict], stats: Optional[dict] = None) -> Coeffs:
+def _chrom(
+    adj: Coeffs, memo: Optional[dict], stats: Optional[dict] = None, connected: bool = False
+) -> Coeffs:
+    """P(G) of one recursion node.  connected=True promises that G is
+    connected, so the component search is skipped (see the module docstring
+    for which steps keep a graph connected)."""
     _count(stats, "nodes")
-    n = len(adj)
-    if n == 0:
-        return (1,)
-    comps = _components(adj)
-    if len(comps) > 1:
-        _count(stats, "components")
-        out: Coeffs = (1,)
-        for comp in comps:
-            out = _mul(out, _chrom(_induced(adj, comp), memo, stats))
-        return out
+    if not connected:
+        comps = _components(adj)
+        if len(comps) > 1:
+            _count(stats, "components")
+            out: Coeffs = (1,)
+            for comp in comps:
+                out = _mul(out, _chrom(_induced(adj, comp), memo, stats, True))
+            return out
+    # A simplicial vertex's d neighbors are pairwise adjacent, so they use d
+    # distinct colors in every proper coloring of G - v, leaving lambda - d
+    # for v.  Each removal can make others simplicial, so remove them all here.
+    degrees = []
     v = _simplicial(adj)
-    if v is not None:
-        # v's d neighbors are pairwise adjacent, so they use d distinct
-        # colors in every proper coloring of G - v, leaving lambda - d for v
+    while v is not None:
         _count(stats, "simplicial")
-        rest = _induced(adj, [w for w in range(n) if w != v])
-        return _mul((-adj[v].bit_count(), 1), _chrom(rest, memo, stats))
+        degrees.append(adj[v].bit_count())
+        adj = _drop(adj, v)
+        v = _simplicial(adj)
+    out = _branch(adj, memo, stats) if adj else (1,)
+    for d in degrees:
+        out = _mul(out, (-d, 1))
+    return out
+
+
+def _branch(adj: Coeffs, memo: Optional[dict], stats: Optional[dict]) -> Coeffs:
+    """P(G) of a nonempty connected graph with no simplicial vertex."""
+    n = len(adj)
     if all(m.bit_count() == 2 for m in adj):
         _count(stats, "cycle")
         return _cycle_coeffs(n)
@@ -327,14 +337,16 @@ def _chrom(adj: Coeffs, memo: Optional[dict], stats: Optional[dict] = None) -> C
         # dense: P(G) = P(G + uv) + P(G / uv) on a non-edge uv
         _count(stats, "addition")
         u, v = _pick_non_edge(adj)
-        added = _add_edge(adj, u, v)
-        out = _add(_chrom(added, memo, stats), _chrom(_contract(adj, u, v), memo, stats))
+        out = _add(
+            _chrom(_add_edge(adj, u, v), memo, stats, True),
+            _chrom(_contract(adj, u, v), memo, stats, True),
+        )
     else:
         _count(stats, "deletion")
         u, v = _pick_edge(adj)
         out = _sub(
             _chrom(_delete(adj, u, v), memo, stats),
-            _chrom(_contract(adj, u, v), memo, stats),
+            _chrom(_contract(adj, u, v), memo, stats, True),
         )
     if memo is not None:
         memo[key] = out
@@ -357,19 +369,23 @@ def chromatic_poly(
     """Exact chromatic polynomial of a simple graph.
 
     The recursion is exponential in the worst case, so graphs above
-    max_vertices are rejected outright.  memoize=False turns off the memo
-    keyed on the refinement-relabeled graph; the result is identical either
-    way.  A dict passed as stats gets the counts named in STAT_NAMES added
-    to it: recursion nodes, memo hits and misses, and how often each rule
-    fired.
+    max_vertices are rejected outright (VertexLimitError); a negative
+    max_vertices is a ValueError.  memoize=False turns off the memo keyed on
+    the relabeled graph; the result is identical either way.  A dict passed
+    as stats gets the counts named in STAT_NAMES added to it: recursion
+    calls ("nodes"), memo hits and misses, simplicial vertices removed, and
+    how often each other rule fired.  Every counter is set up before any
+    check, so a limit error still leaves them all in the dict.
     """
+    if stats is not None:
+        for name in STAT_NAMES:
+            stats.setdefault(name, 0)
+    if max_vertices < 0:
+        raise ValueError(f"max_vertices must be >= 0, got {max_vertices}")
     if g.vertex_count > max_vertices:
         raise VertexLimitError(
             f"graph has {g.vertex_count} vertices, exceeding the limit of {max_vertices}"
         )
-    if stats is not None:
-        for name in STAT_NAMES:
-            stats.setdefault(name, 0)
     memo: Optional[dict] = {} if memoize else None
     return Poly.of(_chrom(g.adjacency_masks(), memo, stats))
 

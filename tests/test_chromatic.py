@@ -129,8 +129,10 @@ def test_memoization_is_transparent():
 
 def test_memo_shared_by_graphs_refinement_cannot_split():
     # The cube Q3 and the Wagner graph are non-isomorphic, 3-regular and
-    # vertex-transitive, so color refinement leaves each one a single class and
-    # the memo key rests on the tie-break alone.
+    # vertex-transitive, so the memo key's ordering pass (one round of color
+    # refinement, from degrees) leaves each one a single class and the key
+    # rests on the tie-break alone.  The key is exact but not canonical, so
+    # sharing one memo must still give each graph its own polynomial.
     cube = Graph.from_edges(8, [(v, v ^ (1 << k)) for v in range(8) for k in range(3)])
     wagner = Graph.from_edges(
         8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
@@ -196,14 +198,99 @@ def test_pick_edge_takes_a_least_degree_vertex():
 
 
 def test_engine_node_counts_stay_bounded():
-    # Branching at a least-degree vertex takes G(4) in 394 nodes and G(5) in
-    # 759; the greatest-degree-sum edge took G(4) in 4,668.
+    # A node is one recursion call, which removes every simplicial vertex it
+    # can: G(4) takes 131 nodes and G(5) 309 (394 and 759 when each removal
+    # was a node of its own; the greatest-degree-sum edge took G(4) in 4,668).
     stats: dict = {}
     chromatic_poly(build_gn(4), stats=stats)
-    assert stats["nodes"] <= 500, stats
+    assert stats["nodes"] <= 165, stats
     stats = {}
     chromatic_poly(build_gn(5), max_vertices=15, stats=stats)
-    assert stats["nodes"] <= 1000, stats
+    assert stats["nodes"] <= 390, stats
+
+
+def _random_tree_edges(rng, n):
+    return [(v, rng.randrange(v)) for v in range(1, n)]
+
+
+def test_paths_trees_and_cliques_take_one_node():
+    # the root removes every vertex by the simplicial rule, one after another
+    rng = random.Random(31)
+    for g in (path(7), Graph.from_edges(10, _random_tree_edges(rng, 10)), complete(6)):
+        stats: dict = {}
+        chromatic_poly(g, stats=stats)
+        assert stats["nodes"] == 1, stats
+        assert stats["simplicial"] == g.vertex_count, stats
+
+
+def _cycle_with_chords(rng):
+    # a 4- to 6-cycle plus seeded chords, redrawn until no vertex is simplicial
+    while True:
+        k = rng.randint(4, 6)
+        pairs = list(itertools.combinations(range(k), 2))
+        edges = [(i, (i + 1) % k) for i in range(k)] + rng.sample(pairs, rng.randint(0, k - 3))
+        g = Graph.from_edges(k, edges)
+        if not any(
+            all(g.has_edge(a, b) for a, b in itertools.combinations(sorted(g.neighbors(v)), 2))
+            for v in range(k)
+        ):
+            return g
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+def test_bridge_multiplies_the_sides(memoize):
+    # P(G1 + bridge + G2) = P(G1) P(G2) (lambda - 1) / lambda.  G1 is a side
+    # H1 plus a vertex 0 hung from it, and the bridge joins 0 to the side G2.
+    # Vertex 0 has degree 2, the least, and no vertex is simplicial, so the
+    # root deletes one of 0's edges, both bridges: the deletion disconnects the
+    # graph, and the split there must still multiply out right.
+    rng = random.Random(47)
+    for _ in range(10):
+        h1, g2 = _cycle_with_chords(rng), _cycle_with_chords(rng)
+        n1 = h1.vertex_count + 1
+        e1 = [(a + 1, b + 1) for a, b in h1.edges] + [(0, rng.randint(1, h1.vertex_count))]
+        e2 = [(a + n1, b + n1) for a, b in g2.edges]
+        bridge = (0, n1 + rng.randrange(g2.vertex_count))
+        joined = Graph.from_edges(n1 + g2.vertex_count, e1 + e2 + [bridge])
+        stats: dict = {}
+        p = chromatic_poly(joined, memoize=memoize, stats=stats)
+        p1 = chromatic_poly(Graph.from_edges(n1, e1), memoize=memoize)
+        p2 = chromatic_poly(g2, memoize=memoize)
+        assert p * Poly((0, 1)) == p1 * p2 * Poly((-1, 1)), sorted(joined.edges)
+        assert stats["deletion"] > 0 and stats["components"] > 0, stats
+
+
+def test_memo_shared_across_relabelings():
+    # one memo across a graph and seeded relabelings of it: whatever the
+    # relabeling does to the keys, every call returns the unmemoized polynomial
+    rng = random.Random(53)
+    graphs = [build_gn(3), build_gnpq(3, 1, 1)]
+    graphs += random_graphs(seed=59, count=3, min_vertices=9, max_vertices=10)
+    stats: dict = dict.fromkeys(STAT_NAMES, 0)
+    for g in graphs:
+        want = chromatic_poly(g, memoize=False)
+        memo: dict = {}
+        for _ in range(6):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            relabeled = Graph.from_edges(g.vertex_count, [(perm[a], perm[b]) for a, b in g.edges])
+            assert Poly.of(_chrom(relabeled.adjacency_masks(), memo, stats)) == want
+    assert stats["memo_hits"] > 0, stats
+
+
+def test_negative_max_vertices_is_a_value_error():
+    stats: dict = {}
+    with pytest.raises(ValueError, match="max_vertices must be >= 0, got -1"):
+        chromatic_poly(complete(2), max_vertices=-1, stats=stats)
+    assert stats == dict.fromkeys(STAT_NAMES, 0)
+    assert chromatic_poly(Graph.from_edges(0, []), max_vertices=0).coefficients == (1,)
+
+
+def test_stats_hold_every_counter_after_a_vertex_limit_error():
+    stats: dict = {}
+    with pytest.raises(VertexLimitError):
+        chromatic_poly(build_gn(5), stats=stats)
+    assert stats == dict.fromkeys(STAT_NAMES, 0)
 
 
 def test_pick_non_edge_rejects_complete_adjacency():
@@ -343,7 +430,7 @@ def test_stats_count_every_memo_lookup(monkeypatch):
     chromatic_poly(build_gn(4), stats=stats)
     assert stats["memo_hits"] + stats["memo_misses"] == len(lookups)
     # each miss stores one memo entry; branching at a least-degree vertex
-    # leaves G(4)'s memo with 64 entries
+    # leaves G(4)'s memo with 65 entries
     assert stats["memo_misses"] < 200
     assert stats["addition"] > 0 and stats["simplicial"] > 0
 

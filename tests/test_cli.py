@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from latin3.chromatic import chromatic_poly, count_colorings_bruteforce, eval_poly
+from latin3.chromatic import STAT_NAMES, chromatic_poly, count_colorings_bruteforce, eval_poly
 from latin3.cli import main
 from latin3.graphs import build_gn, build_gnpq
 from latin3.oracle import count_latin
@@ -455,15 +455,38 @@ def test_gnpq_stats_go_to_stderr_only(capsys, argv):
 
 
 def test_gnpq_and_chromatic_stats_print_before_a_vertex_limit_error(capsys, tmp_path):
-    # the search never starts, so the counters are printed as they stand
+    # the search never starts, so every counter is printed at zero
     path = write_graph(tmp_path, "15\n")
     for argv in (("gnpq", "4", "0", "0", "5", "--max-vertices", "11"), ("chromatic", path)):
         code, out, err = run_cli(capsys, *argv, "--stats")
         assert code == 3
         assert out == ""
         counters, error = err.splitlines()
-        assert json.loads(counters) == {}
+        assert json.loads(counters) == dict.fromkeys(STAT_NAMES, 0)
         assert error.startswith("error:") and "exceeding the limit" in error
+
+
+def test_table_engine_stats_list_every_counter_before_a_vertex_limit_error(capsys):
+    # G(5) has 15 vertices, past the default limit of 14
+    code, out, err = run_cli(capsys, "table", "--formula", "engine", "--n", "5", "--stats")
+    assert code == 3
+    assert out == ""
+    counters, error = err.splitlines()
+    assert json.loads(counters) == dict.fromkeys(STAT_NAMES, 0)
+    assert error == "error: graph has 15 vertices, exceeding the limit of 14"
+
+
+def test_negative_max_vertices_is_an_argument_error(capsys, tmp_path):
+    path = write_graph(tmp_path, "3\n0 1\n")
+    for argv in (
+        ("chromatic", path),
+        ("gnpq", "2", "1", "0", "4"),
+        ("table", "--formula", "engine", "--n", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--max-vertices", "-1")
+        assert code == 2, argv
+        assert out == ""
+        assert err == "error: max_vertices must be >= 0, got -1\n"
 
 
 def test_gnpq_invalid_split(capsys):
