@@ -4,11 +4,12 @@ Four independent routes compute the same numbers:
 
 1. riordan_l3 -- the classical first-row-normalized closed form
 2. aps_g -- the triple-sum closed form over lambda symbols
-3. thm3_g -- assembly from surgered-graph counts (term_A/term_B/g_npq_closed)
+3. thm3_g -- assembly from surgered-graph counts (g_npq_closed)
 4. chromatic_poly on build_gn(n) -- deletion-contraction from first principles
 
-plus brute-force enumeration oracles (count_latin, count_injections_forbidden)
-that ground all of them.  Everything is exact big-integer arithmetic.
+plus brute-force enumeration oracles (count_latin, enumerate_latin,
+injection_counts) that ground all of them.  Everything is exact big-integer
+arithmetic.
 """
 
 from .combinatorics import binom, factorial, falling, gen_binom, gen_derangement
@@ -31,14 +32,11 @@ from .formulas import (
     aps_g,
     g_npq_closed,
     riordan_l3,
-    term_A,
-    term_B,
     theorem2_sum,
     thm3_g,
 )
 from .oracle import (
     Rectangle,
-    count_injections_forbidden,
     count_latin,
     enumerate_latin,
     injection_counts,
@@ -66,7 +64,6 @@ __all__ = [
     "complete",
     "complete_bipartite",
     "count_colorings_bruteforce",
-    "count_injections_forbidden",
     "count_latin",
     "delete_edge",
     "enumerate_latin",
@@ -85,8 +82,6 @@ __all__ = [
     "render_report",
     "riordan_l3",
     "run_verify",
-    "term_A",
-    "term_B",
     "theorem2_sum",
     "thm3_g",
     "__version__",

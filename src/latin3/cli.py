@@ -83,6 +83,17 @@ def cmd_table(args: argparse.Namespace) -> int:
             f"--stats needs --formula engine, latin-oracle or brute; "
             f"{args.formula} keeps no counters"
         )
+    if args.node_budget is not None and args.formula not in ("brute", "latin-oracle"):
+        raise ValueError(
+            f"--node-budget needs --formula brute or latin-oracle; "
+            f"{args.formula} has no node budget"
+        )
+    if args.max_vertices is not None and args.formula != "engine":
+        raise ValueError(
+            f"--max-vertices needs --formula engine; {args.formula} has no vertex limit"
+        )
+    node_budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
+    max_vertices = DEFAULT_MAX_VERTICES if args.max_vertices is None else args.max_vertices
     cells = _table_cells(args)
     gn_polys = {}
     stats: Optional[dict] = {} if args.stats else None
@@ -97,14 +108,14 @@ def cmd_table(args: argparse.Namespace) -> int:
         if args.formula == "engine":
             if n not in gn_polys:
                 gn_polys[n] = chromatic_poly(
-                    build_gn(n), max_vertices=args.max_vertices, stats=stats
+                    build_gn(n), max_vertices=max_vertices, stats=stats
                 )
             return eval_poly(gn_polys[n], lam)
         if args.formula == "brute":
             return count_colorings_bruteforce(
-                build_gn(n), lam, node_budget=args.node_budget, stats=stats
+                build_gn(n), lam, node_budget=node_budget, stats=stats
             )
-        return count_latin(n, lam, node_budget=args.node_budget, stats=stats)
+        return count_latin(n, lam, node_budget=node_budget, stats=stats)
 
     try:
         rows = [(n, lam, args.formula, str(value(n, lam))) for n, lam in cells]
@@ -196,8 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda-offset", help="symbol count as offset from n (keeps lambda >= n)"
     )
     table.add_argument("--format", choices=FORMAT_CHOICES, default="plain")
-    table.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    table.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    table.add_argument(
+        "--max-vertices", type=int, help="the engine's vertex limit (--formula engine only)"
+    )
+    table.add_argument(
+        "--node-budget", type=int,
+        help="the search's node budget (--formula brute or latin-oracle only)",
+    )
     table.add_argument(
         "--stats", action="store_true",
         help="print the engine's counters, summed over the table's graphs, or "

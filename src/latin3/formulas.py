@@ -6,6 +6,9 @@ that ties the surgered-graph counts together:
 * riordan_l3(n)        -- rectangles over {1..n} with first row pinned to 1..n
 * aps_g(n, lam)        -- rectangles over {1..lam}, triple-sum closed form
 * thm3_g(n, lam)       -- the same count: theorem2_sum over g_npq_closed
+* g_npq_closed         -- the surgered-graph count G(n,k,l) for k + l = n,
+                          a sum of A * B^2 over the private factor bodies
+                          _term_a and _term_b
 * theorem2_sum         -- the binomial alternating sum over split counts,
                           usable with any evaluator for the surgered graphs
 
@@ -131,13 +134,6 @@ def aps_literal(n: int, lam: int) -> int:
     return exact(f(lam) * total, f(d) ** 3, "lam! * sum / ((lam-n)!)^3")
 
 
-def _check_split(lam: int, k: int, l: int) -> None:
-    if k < 0 or l < 0:
-        raise ValueError(f"need k, l >= 0, got k={k} l={l}")
-    if lam < k + l:
-        raise ValueError(f"need lam >= k + l, got lam={lam} k={k} l={l}")
-
-
 def _pascal(row: list[int], count: int) -> list[list[int]]:
     """count rows, each the one before extended by Pascal's rule: if row[j] =
     C(x, j), the result's entry [s][j] is C(x + s, j)."""
@@ -177,9 +173,11 @@ def _tables(d: int, n: int) -> _Tables:
 
 
 def _term_a(l: int, t1: int, t2s: range, tab: _Tables) -> int:
-    """term_A / C(k, t1) summed over t2 in t2s, where term_A / C(k, t1) is
+    """The A factor over C(k, t1), summed over t2 in t2s.  A counts the ways
+    to pick the color sets T1, T2, S for the identified columns, times the
+    constrained injection count for the merged vertices:
 
-        C(l, t2) * C(d, l-t1-t2) * gen_derangement(l, l, t2).
+        A = C(k, t1) * C(l, t2) * C(d, l-t1-t2) * gen_derangement(l, l, t2).
 
     C(k, t1) does not depend on t2, so callers multiply it in once per t1.
     """
@@ -191,44 +189,18 @@ def _term_a(l: int, t1: int, t2s: range, tab: _Tables) -> int:
 
 
 def _term_b(k: int, t1: int, tab: _Tables) -> int:
-    """term_B, summed over t3 >= max(0, k-t1-d) only: below that
-    C(d+t1, k-t3) has its lower index above its upper one and is 0."""
+    """The B factor: colorings of one full row over the deleted columns,
+    independent between the two surviving rows (hence B appears squared):
+
+        B = sum_{t3=0}^{k-t1} C(k-t1, t3) * C(d+t1, k-t3) * gen_derangement(k, k, t3).
+
+    Summed over t3 >= max(0, k-t1-d) only: below that C(d+t1, k-t3) has its
+    lower index above its upper one and is 0."""
     comb, comb_d, row_k = tab.comb[k - t1], tab.comb_d[t1], tab.derange[k]
     total = 0
     for t3 in range(max(0, k - t1 - tab.d), k - t1 + 1):
         total += comb[t3] * comb_d[k - t3] * row_k[t3]
     return total
-
-
-def term_A(lam: int, k: int, l: int, t1: int, t2: int) -> int:
-    """The A factor: ways to pick the color sets T1, T2, S for the identified
-    columns, times the constrained injection count for the merged vertices.
-
-        C(k,t1) * C(l,t2) * C(lam-n, l-t1-t2) * gen_derangement(l, l, t2)
-
-    with n = k + l.  It reads the same per-call tables as _split_sum.
-    """
-    _check_split(lam, k, l)
-    if not 0 <= t1 <= min(k, l):
-        raise ValueError(f"term_A: need 0 <= t1 <= min(k,l), got t1={t1} k={k} l={l}")
-    if not 0 <= t2 <= l - t1:
-        raise ValueError(f"term_A: need 0 <= t2 <= l - t1, got t2={t2} l={l} t1={t1}")
-    tab = _tables(lam - k - l, k + l)
-    return tab.comb[k][t1] * _term_a(l, t1, range(t2, t2 + 1), tab)
-
-
-def term_B(lam: int, k: int, l: int, t1: int) -> int:
-    """The B factor: colorings of one full row over the deleted columns,
-    independent between the two surviving rows (hence B appears squared):
-
-        sum_{t3=0}^{k-t1} C(k-t1,t3) * C(lam-n+t1, k-t3) * gen_derangement(k, k, t3)
-
-    with n = k + l.  It reads the same per-call tables as _split_sum.
-    """
-    _check_split(lam, k, l)
-    if not 0 <= t1 <= min(k, l):
-        raise ValueError(f"term_B: need 0 <= t1 <= min(k,l), got t1={t1} k={k} l={l}")
-    return _term_b(k, t1, _tables(lam - k - l, k + l))
 
 
 def _split_sum(k: int, l: int, tab: _Tables) -> int:

@@ -58,12 +58,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self.edges
 
-    def neighbors(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def adjacency_masks(self) -> tuple[int, ...]:
         """Adjacency rows as bitmasks: bit u of row v is set iff uv is an edge."""
         rows = [0] * self.vertex_count

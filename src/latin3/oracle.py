@@ -17,11 +17,12 @@ free sets (see its docstring).  Both charge exactly the nodes of visiting
 every placement one by one, and a budget error fires at the same node.
 
 enumerate_latin fills a row at a time from the list of perm(lam, n)
-candidate rows, and a node is one attempted row.  It remembers which rows
-are compatible but no counts, so it stays a plain search and comparing it
-with count_latin compares two different searches.  injection_counts walks
-the perm(lam, n) injections once and counts them for every number t of
-forbidden fixed points; count_injections_forbidden reads one t from it.
+candidate rows.  It remembers which rows are compatible but no counts, so
+it stays a plain search and comparing it with count_latin compares two
+different searches.  injection_counts walks the perm(lam, n) injections
+once and counts them for every number t of forbidden fixed points.  Both
+refuse a call whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET before they
+list a row.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import chain, compress, islice, permutations, repeat
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError
 
@@ -39,13 +40,11 @@ DEFAULT_NODE_BUDGET = 10**9
 Rectangle = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _check_params(n: int, lam: int, node_budget: int) -> None:
+def _check_params(n: int, lam: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    if node_budget < 1:
-        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
 
 
 STAT_NAMES = ("nodes", "memo_hits", "memo_misses")
@@ -96,7 +95,9 @@ def count_latin(
     STAT_NAMES added to it: nodes, memo hits and memo misses (states
     searched).
     """
-    _check_params(n, lam, node_budget)
+    _check_params(n, lam)
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     memo: dict[tuple[int, int, int], int] = {}
     frees: dict[int, tuple[int, ...]] = {}
     symbols = (1 << (lam + 1)) - 2  # the bits of 1..lam
@@ -189,9 +190,7 @@ def count_latin(
                 stats[name] = stats.get(name, 0) + value
 
 
-def enumerate_latin(
-    n: int, lam: int, limit: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list[Rectangle]:
+def enumerate_latin(n: int, lam: int, limit: int) -> list[Rectangle]:
     """The first `limit` valid rectangles in row-major lexicographic order.
 
     Fills a row at a time.  The perm(lam, n) injections are the candidate
@@ -200,27 +199,20 @@ def enumerate_latin(
     and row 2 those that share none with either.  So the rectangles come out
     already sorted, and every rectangle is one 3-tuple of shared row tuples.
     Each row's compatible rows are found once per call and kept for the rest
-    of it.  No count is remembered: this is a plain search, independent of
-    count_latin's memo.
-
-    Every attempted row costs one node, compatible or not.  Rejected rows
-    are charged by the index gap between compatible ones, and once rows 0
-    and 1 are placed, row 2's perm(lam, n) attempts are charged in one step
-    whenever the budget covers them, so a budget error fires at the same
-    node, with the same completed count, as trying every row one by one.  A
-    call whose perm(lam, n) exceeds the budget raises before the rows are
-    built.
+    of it, and the walk stops once `limit` rectangles are out.  No count is
+    remembered: this is a plain search, independent of count_latin's memo.
+    A call whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET raises before the
+    rows are built.
     """
-    _check_params(n, lam, node_budget)
+    _check_params(n, lam)
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    out: list[Rectangle] = []
     if limit == 0:
-        return out
+        return []
     size = math.perm(lam, n)
-    if size > node_budget:
+    if size > DEFAULT_NODE_BUDGET:
         raise BudgetExceededError(
-            f"rectangle enumeration exceeded the node budget of {node_budget}: "
+            f"rectangle enumeration exceeded the node budget of {DEFAULT_NODE_BUDGET}: "
             f"its perm({lam}, {n}) = {size} candidate rows do not fit"
         )
     rows = list(permutations(range(1, lam + 1), n))
@@ -239,42 +231,15 @@ def enumerate_latin(
             found = partners[i] = (tuple(keep), frozenset(keep))
         return found
 
-    nodes = 0
+    def blocks() -> Iterator[Iterator[Rectangle]]:
+        """For each compatible pair of rows 0 and 1, in order, its rectangles."""
+        for i, r0 in enumerate(rows):
+            ones = compatible(i)[0]
+            for j in ones:
+                twos = filter(compatible(j)[1].__contains__, ones)
+                yield zip(repeat(r0), repeat(rows[j]), map(rows.__getitem__, twos))
 
-    def charge(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"rectangle enumeration exceeded the node budget of {node_budget}: "
-                f"visited {node_budget + 1} nodes, completed {len(out)} rectangles"
-            )
-
-    for i, r0 in enumerate(rows):
-        charge(1)
-        ones = compatible(i)[0]
-        prev = -1
-        for j in ones:
-            charge(j - prev)  # the rejected rows since the last one tried, and row j
-            prev = j
-            twos = filter(compatible(j)[1].__contains__, ones)
-            if nodes + size <= node_budget:
-                nodes += size
-                rects = zip(repeat(r0), repeat(rows[j]), map(rows.__getitem__, twos))
-                out.extend(islice(rects, limit - len(out)))
-            else:
-                prev_two = -1
-                for k in twos:
-                    charge(k - prev_two)
-                    prev_two = k
-                    out.append((r0, rows[j], rows[k]))
-                    if len(out) >= limit:
-                        return out
-                charge(size - 1 - prev_two)
-            if len(out) >= limit:
-                return out
-        charge(size - 1 - prev)
-    return out
+    return list(islice(chain.from_iterable(blocks()), limit))
 
 
 def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
@@ -322,9 +287,7 @@ def _first_invalid(rects: list[Rectangle], n: int, lam: int) -> Optional[Rectang
 _CHUNK = 4096  # injections tested per C-level pass in injection_counts
 
 
-def injection_counts(
-    lam: int, n: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list[int]:
+def injection_counts(lam: int, n: int) -> list[int]:
     """Exhaustively count, for every t = 0..n, the injections
     f: {1..n} -> {1..lam} with f(j) != j for j = 1..t.
 
@@ -333,17 +296,15 @@ def injection_counts(
     grounds.  The injections stream in chunks of a few thousand; each chunk
     is narrowed column by column at C level (compress over operator.ne) to
     the injections with no fixed point so far, and the t-th count gains the
-    survivors of the first t columns, so memory stays bounded.  Each
-    injection is one node; all perm(lam, n) of them are charged against the
-    budget before the walk starts.
+    survivors of the first t columns, so memory stays bounded.  A call whose
+    perm(lam, n) exceeds DEFAULT_NODE_BUDGET raises before the walk starts.
     """
     if not 0 <= n <= lam:
         raise ValueError(f"injection_counts: need 0 <= n <= lam, got lam={lam} n={n}")
-    if node_budget < 1:
-        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
-    if math.perm(lam, n) > node_budget:
+    if math.perm(lam, n) > DEFAULT_NODE_BUDGET:
         raise BudgetExceededError(
-            f"enumerating perm({lam}, {n}) injections exceeds the node budget of {node_budget}"
+            f"enumerating perm({lam}, {n}) injections exceeds "
+            f"the node budget of {DEFAULT_NODE_BUDGET}"
         )
     counts = [0] * (n + 1)
     walk = permutations(range(1, lam + 1), n)
@@ -354,16 +315,3 @@ def injection_counts(
             chunk = list(compress(chunk, map(operator.ne, column, repeat(j + 1))))
             counts[j + 1] += len(chunk)
     return counts
-
-
-def count_injections_forbidden(
-    lam: int, n: int, t: int, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> int:
-    """Exhaustively count injections f: {1..n} -> {1..lam} with f(j) != j
-    for j = 1..t: entry t of injection_counts, whose walk and budget it
-    shares."""
-    if not 0 <= t <= n <= lam:
-        raise ValueError(
-            f"count_injections_forbidden: need 0 <= t <= n <= lam, got lam={lam} n={n} t={t}"
-        )
-    return injection_counts(lam, n, node_budget=node_budget)[t]

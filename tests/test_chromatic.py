@@ -230,8 +230,10 @@ def _cycle_with_chords(rng):
         pairs = list(itertools.combinations(range(k), 2))
         edges = [(i, (i + 1) % k) for i in range(k)] + rng.sample(pairs, rng.randint(0, k - 3))
         g = Graph.from_edges(k, edges)
+        masks = g.adjacency_masks()
+        neighbours = [[u for u in range(k) if masks[v] >> u & 1] for v in range(k)]
         if not any(
-            all(g.has_edge(a, b) for a, b in itertools.combinations(sorted(g.neighbors(v)), 2))
+            all(g.has_edge(a, b) for a, b in itertools.combinations(neighbours[v], 2))
             for v in range(k)
         ):
             return g

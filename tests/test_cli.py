@@ -263,6 +263,29 @@ def test_table_stats_needs_the_engine(capsys):
     assert "--stats needs --formula engine, latin-oracle or brute; thm3 keeps no counters" in err
 
 
+@pytest.mark.parametrize(
+    "formula, flag, value, message",
+    [
+        ("thm3", "--node-budget", "0",
+         "--node-budget needs --formula brute or latin-oracle; thm3 has no node budget"),
+        ("engine", "--node-budget", "-1",
+         "--node-budget needs --formula brute or latin-oracle; engine has no node budget"),
+        ("latin-oracle", "--max-vertices", "-4",
+         "--max-vertices needs --formula engine; latin-oracle has no vertex limit"),
+        ("brute", "--max-vertices", "14",
+         "--max-vertices needs --formula engine; brute has no vertex limit"),
+    ],
+)
+def test_table_rejects_a_cost_flag_its_formula_ignores(capsys, formula, flag, value, message):
+    # valid or not, a cost flag the formula never reads is an argument error
+    code, out, err = run_cli(
+        capsys, "table", "--formula", formula, "--n", "2", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_table_brute_node_budget(capsys):
     code, _, err = run_cli(
         capsys,

@@ -15,9 +15,10 @@ from latin3.formulas import (
     aps_g,
     aps_literal,
     g_npq_closed,
+    _tables,
+    _term_a,
+    _term_b,
     riordan_l3,
-    term_A,
-    term_B,
     theorem2_sum,
     thm3_g,
 )
@@ -151,29 +152,30 @@ def test_factorial_tables_keep_every_value():
 
 # --- Surgery building blocks -------------------------------------------------
 
+def _term_A(lam, k, l, t1, t2):
+    """The A factor at one (t1, t2): _term_a over the tables of n = k + l,
+    times the C(k, t1) that _split_sum multiplies in."""
+    tab = _tables(lam - k - l, k + l)
+    return tab.comb[k][t1] * _term_a(l, t1, range(t2, t2 + 1), tab)
+
+
+def _term_B(lam, k, l, t1):
+    """The B factor at one t1: _term_b over the tables of n = k + l."""
+    return _term_b(k, t1, _tables(lam - k - l, k + l))
+
+
 def test_term_A_hand_values():
     # All-zero indices: every factor is a binomial at (x, 0) or D(l, l, 0)
     # with l = 0, so the product collapses to 1.
-    assert term_A(3, 3, 0, 0, 0) == 1
-    assert term_A(4, 0, 2, 0, 2) == 1
-    assert term_A(5, 1, 2, 1, 1) == 2
+    assert _term_A(3, 3, 0, 0, 0) == 1
+    assert _term_A(4, 0, 2, 0, 2) == 1
+    assert _term_A(5, 1, 2, 1, 1) == 2
 
 
 def test_term_B_hand_values():
-    assert term_B(3, 0, 3, 0) == 1
-    assert term_B(3, 3, 0, 0) == 2
-    assert term_B(4, 1, 0, 0) == 3
-
-
-def test_term_validation():
-    with pytest.raises(ValueError):
-        term_A(3, 1, 2, 2, 0)  # t1 > min(k, l) is out of range
-    with pytest.raises(ValueError):
-        term_A(3, 1, 2, 1, 2)  # t2 > l - t1
-    with pytest.raises(ValueError):
-        term_A(2, 1, 2, 0, 0)  # lam < k + l
-    with pytest.raises(ValueError):
-        term_B(2, 1, 2, 0)
+    assert _term_B(3, 0, 3, 0) == 1
+    assert _term_B(3, 3, 0, 0) == 2
+    assert _term_B(4, 1, 0, 0) == 3
 
 
 def test_g_npq_hand_cells():
@@ -210,9 +212,9 @@ def test_engine_proves_theorem3_and_surgery_at_n5():
             assert g_npq_closed(5, k, 5 - k, lam) == eval_poly(poly, lam), (k, lam)
 
 
-def test_split_sums_rebuild_from_public_terms():
+def test_split_sums_rebuild_from_per_term_bodies():
     # falling(lam, n) * sum A * B^2 over the full ranges of t1, t2 (and t3
-    # inside term_B), from per-term calls that each build their own tables,
+    # inside _term_b), from per-term calls that each build their own tables,
     # must equal g_npq_closed, which shares one set of tables and skips the
     # terms its trimmed ranges prove zero.  lam < 2n makes d = lam - n < n,
     # where the trim skips terms.
@@ -222,14 +224,14 @@ def test_split_sums_rebuild_from_public_terms():
                 l = n - k
                 total = 0
                 for t1 in range(min(k, l) + 1):
-                    b_val = term_B(lam, k, l, t1)
+                    b_val = _term_B(lam, k, l, t1)
                     for t2 in range(l - t1 + 1):
-                        total += term_A(lam, k, l, t1, t2) * b_val * b_val
+                        total += _term_A(lam, k, l, t1, t2) * b_val * b_val
                 assert falling(lam, n) * total == g_npq_closed(n, k, l, lam)
 
 
 def test_terms_match_their_full_range_definitions():
-    # term_A and term_B share the bodies _split_sum uses, trims included, so
+    # _term_a and _term_b are the bodies _split_sum uses, trims included, so
     # they are also checked against their definitions, summed here over the
     # full t3 range with no zero term skipped.
     for n in range(1, 13):
@@ -242,11 +244,11 @@ def test_terms_match_their_full_range_definitions():
                         binom(k - t1, t3) * binom(d + t1, k - t3) * gen_derangement(k, k, t3)
                         for t3 in range(k - t1 + 1)
                     )
-                    assert term_B(lam, k, l, t1) == b_full, (lam, k, l, t1)
+                    assert _term_B(lam, k, l, t1) == b_full, (lam, k, l, t1)
                     for t2 in range(l - t1 + 1):
                         a_full = (binom(k, t1) * binom(l, t2) * binom(d, l - t1 - t2)
                                   * gen_derangement(l, l, t2))
-                        assert term_A(lam, k, l, t1, t2) == a_full, (lam, k, l, t1, t2)
+                        assert _term_A(lam, k, l, t1, t2) == a_full, (lam, k, l, t1, t2)
 
 
 def test_g_npq_rejects_bad_arguments():

@@ -7,12 +7,12 @@ from itertools import islice, permutations
 
 import pytest
 
+from latin3 import oracle
 from latin3.combinatorics import factorial, gen_derangement
 from latin3.errors import BudgetExceededError
 from latin3.oracle import (
     STAT_NAMES,
     _first_invalid,
-    count_injections_forbidden,
     count_latin,
     enumerate_latin,
     injection_counts,
@@ -72,8 +72,6 @@ def test_budget_errors_report_progress():
     # budget of 9, after the columns (1,2,3) and (1,3,2) were completed.
     with pytest.raises(BudgetExceededError, match="visited 10 nodes, completed 2 rectangles"):
         count_latin(1, 3, node_budget=9)
-    with pytest.raises(BudgetExceededError, match="visited 10 nodes, completed 2 rectangles"):
-        enumerate_latin(1, 3, 10, node_budget=9)
 
 
 def test_budget_error_counts_the_rectangles_a_memo_hit_stands_for():
@@ -339,78 +337,15 @@ def test_enumerate_matches_the_cell_by_cell_enumerator():
         assert len(full) == count_latin(n, lam), (n, lam)
 
 
-def _enumerate_latin_row_by_row(n, lam, limit, *, node_budget):
-    """enumerate_latin as a naive walk: for each of the three rows every
-    candidate row is tried on its own, one node each, after the same
-    up-front check of perm(lam, n) against the budget."""
-    out = []
-    if limit == 0:
-        return out
-    size = math.perm(lam, n)
-    if size > node_budget:
-        raise BudgetExceededError(
-            f"rectangle enumeration exceeded the node budget of {node_budget}: "
-            f"its perm({lam}, {n}) = {size} candidate rows do not fit"
-        )
-    rows = list(permutations(range(1, lam + 1), n))
-    nodes = 0
-
-    def attempt():
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_budget:
-            raise BudgetExceededError(
-                f"rectangle enumeration exceeded the node budget of {node_budget}: "
-                f"visited {nodes} nodes, completed {len(out)} rectangles"
-            )
-
-    def apart(r, s):
-        return all(x != y for x, y in zip(r, s))
-
-    for r0 in rows:
-        attempt()
-        for r1 in rows:
-            attempt()
-            if not apart(r0, r1):
-                continue
-            for r2 in rows:
-                attempt()
-                if apart(r0, r2) and apart(r1, r2):
-                    out.append((r0, r1, r2))
-                    if len(out) >= limit:
-                        return out
-    return out
-
-
-def _enumerate_outcome(search, n, lam, limit, budget):
-    try:
-        return search(n, lam, limit, node_budget=budget)
-    except BudgetExceededError as exc:
-        return str(exc)
-
-
-def test_row_charging_keeps_every_budget_outcome():
-    # Rejected rows charged by index gap and row 2 charged in one step give
-    # the value and the budget error of trying every row one by one, at
-    # every budget, with the limit cutting the walk short or not.
-    errors = 0
-    for n in (1, 2):
-        for lam in range(5):
-            for limit in (1, 10**6):
-                for budget in range(1, 601):
-                    want = _enumerate_outcome(_enumerate_latin_row_by_row, n, lam, limit, budget)
-                    got = _enumerate_outcome(enumerate_latin, n, lam, limit, budget)
-                    assert got == want, (n, lam, limit, budget)
-                    errors += isinstance(want, str)
-    assert errors > 500
-
-
-def test_enumerate_checks_its_rows_against_the_budget_first():
+def test_enumerate_checks_its_rows_against_the_budget_first(monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 119)
     with pytest.raises(
-        BudgetExceededError, match=r"its perm\(6, 3\) = 120 candidate rows do not fit"
+        BudgetExceededError,
+        match=r"node budget of 119: its perm\(6, 3\) = 120 candidate rows do not fit",
     ):
-        enumerate_latin(3, 6, 1, node_budget=119)
-    assert len(enumerate_latin(3, 6, 1, node_budget=120)) == 1
+        enumerate_latin(3, 6, 1)
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 120)
+    assert len(enumerate_latin(3, 6, 1)) == 1
 
 
 def test_enumerate_shares_its_row_tuples():
@@ -546,40 +481,28 @@ def test_first_invalid_matches_the_one_by_one_scan():
 
 
 def test_injection_examples():
-    assert count_injections_forbidden(5, 3, 0) == 60
-    assert count_injections_forbidden(3, 3, 3) == 2
-    assert count_injections_forbidden(4, 3, 2) == 14
+    assert injection_counts(5, 3)[0] == 60
+    assert injection_counts(3, 3)[3] == 2
+    assert injection_counts(4, 3)[2] == 14
 
 
 def test_injection_matches_formula_exhaustively():
     for lam in range(8):
         for n in range(lam + 1):
-            for t in range(n + 1):
-                assert count_injections_forbidden(lam, n, t) == gen_derangement(
-                    lam, n, t
-                ), f"lam={lam} n={n} t={t}"
+            assert injection_counts(lam, n) == [
+                gen_derangement(lam, n, t) for t in range(n + 1)
+            ], f"lam={lam} n={n}"
 
 
-def _count_injections_one_by_one(lam, n, t, *, node_budget=10**9):
-    """count_injections_forbidden as it was before one walk served every t:
-    each injection's fixed points among 1..t tested on its own."""
-    if math.perm(lam, n) > node_budget:
-        raise BudgetExceededError(
-            f"enumerating perm({lam}, {n}) injections exceeds the node budget of {node_budget}"
-        )
+def _count_injections_one_by_one(lam, n, t):
+    """One entry of injection_counts as it was before one walk served every
+    t: each injection's fixed points among 1..t tested on its own."""
     forbidden = range(1, t + 1)
     return sum(
         1
         for f in permutations(range(1, lam + 1), n)
         if not any(map(operator.eq, f, forbidden))
     )
-
-
-def _injection_outcome(search, *args, budget):
-    try:
-        return search(*args, node_budget=budget)
-    except BudgetExceededError as exc:
-        return str(exc)
 
 
 def test_injection_counts_match_the_one_by_one_walk():
@@ -589,32 +512,25 @@ def test_injection_counts_match_the_one_by_one_walk():
         for n in range(lam + 1):
             want = [_count_injections_one_by_one(lam, n, t) for t in range(n + 1)]
             assert injection_counts(lam, n) == want, (lam, n)
-            for t in range(n + 1):
-                assert count_injections_forbidden(lam, n, t) == want[t], (lam, n, t)
-            budget = math.perm(lam, n) - 1
-            if budget >= 1:
-                t = n // 2
-                error = _injection_outcome(_count_injections_one_by_one, lam, n, t, budget=budget)
-                assert error.startswith("enumerating perm(")
-                assert _injection_outcome(injection_counts, lam, n, budget=budget) == error
-                got = _injection_outcome(count_injections_forbidden, lam, n, t, budget=budget)
-                assert got == error
-                assert count_injections_forbidden(lam, n, t, node_budget=budget + 1) == want[t]
 
 
 def test_injection_rejects_bad_ranges():
     with pytest.raises(ValueError):
-        count_injections_forbidden(2, 3, 1)
-    with pytest.raises(ValueError):
-        count_injections_forbidden(5, 3, 4)
-    with pytest.raises(ValueError):
         injection_counts(2, 3)
     with pytest.raises(ValueError):
         injection_counts(3, -1)
-    with pytest.raises(ValueError):
-        injection_counts(3, 2, node_budget=0)
 
 
-def test_injection_budget():
+def test_injection_budget(monkeypatch):
+    # perm(15, 10) is far past the default budget; perm(5, 3) = 60 is at
+    # a budget of 60 and one past a budget of 59
     with pytest.raises(BudgetExceededError):
-        count_injections_forbidden(15, 10, 0, node_budget=10**6)
+        injection_counts(15, 10)
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 59)
+    with pytest.raises(
+        BudgetExceededError,
+        match=r"^enumerating perm\(5, 3\) injections exceeds the node budget of 59$",
+    ):
+        injection_counts(5, 3)
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 60)
+    assert injection_counts(5, 3) == [60, 48, 39, 32]
