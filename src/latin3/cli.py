@@ -18,7 +18,7 @@ from .chromatic import DEFAULT_MAX_VERTICES, chromatic_poly, eval_poly, count_co
 from .errors import BudgetExceededError, VertexLimitError
 from .formulas import aps_g, g_npq_closed, riordan_l3, thm3_g
 from .graphs import build_gn, build_gnpq, parse_graph
-from .oracle import DEFAULT_NODE_BUDGET, count_latin
+from .oracle import count_latin
 from .verify import DEFAULT_SEED, VerifyConfig, render_report, run_verify
 
 FORMULA_CHOICES = ("riordan", "aps", "thm3", "engine", "brute", "latin-oracle")
@@ -92,7 +92,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--max-vertices needs --formula engine; {args.formula} has no vertex limit"
         )
-    node_budget = DEFAULT_NODE_BUDGET if args.node_budget is None else args.node_budget
+    # each search keeps its own default budget unless one is given
+    budget = {} if args.node_budget is None else {"node_budget": args.node_budget}
     max_vertices = DEFAULT_MAX_VERTICES if args.max_vertices is None else args.max_vertices
     cells = _table_cells(args)
     gn_polys = {}
@@ -112,10 +113,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                 )
             return eval_poly(gn_polys[n], lam)
         if args.formula == "brute":
-            return count_colorings_bruteforce(
-                build_gn(n), lam, node_budget=node_budget, stats=stats
-            )
-        return count_latin(n, lam, node_budget=node_budget, stats=stats)
+            return count_colorings_bruteforce(build_gn(n), lam, stats=stats, **budget)
+        return count_latin(n, lam, stats=stats, **budget)
 
     try:
         rows = [(n, lam, args.formula, str(value(n, lam))) for n, lam in cells]
@@ -212,13 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     table.add_argument(
         "--node-budget", type=int,
-        help="the search's node budget (--formula brute or latin-oracle only)",
+        help="the search's node budget, in colour attempts for brute and states "
+        "searched for latin-oracle (those formulas only)",
     )
     table.add_argument(
         "--stats", action="store_true",
         help="print the engine's counters, summed over the table's graphs, or "
-        "count_latin's or the brute-force colouring's, summed over its cells, "
-        "as one JSON line on stderr (--formula engine, latin-oracle or brute only)",
+        "count_latin's nodes (states searched) and memo_hits, or the brute-force "
+        "colouring's nodes (colour attempts), summed over its cells, as one JSON "
+        "line on stderr (--formula engine, latin-oracle or brute only)",
     )
     table.set_defaults(func=cmd_table)
 

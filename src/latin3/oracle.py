@@ -7,14 +7,12 @@ makes them trustworthy cross-checks for everything else in the package.
 count_latin remembers, for the length of one call, how many ways each exact
 state of its search (the three rows' used-symbol sets) can be finished, so
 no state is searched twice.  It uses no symmetry and no relabelling of
-symbols.  Its budget counts nodes, one per attempted symbol placement; a
-memo hit costs no node, and the "completed" count in a budget error
-includes the rectangles a hit stood for.
-count_latin walks only the free symbols of each row and charges the used
-ones it skips by index gap, and it settles each last-column state in one
-step, counting its completions by inclusion-exclusion over the three rows'
-free sets (see its docstring).  Both charge exactly the nodes of visiting
-every placement one by one, and a budget error fires at the same node.
+symbols.  It walks only the free symbols of each row and settles each
+last-column state in one step, counting its completions by
+inclusion-exclusion over the three rows' free sets (see its docstring).
+Its budget counts nodes, one per state searched; a memo hit costs no node,
+and the "completed" count in a budget error includes the rectangles a hit
+stood for.
 
 enumerate_latin fills a row at a time from the list of perm(lam, n)
 candidate rows.  It remembers which rows are compatible but no counts, so
@@ -35,6 +33,9 @@ from typing import Iterable, Iterator, Optional
 from .errors import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**9
+# count_latin's default: a memo entry takes about 150 bytes, so 10**7 states
+# keep the memo near 1.5 GiB
+DEFAULT_STATE_BUDGET = 10**7
 
 # A rectangle is 3 rows of n symbols each, as nested tuples.
 Rectangle = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -47,14 +48,7 @@ def _check_params(n: int, lam: int) -> None:
         raise ValueError(f"lam must be >= 0, got {lam}")
 
 
-STAT_NAMES = ("nodes", "memo_hits", "memo_misses")
-
-
-def _search_budget_error(node_budget: int, done: int) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"rectangle search exceeded the node budget of {node_budget}: "
-        f"visited {node_budget + 1} nodes, completed {done} rectangles"
-    )
+STAT_NAMES = ("nodes", "memo_hits")
 
 
 def count_latin(
@@ -62,7 +56,7 @@ def count_latin(
     lam: int,
     fixed_first_row: bool = False,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    node_budget: int = DEFAULT_STATE_BUDGET,
     stats: Optional[dict] = None,
 ) -> int:
     """Count 3 x n arrays over {1..lam} with no repeat in any row or column.
@@ -77,23 +71,20 @@ def count_latin(
     three rows' used-symbol sets (the column index is how many symbols row 0
     has used), so each such state is searched once per call and its count is
     remembered for the rest of that call.  The memo key is the exact state:
-    no symbol relabelling or symmetry is used.
+    no symbol relabelling or symmetry is used.  Each loop walks only the free
+    symbols, read from a per-call table keyed by the used-symbol mask.  In
+    the last column no placement can fail later, so a state there is settled
+    in one step: with A, B and F the free symbols of rows 0, 1 and 2 (A only
+    col + 1 when pinned) and pairs = |A||B| - |A&B|, it completes
+    pairs|F| - |A&F||B| - |B&F||A| + 2|A&B&F| rectangles.
 
-    Every attempted symbol placement costs one node against the budget; a
-    memo hit costs none.  Each loop walks only the free symbols, read from a
-    per-call table keyed by the used-symbol mask, and charges the used ones
-    it skips by the index gap between free ones.  In the last column no
-    placement can fail later, so a state there is settled in one step when
-    the budget covers all of its nodes: with A, B and F the free symbols of
-    rows 0, 1 and 2 (A only col + 1 when pinned) and pairs = |A||B| - |A&B|,
-    it completes pairs|F| - |A&F||B| - |B&F||A| + 2|A&B&F| rectangles and
-    costs lam (1 when pinned) + (|A| + pairs) lam nodes.  Otherwise its
-    placements are tried one by one, so a budget error fires at the same
-    node as visiting every placement.  A budget error reports the nodes
-    visited and the rectangles completed so far, counting every rectangle a
-    memo hit stood for.  A dict passed as stats gets the counts named in
-    STAT_NAMES added to it: nodes, memo hits and memo misses (states
-    searched).
+    Every state searched (a memo miss, last column included) costs one node
+    against the budget; a memo hit costs none.  A state costs at most lam**3
+    placements, so the budget bounds the work, and the default of
+    DEFAULT_STATE_BUDGET bounds the memo too.  A budget error reports the
+    nodes visited and the rectangles completed so far, counting every
+    rectangle a memo hit stood for.  A dict passed as stats gets the counts
+    named in STAT_NAMES added to it: nodes (states searched) and memo hits.
     """
     _check_params(n, lam)
     if node_budget < 1:
@@ -101,7 +92,7 @@ def count_latin(
     memo: dict[tuple[int, int, int], int] = {}
     frees: dict[int, tuple[int, ...]] = {}
     symbols = (1 << (lam + 1)) - 2  # the bits of 1..lam
-    nodes = hits = misses = 0
+    nodes = hits = 0
     done = 0  # rectangles completed so far, memo hits included
 
     def free(used: int) -> tuple[int, ...]:
@@ -111,74 +102,42 @@ def count_latin(
             found = frees[used] = tuple(s for s in range(1, lam + 1) if not used >> s & 1)
         return found
 
-    def over() -> BudgetExceededError:
-        nonlocal nodes
-        nodes = node_budget + 1
-        return _search_budget_error(node_budget, done)
-
     def fill(col: int, u0: int, u1: int, u2: int) -> int:
-        nonlocal nodes, hits, misses, done
-        if col == n:
-            done += 1
-            return 1
+        nonlocal nodes, hits, done
         key = (u0, u1, u2)
         found = memo.get(key)
         if found is not None:
             hits += 1
             done += found
             return found
-        misses += 1
-        first, end = (col, col + 1) if fixed_first_row else (0, lam)  # row 0 tries first+1..end
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"rectangle search exceeded the node budget of {node_budget}: "
+                f"visited {nodes} nodes, completed {done} rectangles"
+            )
         if col == n - 1:
             a_free = symbols & (1 << col + 1 if fixed_first_row else ~u0)
             b_free = symbols & ~u1
             c_free = symbols & ~u2
             na, nb = a_free.bit_count(), b_free.bit_count()
             pairs = na * nb - (a_free & b_free).bit_count()
-            cost = end - first + (na + pairs) * lam
-            if nodes + cost <= node_budget:
-                nodes += cost
-                total = (
-                    pairs * c_free.bit_count()
-                    - (a_free & c_free).bit_count() * nb
-                    - (b_free & c_free).bit_count() * na
-                    + 2 * (a_free & b_free & c_free).bit_count()
-                )
-                done += total
-                memo[key] = total
-                return total
-        total = 0
-        top = ((col + 1,) if col < lam else ()) if fixed_first_row else free(u0)
-        prev_a = first
-        for a in top:
-            nodes += a - prev_a  # the used symbols skipped, and a
-            if nodes > node_budget:
-                raise over()
-            prev_a = a
-            bit_a = 1 << a
-            prev_b = 0
-            for b in free(u1 | bit_a):
-                nodes += b - prev_b
-                if nodes > node_budget:
-                    raise over()
-                prev_b = b
-                bit_b = 1 << b
-                prev_c = 0
-                for c in free(u2 | bit_a | bit_b):
-                    nodes += c - prev_c
-                    if nodes > node_budget:
-                        raise over()
-                    prev_c = c
-                    total += fill(col + 1, u0 | bit_a, u1 | bit_b, u2 | 1 << c)
-                nodes += lam - prev_c
-                if nodes > node_budget:
-                    raise over()
-            nodes += lam - prev_b
-            if nodes > node_budget:
-                raise over()
-        nodes += end - prev_a
-        if nodes > node_budget:
-            raise over()
+            total = (
+                pairs * c_free.bit_count()
+                - (a_free & c_free).bit_count() * nb
+                - (b_free & c_free).bit_count() * na
+                + 2 * (a_free & b_free & c_free).bit_count()
+            )
+            done += total
+        else:
+            total = 0
+            top = ((col + 1,) if col < lam else ()) if fixed_first_row else free(u0)
+            for a in top:
+                bit_a = 1 << a
+                for b in free(u1 | bit_a):
+                    bit_b = 1 << b
+                    for c in free(u2 | bit_a | bit_b):
+                        total += fill(col + 1, u0 | bit_a, u1 | bit_b, u2 | 1 << c)
         memo[key] = total
         return total
 
@@ -186,7 +145,7 @@ def count_latin(
         return fill(0, 0, 0, 0)
     finally:
         if stats is not None:
-            for name, value in zip(STAT_NAMES, (nodes, hits, misses)):
+            for name, value in zip(STAT_NAMES, (nodes, hits)):
                 stats[name] = stats.get(name, 0) + value
 
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from latin3.chromatic import STAT_NAMES, chromatic_poly, count_colorings_bruteforce, eval_poly
+from latin3 import cli
 from latin3.cli import main
 from latin3.graphs import build_gn, build_gnpq
 from latin3.oracle import count_latin
@@ -297,22 +298,48 @@ def test_table_brute_node_budget(capsys):
 
 
 @pytest.mark.parametrize(
-    "formula, completed",
-    [("brute", "completed 2 colorings"), ("latin-oracle", "completed 2 rectangles")],
+    "formula, n, budget, progress",
+    [
+        # G(1) is a triangle: with 3 colors the 10th attempt is the one past
+        # a budget of 9, after the colorings (1,2,3) and (1,3,2) were completed.
+        ("brute", "1", "9", "visited 10 nodes, completed 2 colorings"),
+        # Two columns on 3 symbols: the root state, then the states after the
+        # first columns (1,2,3) and (1,3,2), each settled with its 2
+        # completions; the state after (2,1,3) is the 4th, one past a budget of 3.
+        ("latin-oracle", "2", "3", "visited 4 nodes, completed 4 rectangles"),
+    ],
+    ids=["brute", "latin-oracle"],
 )
-def test_table_budget_error_reports_progress(capsys, formula, completed):
-    # G(1) is a triangle: with 3 colors the 10th attempt is the one past a
-    # budget of 9, after the colorings (1,2,3) and (1,3,2) were completed.
+def test_table_budget_error_reports_progress(capsys, formula, n, budget, progress):
     code, out, err = run_cli(
         capsys,
-        "table", "--formula", formula, "--n", "1", "--lambda", "3",
-        "--node-budget", "9",
+        "table", "--formula", formula, "--n", n, "--lambda", "3",
+        "--node-budget", budget,
     )
     assert code == 3
     assert out == ""
-    assert "node budget of 9" in err
-    assert "visited 10 nodes" in err
-    assert completed in err
+    assert f"node budget of {budget}: {progress}" in err
+
+
+def test_table_searches_keep_their_own_default_budget(capsys, monkeypatch):
+    # without --node-budget no budget is passed on, so count_latin keeps its
+    # state budget and the colouring search its attempt budget
+    calls = []
+
+    def recorded(search):
+        def call(*args, **kwargs):
+            calls.append(kwargs)
+            return search(*args, **kwargs)
+        return call
+
+    for name in ("count_latin", "count_colorings_bruteforce"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    for formula in ("latin-oracle", "brute"):
+        code, out, _ = run_cli(capsys, "table", "--formula", formula, "--n", "1", "--lambda", "3")
+        assert (code, out) == (0, f"1 3 {formula} 6\n")
+    run_cli(capsys, "table", "--formula", "latin-oracle", "--n", "1", "--lambda", "3",
+            "--node-budget", "5")
+    assert calls == [{"stats": None}, {"stats": None}, {"stats": None, "node_budget": 5}]
 
 
 def test_table_oracle_node_budget(capsys):

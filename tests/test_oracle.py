@@ -68,25 +68,32 @@ def test_count_latin_budget():
 
 
 def test_budget_errors_report_progress():
-    # One column on 3 symbols: the 10th placement attempt is the one past a
-    # budget of 9, after the columns (1,2,3) and (1,3,2) were completed.
-    with pytest.raises(BudgetExceededError, match="visited 10 nodes, completed 2 rectangles"):
-        count_latin(1, 3, node_budget=9)
+    # Two columns on 3 symbols: the root state, then the states after the
+    # first columns (1,2,3) and (1,3,2), each settled with its 2 completions;
+    # the state after (2,1,3) is the 4th, one past a budget of 3.
+    with pytest.raises(BudgetExceededError, match="visited 4 nodes, completed 4 rectangles"):
+        count_latin(2, 3, node_budget=3)
 
 
 def test_budget_error_counts_the_rectangles_a_memo_hit_stands_for():
-    # Columns (1,2,3),(2,3,1) and (1,2,3),(3,1,2), then (1,3,2),(2,1,3) and
-    # (1,3,2),(3,2,1) each complete one 3 x 3 square in the first 95
-    # placement attempts.  The 96th completes (2,1,3),(1,3,2), which reaches
-    # the used-symbol sets that (1,3,2),(2,1,3) left, so a memo hit supplies
-    # its one completion without a node; the 97th attempt is past a budget
-    # of 96.
-    with pytest.raises(BudgetExceededError, match="visited 96 nodes, completed 4 rectangles"):
-        count_latin(3, 3, node_budget=95)
+    # 3 x 3 squares: the root is state 1.  The first columns (1,2,3) and
+    # (1,3,2) lead to states 2 and 5; each has two second columns, and each
+    # leads to a new last-column state (3, 4, 6, 7) with one completion.
+    # First column (2,1,3) is state 8.  Its second column (1,3,2) leaves the
+    # used-symbol sets that (1,3,2),(2,1,3) left, so a memo hit supplies its
+    # one completion without a node; (3,2,1) then leads to state 9.  In all
+    # 13 states are searched and 6 last-column states are hits.
     stats: dict = {}
-    with pytest.raises(BudgetExceededError, match="visited 97 nodes, completed 5 rectangles"):
-        count_latin(3, 3, node_budget=96, stats=stats)
-    assert stats == {"nodes": 97, "memo_hits": 1, "memo_misses": 8}
+    with pytest.raises(BudgetExceededError, match="visited 8 nodes, completed 4 rectangles"):
+        count_latin(3, 3, node_budget=7, stats=stats)
+    assert stats == {"nodes": 8, "memo_hits": 0}
+    stats = {}
+    with pytest.raises(BudgetExceededError, match="visited 9 nodes, completed 5 rectangles"):
+        count_latin(3, 3, node_budget=8, stats=stats)
+    assert stats == {"nodes": 9, "memo_hits": 1}
+    stats = {}
+    assert count_latin(3, 3, node_budget=13, stats=stats) == 12
+    assert stats == {"nodes": 13, "memo_hits": 6}
 
 
 def _reference_count_latin(n, lam, fixed_first_row=False):
@@ -142,114 +149,70 @@ def test_stats_repeat_exactly():
     assert second == {name: 2 * first[name] for name in STAT_NAMES}
 
 
+def _searched_without_memo(n, lam):
+    """The non-leaf calls of _reference_count_latin(n, lam): one per
+    rectangle of fewer than n columns, the empty one included."""
+    return 1 + sum(_reference_count_latin(k, lam)[0] for k in range(1, n))
+
+
 def test_memo_visits_fewer_nodes_than_plain_backtracking():
     stats: dict = {}
-    count, nodes = _reference_count_latin(4, 5)
-    assert count_latin(4, 5, stats=stats) == count
-    assert stats["nodes"] < nodes
-    # the search with no repeated state costs exactly the same nodes
+    assert count_latin(4, 5, stats=stats) == _reference_count_latin(4, 5)[0]
+    assert stats["nodes"] < _searched_without_memo(4, 5)
+    # one column is one state, searched by either
     one_column: dict = {}
     count_latin(1, 4, stats=one_column)
-    _, one_column_nodes = _reference_count_latin(1, 4)
-    assert one_column == {"nodes": one_column_nodes, "memo_hits": 0, "memo_misses": 1}
+    assert _searched_without_memo(1, 4) == 1
+    assert one_column == {"nodes": 1, "memo_hits": 0}
 
 
-def _count_latin_leaf_by_leaf(n, lam, fixed_first_row=False, *, node_budget, stats):
-    """count_latin as it was before its last column was charged in one step:
-    the same memo and candidate loops, with every last-column placement
-    visited on its own.  Kept to pin the nodes, counters and budget errors."""
-    memo = {}
-    nodes = hits = misses = 0
-    done = 0
-
-    def fail():
-        return BudgetExceededError(
-            f"rectangle search exceeded the node budget of {node_budget}: "
-            f"visited {node_budget + 1} nodes, completed {done} rectangles"
-        )
-
-    def fill(col, u0, u1, u2):
-        nonlocal nodes, hits, misses, done
-        if col == n:
-            done += 1
-            return 1
-        key = (u0, u1, u2)
-        found = memo.get(key)
-        if found is not None:
-            hits += 1
-            done += found
-            return found
-        misses += 1
-        total = 0
-        for a in (col + 1,) if fixed_first_row else range(1, lam + 1):
-            nodes += 1
-            if nodes > node_budget:
-                raise fail()
-            if a > lam or u0 >> a & 1:
-                continue
-            for b in range(1, lam + 1):
-                nodes += 1
-                if nodes > node_budget:
-                    raise fail()
-                if b == a or u1 >> b & 1:
-                    continue
-                for c in range(1, lam + 1):
-                    nodes += 1
-                    if nodes > node_budget:
-                        raise fail()
-                    if c == a or c == b or u2 >> c & 1:
-                        continue
-                    total += fill(col + 1, u0 | 1 << a, u1 | 1 << b, u2 | 1 << c)
-        memo[key] = total
-        return total
-
-    try:
-        return fill(0, 0, 0, 0)
-    finally:
-        for name, value in zip(STAT_NAMES, (nodes, hits, misses)):
-            stats[name] = stats.get(name, 0) + value
+# count_latin's counters at commit a309652, when it charged one node per
+# placement and counted the states it searched as memo_misses:
+# (n, lam, pinned) -> (memo_misses, memo_hits).
+_PER_PLACEMENT_STATE_COUNTS = {
+    (1, 4, False): (1, 0),
+    (2, 6, True): (21, 0),
+    (3, 3, False): (13, 6),
+    (3, 5, True): (82, 27),
+    (3, 6, False): (2761, 5880),
+    (4, 4, True): (42, 25),
+    (4, 5, False): (1751, 10010),
+    (4, 5, True): (182, 253),
+}
 
 
-def _outcome(search, n, lam, pinned, budget):
-    stats: dict = {}
-    try:
-        result = search(n, lam, pinned, node_budget=budget, stats=stats)
-    except BudgetExceededError as exc:
-        result = str(exc)
-    return result, stats
+def _distinct_states(n, lam, pinned):
+    """The states count_latin has to search, found without it: the empty
+    rectangle, and the distinct triples of row symbol sets over the
+    rectangles of 1..n-1 columns (row 0 is 1..k when pinned)."""
+    states = {None}
+    for k in range(1, n):
+        for rect in enumerate_latin(k, lam, 10**6):
+            if not pinned or rect[0] == tuple(range(1, k + 1)):
+                states.add(tuple(map(frozenset, rect)))
+    return len(states)
 
 
-def test_last_column_charging_keeps_every_budget_outcome():
-    # A last-column state is charged in one step or, when the budget cannot
-    # cover it, placement by placement, and the used symbols each loop skips
-    # are charged by index gap.  At every budget near the start of the search
-    # and near its end (`total` nodes in all) for n <= 3, and at budgets
-    # strided over the whole search for (4, 4), (4, 5) and (5, 3), the value,
-    # the counters and the budget error's text are those of visiting every
-    # placement.  Pinned, (5, 3) reaches a column past lam.
-    checked = 0
-    cells = [(n, lam) for n in (1, 2, 3) for lam in range(6)] + [(4, 4), (4, 5), (5, 3)]
+def test_one_node_per_state_searched():
+    # An unbounded search visits S nodes, one per distinct state; a budget of
+    # S suffices and a budget of S - 1 stops at the S-th state.
+    cells = [(n, lam) for n in (1, 2, 3) for lam in range(7)] + [(4, 4), (4, 5)]
     for n, lam in cells:
         for pinned in (False, True):
-            full: dict = {}
-            _count_latin_leaf_by_leaf(n, lam, pinned, node_budget=10**9, stats=full)
-            total = full["nodes"]
-            if n <= 3:
-                # the end window is strided on the larger searches to keep
-                # the test under about a second
-                stride = 1 if total < 1000 else 17
-                budgets = set(range(1, min(600, total + 1) + 1))
-                budgets |= set(range(total + 1, max(0, total - 300), -stride))
-            else:
-                budgets = set(range(1, total, max(1, total // 16)))
-                budgets |= set(range(total - 3, total))
-            budgets |= {total, total + 1}
-            for budget in sorted(budgets - {0}):
-                want = _outcome(_count_latin_leaf_by_leaf, n, lam, pinned, budget)
-                got = _outcome(count_latin, n, lam, pinned, budget)
-                assert got == want, (n, lam, pinned, budget)
-                checked += 1
-    assert checked > 4000
+            stats: dict = {}
+            value = count_latin(n, lam, pinned, stats=stats)
+            searched = stats["nodes"]
+            assert searched == _distinct_states(n, lam, pinned), (n, lam, pinned)
+            if (n, lam, pinned) in _PER_PLACEMENT_STATE_COUNTS:
+                want = _PER_PLACEMENT_STATE_COUNTS[n, lam, pinned]
+                assert (searched, stats["memo_hits"]) == want, (n, lam, pinned)
+            assert count_latin(n, lam, pinned, node_budget=searched) == value
+            if searched == 1:
+                continue
+            stats = {}
+            with pytest.raises(BudgetExceededError, match=f"visited {searched} nodes,"):
+                count_latin(n, lam, pinned, node_budget=searched - 1, stats=stats)
+            assert stats["nodes"] == searched, (n, lam, pinned)
 
 
 def test_enumerate_single_column():
