@@ -396,8 +396,9 @@ def count_colorings_bruteforce(
     """Count proper colorings of g with colors {1..lam} by plain backtracking.
 
     Independent of the polynomial engine by design: vertices are colored in
-    index order and every color attempt is checked against earlier neighbors.
-    Each attempt costs one node against the budget.  A dict passed as stats
+    index order and every color attempt is checked against earlier neighbors,
+    whose colors are gathered into one bitmask per visit of a vertex.  Each
+    attempt costs one node against the budget.  A dict passed as stats
     gets the nodes visited added to its "nodes" entry, also when the budget
     stops the search.
     """
@@ -418,6 +419,9 @@ def count_colorings_bruteforce(
         if v == n:
             count += 1
             return
+        taken = 0
+        for w in earlier[v]:
+            taken |= 1 << colors[w]
         for c in range(1, lam + 1):
             nodes += 1
             if nodes > node_budget:
@@ -425,10 +429,9 @@ def count_colorings_bruteforce(
                     f"coloring search exceeded the node budget of {node_budget}: "
                     f"visited {nodes} nodes, completed {count} colorings"
                 )
-            if all(colors[w] != c for w in earlier[v]):
+            if not taken >> c & 1:
                 colors[v] = c
                 fill(v + 1)
-        colors[v] = 0
 
     try:
         fill(0)

@@ -9,6 +9,8 @@ closed-form rectangle counts.
 from __future__ import annotations
 
 import math
+import operator
+from itertools import accumulate
 
 
 def factorial(n: int) -> int:
@@ -92,16 +94,17 @@ def derangement_table(n: int) -> list[list[int]]:
 
         D(m, t) = D(m, t-1) - D(m-1, t-1)
 
-    (drop those permutations that fix t but none of 1..t-1), so the whole
-    table costs O(n^2) subtractions instead of one inclusion-exclusion sum
-    per entry.
+    (drop those permutations that fix t but none of 1..t-1).  Row m is thus
+    the running difference of row m-1 started at m!, built in one C-level
+    pass by itertools.accumulate, so the whole table costs O(n^2)
+    subtractions and n + 1 gen_derangement calls instead of one
+    inclusion-exclusion sum per entry.
     """
     if n < 0:
         raise ValueError(f"derangement_table: n must be >= 0, got {n}")
     table: list[list[int]] = []
+    row: list[int] = []
     for m in range(n + 1):
-        row = [gen_derangement(m, m, 0)]
-        for t in range(1, m + 1):
-            row.append(row[t - 1] - table[m - 1][t - 1])
+        row = list(accumulate(row, operator.sub, initial=gen_derangement(m, m, 0)))
         table.append(row)
     return table

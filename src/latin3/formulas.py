@@ -7,13 +7,18 @@ that ties the surgered-graph counts together:
 * aps_g(n, lam)        -- rectangles over {1..lam}, triple-sum closed form
 * thm3_g(n, lam)       -- the same count: theorem2_sum over g_npq_closed
 * g_npq_closed         -- the surgered-graph count G(n,k,l) for k + l = n,
-                          a sum of A * B^2 over the private factor bodies
-                          _term_a and _term_b
+                          a sum of C(k, t1) * A * B^2 over t1
 * theorem2_sum         -- the binomial alternating sum over split counts,
                           usable with any evaluator for the surgered graphs
 
 Every route is exact integer arithmetic throughout; agreement between them
 (and with the enumeration oracles) is what the test suite enforces.
+
+The sums are evaluated so that a term costs about one multiply-add: a
+product that gains one factor per step of an index is carried across the
+loop instead of rebuilt, powers of two are shifts, binomials are math.comb
+calls or reads from tables shared by a whole call, and riordan_l3 sums each
+of its rows in one C-level map pass.
 """
 
 from __future__ import annotations
@@ -23,12 +28,7 @@ import operator
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
-from .combinatorics import binom, derangement_table, falling, gen_binom
-
-
-def _factorials(n: int) -> list[int]:
-    """[0!, 1!, ..., n!], one multiplication each."""
-    return list(accumulate(range(1, n + 1), operator.mul, initial=1))
+from .combinatorics import binom, derangement_table, falling
 
 
 def riordan_l3(n: int) -> int:
@@ -36,24 +36,28 @@ def riordan_l3(n: int) -> int:
 
     Evaluates, with all-integer intermediates,
 
-        n! * sum_{k+j<=n} (2^j / j!) * k! * gen_binom(-3(k+1), n-k-j)
+        n! * sum_{k+j<=n} (2^j / j!) * k! * gen_binom(-3(k+1), n-k-j).
 
-    by folding n!/j! into the falling factorial falling(n, n-j).  Each
-    gen_binom is one math.comb call, so the double sum costs O(n^2) C-level
-    calls and big-integer products.  Degenerate widths n = 1, 2 evaluate to
-    0, matching the enumeration oracle (a column needs three distinct
-    symbols).
+    n!/j! is math.perm(n, s) with s = n - j, and 2^j is a shift by j.  The
+    generalized binomial is inlined by its reflection,
+    gen_binom(-3(k+1), s-k) = (-1)^(s-k) C(s+2k+2, s-k), so with the signed
+    factorials (-1)^k k! listed once per call, the inner sum for each s is
+
+        (-1)^s * sum_{k=0}^{s} ((-1)^k k!) * C(s+2k+2, s-k),
+
+    one C-level pass (map over math.comb, summed) per row.  The double sum
+    thus costs O(n) interpreted steps and O(n^2) big-integer products.
+    Degenerate widths n = 1, 2 evaluate to 0, matching the enumeration
+    oracle (a column needs three distinct symbols).
     """
     if n < 1:
         raise ValueError(f"riordan_l3: n must be >= 1, got {n}")
-    fact = _factorials(n)
+    signed_fact = list(accumulate(range(-1, -n - 1, -1), operator.mul, initial=1))
     total = 0
-    for j in range(n + 1):
-        inner = sum(
-            fact[k] * gen_binom(-3 * (k + 1), n - k - j)
-            for k in range(n - j + 1)
-        )
-        total += 2**j * falling(n, n - j) * inner
+    for s in range(n + 1):
+        binoms = map(math.comb, range(s + 2, 3 * s + 3, 2), range(s, -1, -1))
+        term = (math.perm(n, s) * sum(map(operator.mul, signed_fact, binoms))) << (n - s)
+        total += -term if s % 2 else term
     return total
 
 
@@ -73,33 +77,35 @@ def aps_g(n: int, lam: int) -> int:
     The sum is stated for lam >= n; below that no row fits and the count is 0.
     With d = lam - n the factorials cancel before anything is evaluated:
     lam!/d! = falling(lam, n), ((d+a)!/d!)^2 = falling(d+a, a)^2 and
-    n!/(a! c!) = binom(n,a) * binom(n-a,c) * b!, so
+    n!/(a! c!) = C(n, a) * C(n-a, c) * b!, so
 
-        falling(lam, n) * sum_{a+b+c=n} (-1)^b 2^c falling(d+a, a)^2
-            binom(n,a) binom(n-a,c) b! C(3d + 3a + b + 2, b).
+        falling(lam, n) * sum_a falling(d+a, a)^2 C(n, a)
+            * sum_{b+c=n-a} (-1)^b 2^c C(n-a, c) b! C(3d + 3a + b + 2, b).
 
     Every factor is an integer of O(n log lam) bits, so no lam! is built and
-    nothing is divided.  falling(d+a, a)^2 binom(n, a) depends on a alone, so
-    it multiplies each inner sum over b once instead of every term.
+    nothing is divided.  Each factor is carried rather than rebuilt: with
+    x = 3d + 3a + 2, (-1)^b b! C(x + b, b) is the signed rising product
+    (-(x+1)) ... (-(x+b)), one multiplication per step of b, and
+    falling(d+a, a) grows by one factor per step of a.  2^c C(n-a, c) is
+    math.comb(n-a, b) shifted left by c.  A term of the inner sum is thus one
+    math.comb call, one shift and one multiply-add.
     """
     _check_n_lam("aps_g", n, lam)
     if lam < n:
         return 0
     d = lam - n
-    fact = _factorials(n)
     total = 0
+    lead = 1  # falling(d + alpha, alpha)
     for alpha in range(n + 1):
+        m = n - alpha
+        x = 3 * d + 3 * alpha + 2
+        rising = 1  # (-1)^beta beta! C(x + beta, beta)
         inner = 0
-        for beta in range(n - alpha + 1):
-            gamma = n - alpha - beta
-            term = (
-                2**gamma
-                * binom(n - alpha, gamma)
-                * fact[beta]
-                * binom(3 * d + 3 * alpha + beta + 2, beta)
-            )
-            inner += -term if beta % 2 else term
-        total += falling(d + alpha, alpha) ** 2 * binom(n, alpha) * inner
+        for beta in range(m + 1):
+            inner += (math.comb(m, beta) << (m - beta)) * rising
+            rising *= -(x + beta + 1)
+        total += lead * lead * math.comb(n, alpha) * inner
+        lead *= d + alpha + 1
     return falling(lam, n) * total
 
 
@@ -172,52 +178,39 @@ def _tables(d: int, n: int) -> _Tables:
     )
 
 
-def _term_a(l: int, t1: int, t2s: range, tab: _Tables) -> int:
-    """The A factor over C(k, t1), summed over t2 in t2s.  A counts the ways
-    to pick the color sets T1, T2, S for the identified columns, times the
-    constrained injection count for the merged vertices:
-
-        A = C(k, t1) * C(l, t2) * C(d, l-t1-t2) * gen_derangement(l, l, t2).
-
-    C(k, t1) does not depend on t2, so callers multiply it in once per t1.
-    """
-    comb_l, comb_d, row_l = tab.comb[l], tab.comb_d[0], tab.derange[l]
-    total = 0
-    for t2 in t2s:
-        total += comb_l[t2] * comb_d[l - t1 - t2] * row_l[t2]
-    return total
-
-
-def _term_b(k: int, t1: int, tab: _Tables) -> int:
-    """The B factor: colorings of one full row over the deleted columns,
-    independent between the two surviving rows (hence B appears squared):
-
-        B = sum_{t3=0}^{k-t1} C(k-t1, t3) * C(d+t1, k-t3) * gen_derangement(k, k, t3).
-
-    Summed over t3 >= max(0, k-t1-d) only: below that C(d+t1, k-t3) has its
-    lower index above its upper one and is 0."""
-    comb, comb_d, row_k = tab.comb[k - t1], tab.comb_d[t1], tab.derange[k]
-    total = 0
-    for t3 in range(max(0, k - t1 - tab.d), k - t1 + 1):
-        total += comb[t3] * comb_d[k - t3] * row_k[t3]
-    return total
-
-
 def _split_sum(k: int, l: int, tab: _Tables) -> int:
-    """sum_{t1} sum_{t2} A * B^2 for the split (k, l), with tab =
-    _tables(lam - n, n) for n = k + l.
+    """sum_{t1} C(k, t1) * A(t1) * B(t1)^2 for the split (k, l), with tab =
+    _tables(lam - n, n) for n = k + l.  A and B are the factors of Theorem 3:
 
-    Only nonzero terms are visited.  C(d, l-t1-t2) in A vanishes for
-    t2 < l-t1-d, so t2 runs from max(0, l-t1-d) to l-t1; _term_b trims t3
-    the same way.  At d = 0 one t2 and one t3 survive per t1, so a split
-    costs O(min(k, l)) table reads and big-integer products.
+        A(t1) = sum_{t2=0}^{l-t1} C(l, t2) C(d, l-t1-t2) gen_derangement(l, l, t2)
+
+    counts the color sets T2, S of the identified columns times the
+    constrained injections of the merged vertices (C(k, t1), the choice of
+    T1, is multiplied in once per t1), and
+
+        B(t1) = sum_{t3=0}^{k-t1} C(k-t1, t3) C(d+t1, k-t3) gen_derangement(k, k, t3)
+
+    colors one full row over the deleted columns, independently for the two
+    surviving rows, hence squared.  Only nonzero terms are visited: C(d, .)
+    vanishes for t2 < l-t1-d and C(d+t1, .) for t3 < k-t1-d.  The table
+    rows a split reads are hoisted out of its loop, and the product
+    C(l, t2) gen_derangement(l, l, t2) does not depend on t1, so it is
+    formed once per split.  At d = 0 one t2 and one t3 survive per t1, so a
+    split costs O(min(k, l)) table reads and big-integer products.
     """
-    comb_k, d = tab.comb[k], tab.d
+    comb, comb_d, d = tab.comb, tab.comb_d, tab.d
+    comb_k, row_k, comb_d0 = comb[k], tab.derange[k], comb_d[0]
+    row_l = list(map(operator.mul, comb[l], tab.derange[l]))
     total = 0
     for t1 in range(min(k, l) + 1):
-        b_val = _term_b(k, t1, tab)
-        a_sum = _term_a(l, t1, range(max(0, l - t1 - d), l - t1 + 1), tab)
-        total += comb_k[t1] * a_sum * b_val * b_val
+        comb_kt, comb_dt, r = comb[k - t1], comb_d[t1], l - t1
+        b_val = 0
+        for t3 in range(max(0, k - t1 - d), k - t1 + 1):
+            b_val += comb_kt[t3] * comb_dt[k - t3] * row_k[t3]
+        a_val = 0
+        for t2 in range(max(0, r - d), r + 1):
+            a_val += row_l[t2] * comb_d0[r - t2]
+        total += comb_k[t1] * a_val * b_val * b_val
     return total
 
 
@@ -252,18 +245,17 @@ def thm3_g(n: int, lam: int) -> int:
 
     The evaluator is g_npq_closed without its per-call setup: all n + 1
     splits share one set of tables (derangement_table(n) and the two
-    Pascal triangles, O(n^2) additions in all), and falling(lam, n) is
-    computed once.  Each split visits only its nonzero terms, so at
-    lam = n the whole sum is O(n^2) table reads and products.  The count is
-    0 for 0 <= lam < n.  Agrees with aps_g and with the chromatic engine on
+    Pascal triangles, O(n^2) additions in all), and falling(lam, n)
+    multiplies the alternating sum once.  Each split visits only its
+    nonzero terms, so at lam = n the whole sum is O(n^2) table reads and
+    products.  The count is 0 for 0 <= lam < n.  Agrees with aps_g and with the chromatic engine on
     G(n); the test suite holds all three routes together.
     """
     _check_n_lam("thm3_g", n, lam)
     if lam < n:
         return 0
     tab = _tables(lam - n, n)
-    factor = falling(lam, n)
-    return theorem2_sum(n, n, lam, lambda _n, k, l, _lam: factor * _split_sum(k, l, tab))
+    return falling(lam, n) * theorem2_sum(n, n, lam, lambda _n, k, l, _lam: _split_sum(k, l, tab))
 
 
 def theorem2_sum(

@@ -342,6 +342,76 @@ def test_bruteforce_stats_count_every_attempt():
     assert stats == {"nodes": 22}
 
 
+def _bruteforce_scanning_neighbors(g, lam, node_budget=10**9, stats=None):
+    """count_colorings_bruteforce as it was before the neighbor bitmask: each
+    attempt scans the earlier neighbors' colors one by one."""
+    n = g.vertex_count
+    earlier = [[w for w in range(v) if g.has_edge(v, w)] for v in range(n)]
+    colors = [0] * n
+    count = 0
+    nodes = 0
+
+    def fill(v):
+        nonlocal count, nodes
+        if v == n:
+            count += 1
+            return
+        for c in range(1, lam + 1):
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetExceededError(
+                    f"coloring search exceeded the node budget of {node_budget}: "
+                    f"visited {nodes} nodes, completed {count} colorings"
+                )
+            if all(colors[w] != c for w in earlier[v]):
+                colors[v] = c
+                fill(v + 1)
+        colors[v] = 0
+
+    try:
+        fill(0)
+    finally:
+        if stats is not None:
+            stats["nodes"] = stats.get("nodes", 0) + nodes
+    return count
+
+
+def _outcome(search, g, lam, node_budget=10**9):
+    """(value or error text, stats) of one brute-force search."""
+    stats: dict = {}
+    try:
+        return search(g, lam, node_budget=node_budget, stats=stats), stats
+    except BudgetExceededError as err:
+        return str(err), stats
+
+
+# (vertices, density) of the random graphs of the engine benchmark
+ENGINE_STRATA = (
+    (8, 0.3), (8, 0.5), (8, 0.7), (9, 0.3), (9, 0.5),
+    (9, 0.7), (10, 0.3), (10, 0.5), (11, 0.3), (11, 0.7),
+)
+
+
+def test_bruteforce_bitmask_keeps_every_outcome():
+    rng = random.Random(1)
+    for vertices, density in ENGINE_STRATA:
+        pairs = list(itertools.combinations(range(vertices), 2))
+        g = Graph.from_edges(vertices, rng.sample(pairs, round(density * len(pairs))))
+        for lam in range(5):
+            want = _outcome(_bruteforce_scanning_neighbors, g, lam)
+            assert _outcome(count_colorings_bruteforce, g, lam) == want, (sorted(g.edges), lam)
+            if lam > 3:
+                continue
+            # every budget up to one past the search's N nodes at lam <= 2;
+            # at lam = 3, where N reaches 5,000, about 25 spread over 1..N+1
+            nodes = want[1]["nodes"]
+            step = 1 if lam < 3 else max(1, nodes // 24)
+            for budget in sorted({*range(1, nodes + 2, step), nodes, nodes + 1} - {0}):
+                want_b = _outcome(_bruteforce_scanning_neighbors, g, lam, budget)
+                got = _outcome(count_colorings_bruteforce, g, lam, budget)
+                assert got == want_b, (sorted(g.edges), lam, budget)
+
+
 def _bare_dc(n, edges):
     """P(G) by bare deletion-contraction on a vertex count and a frozenset of
     edges (any labels): no shortcut, no memo, shares no code with the engine."""

@@ -16,8 +16,6 @@ from latin3.formulas import (
     aps_literal,
     g_npq_closed,
     _tables,
-    _term_a,
-    _term_b,
     riordan_l3,
     theorem2_sum,
     thm3_g,
@@ -112,7 +110,7 @@ def test_aps_agrees_with_thm3_at_large_lambda():
 
 
 def _riordan_l3_calling_factorial(n):
-    """riordan_l3 as it was before it read k! from a per-call list."""
+    """riordan_l3 term by term: a factorial, gen_binom and 2**j call each."""
     total = 0
     for j in range(n + 1):
         inner = sum(
@@ -123,7 +121,7 @@ def _riordan_l3_calling_factorial(n):
 
 
 def _aps_g_calling_factorial(n, lam):
-    """aps_g as it was before it read beta! from a per-call list."""
+    """aps_g term by term: factorial, binom, falling and 2**gamma calls each."""
     if lam < n:
         return 0
     d = lam - n
@@ -152,30 +150,43 @@ def test_factorial_tables_keep_every_value():
 
 # --- Surgery building blocks -------------------------------------------------
 
-def _term_A(lam, k, l, t1, t2):
-    """The A factor at one (t1, t2): _term_a over the tables of n = k + l,
-    times the C(k, t1) that _split_sum multiplies in."""
-    tab = _tables(lam - k - l, k + l)
-    return tab.comb[k][t1] * _term_a(l, t1, range(t2, t2 + 1), tab)
+def _A_def(lam, k, l, t1, t2):
+    """Theorem 3's A factor at one (t1, t2) of the split (k, l), with the
+    C(k, t1) that g_npq_closed multiplies in, straight from the definition."""
+    d = lam - k - l
+    return binom(k, t1) * binom(l, t2) * binom(d, l - t1 - t2) * gen_derangement(l, l, t2)
 
 
-def _term_B(lam, k, l, t1):
-    """The B factor at one t1: _term_b over the tables of n = k + l."""
-    return _term_b(k, t1, _tables(lam - k - l, k + l))
+def _B_def(lam, k, l, t1):
+    """Theorem 3's B factor at one t1, summed over the full t3 range."""
+    d = lam - k - l
+    return sum(
+        binom(k - t1, t3) * binom(d + t1, k - t3) * gen_derangement(k, k, t3)
+        for t3 in range(k - t1 + 1)
+    )
 
 
 def test_term_A_hand_values():
     # All-zero indices: every factor is a binomial at (x, 0) or D(l, l, 0)
     # with l = 0, so the product collapses to 1.
-    assert _term_A(3, 3, 0, 0, 0) == 1
-    assert _term_A(4, 0, 2, 0, 2) == 1
-    assert _term_A(5, 1, 2, 1, 1) == 2
+    assert _A_def(3, 3, 0, 0, 0) == 1
+    assert _A_def(4, 0, 2, 0, 2) == 1
+    assert _A_def(5, 1, 2, 1, 1) == 2
+    # G(1,0,1) on 3 colors: B = 1 and A = C(2, 1) = 2 at t2 = 0 (D(1,1,1) = 0
+    # kills t2 = 1), times falling(3, 1).
+    a_sum = _A_def(3, 0, 1, 0, 0) + _A_def(3, 0, 1, 0, 1)
+    assert (a_sum, _B_def(3, 0, 1, 0)) == (2, 1)
+    assert falling(3, 1) * a_sum == g_npq_closed(1, 0, 1, 3) == 6
 
 
 def test_term_B_hand_values():
-    assert _term_B(3, 0, 3, 0) == 1
-    assert _term_B(3, 3, 0, 0) == 2
-    assert _term_B(4, 1, 0, 0) == 3
+    assert _B_def(3, 0, 3, 0) == 1
+    assert _B_def(3, 3, 0, 0) == 2
+    assert _B_def(4, 1, 0, 0) == 3
+    # G(1,1,0) on 3 colors: A = 1 and B = C(2, 1) = 2, squared, times
+    # falling(3, 1).
+    assert (_A_def(3, 1, 0, 0, 0), _B_def(3, 1, 0, 0)) == (1, 2)
+    assert falling(3, 1) * _B_def(3, 1, 0, 0) ** 2 == g_npq_closed(1, 1, 0, 3) == 12
 
 
 def test_g_npq_hand_cells():
@@ -213,42 +224,46 @@ def test_engine_proves_theorem3_and_surgery_at_n5():
 
 
 def test_split_sums_rebuild_from_per_term_bodies():
-    # falling(lam, n) * sum A * B^2 over the full ranges of t1, t2 (and t3
-    # inside _term_b), from per-term calls that each build their own tables,
-    # must equal g_npq_closed, which shares one set of tables and skips the
-    # terms its trimmed ranges prove zero.  lam < 2n makes d = lam - n < n,
-    # where the trim skips terms.
+    # falling(lam, n) * sum C(k, t1) A * B^2 over the full ranges of t1, t2
+    # (and t3 inside _B_def), term by term from the definitions, must equal
+    # g_npq_closed, which reads shared tables and skips the terms its trimmed
+    # ranges prove zero.  lam < 2n makes d = lam - n < n, where the trim
+    # skips terms.
     for n in range(1, 13):
         for lam in range(n, n + 5):
             for k in range(n + 1):
                 l = n - k
                 total = 0
                 for t1 in range(min(k, l) + 1):
-                    b_val = _term_B(lam, k, l, t1)
+                    b_val = _B_def(lam, k, l, t1)
                     for t2 in range(l - t1 + 1):
-                        total += _term_A(lam, k, l, t1, t2) * b_val * b_val
-                assert falling(lam, n) * total == g_npq_closed(n, k, l, lam)
+                        total += _A_def(lam, k, l, t1, t2) * b_val * b_val
+                assert falling(lam, n) * total == g_npq_closed(n, k, l, lam), (n, lam, k)
 
 
 def test_terms_match_their_full_range_definitions():
-    # _term_a and _term_b are the bodies _split_sum uses, trims included, so
-    # they are also checked against their definitions, summed here over the
-    # full t3 range with no zero term skipped.
+    # g_npq_closed reads every binomial and generalized derangement number of
+    # A and B from _tables and skips the terms with t2 < l-t1-d or
+    # t3 < k-t1-d.  Over the full t2 and t3 ranges, each product it would
+    # read must equal the definition's, and each skipped term must be 0.
     for n in range(1, 13):
         for lam in range(n, n + 5):
             d = lam - n
+            tab = _tables(d, n)
             for k in range(n + 1):
                 l = n - k
                 for t1 in range(min(k, l) + 1):
-                    b_full = sum(
-                        binom(k - t1, t3) * binom(d + t1, k - t3) * gen_derangement(k, k, t3)
-                        for t3 in range(k - t1 + 1)
-                    )
-                    assert _term_B(lam, k, l, t1) == b_full, (lam, k, l, t1)
+                    for t3 in range(k - t1 + 1):
+                        full = binom(k - t1, t3) * binom(d + t1, k - t3) * gen_derangement(k, k, t3)
+                        read = tab.comb[k - t1][t3] * tab.comb_d[t1][k - t3] * tab.derange[k][t3]
+                        assert read == full, (lam, k, l, t1, t3)
+                        assert t3 >= k - t1 - d or full == 0, (lam, k, l, t1, t3)
                     for t2 in range(l - t1 + 1):
-                        a_full = (binom(k, t1) * binom(l, t2) * binom(d, l - t1 - t2)
-                                  * gen_derangement(l, l, t2))
-                        assert _term_A(lam, k, l, t1, t2) == a_full, (lam, k, l, t1, t2)
+                        full = _A_def(lam, k, l, t1, t2)
+                        read = (tab.comb[k][t1] * tab.comb[l][t2] * tab.comb_d[0][l - t1 - t2]
+                                * tab.derange[l][t2])
+                        assert read == full, (lam, k, l, t1, t2)
+                        assert t2 >= l - t1 - d or full == 0, (lam, k, l, t1, t2)
 
 
 def test_g_npq_rejects_bad_arguments():
@@ -283,9 +298,9 @@ def test_thm3_equals_aps_as_polynomials():
             assert thm3_g(n, lam) == aps_g(n, lam), (n, lam)
 
 
-@pytest.mark.parametrize("n", [30, 51])
+@pytest.mark.parametrize("n", range(1, 61))
 def test_thm3_square_matches_aps_and_riordan(n):
-    # n = 51 is the top of the square benchmark's range.
+    # The square benchmark runs n = 10..51; this covers all of it and more.
     assert thm3_g(n, n) == aps_g(n, n) == factorial(n) * riordan_l3(n)
 
 
