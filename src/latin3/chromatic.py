@@ -1,7 +1,7 @@
 """Chromatic polynomials from first principles.
 
-The engine computes P(G, lambda) with exact integer polynomial arithmetic by
-applying, to each graph it meets, the first of these rules that fits:
+The engine computes P(G, lambda) exactly by applying, to each graph it
+meets, the first of these rules that fits:
 
 * no vertices: P = 1;
 * several components: P is the product over the components;
@@ -21,14 +21,25 @@ vertex simplicial, so the recursion runs close to a vertex-elimination order:
 G(4) takes 131 recursion nodes (394 when each simplicial vertex took a node of
 its own), where the edge of greatest endpoint degree sum took 4,668 such nodes.
 
-One recursion node removes every simplicial vertex it can, one after
-another, and multiplies in their linear factors at the end.  It looks for
-components only at the root and after an edge deletion: removing a simplicial
-vertex, contracting and adding an edge keep a connected graph connected.
+One recursion node removes every simplicial vertex it can, in passes over
+its vertices, and multiplies in their linear factors at the end.  A vertex
+stays simplicial when others are removed, so the set removed does not depend
+on the order.  The node looks for components only at the root and after an
+edge deletion: removing a simplicial vertex, contracting and adding an edge
+keep a connected graph connected.
+
+The recursion does not carry polynomials.  Each node returns one int, the
+value of P at lambda = X = 2**s, where s = E + 2 and E is the root's edge
+count, so the rules are integer operations: + and - for addition and
+deletion, * for components, (P << s) - d*P for a simplicial vertex of degree
+d.  By Whitney's broken-circuit theorem (H. Whitney, Bull. AMS 38 (1932))
+the coefficients a_i of the root's P satisfy |a_i| <= C(E, v - i) <= 2**E,
+below X / 2, so chromatic_poly reads them back exactly as the v + 1 balanced
+base-X digits of that one int.
 
 An optional per-call memo, keyed on the graph relabeled by one ordering pass
 (see _memo_key), maps each graph that reaches one of the two branching rules
-to its polynomial.  None of this affects the result, which is what the tests pin
+to its value at X.  None of this affects the result, which is what the tests pin
 down against brute force and against a bare deletion-contraction.
 
 count_colorings_bruteforce is the grounding oracle: a deliberately naive
@@ -114,18 +125,6 @@ def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
     return tuple(out)
 
 
-def _cycle_coeffs(v: int) -> Coeffs:
-    """(lambda-1)^v + (-1)^v (lambda-1), the chromatic polynomial of the v-cycle."""
-    out: Coeffs = (1,)
-    for _ in range(v):
-        out = _mul(out, (-1, 1))
-    sign = -1 if v % 2 else 1
-    lifted = list(out)
-    lifted[0] -= sign
-    lifted[1] += sign
-    return tuple(lifted)
-
-
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -180,10 +179,18 @@ def _add_edge(adj: Coeffs, u: int, v: int) -> Coeffs:
     return tuple(rows)
 
 
-def _drop(adj: Coeffs, v: int) -> Coeffs:
-    """Remove vertex v: its row goes, and every later vertex's bit shifts down one."""
-    low = (1 << v) - 1
-    return tuple((m & low) | (m >> 1 & ~low) for m in adj[:v] + adj[v + 1:])
+def _drop(adj: Coeffs, gone: int) -> Coeffs:
+    """Remove the vertices in the mask gone, highest first: their rows go,
+    and every other vertex keeps its relative order, its bits shifting down
+    past them."""
+    rows = list(adj)
+    while gone:
+        v = gone.bit_length() - 1
+        gone ^= 1 << v
+        del rows[v]
+        low = (1 << v) - 1
+        rows = [(m & low) | (m >> 1 & ~low) for m in rows]
+    return tuple(rows)
 
 
 def _contract(adj: Coeffs, u: int, v: int) -> Coeffs:
@@ -193,19 +200,25 @@ def _contract(adj: Coeffs, u: int, v: int) -> Coeffs:
     """
     bu, bv = 1 << u, 1 << v
     rows = tuple(m | bu if m & bv else m for m in adj)
-    return _drop(rows[:u] + ((adj[u] | adj[v]) & ~(bu | bv),) + rows[u + 1:], v)
+    return _drop(rows[:u] + ((adj[u] | adj[v]) & ~(bu | bv),) + rows[u + 1:], bv)
 
 
 def _memo_key(adj: Coeffs) -> tuple[int, int]:
-    """Exact memo key: the adjacency rows relabeled into one ordering pass.
+    """Exact memo key: the adjacency matrix relabeled into one ordering pass.
 
     Vertices are sorted once by (degree, sorted degrees of the neighbors),
-    ties going to the lower index, and the relabeled rows are packed into one
-    int.  The ordering is a single round of color refinement from the degree
-    coloring, not refinement run until it is stable.  Equal keys mean the
-    graphs are identical after relabeling, so they share a polynomial.  The
-    key is exact but not canonical: isomorphic graphs whose orderings differ
-    (a tie broken differently) simply miss the memo.
+    ties going to the lower index.  The ordering is a single round of color
+    refinement from the degree coloring, not refinement run until it is
+    stable.  Two vertices of equal degree compare by their sorted neighbor
+    degrees exactly as by their neighbor counts per degree class, lowest
+    class first, negated, so each vertex's sort key is one int: its degree,
+    then one w-bit field per degree class holding 2**w - 1 - count, where
+    w = n.bit_length(), so 2**w > n > any count.  The rows are packed into
+    one int in that order, and the relabeled matrix is gathered from it
+    column by column, n shifts and masks in all.  Equal keys mean the graphs
+    are identical after relabeling, so they share a value.  The key is exact
+    but not canonical: isomorphic graphs whose orderings differ (a tie
+    broken differently) simply miss the memo.
     """
     n = len(adj)
     degrees = [m.bit_count() for m in adj]
@@ -213,39 +226,25 @@ def _memo_key(adj: Coeffs) -> tuple[int, int]:
     for v, d in enumerate(degrees):
         classes[d] = classes.get(d, 0) | 1 << v
     class_masks = [classes[d] for d in sorted(classes)]
-    # Two vertices of equal degree compare by their sorted neighbor degrees
-    # exactly as by their neighbor counts per degree class, lowest class
-    # first, negated: one pass of popcounts instead of a sort per vertex.
-    signatures = [(d, [-(m & k).bit_count() for k in class_masks]) for d, m in zip(degrees, adj)]
+    w = n.bit_length()
+    top = (1 << w) - 1
+    signatures = []
+    for d, m in zip(degrees, adj):
+        sig = d
+        for k in class_masks:
+            sig = sig << w | top - (m & k).bit_count()
+        signatures.append(sig)
     order = sorted(range(n), key=signatures.__getitem__)
-    position = [0] * n
-    for i, v in enumerate(order):
-        position[v] = 1 << i
+    rows = 0
+    for v in reversed(order):
+        rows = rows << n | adj[v]
+    # column: bit 0 of every n-bit row; rows >> v & column is old column v,
+    # which the relabeling moves to column i
+    column = ((1 << n * n) - 1) // ((1 << n) - 1) if n else 0
     code = 0
-    for v in order:
-        row = 0
-        m = adj[v]
-        while m:
-            low = m & -m
-            row |= position[low.bit_length() - 1]
-            m ^= low
-        code = code << n | row
+    for i, v in enumerate(order):
+        code |= (rows >> v & column) << i
     return n, code
-
-
-def _simplicial(adj: Coeffs) -> Optional[int]:
-    """The first vertex whose neighborhood is a clique, or None."""
-    for v, nbrs in enumerate(adj):
-        rest = nbrs
-        while rest:
-            # neighbor w (bit low) must see every other neighbor of v
-            low = rest & -rest
-            if (nbrs & ~adj[low.bit_length() - 1]) != low:
-                break
-            rest ^= low
-        else:
-            return v
-    return None
 
 
 def _pick_edge(adj: Coeffs) -> tuple[int, int]:
@@ -289,9 +288,10 @@ def _count(stats: Optional[dict], name: str) -> None:
 
 
 def _chrom(
-    adj: Coeffs, memo: Optional[dict], stats: Optional[dict] = None, connected: bool = False
-) -> Coeffs:
-    """P(G) of one recursion node.  connected=True promises that G is
+    adj: Coeffs, s: int, memo: Optional[dict], stats: Optional[dict] = None,
+    connected: bool = False,
+) -> int:
+    """P(G, 2**s) of one recursion node.  connected=True promises that G is
     connected, so the component search is skipped (see the module docstring
     for which steps keep a graph connected)."""
     _count(stats, "nodes")
@@ -299,32 +299,49 @@ def _chrom(
         comps = _components(adj)
         if len(comps) > 1:
             _count(stats, "components")
-            out: Coeffs = (1,)
+            out = 1
             for comp in comps:
-                out = _mul(out, _chrom(_induced(adj, comp), memo, stats, True))
+                out *= _chrom(_induced(adj, comp), s, memo, stats, True)
             return out
     # A simplicial vertex's d neighbors are pairwise adjacent, so they use d
     # distinct colors in every proper coloring of G - v, leaving lambda - d
-    # for v.  Each removal can make others simplicial, so remove them all here.
+    # for v.  Removing a vertex keeps every simplicial vertex simplicial, so
+    # each pass removes all it meets, taking each degree among the vertices
+    # still left, and passes repeat until one finds none.
     degrees = []
-    v = _simplicial(adj)
-    while v is not None:
-        _count(stats, "simplicial")
-        degrees.append(adj[v].bit_count())
-        adj = _drop(adj, v)
-        v = _simplicial(adj)
-    out = _branch(adj, memo, stats) if adj else (1,)
+    while True:
+        gone = 0
+        for v, nbrs in enumerate(adj):
+            nbrs &= ~gone
+            rest = nbrs
+            while rest:
+                # neighbor w (bit low) must see every other neighbor of v
+                low = rest & -rest
+                if (nbrs & ~adj[low.bit_length() - 1]) != low:
+                    break
+                rest ^= low
+            else:
+                gone |= 1 << v
+                degrees.append(nbrs.bit_count())
+        if not gone:
+            break
+        adj = _drop(adj, gone)
+    if stats is not None:
+        stats["simplicial"] += len(degrees)
+    out = _branch(adj, s, memo, stats) if adj else 1
     for d in degrees:
-        out = _mul(out, (-d, 1))
+        out = (out << s) - d * out
     return out
 
 
-def _branch(adj: Coeffs, memo: Optional[dict], stats: Optional[dict]) -> Coeffs:
-    """P(G) of a nonempty connected graph with no simplicial vertex."""
+def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: Optional[dict]) -> int:
+    """P(G, 2**s) of a nonempty connected graph with no simplicial vertex."""
     n = len(adj)
-    if all(m.bit_count() == 2 for m in adj):
+    degrees = [m.bit_count() for m in adj]
+    if degrees.count(2) == n:
         _count(stats, "cycle")
-        return _cycle_coeffs(n)
+        x1 = (1 << s) - 1
+        return x1**n + (-x1 if n % 2 else x1)
     if memo is not None:
         key = _memo_key(adj)
         hit = memo.get(key)
@@ -332,25 +349,36 @@ def _branch(adj: Coeffs, memo: Optional[dict], stats: Optional[dict]) -> Coeffs:
             _count(stats, "memo_hits")
             return hit
         _count(stats, "memo_misses")
-    edge_count = sum(m.bit_count() for m in adj) // 2
-    if 4 * edge_count > n * (n - 1):
+    if 2 * sum(degrees) > n * (n - 1):
         # dense: P(G) = P(G + uv) + P(G / uv) on a non-edge uv
         _count(stats, "addition")
         u, v = _pick_non_edge(adj)
-        out = _add(
-            _chrom(_add_edge(adj, u, v), memo, stats, True),
-            _chrom(_contract(adj, u, v), memo, stats, True),
+        out = _chrom(_add_edge(adj, u, v), s, memo, stats, True) + _chrom(
+            _contract(adj, u, v), s, memo, stats, True
         )
     else:
         _count(stats, "deletion")
         u, v = _pick_edge(adj)
-        out = _sub(
-            _chrom(_delete(adj, u, v), memo, stats),
-            _chrom(_contract(adj, u, v), memo, stats, True),
+        out = _chrom(_delete(adj, u, v), s, memo, stats) - _chrom(
+            _contract(adj, u, v), s, memo, stats, True
         )
     if memo is not None:
         memo[key] = out
     return out
+
+
+def _decode(value: int, s: int, v: int) -> Poly:
+    """The degree-v polynomial whose value at 2**s is value: its v + 1
+    balanced base-2**s digits, lowest first.  Exact when every coefficient
+    lies in [-2**(s-1), 2**(s-1))."""
+    half = 1 << s - 1
+    mask = (1 << s) - 1
+    coeffs = []
+    for _ in range(v + 1):
+        digit = (value + half & mask) - half
+        coeffs.append(digit)
+        value = (value - digit) >> s
+    return Poly(tuple(coeffs))
 
 
 STAT_NAMES = (
@@ -367,6 +395,12 @@ def chromatic_poly(
     stats: Optional[dict] = None,
 ) -> Poly:
     """Exact chromatic polynomial of a simple graph.
+
+    The recursion evaluates P(G) at lambda = 2**(E + 2) for the graph's E
+    edges, one int per recursion node, and the coefficients are decoded once
+    at the end as balanced base-2**(E + 2) digits: Whitney's bound
+    |a_i| <= C(E, v - i) <= 2**E keeps each one inside its digit, whatever
+    max_vertices is.
 
     The recursion is exponential in the worst case, so graphs above
     max_vertices are rejected outright (VertexLimitError); a negative
@@ -386,8 +420,9 @@ def chromatic_poly(
         raise VertexLimitError(
             f"graph has {g.vertex_count} vertices, exceeding the limit of {max_vertices}"
         )
+    s = g.edge_count + 2
     memo: Optional[dict] = {} if memoize else None
-    return Poly.of(_chrom(g.adjacency_masks(), memo, stats))
+    return _decode(_chrom(g.adjacency_masks(), s, memo, stats), s, g.vertex_count)
 
 
 def count_colorings_bruteforce(

@@ -150,11 +150,20 @@ def _pascal(row: list[int], count: int) -> list[list[int]]:
     return rows
 
 
+def _triangle(n: int) -> list[list[int]]:
+    """Rows 0..n of Pascal's triangle: row a holds C(a, 0..a), no zeros."""
+    rows = [[1]]
+    for _ in range(n):
+        prev = rows[-1]
+        rows.append([1, *map(operator.add, prev[1:], prev), 1])
+    return rows
+
+
 class _Tables(NamedTuple):
     """Everything the Theorem-3 factors read for one n and one d = lam - n.
 
     derange[m][t] = gen_derangement(m, m, t) for t <= m <= n;
-    comb[a][b]    = C(a, b) for a, b <= n;
+    comb[a][b]    = C(a, b) for b <= a <= n (row a has a + 1 entries);
     comb_d[s][j]  = C(d + s, j) for s <= n // 2 and j <= n.
 
     t1 <= min(k, l) <= n // 2, so comb_d covers every C(d + t1, .) a split
@@ -173,7 +182,7 @@ def _tables(d: int, n: int) -> _Tables:
     return _Tables(
         d,
         derangement_table(n),
-        _pascal([1] + [0] * n, n + 1),
+        _triangle(n),
         _pascal([binom(d, j) for j in range(n + 1)], n // 2 + 1),
     )
 
@@ -224,7 +233,7 @@ def g_npq_closed(n: int, k: int, l: int, lam: int) -> int:
     are exactly 0 and are skipped.  Every binomial and every
     gen_derangement(m, m, t) the factors need is read from tables built once
     per call: derangement_table(n), by D(m, t) = D(m, t-1) - D(m-1, t-1),
-    and Pascal triangles of C(a, b) for a <= n and of C(d + s, j) for
+    and Pascal tables of C(a, b) for b <= a <= n and of C(d + s, j) for
     s <= n // 2.  Row 3 of G(n,k,l) is still an n-clique, so for
     0 <= lam < n the count is 0.  The closed form is stated only for
     k + l = n; other splits are rejected (the engine handles them).

@@ -1,6 +1,7 @@
 """Tests for the chromatic engine and its brute-force oracle."""
 
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from latin3.chromatic import (
     STAT_NAMES,
     Poly,
     _chrom,
+    _decode,
+    _memo_key,
     _pick_edge,
     _pick_non_edge,
     chromatic_poly,
@@ -132,15 +135,17 @@ def test_memo_shared_by_graphs_refinement_cannot_split():
     # vertex-transitive, so the memo key's ordering pass (one round of color
     # refinement, from degrees) leaves each one a single class and the key
     # rests on the tie-break alone.  The key is exact but not canonical, so
-    # sharing one memo must still give each graph its own polynomial.
+    # sharing one memo must still give each graph its own polynomial.  Both
+    # have 12 edges, so one evaluation point 2**14 serves the shared memo.
     cube = Graph.from_edges(8, [(v, v ^ (1 << k)) for v in range(8) for k in range(3)])
     wagner = Graph.from_edges(
         8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
     )
+    s = 12 + 2
     memo: dict = {}
     for g in (cube, wagner):
-        shared = _chrom(g.adjacency_masks(), memo)
-        assert Poly.of(shared) == chromatic_poly(g, memoize=False)
+        shared = _chrom(g.adjacency_masks(), s, memo)
+        assert _decode(shared, s, 8) == chromatic_poly(g, memoize=False)
     assert chromatic_poly(cube) != chromatic_poly(wagner)
 
 
@@ -265,18 +270,21 @@ def test_bridge_multiplies_the_sides(memoize):
 def test_memo_shared_across_relabelings():
     # one memo across a graph and seeded relabelings of it: whatever the
     # relabeling does to the keys, every call returns the unmemoized polynomial
+    # (a relabeling keeps the edge count, so one evaluation point per graph)
     rng = random.Random(53)
     graphs = [build_gn(3), build_gnpq(3, 1, 1)]
     graphs += random_graphs(seed=59, count=3, min_vertices=9, max_vertices=10)
     stats: dict = dict.fromkeys(STAT_NAMES, 0)
     for g in graphs:
         want = chromatic_poly(g, memoize=False)
+        s = g.edge_count + 2
         memo: dict = {}
         for _ in range(6):
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
             relabeled = Graph.from_edges(g.vertex_count, [(perm[a], perm[b]) for a, b in g.edges])
-            assert Poly.of(_chrom(relabeled.adjacency_masks(), memo, stats)) == want
+            value = _chrom(relabeled.adjacency_masks(), s, memo, stats)
+            assert _decode(value, s, g.vertex_count) == want
     assert stats["memo_hits"] > 0, stats
 
 
@@ -511,3 +519,133 @@ def test_stats_count_every_memo_lookup(monkeypatch):
     chromatic_poly(build_gn(3), memoize=False, stats=unmemoized)
     assert lookups == []
     assert unmemoized["memo_hits"] == unmemoized["memo_misses"] == 0
+
+
+def _falling_poly(n):
+    out = Poly((1,))
+    for j in range(n):
+        out = out * Poly((-j, 1))
+    return out
+
+
+def _assert_whitney_bound(g, poly):
+    # |a_i| <= C(E, v - i): the bound the engine's one-integer evaluation at
+    # 2**(E + 2) rests on
+    v, e = g.vertex_count, g.edge_count
+    for i, c in enumerate(poly.coefficients):
+        assert abs(c) <= math.comb(e, v - i), (sorted(g.edges), i, c)
+
+
+@pytest.mark.parametrize("memoize", [True, False])
+def test_forests_reach_whitney_bound_exactly(memoize):
+    # a forest with c components and E edges has P = lambda^c (lambda - 1)^E,
+    # so |a_{v-k}| = C(E, k): every coefficient sits on the bound itself
+    path14 = path(14)
+    star = Graph.from_edges(14, [(0, v) for v in range(1, 14)])
+    forest = Graph.from_edges(14, [(i, i + 1) for i in range(6)] + [(7, v) for v in range(8, 14)])
+    for g in (path14, star, forest):
+        e = g.edge_count
+        components = g.vertex_count - e
+        poly = chromatic_poly(g, memoize=memoize)
+        want = Poly((0,) * components + (1,))
+        for _ in range(e):
+            want = want * Poly((-1, 1))
+        assert poly == want, sorted(g.edges)
+        for k in range(e + 1):
+            assert abs(poly.coefficients[g.vertex_count - k]) == math.comb(e, k)
+
+
+def test_complete_graphs_decode_to_the_falling_factorial():
+    for n in range(15):
+        poly = chromatic_poly(complete(n))
+        assert poly == _falling_poly(n), n
+        _assert_whitney_bound(complete(n), poly)
+
+
+def test_dense_fourteen_vertex_graphs_decode_with_and_without_memo():
+    # K_14 minus a perfect matching: each of the 7 non-adjacent pairs shares a
+    # color or not, and all color classes are distinct otherwise, so
+    # P = sum_j C(7, j) falling(lambda, 14 - j)
+    cocktail = Graph.from_edges(
+        14, [p for p in itertools.combinations(range(14), 2) if p[1] != p[0] + 7]
+    )
+    want = Poly((0,))
+    for j in range(8):
+        want = want + Poly((math.comb(7, j),)) * _falling_poly(14 - j)
+    rng = random.Random(61)
+    pairs = list(itertools.combinations(range(14), 2))
+    dense = Graph.from_edges(14, rng.sample(pairs, 80))
+    for g in (cocktail, dense):
+        stats: dict = {}
+        with_memo = chromatic_poly(g, stats=stats)
+        assert with_memo == chromatic_poly(g, memoize=False), sorted(g.edges)
+        _assert_whitney_bound(g, with_memo)
+        assert stats["addition"] > 0, stats
+    assert chromatic_poly(cocktail) == want
+
+
+def test_decode_reads_balanced_digits():
+    # P(lambda) = lambda^3 - 3 lambda^2 + 2 lambda at lambda = 2**4, and a
+    # digit of exactly -2**(s-1), the lowest one a digit may hold
+    assert _decode(16**3 - 3 * 16**2 + 2 * 16, 4, 3) == Poly((0, 2, -3, 1))
+    assert _decode(16**2 - 8, 4, 2) == Poly((-8, 0, 1))
+    assert _decode(1, 2, 0) == Poly((1,))
+
+
+def _reference_key(adj):
+    """The memo key's ordering as a sort on (degree, negated neighbor counts
+    per degree class) tuples, and the relabeled edge set it induces."""
+    n = len(adj)
+    nbrs = [[u for u in range(n) if adj[v] >> u & 1] for v in range(n)]
+    degrees = [len(x) for x in nbrs]
+    classes = sorted(set(degrees))
+    sig = [(degrees[v], [-sum(degrees[u] == c for u in nbrs[v]) for c in classes]) for v in range(n)]
+    order = sorted(range(n), key=sig.__getitem__)
+    pos = {v: i for i, v in enumerate(order)}
+    return n, frozenset((pos[v], pos[u]) for v in range(n) for u in nbrs[v])
+
+
+def _key_edges(key):
+    n, code = key
+    return n, frozenset((i, j) for i in range(n) for j in range(n) if code >> (i * n + j) & 1)
+
+
+def _swap_two_edges(rng, g):
+    # a degree-preserving double edge swap: ab, cd -> ac, bd
+    edges = sorted(g.edges)
+    while True:
+        (a, b), (c, d) = rng.sample(edges, 2)
+        if len({a, b, c, d}) == 4 and not g.has_edge(a, c) and not g.has_edge(b, d):
+            return Graph.from_edges(g.vertex_count, (g.edges - {(a, b), (c, d)}) | {(a, c), (b, d)})
+
+
+def test_memo_key_is_exact_past_four_bit_counts():
+    # On 17-20 vertices a neighbor count within one degree class reaches 16
+    # and needs a fifth bit per field: K_n minus a perfect matching and one
+    # more edge has a degree class of n - 2 or more vertices.  The key must be
+    # the matrix relabeled by the reference ordering, so relabelings of one
+    # graph and degree-preserving swaps of it (different graphs, same degrees)
+    # never share a key unless their matrices agree.
+    rng = random.Random(67)
+    inputs = []
+    for n in range(17, 21):
+        pairs = list(itertools.combinations(range(n), 2))
+        sparse = Graph.from_edges(n, rng.sample(pairs, round(0.3 * len(pairs))))
+        near_complete = Graph.from_edges(
+            n, [p for p in pairs if p[1] != p[0] + n // 2 and p != (0, 1)]
+        )
+        for base in (sparse, near_complete):
+            for g in (base, _swap_two_edges(rng, base)):
+                for _ in range(3):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    inputs.append(
+                        Graph.from_edges(n, [(perm[a], perm[b]) for a, b in g.edges]).adjacency_masks()
+                    )
+    keys = [_memo_key(adj) for adj in inputs]
+    refs = [_reference_key(adj) for adj in inputs]
+    assert len(set(keys)) < len(keys)  # some relabelings do share a key
+    for key, ref in zip(keys, refs):
+        assert _key_edges(key) == ref
+    for i, j in itertools.combinations(range(len(inputs)), 2):
+        assert (keys[i] == keys[j]) == (refs[i] == refs[j])
