@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import BudgetExceededError, VertexLimitError
+from .errors import MAX_SEARCH_DEPTH, BudgetExceededError, VertexLimitError
 from .graphs import Graph
 
 Coeffs = tuple[int, ...]
@@ -433,7 +433,10 @@ def count_colorings_bruteforce(
     Independent of the polynomial engine by design: vertices are colored in
     index order and every color attempt is checked against earlier neighbors,
     whose colors are gathered into one bitmask per visit of a vertex.  Each
-    attempt costs one node against the budget.  A dict passed as stats
+    attempt costs one node against the budget.  The search recurses once
+    per vertex colored, so a graph of MAX_SEARCH_DEPTH vertices or more is
+    refused before the search starts unless its first MAX_SEARCH_DEPTH
+    vertices are shown to stop it (_stops_early).  A dict passed as stats
     gets the nodes visited added to its "nodes" entry, also when the budget
     stops the search.
     """
@@ -442,6 +445,11 @@ def count_colorings_bruteforce(
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     n = g.vertex_count
+    if n >= MAX_SEARCH_DEPTH and not _stops_early(g, lam, MAX_SEARCH_DEPTH):
+        raise BudgetExceededError(
+            f"coloring search of {n} vertices may need {n + 1} levels of "
+            f"recursion, past the depth limit of {MAX_SEARCH_DEPTH}"
+        )
     earlier = [
         [w for w in range(v) if g.has_edge(v, w)] for v in range(n)
     ]
@@ -474,3 +482,19 @@ def count_colorings_bruteforce(
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes
     return count
+
+
+def _stops_early(g: Graph, lam: int, depth: int) -> bool:
+    """True if some vertex k < depth closes a clique of lam + 1 vertices among
+    0..k, so that no coloring of 0..k with lam colors exists and the search
+    of count_colorings_bruteforce never stacks more than depth levels.  The
+    clique is sought greedily among each vertex's earlier neighbors."""
+    adj = g.adjacency_masks()
+    for v in range(min(g.vertex_count, depth)):
+        clique, candidates = 1, adj[v] & ((1 << v) - 1)
+        while candidates and clique <= lam:
+            candidates &= adj[candidates.bit_length() - 1]
+            clique += 1
+        if clique > lam:
+            return True
+    return False

@@ -2,13 +2,16 @@
 chromatic polynomials of arbitrary graphs, and surgered-graph comparisons.
 
 Exit codes: 0 success; 1 identity failure; 2 invalid arguments or input;
-3 cost limit (node budget or vertex ceiling) exceeded.  Data goes to stdout,
-diagnostics to stderr; all numbers are exact decimals.
+3 cost limit (node budget, search depth or vertex ceiling) exceeded.  Data
+goes to stdout, diagnostics to stderr; all numbers are exact decimals.  The
+argument parser is built once per process, on the first call of main, and
+reused after that.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -189,6 +192,7 @@ def cmd_gnpq(args: argparse.Namespace) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latin3",
@@ -221,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "colouring's nodes (colour attempts), summed over its cells, as one JSON "
         "line on stderr (--formula engine, latin-oracle or brute only)",
     )
-    table.set_defaults(func=cmd_table)
 
     verify = sub.add_parser("verify", help="run the identity cross-check matrix")
     verify.add_argument("--n-max", type=int, default=3)
@@ -229,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--skip-engine", action="store_true")
     verify.add_argument("--skip-oracle", action="store_true")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.set_defaults(func=cmd_verify)
 
     chromatic = sub.add_parser(
         "chromatic", help="chromatic polynomial of a graph in the text format"
@@ -237,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     chromatic.add_argument("graph_file")
     chromatic.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     chromatic.add_argument("--stats", action="store_true", help=STATS_HELP)
-    chromatic.set_defaults(func=cmd_chromatic)
 
     gnpq = sub.add_parser(
         "gnpq", help="closed form vs engine on the surgered graph G(n,p,q)"
@@ -248,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     gnpq.add_argument("lam", type=int, metavar="lambda")
     gnpq.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     gnpq.add_argument("--stats", action="store_true", help=STATS_HELP)
-    gnpq.set_defaults(func=cmd_gnpq)
 
     return parser
 
@@ -259,8 +259,11 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
+    # looked up by name on every call, not kept in the parser, which is built
+    # once: a wrapper bound to the name later (the span tracer binds one) runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

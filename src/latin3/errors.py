@@ -7,6 +7,12 @@ long".
 """
 
 
+# The deepest recursion a brute-force search starts.  CPython's default
+# recursion limit is 1000, and the frames below a search's entry point need
+# room too.
+MAX_SEARCH_DEPTH = 800
+
+
 class BudgetExceededError(RuntimeError):
     """A search visited more nodes than its configured budget allows."""
 

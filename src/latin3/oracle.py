@@ -7,12 +7,14 @@ makes them trustworthy cross-checks for everything else in the package.
 count_latin remembers, for the length of one call, how many ways each exact
 state of its search (the three rows' used-symbol sets) can be finished, so
 no state is searched twice.  It uses no symmetry and no relabelling of
-symbols.  It walks only the free symbols of each row and settles each
-last-column state in one step, counting its completions by
+symbols.  It walks only the free symbols of each row, looks each next
+state up in the memo inside that loop so that only a miss recurses, and
+settles each last-column state in one step, counting its completions by
 inclusion-exclusion over the three rows' free sets (see its docstring).
 Its budget counts nodes, one per state searched; a memo hit costs no node,
 and the "completed" count in a budget error includes the rectangles a hit
-stood for.
+stood for.  A search that would recurse more than MAX_SEARCH_DEPTH columns
+deep is refused before it starts.
 
 enumerate_latin fills a row at a time from the list of perm(lam, n)
 candidate rows.  It remembers which rows are compatible but no counts, so
@@ -30,7 +32,7 @@ import operator
 from itertools import chain, compress, islice, permutations, repeat
 from typing import Iterable, Iterator, Optional
 
-from .errors import BudgetExceededError
+from .errors import MAX_SEARCH_DEPTH, BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**9
 # count_latin's default: a memo entry takes about 150 bytes, so 10**7 states
@@ -49,6 +51,19 @@ def _check_params(n: int, lam: int) -> None:
 
 
 STAT_NAMES = ("nodes", "memo_hits")
+
+
+class _FreeBits(dict):
+    """A used-symbol mask -> the bits 1 << s of the symbols s of 1..lam
+    outside it, ascending; an entry is built on its first lookup."""
+
+    def __init__(self, lam: int):
+        super().__init__()
+        self.bits = tuple(1 << s for s in range(1, lam + 1))
+
+    def __missing__(self, used: int) -> tuple[int, ...]:
+        found = self[used] = tuple(bit for bit in self.bits if not used & bit)
+        return found
 
 
 def count_latin(
@@ -72,7 +87,9 @@ def count_latin(
     has used), so each such state is searched once per call and its count is
     remembered for the rest of that call.  The memo key is the exact state:
     no symbol relabelling or symmetry is used.  Each loop walks only the free
-    symbols, read from a per-call table keyed by the used-symbol mask.  In
+    symbols, as bits read from a per-call table keyed by the used-symbol mask,
+    and looks each placement's next state up in the memo itself: a hit adds
+    its count there, and only a miss calls the search one column deeper.  In
     the last column no placement can fail later, so a state there is settled
     in one step: with A, B and F the free symbols of rows 0, 1 and 2 (A only
     col + 1 when pinned) and pairs = |A||B| - |A&B|, it completes
@@ -83,33 +100,31 @@ def count_latin(
     placements, so the budget bounds the work, and the default of
     DEFAULT_STATE_BUDGET bounds the memo too.  A budget error reports the
     nodes visited and the rectangles completed so far, counting every
-    rectangle a memo hit stood for.  A dict passed as stats gets the counts
-    named in STAT_NAMES added to it: nodes (states searched) and memo hits.
+    rectangle a memo hit stood for.  The search recurses one level per
+    column and row 0 runs out of symbols after lam columns, so a call needing
+    more than MAX_SEARCH_DEPTH levels, min(n, lam + 1), raises
+    BudgetExceededError before it searches.  A dict passed as stats gets the
+    counts named in STAT_NAMES added to it: nodes (states searched) and memo
+    hits.
     """
     _check_params(n, lam)
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
+    depth = min(n, lam + 1)  # one level per column; row 0 runs out after lam
+    if depth > MAX_SEARCH_DEPTH:
+        raise BudgetExceededError(
+            f"rectangle search needs {depth} levels of recursion, "
+            f"past the depth limit of {MAX_SEARCH_DEPTH}"
+        )
     memo: dict[tuple[int, int, int], int] = {}
-    frees: dict[int, tuple[int, ...]] = {}
+    free = _FreeBits(lam)
     symbols = (1 << (lam + 1)) - 2  # the bits of 1..lam
     nodes = hits = 0
     done = 0  # rectangles completed so far, memo hits included
 
-    def free(used: int) -> tuple[int, ...]:
-        """The symbols of 1..lam outside the mask used, ascending."""
-        found = frees.get(used)
-        if found is None:
-            found = frees[used] = tuple(s for s in range(1, lam + 1) if not used >> s & 1)
-        return found
-
     def fill(col: int, u0: int, u1: int, u2: int) -> int:
+        """Search the state (u0, u1, u2) at column col, which the memo lacks."""
         nonlocal nodes, hits, done
-        key = (u0, u1, u2)
-        found = memo.get(key)
-        if found is not None:
-            hits += 1
-            done += found
-            return found
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(
@@ -131,14 +146,23 @@ def count_latin(
             done += total
         else:
             total = 0
-            top = ((col + 1,) if col < lam else ()) if fixed_first_row else free(u0)
-            for a in top:
-                bit_a = 1 << a
-                for b in free(u1 | bit_a):
-                    bit_b = 1 << b
-                    for c in free(u2 | bit_a | bit_b):
-                        total += fill(col + 1, u0 | bit_a, u1 | bit_b, u2 | 1 << c)
-        memo[key] = total
+            nxt = col + 1
+            get = memo.get
+            top = ((1 << nxt,) if col < lam else ()) if fixed_first_row else free[u0]
+            for bit_a in top:
+                v0 = u0 | bit_a
+                for bit_b in free[u1 | bit_a]:
+                    v1 = u1 | bit_b
+                    for bit_c in free[u2 | bit_a | bit_b]:
+                        v2 = u2 | bit_c
+                        found = get((v0, v1, v2))
+                        if found is None:
+                            found = fill(nxt, v0, v1, v2)
+                        else:
+                            hits += 1
+                            done += found
+                        total += found
+        memo[u0, u1, u2] = total
         return total
 
     try:
@@ -220,26 +244,45 @@ def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
     return True
 
 
+def _row_codes(rows: set[tuple[int, ...]], n: int, lam: int) -> Optional[dict]:
+    """Each row's code, an int with bit j*(lam+1) + s set for its symbol s in
+    column j, or None when some row is not n distinct symbols of 1..lam or
+    holds a symbol that is no int (1.0 or 1.5 may pass the row check, but
+    cannot be shifted)."""
+    if not all(
+        len(row) == n and len(set(row)) == n and (n == 0 or 1 <= min(row) and max(row) <= lam)
+        for row in rows
+    ):
+        return None
+    shifts = range(0, n * (lam + 1), lam + 1)
+    try:
+        return {
+            row: sum(map(operator.lshift, repeat(1), map(operator.add, shifts, row)))
+            for row in rows
+        }
+    except TypeError:
+        return None
+
+
 def _first_invalid(rects: list[Rectangle], n: int, lam: int) -> Optional[Rectangle]:
     """The first of rects that is_latin_rectangle rejects, or None.
 
     The same answer as testing each rectangle in turn, found at C level:
-    every distinct row is validated once, and each column of each row pair
-    is streamed over rects without a transposed copy.  Only when something
-    fails are the rectangles tested one by one, to find the first bad one.
+    every distinct row is validated and encoded once (_row_codes), and two
+    rows clash in some column iff their codes share a bit, so each of the
+    three row pairs is one stream of ANDs over rects.  Only when something
+    fails, or a row cannot be encoded, are the rectangles tested one by one,
+    to find the first bad one.
     """
     if all(map((3).__eq__, map(len, rects))):
-        rows_ok = all(
-            len(row) == n and len(set(row)) == n and (n == 0 or 1 <= min(row) and max(row) <= lam)
-            for row in set(chain.from_iterable(rects))
-        )
-        get = operator.itemgetter
-        if rows_ok and not any(
-            any(map(operator.eq, map(get(j), map(get(x), rects)), map(get(j), map(get(y), rects))))
-            for x, y in ((0, 1), (0, 2), (1, 2))
-            for j in range(n)
-        ):
-            return None
+        codes = _row_codes(set(chain.from_iterable(rects)), n, lam)
+        if codes is not None:
+            code, get = codes.__getitem__, operator.itemgetter
+            if not any(
+                any(map(operator.and_, map(code, map(get(x), rects)), map(code, map(get(y), rects))))
+                for x, y in ((0, 1), (0, 2), (1, 2))
+            ):
+                return None
     return next((r for r in rects if not is_latin_rectangle(r, n, lam)), None)
 
 

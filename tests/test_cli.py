@@ -9,6 +9,7 @@ import pytest
 from latin3.chromatic import STAT_NAMES, chromatic_poly, count_colorings_bruteforce, eval_poly
 from latin3 import cli
 from latin3.cli import main
+from latin3.errors import MAX_SEARCH_DEPTH
 from latin3.graphs import build_gn, build_gnpq
 from latin3.oracle import count_latin
 
@@ -321,6 +322,27 @@ def test_table_budget_error_reports_progress(capsys, formula, n, budget, progres
     assert f"node budget of {budget}: {progress}" in err
 
 
+@pytest.mark.parametrize(
+    "formula, n, lam, message",
+    [
+        ("latin-oracle", "1200", "1200", "rectangle search needs 1200 levels of recursion"),
+        (
+            "brute", str(MAX_SEARCH_DEPTH // 3 + 1), "1200",
+            f"coloring search of {3 * (MAX_SEARCH_DEPTH // 3 + 1)} vertices may need "
+            f"{3 * (MAX_SEARCH_DEPTH // 3 + 1) + 1} levels of recursion",
+        ),
+    ],
+    ids=["latin-oracle", "brute"],
+)
+def test_table_search_past_the_depth_limit_exits_3(capsys, formula, n, lam, message):
+    code, out, err = run_cli(
+        capsys, "table", "--formula", formula, "--n", n, "--lambda", lam, "--stats"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"{{}}\nerror: {message}, past the depth limit of {MAX_SEARCH_DEPTH}\n"
+
+
 def test_table_searches_keep_their_own_default_budget(capsys, monkeypatch):
     # without --node-budget no budget is passed on, so count_latin keeps its
     # state budget and the colouring search its attempt budget
@@ -399,6 +421,77 @@ def test_verify_is_deterministic(capsys):
     code, second, _ = run_cli(capsys, *args)
     assert code == 0
     assert first == second
+
+
+# --- the process -------------------------------------------------------------
+
+def test_main_is_reentrant_with_one_parser(capsys, tmp_path):
+    # every subcommand, an argparse error, a ValueError, --help and a normal
+    # call, all run twice in one process: the second run of each call prints
+    # and returns exactly what its first did
+    graph = write_graph(tmp_path, "3\n0 1\n1 2\n0 2\n")
+    calls = [
+        ("table", "--formula", "latin-oracle", "--n", "1..2", "--lambda", "3", "--stats"),
+        ("table", "--formula", "engine", "--n", "2", "--lambda", "4", "--format", "json"),
+        ("verify", "--n-max", "1", "--skip-engine"),
+        ("chromatic", graph, "--stats"),
+        ("gnpq", "2", "1", "1", "3"),
+        ("table", "--formula", "nope", "--n", "1"),
+        ("table", "--formula", "thm3", "--n", "0"),
+        ("--help",),
+        ("table", "--formula", "thm3", "--n", "3"),
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [run(argv) for argv in calls]
+    assert [run(argv) for argv in calls] == first
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, "SystemExit(2)", 2, "SystemExit(0)", 0]
+    assert "invalid choice: 'nope'" in first[5][2]
+    assert first[7][1].startswith("usage: latin3")
+    assert first[8][1] == "3 3 thm3 12\n"
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_commands_are_looked_up_on_every_call(capsys, monkeypatch):
+    # the parser is built once, but a command bound to its cmd_ name later,
+    # as the benchmark's span tracer does, still runs
+    run_cli(capsys, "table", "--formula", "thm3", "--n", "1")
+    seen = []
+
+    def wrapped(name):
+        real = getattr(cli, name)
+
+        def call(args):
+            seen.append(name)
+            return real(args)
+        return call
+
+    for name in ("cmd_table", "cmd_gnpq"):
+        monkeypatch.setattr(cli, name, wrapped(name))
+    assert run_cli(capsys, "table", "--formula", "thm3", "--n", "3")[:2] == (0, "3 3 thm3 12\n")
+    assert run_cli(capsys, "gnpq", "2", "1", "1", "3")[0] == 0
+    assert seen == ["cmd_table", "cmd_gnpq"]
+
+
+def test_parser_is_built_on_the_first_call_not_at_import(latin3_env):
+    code = (
+        "import latin3.cli as cli\n"
+        "print(cli.build_parser.cache_info().currsize)\n"
+        "cli.main(['table', '--formula', 'thm3', '--n', '1'])\n"
+        "print(cli.build_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=latin3_env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == ["0", "1 1 thm3 0", "1"]
 
 
 # --- chromatic ----------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from latin3 import oracle
 from latin3.combinatorics import factorial, gen_derangement
-from latin3.errors import BudgetExceededError
+from latin3.errors import MAX_SEARCH_DEPTH, BudgetExceededError
 from latin3.oracle import (
     STAT_NAMES,
     _first_invalid,
@@ -65,6 +65,32 @@ def test_no_rectangles_on_zero_symbols():
 def test_count_latin_budget():
     with pytest.raises(BudgetExceededError):
         count_latin(4, 5, node_budget=1000)
+
+
+def test_count_latin_refuses_a_search_past_the_depth_limit(monkeypatch):
+    # The search stacks one level per column, and row 0 runs out of symbols
+    # after lam columns, so it needs min(n, lam + 1) levels.
+    limit = MAX_SEARCH_DEPTH
+    stats: dict = {}
+    for n, lam, pinned in ((1200, 1200, False), (1200, 1200, True), (limit + 1, 2000, False)):
+        with pytest.raises(
+            BudgetExceededError,
+            match=rf"^rectangle search needs {min(n, lam + 1)} levels of recursion, "
+            rf"past the depth limit of {limit}$",
+        ):
+            count_latin(n, lam, pinned, node_budget=2 * limit, stats=stats)
+    assert stats == {}
+    for pinned in (False, True):
+        assert count_latin(1200, 5, pinned) == 0
+    # a search exactly at the limit runs: its first descent is limit new
+    # states deep before the budget stops it
+    with pytest.raises(BudgetExceededError, match=f"budget of {limit}: visited {limit + 1} nodes"):
+        count_latin(limit, limit, node_budget=limit)
+    monkeypatch.setattr(oracle, "MAX_SEARCH_DEPTH", 4)
+    assert count_latin(4, 5) == 120_960
+    assert count_latin(5, 3) == 0
+    with pytest.raises(BudgetExceededError, match="needs 5 levels of recursion, past the depth limit of 4$"):
+        count_latin(5, 5)
 
 
 def test_budget_errors_report_progress():
@@ -441,6 +467,61 @@ def test_first_invalid_matches_the_one_by_one_scan():
     assert _first_invalid([], n, lam) is None
     assert _first_invalid([((), (), ())], 0, lam) is None
     assert _first_invalid([((), (), ()), ((), ())], 0, lam) == ((), ())
+
+
+def test_first_invalid_judges_symbols_that_are_no_ints_by_value():
+    # is_latin_rectangle compares symbols by value, so 1.0 and True are 1 and
+    # 1.5 is a symbol of its own; only ints can be encoded as bits.
+    n, lam = 2, 3
+    base = [((1, 2), (2, 3), (3, 1)), ((1, 3), (2, 1), (3, 2))]
+    cases = [
+        ((1.0, 2), (2, 3), (3, 1)),  # valid
+        ((True, 2), (2, 3), (3, True)),  # valid
+        ((1.5, 2), (2, 1.5), (3, 1)),  # valid
+        ((1.0, 2), (2, 3), (1, 3)),  # 1.0 == 1 in column 0
+        ((True, 2), (2, 3), (1, 3)),  # True == 1 in column 0
+        ((2, 1.0), (1, 2), (3, 1)),  # 1.0 == 1 in column 1
+        ((1, 1.0), (2, 3), (3, 2)),  # 1.0 == 1 in row 0
+        ((3.5, 2), (2, 3), (3, 1)),  # 3.5 > lam
+    ]
+    verdicts = []
+    for bad in cases:
+        for rects in (base + [bad], [bad] + base, base[:1] + [bad] + base[1:] + [bad[:2]]):
+            want = _first_invalid_one_by_one(rects, n, lam)
+            assert _first_invalid(rects, n, lam) == want, rects
+        verdicts.append(is_latin_rectangle(bad, n, lam))
+    assert verdicts == [True, True, True, False, False, False, False, False]
+
+
+def test_first_invalid_codes_reach_past_64_bits():
+    # 4 columns on 40 symbols are row codes of 164 bits; a clash in the last
+    # column, on the largest symbol, sits in their top bits.
+    rng = random.Random(40)
+    n, lam = 4, 40
+    base = []
+    while len(base) < 60:
+        rect = tuple(tuple(rng.sample(range(1, lam + 1), n)) for _ in range(3))
+        if all(len(set(col)) == 3 for col in zip(*rect)):
+            base.append(rect)
+    assert _first_invalid(base, n, lam) is None
+    checked = 0
+    for pos in (0, 30, 59):
+        for x, y in ((0, 1), (0, 2), (1, 2)):
+            for target in (base[pos][x][-1], lam):
+                rows = [list(row) for row in base[pos]]
+                for r in (x, y):  # put target in row r's last column, rows kept distinct
+                    if target in rows[r]:
+                        k = rows[r].index(target)
+                        rows[r][k], rows[r][-1] = rows[r][-1], rows[r][k]
+                    else:
+                        rows[r][-1] = target
+                bad = tuple(map(tuple, rows))
+                rects = base[:pos] + [bad] + base[pos + 1:]
+                want = _first_invalid_one_by_one(rects, n, lam)
+                assert want == bad
+                assert _first_invalid(rects, n, lam) == want, (pos, x, y, target)
+                checked += 1
+    assert checked == 18
 
 
 def test_injection_examples():
