@@ -450,9 +450,9 @@ def count_colorings_bruteforce(
             f"coloring search of {n} vertices may need {n + 1} levels of "
             f"recursion, past the depth limit of {MAX_SEARCH_DEPTH}"
         )
-    earlier = [
-        [w for w in range(v) if g.has_edge(v, w)] for v in range(n)
-    ]
+    earlier: list[list[int]] = [[] for _ in range(n)]
+    for w, v in g.edges:  # w < v
+        earlier[v].append(w)
     colors = [0] * n
     count = 0
     nodes = 0

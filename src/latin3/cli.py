@@ -24,7 +24,6 @@ from .graphs import build_gn, build_gnpq, parse_graph
 from .oracle import count_latin
 from .verify import DEFAULT_SEED, VerifyConfig, render_report, run_verify
 
-FORMULA_CHOICES = ("riordan", "aps", "thm3", "engine", "brute", "latin-oracle")
 FORMAT_CHOICES = ("plain", "csv", "json")
 STATS_HELP = "print the engine's counters as one JSON line on stderr"
 
@@ -67,7 +66,7 @@ def _table_cells(args: argparse.Namespace) -> list[tuple[int, int]]:
             for n in range(n_lo, n_hi + 1)
             for lam in range(lam_lo, lam_hi + 1)
         ]
-    off_lo, off_hi = _parse_range(args.lambda_offset or "0")
+    off_lo, off_hi = _parse_range("0" if args.lambda_offset is None else args.lambda_offset)
     if off_lo < 0:
         raise ValueError(f"lambda offset must be >= 0, got {off_lo}")
     return [
@@ -80,45 +79,43 @@ def _print_stats(stats: Optional[dict]) -> None:
         print(json.dumps(stats), file=sys.stderr)
 
 
+def _routes(stats: Optional[dict], costs: dict) -> dict:
+    """The table's formulas, each a value function of (n, lam), over one
+    table's stats dict and given cost flags.  G(n) is built once per n.  Routes
+    are called by their module-level names, so a wrapper bound later runs."""
+    gn = functools.cache(lambda n: build_gn(n))
+    engine = functools.cache(lambda n: chromatic_poly(gn(n), stats=stats, **costs))
+    return {
+        "riordan": lambda n, lam: riordan_l3(n),
+        "aps": lambda n, lam: aps_g(n, lam),
+        "thm3": lambda n, lam: thm3_g(n, lam),
+        "engine": lambda n, lam: eval_poly(engine(n), lam),
+        "brute": lambda n, lam: count_colorings_bruteforce(gn(n), lam, stats=stats, **costs),
+        "latin-oracle": lambda n, lam: count_latin(n, lam, stats=stats, **costs),
+    }
+
+
+FORMULA_CHOICES = tuple(_routes(None, {}))
+# Each cost flag of table: the formulas that read it, and what the rest lack.
+COST_FLAGS = {
+    "stats": (("engine", "latin-oracle", "brute"), "keeps no counters"),
+    "node_budget": (("brute", "latin-oracle"), "has no node budget"),
+    "max_vertices": (("engine",), "has no vertex limit"),
+}
+
+
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.stats and args.formula not in ("engine", "latin-oracle", "brute"):
-        raise ValueError(
-            f"--stats needs --formula engine, latin-oracle or brute; "
-            f"{args.formula} keeps no counters"
-        )
-    if args.node_budget is not None and args.formula not in ("brute", "latin-oracle"):
-        raise ValueError(
-            f"--node-budget needs --formula brute or latin-oracle; "
-            f"{args.formula} has no node budget"
-        )
-    if args.max_vertices is not None and args.formula != "engine":
-        raise ValueError(
-            f"--max-vertices needs --formula engine; {args.formula} has no vertex limit"
-        )
-    # each search keeps its own default budget unless one is given
-    budget = {} if args.node_budget is None else {"node_budget": args.node_budget}
-    max_vertices = DEFAULT_MAX_VERTICES if args.max_vertices is None else args.max_vertices
+    # only the cost flags given are passed on; each search keeps its defaults
+    costs = {dest: getattr(args, dest) for dest in COST_FLAGS if getattr(args, dest) is not None}
+    for dest in costs:  # in COST_FLAGS order
+        readers, lack = COST_FLAGS[dest]
+        if args.formula not in readers:
+            flag = "--" + dest.replace("_", "-")
+            either = ", ".join(readers[:-1]) + " or " + readers[-1] if readers[1:] else readers[0]
+            raise ValueError(f"{flag} needs --formula {either}; {args.formula} {lack}")
     cells = _table_cells(args)
-    gn_polys = {}
-    stats: Optional[dict] = {} if args.stats else None
-
-    def value(n: int, lam: int) -> int:
-        if args.formula == "riordan":
-            return riordan_l3(n)
-        if args.formula == "aps":
-            return aps_g(n, lam)
-        if args.formula == "thm3":
-            return thm3_g(n, lam)
-        if args.formula == "engine":
-            if n not in gn_polys:
-                gn_polys[n] = chromatic_poly(
-                    build_gn(n), max_vertices=max_vertices, stats=stats
-                )
-            return eval_poly(gn_polys[n], lam)
-        if args.formula == "brute":
-            return count_colorings_bruteforce(build_gn(n), lam, stats=stats, **budget)
-        return count_latin(n, lam, stats=stats, **budget)
-
+    stats: Optional[dict] = {} if costs.pop("stats", False) else None
+    value = _routes(stats, costs)[args.formula]
     try:
         rows = [(n, lam, args.formula, str(value(n, lam))) for n, lam in cells]
     finally:
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "searched for latin-oracle (those formulas only)",
     )
     table.add_argument(
-        "--stats", action="store_true",
+        "--stats", action="store_true", default=None,
         help="print the engine's counters, summed over the table's graphs, or "
         "count_latin's nodes (states searched) and memo_hits, or the brute-force "
         "colouring's nodes (colour attempts), summed over its cells, as one JSON "

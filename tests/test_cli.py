@@ -144,6 +144,8 @@ def test_table_aps_and_thm3_agree_at_a_million_symbols(capsys):
         ("table", "--formula", "thm3", "--n", "2", "--lambda", "3",
          "--lambda-offset", "1"),
         ("table", "--formula", "thm3", "--n", "2", "--lambda", "-1"),
+        # an empty offset is a bad range, as an empty --lambda is, not offset 0
+        ("table", "--formula", "thm3", "--n", "2", "--lambda-offset", ""),
     ],
 )
 def test_table_invalid_arguments_exit_2(capsys, argv):
@@ -258,13 +260,6 @@ def test_table_brute_stats_print_before_a_budget_error(capsys):
     )
 
 
-def test_table_stats_needs_the_engine(capsys):
-    code, out, err = run_cli(capsys, "table", "--formula", "thm3", "--n", "2", "--stats")
-    assert code == 2
-    assert out == ""
-    assert "--stats needs --formula engine, latin-oracle or brute; thm3 keeps no counters" in err
-
-
 @pytest.mark.parametrize(
     "formula, flag, value, message",
     [
@@ -276,13 +271,52 @@ def test_table_stats_needs_the_engine(capsys):
          "--max-vertices needs --formula engine; latin-oracle has no vertex limit"),
         ("brute", "--max-vertices", "14",
          "--max-vertices needs --formula engine; brute has no vertex limit"),
+        pytest.param(
+            "riordan", "--node-budget", "5",
+            "--node-budget needs --formula brute or latin-oracle; riordan has no node budget",
+            id="riordan--node-budget",
+        ),
+        pytest.param(
+            "aps", "--node-budget", "5",
+            "--node-budget needs --formula brute or latin-oracle; aps has no node budget",
+            id="aps--node-budget",
+        ),
+        pytest.param(
+            "riordan", "--max-vertices", "9",
+            "--max-vertices needs --formula engine; riordan has no vertex limit",
+            id="riordan--max-vertices",
+        ),
+        pytest.param(
+            "aps", "--max-vertices", "9",
+            "--max-vertices needs --formula engine; aps has no vertex limit",
+            id="aps--max-vertices",
+        ),
+        pytest.param(
+            "thm3", "--max-vertices", "9",
+            "--max-vertices needs --formula engine; thm3 has no vertex limit",
+            id="thm3--max-vertices",
+        ),
+        pytest.param(
+            "riordan", "--stats", None,
+            "--stats needs --formula engine, latin-oracle or brute; riordan keeps no counters",
+            id="riordan--stats",
+        ),
+        pytest.param(
+            "aps", "--stats", None,
+            "--stats needs --formula engine, latin-oracle or brute; aps keeps no counters",
+            id="aps--stats",
+        ),
+        pytest.param(
+            "thm3", "--stats", None,
+            "--stats needs --formula engine, latin-oracle or brute; thm3 keeps no counters",
+            id="thm3--stats",
+        ),
     ],
 )
 def test_table_rejects_a_cost_flag_its_formula_ignores(capsys, formula, flag, value, message):
     # valid or not, a cost flag the formula never reads is an argument error
-    code, out, err = run_cli(
-        capsys, "table", "--formula", formula, "--n", "2", flag, value
-    )
+    cost = (flag,) if value is None else (flag, value)
+    code, out, err = run_cli(capsys, "table", "--formula", formula, "--n", "2", *cost)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
@@ -371,6 +405,21 @@ def test_table_oracle_node_budget(capsys):
         "--node-budget", "100",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("formula", ["brute", "engine"])
+def test_table_builds_each_gn_once(capsys, monkeypatch, formula):
+    built = []
+
+    def recorded(n):
+        built.append(n)
+        return build_gn(n)
+
+    monkeypatch.setattr(cli, "build_gn", recorded)
+    code, out, _ = run_cli(capsys, "table", "--formula", formula, "--n", "1..2", "--lambda", "3..5")
+    assert code == 0
+    assert len(out.splitlines()) == 6
+    assert built == [1, 2]
 
 
 # --- verify ------------------------------------------------------------------
