@@ -22,7 +22,6 @@ from .graphs import (
     complete,
     complete_bipartite,
     delete_edge,
-    format_graph,
     identify,
     line_graph,
     parse_graph,
@@ -70,7 +69,6 @@ __all__ = [
     "eval_poly",
     "factorial",
     "falling",
-    "format_graph",
     "g_npq_closed",
     "gen_binom",
     "gen_derangement",

@@ -44,7 +44,8 @@ down against brute force and against a bare deletion-contraction.
 
 count_colorings_bruteforce is the grounding oracle: a deliberately naive
 backtracking count over explicit color assignments that shares no logic with
-the engine.
+the engine.  It backtracks in one explicit loop rather than by recursion, so
+it needs no depth limit: only its node budget stops it.
 """
 
 from __future__ import annotations
@@ -52,12 +53,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .errors import MAX_SEARCH_DEPTH, BudgetExceededError, VertexLimitError
+from .errors import BudgetExceededError, VertexLimitError
 from .graphs import Graph
 
 Coeffs = tuple[int, ...]
 
 DEFAULT_MAX_VERTICES = 14
+
+# count_colorings_bruteforce's default node budget, in color attempts.
+DEFAULT_ATTEMPT_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -426,75 +430,67 @@ def chromatic_poly(
 
 
 def count_colorings_bruteforce(
-    g: Graph, lam: int, *, node_budget: int = 10**9, stats: Optional[dict] = None
+    g: Graph,
+    lam: int,
+    *,
+    node_budget: int = DEFAULT_ATTEMPT_BUDGET,
+    stats: Optional[dict] = None,
 ) -> int:
     """Count proper colorings of g with colors {1..lam} by plain backtracking.
 
     Independent of the polynomial engine by design: vertices are colored in
     index order and every color attempt is checked against earlier neighbors,
     whose colors are gathered into one bitmask per visit of a vertex.  Each
-    attempt costs one node against the budget.  The search recurses once
-    per vertex colored, so a graph of MAX_SEARCH_DEPTH vertices or more is
-    refused before the search starts unless its first MAX_SEARCH_DEPTH
-    vertices are shown to stop it (_stops_early).  A dict passed as stats
-    gets the nodes visited added to its "nodes" entry, also when the budget
-    stops the search.
+    attempt costs one node against the budget.  The search is one loop over
+    a current vertex v, with no recursion, so no graph is too deep for it.
+    It tries v's colors from colors[v] + 1 on: at a free one it sets
+    colors[v] and steps on to v + 1, or at the last vertex counts a coloring,
+    and once every color is tried it resets colors[v] to 0 and steps back to
+    v - 1.  A dict passed as stats gets the nodes visited added to its
+    "nodes" entry, also when the budget stops the search.
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if node_budget < 1:
         raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     n = g.vertex_count
-    if n >= MAX_SEARCH_DEPTH and not _stops_early(g, lam, MAX_SEARCH_DEPTH):
-        raise BudgetExceededError(
-            f"coloring search of {n} vertices may need {n + 1} levels of "
-            f"recursion, past the depth limit of {MAX_SEARCH_DEPTH}"
-        )
     earlier: list[list[int]] = [[] for _ in range(n)]
     for w, v in g.edges:  # w < v
         earlier[v].append(w)
     colors = [0] * n
-    count = 0
+    taken = [0] * n
+    count = 0 if n else 1  # the empty graph has one coloring
     nodes = 0
-
-    def fill(v: int) -> None:
-        nonlocal count, nodes
-        if v == n:
-            count += 1
-            return
-        taken = 0
-        for w in earlier[v]:
-            taken |= 1 << colors[w]
-        for c in range(1, lam + 1):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(
-                    f"coloring search exceeded the node budget of {node_budget}: "
-                    f"visited {nodes} nodes, completed {count} colorings"
-                )
-            if not taken >> c & 1:
-                colors[v] = c
-                fill(v + 1)
-
+    last = n - 1
+    v = 0
     try:
-        fill(0)
+        while 0 <= v < n:
+            c = colors[v] + 1
+            if c == 1:  # a new visit of v: gather its earlier neighbors' colors
+                mask = 0
+                for w in earlier[v]:
+                    mask |= 1 << colors[w]
+                taken[v] = mask
+            mask = taken[v]
+            while c <= lam:
+                nodes += 1
+                if nodes > node_budget:
+                    raise BudgetExceededError(
+                        f"coloring search exceeded the node budget of {node_budget}: "
+                        f"visited {nodes} nodes, completed {count} colorings"
+                    )
+                if not mask >> c & 1:
+                    if v == last:  # a complete coloring; go on to v's next color
+                        count += 1
+                    else:
+                        colors[v] = c
+                        v += 1
+                        break
+                c += 1
+            else:  # every color tried at v
+                colors[v] = 0
+                v -= 1
     finally:
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes
     return count
-
-
-def _stops_early(g: Graph, lam: int, depth: int) -> bool:
-    """True if some vertex k < depth closes a clique of lam + 1 vertices among
-    0..k, so that no coloring of 0..k with lam colors exists and the search
-    of count_colorings_bruteforce never stacks more than depth levels.  The
-    clique is sought greedily among each vertex's earlier neighbors."""
-    adj = g.adjacency_masks()
-    for v in range(min(g.vertex_count, depth)):
-        clique, candidates = 1, adj[v] & ((1 << v) - 1)
-        while candidates and clique <= lam:
-            candidates &= adj[candidates.bit_length() - 1]
-            clique += 1
-        if clique > lam:
-            return True
-    return False

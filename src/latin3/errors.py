@@ -7,7 +7,7 @@ long".
 """
 
 
-# The deepest recursion a brute-force search starts.  CPython's default
+# The deepest recursion oracle.count_latin starts.  CPython's default
 # recursion limit is 1000, and the frames below a search's entry point need
 # room too.
 MAX_SEARCH_DEPTH = 800

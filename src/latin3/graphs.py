@@ -219,10 +219,3 @@ def parse_graph(text: str) -> Graph:
     if vertex_count is None:
         raise GraphParseError(1, "empty document: no vertex count")
     return Graph.from_edges(vertex_count, edges)
-
-
-def format_graph(g: Graph) -> str:
-    """Serialize a graph in the text format parse_graph reads (edges sorted)."""
-    lines = [str(g.vertex_count)]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from latin3.chromatic import (
     count_colorings_bruteforce,
     eval_poly,
 )
-from latin3.errors import MAX_SEARCH_DEPTH, BudgetExceededError, VertexLimitError
+from latin3.errors import BudgetExceededError, VertexLimitError
 from latin3.graphs import Graph, build_gn, build_gnpq, complete, delete_edge, identify
 from latin3.verify import random_graphs
 
@@ -337,37 +337,16 @@ def test_bruteforce_edge_cases():
         count_colorings_bruteforce(complete(3), 3, node_budget=9)
 
 
-def test_bruteforce_refuses_a_search_past_the_depth_limit():
-    # The search stacks one level per vertex colored and one more, so a
-    # graph of MAX_SEARCH_DEPTH vertices is one level too deep unless a
-    # clique of lam + 1 vertices among its first vertices stops it sooner.
-    limit = MAX_SEARCH_DEPTH
-    n = limit // 3 + 1  # G(n) has 3n > limit vertices and no clique past n
-    gn = build_gn(n)
-    stats: dict = {}
-    with pytest.raises(
-        BudgetExceededError,
-        match=rf"^coloring search of {3 * n} vertices may need {3 * n + 1} levels "
-        rf"of recursion, past the depth limit of {limit}$",
-    ):
-        count_colorings_bruteforce(gn, 1200, stats=stats)
-    assert stats == {}
-    # on 2 colors vertex 2 closes a triangle of row 1, so the search stops there
-    assert count_colorings_bruteforce(gn, 2) == 0
-    # a path on limit - 1 vertices takes exactly limit levels, one more is refused
-    assert count_colorings_bruteforce(path(limit - 1), 2) == 2
-    with pytest.raises(BudgetExceededError, match=f"past the depth limit of {limit}$"):
-        count_colorings_bruteforce(path(limit), 2)
-    assert count_colorings_bruteforce(path(limit), 1) == 0
-    # a triangle closed at vertex limit - 1 stops a long path at limit levels;
-    # closed one vertex later it comes too late
-    for last, runs in ((limit - 1, True), (limit, False)):
-        g = Graph.from_edges(2 * limit, set(path(2 * limit).edges) | {(last - 2, last)})
-        if runs:
-            assert count_colorings_bruteforce(g, 2) == 0
-        else:
-            with pytest.raises(BudgetExceededError, match="depth limit"):
-                count_colorings_bruteforce(g, 2)
+def test_bruteforce_searches_past_800_vertices():
+    # The search is a loop, not a recursion, so it has no depth limit: it
+    # colors graphs well past the 800 levels count_latin is allowed.
+    assert count_colorings_bruteforce(path(1600), 2) == 2
+    assert count_colorings_bruteforce(path(1600), 1) == 0
+    # G(267) has 801 vertices; on 2 colors vertex 2 closes a triangle of row 1
+    assert count_colorings_bruteforce(build_gn(267), 2) == 0
+    # a triangle closed at vertex 800 of the long path leaves no 2-coloring
+    g = Graph.from_edges(1600, set(path(1600).edges) | {(798, 800)})
+    assert count_colorings_bruteforce(g, 2) == 0
 
 
 def test_bruteforce_stats_count_every_attempt():

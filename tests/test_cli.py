@@ -357,24 +357,25 @@ def test_table_budget_error_reports_progress(capsys, formula, n, budget, progres
 
 
 @pytest.mark.parametrize(
-    "formula, n, lam, message",
+    "args, err",
     [
-        ("latin-oracle", "1200", "1200", "rectangle search needs 1200 levels of recursion"),
         (
-            "brute", str(MAX_SEARCH_DEPTH // 3 + 1), "1200",
-            f"coloring search of {3 * (MAX_SEARCH_DEPTH // 3 + 1)} vertices may need "
-            f"{3 * (MAX_SEARCH_DEPTH // 3 + 1) + 1} levels of recursion",
+            ("--formula", "latin-oracle", "--n", "1200", "--lambda", "1200"),
+            "{}\nerror: rectangle search needs 1200 levels of recursion, "
+            f"past the depth limit of {MAX_SEARCH_DEPTH}\n",
+        ),
+        (
+            # the colouring search has no depth limit: G(267), 801 vertices,
+            # runs until its budget stops it
+            ("--formula", "brute", "--n", "267", "--lambda", "1200", "--node-budget", "1000"),
+            '{"nodes": 1001}\nerror: coloring search exceeded the node budget of 1000: '
+            "visited 1001 nodes, completed 0 colorings\n",
         ),
     ],
     ids=["latin-oracle", "brute"],
 )
-def test_table_search_past_the_depth_limit_exits_3(capsys, formula, n, lam, message):
-    code, out, err = run_cli(
-        capsys, "table", "--formula", formula, "--n", n, "--lambda", lam, "--stats"
-    )
-    assert code == 3
-    assert out == ""
-    assert err == f"{{}}\nerror: {message}, past the depth limit of {MAX_SEARCH_DEPTH}\n"
+def test_table_search_past_the_depth_limit_exits_3(capsys, args, err):
+    assert run_cli(capsys, "table", *args, "--stats") == (3, "", err)
 
 
 def test_table_searches_keep_their_own_default_budget(capsys, monkeypatch):
