@@ -177,29 +177,38 @@ def test_vertex_limit():
     assert chromatic_poly(big, max_vertices=15).degree == 15
 
 
+def _degrees(adj):
+    return [m.bit_count() for m in adj]
+
+
 def test_pick_edge_rejects_edgeless_adjacency():
-    assert _pick_edge((0b10, 0b01)) == (0, 1)
+    assert _pick_edge((0b10, 0b01), _degrees((0b10, 0b01))) == (0, 1)
     with pytest.raises(ValueError):
-        _pick_edge((0, 0, 0))
+        _pick_edge((0, 0, 0), _degrees((0, 0, 0)))
 
 
 def _adjacency(n, edges):
     return Graph.from_edges(n, edges).adjacency_masks()
 
 
+def _pick_edge_of(n, edges):
+    adj = _adjacency(n, edges)
+    return _pick_edge(adj, _degrees(adj))
+
+
 def test_pick_edge_takes_a_least_degree_vertex():
     # star with its center at 0: the leaf 1 is the least-degree vertex, and
     # the pair comes back as (min, max)
-    assert _pick_edge(_adjacency(5, [(0, v) for v in range(1, 5)])) == (0, 1)
+    assert _pick_edge_of(5, [(0, v) for v in range(1, 5)]) == (0, 1)
     # path 3-1-0-2: the endpoints 2 and 3 have degree 1; 2 wins the tie
-    assert _pick_edge(_adjacency(4, [(3, 1), (1, 0), (0, 2)])) == (0, 2)
+    assert _pick_edge_of(4, [(3, 1), (1, 0), (0, 2)]) == (0, 2)
     # 0, 2 and 4 tie at degree 2, so u = 0; of its neighbors 1 (degree 3)
     # and 2 (degree 2), the least-degree one is taken, not the lowest index
     edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
-    assert _pick_edge(_adjacency(5, edges)) == (0, 2)
+    assert _pick_edge_of(5, edges) == (0, 2)
     # an isolated vertex is skipped; around the 4-cycle 1-2-3-4 every degree
     # ties, so the lowest indices win
-    assert _pick_edge(_adjacency(5, [(1, 2), (2, 3), (3, 4), (4, 1)])) == (1, 2)
+    assert _pick_edge_of(5, [(1, 2), (2, 3), (3, 4), (4, 1)]) == (1, 2)
 
 
 def test_engine_node_counts_stay_bounded():
@@ -313,7 +322,7 @@ def test_pick_edge_rejects_edgeless_adjacency_under_optimize(latin3_env):
     # python -O strips asserts, so the check must be an explicit raise
     code = (
         "from latin3.chromatic import _pick_edge\n"
-        "try:\n    _pick_edge((0, 0, 0))\n"
+        "try:\n    _pick_edge((0, 0, 0), [0, 0, 0])\n"
         "except ValueError:\n    print('ValueError')\n"
     )
     proc = subprocess.run(
@@ -510,27 +519,63 @@ def test_stats_repeat_exactly():
 
 
 def test_stats_count_every_memo_lookup(monkeypatch):
-    lookups = []
-    real = chromatic._memo_key
+    # every _branch call but a cycle looks the graph up in the memo, so the
+    # hits and misses add up to those calls; the full key is built only in a
+    # bucket (sorted degrees) that some graph has reached before
+    branches = []
+    keys = []
+    real_branch, real_key = chromatic._branch, chromatic._memo_key
 
-    def counted(adj):
-        lookups.append(adj)
-        return real(adj)
+    def counted_branch(adj, s, memo, stats):
+        branches.append(adj)
+        return real_branch(adj, s, memo, stats)
 
-    monkeypatch.setattr(chromatic, "_memo_key", counted)
+    def counted_key(adj, degrees):
+        keys.append(adj)
+        return real_key(adj, degrees)
+
+    monkeypatch.setattr(chromatic, "_branch", counted_branch)
+    monkeypatch.setattr(chromatic, "_memo_key", counted_key)
     stats: dict = {}
     chromatic_poly(build_gn(4), stats=stats)
-    assert stats["memo_hits"] + stats["memo_misses"] == len(lookups)
+    lookups = stats["memo_hits"] + stats["memo_misses"]
+    assert lookups == len(branches) - stats["cycle"] == 97, stats
+    # 57 of G(4)'s 97 lookups land in a bucket no graph has reached yet, and
+    # build no key (the other 40 build theirs, plus 17 buckets' first graphs)
+    assert len(keys) == 57 < lookups
     # each miss stores one memo entry; branching at a least-degree vertex
     # leaves G(4)'s memo with 65 entries
     assert stats["memo_misses"] < 200
     assert stats["addition"] > 0 and stats["simplicial"] > 0
 
-    lookups.clear()
+    keys.clear()
+    branches.clear()
     unmemoized: dict = {}
     chromatic_poly(build_gn(3), memoize=False, stats=unmemoized)
-    assert lookups == []
+    assert branches and keys == []
     assert unmemoized["memo_hits"] == unmemoized["memo_misses"] == 0
+
+
+def test_lazy_memo_keeps_every_counter():
+    # The two-level memo changes which full keys are built and nothing else:
+    # over G(1..5), every G(n,p,q) with n <= 4 and p + q <= n, and a seeded
+    # random pool, the summed counters are those of the one-level memo, and
+    # every polynomial is the unmemoized one.  A bucket that dropped its
+    # first graph on keying would miss where the one-level memo hit.
+    graphs = [build_gn(n) for n in range(1, 6)]
+    graphs += [
+        build_gnpq(n, p, q) for n in range(1, 5) for p in range(n + 1) for q in range(n + 1 - p)
+    ]
+    graphs += random_graphs(1729)
+    assert len(graphs) == 89
+    total = dict.fromkeys(STAT_NAMES, 0)
+    for g in graphs:
+        poly = chromatic_poly(g, max_vertices=15, stats=total)
+        assert poly == chromatic_poly(g, max_vertices=15, memoize=False), sorted(g.edges)
+    assert total == {
+        "nodes": 1985, "memo_hits": 480, "memo_misses": 929, "components": 17,
+        "cycle": 14, "simplicial": 4011, "deletion": 141, "addition": 788,
+    }
 
 
 def _falling_poly(n):
@@ -654,7 +699,7 @@ def test_memo_key_is_exact_past_four_bit_counts():
                     inputs.append(
                         Graph.from_edges(n, [(perm[a], perm[b]) for a, b in g.edges]).adjacency_masks()
                     )
-    keys = [_memo_key(adj) for adj in inputs]
+    keys = [_memo_key(adj, _degrees(adj)) for adj in inputs]
     refs = [_reference_key(adj) for adj in inputs]
     assert len(set(keys)) < len(keys)  # some relabelings do share a key
     for key, ref in zip(keys, refs):
