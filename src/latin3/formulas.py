@@ -5,9 +5,10 @@ that ties the surgered-graph counts together:
 
 * riordan_l3(n)        -- rectangles over {1..n} with first row pinned to 1..n
 * aps_g(n, lam)        -- rectangles over {1..lam}, triple-sum closed form
-* thm3_g(n, lam)       -- the same count: theorem2_sum over g_npq_closed
-* g_npq_closed         -- the surgered-graph count G(n,k,l) for k + l = n,
-                          a sum of C(k, t1) * A * B^2 over t1
+* thm3_g(n, lam)       -- the same count: g_npq_closed(n, 0, 0, lam)
+* g_npq_closed         -- the surgered-graph count G(n,p,q) for p + q <= n:
+                          an alternating sum over the plain columns of
+                          splits, each a sum of C(k, t1) * A * B^2 over t1
 * theorem2_sum         -- the binomial alternating sum over split counts,
                           usable with any evaluator for the surgered graphs
 
@@ -223,48 +224,52 @@ def _split_sum(k: int, l: int, tab: _Tables) -> int:
     return total
 
 
-def g_npq_closed(n: int, k: int, l: int, lam: int) -> int:
-    """Proper lam-colorings of the surgered graph G(n,k,l) when k + l = n:
+def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
+    """Proper lam-colorings of the surgered graph G(n,p,q), p, q >= 0 and
+    p + q <= n.
 
-        falling(lam, n) * sum_{t1=0}^{min(k,l)} sum_{t2=0}^{l-t1} A * B^2.
+    A split (k, l), k + l = n, has k deleted and l identified columns and
+    counts falling(lam, n) * _split_sum(k, l): the sum over t1 of
+    C(k, t1) * A * B^2.  Deletion-contraction on the row-1/row-2 edge of a
+    plain column makes it a deleted column minus an identified one, so with
+    r = n - p - q plain columns
 
-    B depends only on t1, so it is hoisted out of the inner sum.  With
-    d = lam - n, the terms with t2 < l-t1-d (in A) and t3 < k-t1-d (in B)
-    are exactly 0 and are skipped.  Every binomial and every
-    gen_derangement(m, m, t) the factors need is read from tables built once
-    per call: derangement_table(n), by D(m, t) = D(m, t-1) - D(m-1, t-1),
-    and Pascal tables of C(a, b) for b <= a <= n and of C(d + s, j) for
-    s <= n // 2.  Row 3 of G(n,k,l) is still an n-clique, so for
-    0 <= lam < n the count is 0.  The closed form is stated only for
-    k + l = n; other splits are rejected (the engine handles them).
+        falling(lam, n) * sum_{j=0}^{r} (-1)^j C(r, j) _split_sum(p+r-j, q+j).
+
+    At r = 0 that is the single split (p, q); at p = q = 0 it is Theorem 2's
+    alternating sum at m = n, which is thm3_g.  On the closed-form side this
+    sum turns Theorem 2's m-invariance into Vandermonde's identity, so it is
+    no independent test of Theorem 2: the chromatic engine remains the
+    independent side.
+
+    Every binomial and every gen_derangement(m, m, t) the splits need is
+    read from tables built once per call (see _tables), and each split
+    skips the terms that are exactly 0 for d = lam - n.  Row 3 of G(n,p,q)
+    is still an n-clique, so for 0 <= lam < n the count is 0.
     """
     _check_n_lam("g_npq_closed", n, lam)
-    if k < 0 or l < 0 or k + l != n:
-        raise ValueError(f"g_npq_closed: need k + l = n with k, l >= 0, got k={k} l={l} n={n}")
+    if p < 0 or q < 0 or p + q > n:
+        raise ValueError(f"g_npq_closed: need p, q >= 0 and p + q <= n, got p={p} q={q} n={n}")
     if lam < n:
         return 0
-    return falling(lam, n) * _split_sum(k, l, _tables(lam - n, n))
+    tab, r = _tables(lam - n, n), n - p - q
+    return falling(lam, n) * sum(
+        (-1) ** j * c * _split_sum(p + r - j, q + j, tab) for j, c in enumerate(tab.comb[r])
+    )
 
 
 def thm3_g(n: int, lam: int) -> int:
-    """Number of 3 x n Latin rectangles on {1..lam}: theorem2_sum at m = n
-    with the closed form for the split counts,
+    """Number of 3 x n Latin rectangles on {1..lam}: the count of G(n) =
+    G(n,0,0) by g_npq_closed, whose n plain columns make it Theorem 2's sum
 
-        sum_{l=0}^{n} (-1)^l C(n,l) g_npq_closed(n, n-l, l, lam).
+        falling(lam, n) * sum_{l=0}^{n} (-1)^l C(n,l) _split_sum(n-l, l).
 
-    The evaluator is g_npq_closed without its per-call setup: all n + 1
-    splits share one set of tables (derangement_table(n) and the two
-    Pascal triangles, O(n^2) additions in all), and falling(lam, n)
-    multiplies the alternating sum once.  Each split visits only its
-    nonzero terms, so at lam = n the whole sum is O(n^2) table reads and
-    products.  The count is 0 for 0 <= lam < n.  Agrees with aps_g and with the chromatic engine on
-    G(n); the test suite holds all three routes together.
+    All n + 1 splits share one set of tables, and at lam = n the whole sum
+    is O(n^2) table reads and products.  The count is 0 for 0 <= lam < n.
+    Agrees with aps_g and with the chromatic engine on G(n); the test suite
+    holds all three routes together.
     """
-    _check_n_lam("thm3_g", n, lam)
-    if lam < n:
-        return 0
-    tab = _tables(lam - n, n)
-    return falling(lam, n) * theorem2_sum(n, n, lam, lambda _n, k, l, _lam: _split_sum(k, l, tab))
+    return g_npq_closed(n, 0, 0, lam)
 
 
 def theorem2_sum(

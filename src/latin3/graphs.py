@@ -165,19 +165,24 @@ def build_gnpq(n: int, p: int, q: int) -> Graph:
 
     Has 3n - q vertices.  G(n,0,0) is G(n) itself.  The merged cell of
     (0-based) column j is vertex j, its row-1 index; every vertex above a
-    removed row-2 cell moves down by one.  The columns are merged right to
-    left, so no merge shifts a column that is still to be merged.
+    removed row-2 cell moves down by one.  Built in one pass over G(n)'s
+    edges: each endpoint goes through one index table, and the p deleted
+    rungs and the q merged self-pairs are skipped.  The result equals p
+    delete_edge and q identify calls (the graph tests compare the two).
     """
     if n < 1:
         raise ValueError(f"build_gnpq: n must be >= 1, got {n}")
     if p < 0 or q < 0 or p + q > n:
         raise ValueError(f"build_gnpq: need p, q >= 0 and p + q <= n, got p={p} q={q} n={n}")
-    g = build_gn(n)
-    for j in range(p):
-        g = delete_edge(g, j, n + j)
-    for j in reversed(range(p, p + q)):
-        g = identify(g, j, n + j)
-    return g
+    index = [*range(n + p), *range(p, p + q), *range(n + p, 3 * n - q)]
+    return Graph.from_edges(
+        3 * n - q,
+        (
+            (index[u], index[v])
+            for u, v in build_gn(n).edges
+            if index[u] != index[v] and not (u < p and v == u + n)
+        ),
+    )
 
 
 def parse_graph(text: str) -> Graph:

@@ -210,15 +210,15 @@ def _engine_closed_forms(run: _Run) -> Cells:
 
 def _surgery(run: _Run) -> Cells:
     for n in range(1, min(run.cfg.n_max, 3) + 1):
-        for l in range(n + 1):
-            k = n - l
-            poly = run.poly(build_gnpq(n, k, l))
-            for lam in range(n, 7):
-                closed = formulas.g_npq_closed(n, k, l, lam)
-                engine = eval_poly(poly, lam)
-                yield None if closed == engine else (
-                    f"n={n} k={k} l={l} lam={lam}: closed={closed} engine={engine}"
-                )
+        for p in range(n + 1):
+            for q in range(n - p + 1):
+                poly = run.poly(build_gnpq(n, p, q))
+                for lam in range(n, 7):
+                    closed = formulas.g_npq_closed(n, p, q, lam)
+                    engine = eval_poly(poly, lam)
+                    yield None if closed == engine else (
+                        f"n={n} p={p} q={q} lam={lam}: closed={closed} engine={engine}"
+                    )
 
 
 def _theorem2(run: _Run) -> Cells:

@@ -25,7 +25,7 @@ GATE_CONFIG = VerifyConfig(n_max=6, lambda_offset_max=4)
 CRITERIA = {
     "formula-equivalence": {"formula-equivalence": 30},
     "engine-grounding": {"engine-closed-forms": 14},
-    "surgery-grounding": {"surgery-closed-form": 43},
+    "surgery-grounding": {"surgery-closed-form": 88},
     "theorem2-identity": {"theorem2-m-invariance": 36},
     "reduction-identity": {"reduction-identity": 284},
     "derangement-grounding": {"derangement-oracle": 120},

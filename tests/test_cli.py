@@ -624,14 +624,11 @@ def test_gnpq_below_n_symbols(capsys):
     assert out == "closed-form: 0\nengine: 0\nEQUAL\n"
 
 
-def test_gnpq_partial_split_reports_engine_only(capsys):
+def test_gnpq_partial_split_compares_closed_form(capsys):
+    # G(2,1,0) keeps one plain column, which the closed form covers too
     code, out, _ = run_cli(capsys, "gnpq", "2", "1", "0", "4")
     assert code == 0
-    lines = out.splitlines()
-    assert lines[0].startswith("closed-form: n/a")
-    assert "p+q=1" in lines[0] and "n=2" in lines[0]
-    assert lines[1] == "engine: 384"
-    assert "EQUAL" not in out
+    assert out == "closed-form: 384\nengine: 384\nEQUAL\n"
 
 
 @pytest.mark.parametrize("argv", [("3", "1", "2", "4"), ("3", "1", "0", "4")])
@@ -691,7 +688,7 @@ def test_gnpq_invalid_split(capsys):
 
 @pytest.mark.parametrize("argv", [("2", "1", "0", "-1"), ("2", "1", "1", "-1")])
 def test_gnpq_rejects_negative_lambda(capsys, argv):
-    # both the partial split, which has no closed form, and the full one
+    # both a split with a plain column and a full one
     code, out, err = run_cli(capsys, "gnpq", *argv)
     assert code == 2
     assert out == ""

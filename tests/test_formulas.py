@@ -80,8 +80,9 @@ def test_closed_forms_are_zero_below_n_symbols():
         for lam in range(n):
             assert aps_g(n, lam) == thm3_g(n, lam) == eval_poly(gn, lam) == 0
             for p in range(n + 1):
-                engine = eval_poly(chromatic_poly(build_gnpq(n, p, n - p)), lam)
-                assert g_npq_closed(n, p, n - p, lam) == engine == 0
+                for q in range(n - p + 1):
+                    engine = eval_poly(chromatic_poly(build_gnpq(n, p, q)), lam)
+                    assert g_npq_closed(n, p, q, lam) == engine == 0
 
 
 def test_aps_divisibility_never_trips():
@@ -200,12 +201,14 @@ def test_g_npq_hand_cells():
 
 
 def test_g_npq_matches_engine_exhaustively():
-    for n in range(1, 4):
+    # every split p + q <= n, plain columns included; 3n + 1 is past the
+    # degree of each polynomial, so agreement there is an identity in lam
+    for n in range(1, 5):
         for p in range(n + 1):
-            q = n - p
-            poly = chromatic_poly(build_gnpq(n, p, q))
-            for lam in range(n, 7):
-                assert g_npq_closed(n, p, q, lam) == eval_poly(poly, lam)
+            for q in range(n - p + 1):
+                poly = chromatic_poly(build_gnpq(n, p, q))
+                for lam in range(3 * n + 2):
+                    assert g_npq_closed(n, p, q, lam) == eval_poly(poly, lam), (n, p, q, lam)
 
 
 def test_engine_proves_theorem3_and_surgery_at_n5():
@@ -267,8 +270,11 @@ def test_terms_match_their_full_range_definitions():
 
 
 def test_g_npq_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        g_npq_closed(2, 1, 0, 4)  # p + q != n has no closed form here
+    for p, q in ((2, 1), (-1, 1), (1, -1)):  # p + q > n, p < 0, q < 0
+        with pytest.raises(ValueError):
+            g_npq_closed(2, p, q, 4)
+    # a plain column is no error: G(2,1,0) has one, and the engine's 384
+    assert g_npq_closed(2, 1, 0, 4) == 384
     with pytest.raises(ValueError):
         g_npq_closed(0, 0, 0, 4)
     with pytest.raises(ValueError):
@@ -336,8 +342,8 @@ def test_theorem2_engine_m_invariance():
 
 
 def test_theorem2_full_split_equals_alternating_sum():
-    # With m = n every summand has p + q = n, so the closed surgery form
-    # applies and the sum must reproduce the alternating-sum route.
+    # With m = n every summand is one split, p + q = n, and the sum must
+    # reproduce thm3_g, which runs the same alternating sum in g_npq_closed.
     for n in range(1, 4):
         for lam in range(n, 6):
             total = theorem2_sum(

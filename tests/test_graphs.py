@@ -156,6 +156,20 @@ def test_build_gnpq_counts():
                 assert build_gnpq(n, p, q).vertex_count == 3 * n - q
 
 
+def test_build_gnpq_equals_delete_and_identify():
+    # the one-pass build against the surgery done edge by edge: delete the
+    # rungs of columns 1..p, then merge columns p+q..p+1, right to left
+    for n in range(1, 7):
+        for p in range(n + 1):
+            for q in range(n - p + 1):
+                g = build_gn(n)
+                for j in range(p):
+                    g = delete_edge(g, j, n + j)
+                for j in reversed(range(p, p + q)):
+                    g = identify(g, j, n + j)
+                assert build_gnpq(n, p, q) == g, (n, p, q)
+
+
 def test_build_gnpq_smallest_cases():
     p3 = build_gnpq(1, 1, 0)
     assert (p3.vertex_count, p3.edge_count) == (3, 2)
