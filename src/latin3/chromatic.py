@@ -24,9 +24,11 @@ its own), where the edge of greatest endpoint degree sum took 4,668 such nodes.
 One recursion node removes every simplicial vertex it can, in passes over
 its vertices, and multiplies in their linear factors at the end.  A vertex
 stays simplicial when others are removed, so the set removed does not depend
-on the order.  The node looks for components only at the root and after an
-edge deletion: removing a simplicial vertex, contracting and adding an edge
-keep a connected graph connected.
+on the order.  Components are split off by _split, which the root and each
+deletion child go through: those are the only graphs that can be
+disconnected, since removing a simplicial vertex, contracting and adding an
+edge keep a connected graph connected.  A graph of several components takes
+one recursion node of its own, and each component one more.
 
 The recursion does not carry polynomials.  Each node returns one int, the
 value of P at lambda = X = 2**s, where s = E + 2 and E is the root's edge
@@ -60,6 +62,7 @@ it needs no depth limit: only its node budget stops it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceededError, VertexLimitError
@@ -98,13 +101,21 @@ class Poly:
         return len(self.coefficients) - 1
 
     def __add__(self, other: "Poly") -> "Poly":
-        return Poly.of(_add(self.coefficients, other.coefficients))
+        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
+        return Poly.of(x + y for x, y in pairs)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return Poly.of(_sub(self.coefficients, other.coefficients))
+        pairs = zip_longest(self.coefficients, other.coefficients, fillvalue=0)
+        return Poly.of(x - y for x, y in pairs)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return Poly.of(_mul(self.coefficients, other.coefficients))
+        b = other.coefficients
+        out = [0] * (len(self.coefficients) + len(b) - 1)
+        for i, x in enumerate(self.coefficients):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return Poly.of(out)
 
 
 def eval_poly(p: Poly, lam: int) -> int:
@@ -115,28 +126,6 @@ def eval_poly(p: Poly, lam: int) -> int:
     return acc
 
 
-def _add(a: Coeffs, b: Coeffs) -> Coeffs:
-    la, lb = len(a), len(b)
-    return tuple(
-        (a[i] if i < la else 0) + (b[i] if i < lb else 0) for i in range(max(la, lb))
-    )
-
-
-def _sub(a: Coeffs, b: Coeffs) -> Coeffs:
-    la, lb = len(a), len(b)
-    return tuple(
-        (a[i] if i < la else 0) - (b[i] if i < lb else 0) for i in range(max(la, lb))
-    )
-
-
-def _mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return tuple(out)
-
 
 def _bits(mask: int) -> Iterator[int]:
     while mask:
@@ -145,20 +134,8 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _induced(adj: Coeffs, keep: list[int]) -> Coeffs:
-    """Adjacency masks of the subgraph induced on `keep`, reindexed to 0..len-1."""
-    pos = {v: i for i, v in enumerate(keep)}
-    rows = []
-    for v in keep:
-        m = 0
-        for w in _bits(adj[v]):
-            if w in pos:
-                m |= 1 << pos[w]
-        rows.append(m)
-    return tuple(rows)
-
-
-def _components(adj: Coeffs) -> list[list[int]]:
+def _components(adj: Coeffs) -> list[int]:
+    """The vertex masks of adj's components, by least vertex."""
     n = len(adj)
     seen = 0
     comps = []
@@ -174,21 +151,15 @@ def _components(adj: Coeffs) -> list[list[int]]:
                 grown |= adj[v]
             frontier = grown & ~comp
         seen |= comp
-        comps.append(list(_bits(comp)))
+        comps.append(comp)
     return comps
 
 
-def _delete(adj: Coeffs, u: int, v: int) -> Coeffs:
+def _flip(adj: Coeffs, u: int, v: int) -> Coeffs:
+    """Delete the edge uv if adj has it, else add it."""
     rows = list(adj)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
-    return tuple(rows)
-
-
-def _add_edge(adj: Coeffs, u: int, v: int) -> Coeffs:
-    rows = list(adj)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
     return tuple(rows)
 
 
@@ -297,27 +268,24 @@ def _pick_non_edge(adj: Coeffs) -> tuple[int, int]:
     return best
 
 
-def _count(stats: Optional[dict], name: str) -> None:
-    if stats is not None:
-        stats[name] += 1
+def _split(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
+    """P(G, 2**s) of any graph: one node multiplies its components' values
+    when it has several, and a graph with fewer is left to _chrom."""
+    comps = _components(adj)
+    if len(comps) < 2:
+        return _chrom(adj, s, memo, stats)
+    stats["nodes"] += 1
+    stats["components"] += 1
+    everything = (1 << len(adj)) - 1
+    out = 1
+    for comp in comps:
+        out *= _chrom(_drop(adj, everything ^ comp), s, memo, stats)
+    return out
 
 
-def _chrom(
-    adj: Coeffs, s: int, memo: Optional[dict], stats: Optional[dict] = None,
-    connected: bool = False,
-) -> int:
-    """P(G, 2**s) of one recursion node.  connected=True promises that G is
-    connected, so the component search is skipped (see the module docstring
-    for which steps keep a graph connected)."""
-    _count(stats, "nodes")
-    if not connected:
-        comps = _components(adj)
-        if len(comps) > 1:
-            _count(stats, "components")
-            out = 1
-            for comp in comps:
-                out *= _chrom(_induced(adj, comp), s, memo, stats, True)
-            return out
+def _chrom(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
+    """P(G, 2**s) of one recursion node, for a connected or empty graph G."""
+    stats["nodes"] += 1
     # A simplicial vertex's d neighbors are pairwise adjacent, so they use d
     # distinct colors in every proper coloring of G - v, leaving lambda - d
     # for v.  Removing a vertex keeps every simplicial vertex simplicial, so
@@ -341,20 +309,19 @@ def _chrom(
         if not gone:
             break
         adj = _drop(adj, gone)
-    if stats is not None:
-        stats["simplicial"] += len(degrees)
+    stats["simplicial"] += len(degrees)
     out = _branch(adj, s, memo, stats) if adj else 1
     for d in degrees:
         out = (out << s) - d * out
     return out
 
 
-def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: Optional[dict]) -> int:
+def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
     """P(G, 2**s) of a nonempty connected graph with no simplicial vertex."""
     n = len(adj)
     degrees = [m.bit_count() for m in adj]
     if degrees.count(2) == n:
-        _count(stats, "cycle")
+        stats["cycle"] += 1
         x1 = (1 << s) - 1
         return x1**n + (-x1 if n % 2 else x1)
     if memo is not None:
@@ -372,21 +339,21 @@ def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: Optional[dict]) ->
             key = _memo_key(adj, degrees)
             hit = bucket.get(key)
             if hit is not None:
-                _count(stats, "memo_hits")
+                stats["memo_hits"] += 1
                 return hit
-        _count(stats, "memo_misses")
+        stats["memo_misses"] += 1
     if 2 * sum(degrees) > n * (n - 1):
         # dense: P(G) = P(G + uv) + P(G / uv) on a non-edge uv
-        _count(stats, "addition")
+        stats["addition"] += 1
         u, v = _pick_non_edge(adj)
-        out = _chrom(_add_edge(adj, u, v), s, memo, stats, True) + _chrom(
-            _contract(adj, u, v), s, memo, stats, True
+        out = _chrom(_flip(adj, u, v), s, memo, stats) + _chrom(
+            _contract(adj, u, v), s, memo, stats
         )
     else:
-        _count(stats, "deletion")
+        stats["deletion"] += 1
         u, v = _pick_edge(adj, degrees)
-        out = _chrom(_delete(adj, u, v), s, memo, stats) - _chrom(
-            _contract(adj, u, v), s, memo, stats, True
+        out = _split(_flip(adj, u, v), s, memo, stats) - _chrom(
+            _contract(adj, u, v), s, memo, stats
         )
     if memo is not None:
         # no graph below this node has its n and E (deletion only removes
@@ -443,9 +410,9 @@ def chromatic_poly(
     how often each other rule fired.  Every counter is set up before any
     check, so a limit error still leaves them all in the dict.
     """
-    if stats is not None:
-        for name in STAT_NAMES:
-            stats.setdefault(name, 0)
+    stats = {} if stats is None else stats
+    for name in STAT_NAMES:
+        stats.setdefault(name, 0)
     if max_vertices < 0:
         raise ValueError(f"max_vertices must be >= 0, got {max_vertices}")
     if g.vertex_count > max_vertices:
@@ -454,7 +421,7 @@ def chromatic_poly(
         )
     s = g.edge_count + 2
     memo: Optional[dict] = {} if memoize else None
-    return _decode(_chrom(g.adjacency_masks(), s, memo, stats), s, g.vertex_count)
+    return _decode(_split(g.adjacency_masks(), s, memo, stats), s, g.vertex_count)
 
 
 def count_colorings_bruteforce(

@@ -17,10 +17,10 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .chromatic import DEFAULT_MAX_VERTICES, chromatic_poly, eval_poly, count_colorings_bruteforce
+from .chromatic import DEFAULT_MAX_VERTICES, Poly, chromatic_poly, eval_poly, count_colorings_bruteforce
 from .errors import BudgetExceededError, VertexLimitError
 from .formulas import aps_g, g_npq_closed, riordan_l3, thm3_g
-from .graphs import build_gn, build_gnpq, parse_graph
+from .graphs import Graph, build_gn, build_gnpq, parse_graph
 from .oracle import count_latin
 from .verify import DEFAULT_SEED, VerifyConfig, render_report, run_verify
 
@@ -149,17 +149,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _engine_poly(g: Graph, args: argparse.Namespace) -> Poly:
+    """chromatic_poly of g under the command's --max-vertices and --stats."""
+    stats: Optional[dict] = {} if args.stats else None
+    try:
+        return chromatic_poly(g, max_vertices=args.max_vertices, stats=stats)
+    finally:
+        _print_stats(stats)
+
+
 def cmd_chromatic(args: argparse.Namespace) -> int:
     try:
         text = Path(args.graph_file).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {args.graph_file}: {exc}") from None
-    g = parse_graph(text)
-    stats: Optional[dict] = {} if args.stats else None
-    try:
-        poly = chromatic_poly(g, max_vertices=args.max_vertices, stats=stats)
-    finally:
-        _print_stats(stats)
+    poly = _engine_poly(parse_graph(text), args)
     print(f"degree={poly.degree}")
     for coefficient in poly.coefficients:
         print(coefficient)
@@ -169,13 +173,7 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
 def cmd_gnpq(args: argparse.Namespace) -> int:
     if args.lam < 0:
         raise ValueError(f"lambda must be >= 0, got {args.lam}")
-    g = build_gnpq(args.n, args.p, args.q)
-    stats: Optional[dict] = {} if args.stats else None
-    try:
-        poly = chromatic_poly(g, max_vertices=args.max_vertices, stats=stats)
-    finally:
-        _print_stats(stats)
-    engine = eval_poly(poly, args.lam)
+    engine = eval_poly(_engine_poly(build_gnpq(args.n, args.p, args.q), args), args.lam)
     closed = g_npq_closed(args.n, args.p, args.q, args.lam)
     print(f"closed-form: {closed}")
     print(f"engine: {engine}")
@@ -228,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "chromatic", help="chromatic polynomial of a graph in the text format"
     )
     chromatic.add_argument("graph_file")
-    chromatic.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    chromatic.add_argument("--stats", action="store_true", help=STATS_HELP)
 
     gnpq = sub.add_parser(
         "gnpq", help="closed form vs engine on the surgered graph G(n,p,q)"
@@ -238,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     gnpq.add_argument("p", type=int)
     gnpq.add_argument("q", type=int)
     gnpq.add_argument("lam", type=int, metavar="lambda")
-    gnpq.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
-    gnpq.add_argument("--stats", action="store_true", help=STATS_HELP)
+    for engine in (chromatic, gnpq):
+        engine.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
+        engine.add_argument("--stats", action="store_true", help=STATS_HELP)
 
     return parser
 

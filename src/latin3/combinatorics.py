@@ -29,8 +29,6 @@ def falling(x: int, n: int) -> int:
         raise ValueError(f"falling: x must be >= 0, got {x}")
     if n < 0:
         raise ValueError(f"falling: n must be >= 0, got {n}")
-    if n > x:
-        return 0
     return math.perm(x, n)
 
 
@@ -38,7 +36,7 @@ def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for n >= 0, with C(n, k) = 0 outside 0 <= k <= n."""
     if n < 0:
         raise ValueError(f"binom: n must be >= 0, got {n}")
-    if k < 0 or k > n:
+    if k < 0:
         return 0
     return math.comb(n, k)
 

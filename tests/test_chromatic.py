@@ -18,6 +18,7 @@ from latin3.chromatic import (
     _memo_key,
     _pick_edge,
     _pick_non_edge,
+    _split,
     chromatic_poly,
     count_colorings_bruteforce,
     eval_poly,
@@ -66,6 +67,24 @@ def test_poly_arithmetic():
     assert (x_plus * x_minus).coefficients == (-1, 0, 1)
     assert (x_plus - x_minus).coefficients == (2,)
     assert (x_plus + x_minus).coefficients == (0, 2)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+    st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+    st.integers(-10, 10),
+)
+def test_poly_arithmetic_matches_evaluation(p, q, x):
+    # unequal lengths, and sums, differences and products that cancel down
+    # to a lower degree, all come back normalised as Poly.of leaves them
+    a, b = Poly.of(p), Poly.of(q)
+    for result, expected in (
+        (a + b, eval_poly(a, x) + eval_poly(b, x)),
+        (a - b, eval_poly(a, x) - eval_poly(b, x)),
+        (a * b, eval_poly(a, x) * eval_poly(b, x)),
+    ):
+        assert eval_poly(result, x) == expected
+        assert result.degree == 0 or result.coefficients[-1] != 0
 
 
 def test_eval_poly():
@@ -144,7 +163,7 @@ def test_memo_shared_by_graphs_refinement_cannot_split():
     s = 12 + 2
     memo: dict = {}
     for g in (cube, wagner):
-        shared = _chrom(g.adjacency_masks(), s, memo)
+        shared = _chrom(g.adjacency_masks(), s, memo, dict.fromkeys(STAT_NAMES, 0))
         assert _decode(shared, s, 8) == chromatic_poly(g, memoize=False)
     assert chromatic_poly(cube) != chromatic_poly(wagner)
 
@@ -292,7 +311,7 @@ def test_memo_shared_across_relabelings():
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
             relabeled = Graph.from_edges(g.vertex_count, [(perm[a], perm[b]) for a, b in g.edges])
-            value = _chrom(relabeled.adjacency_masks(), s, memo, stats)
+            value = _split(relabeled.adjacency_masks(), s, memo, stats)
             assert _decode(value, s, g.vertex_count) == want
     assert stats["memo_hits"] > 0, stats
 
