@@ -27,8 +27,10 @@ stays simplicial when others are removed, so the set removed does not depend
 on the order.  Components are split off by _split, which the root and each
 deletion child go through: those are the only graphs that can be
 disconnected, since removing a simplicial vertex, contracting and adding an
-edge keep a connected graph connected.  A graph of several components takes
-one recursion node of its own, and each component one more.
+edge keep a connected graph connected.  A deletion child G - uv skips the
+search when u and v share a neighbour, which keeps them joined.  A graph of
+several components takes one recursion node of its own, and each component
+one more.
 
 The recursion does not carry polynomials.  Each node returns one int, the
 value of P at lambda = X = 2**s, where s = E + 2 and E is the root's edge
@@ -352,7 +354,10 @@ def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
     else:
         stats["deletion"] += 1
         u, v = _pick_edge(adj, degrees)
-        out = _split(_flip(adj, u, v), s, memo, stats) - _chrom(
+        # with a common neighbour w, u-w-v still joins u and v, so G - uv
+        # stays connected and needs no component search
+        split = _chrom if adj[u] & adj[v] else _split
+        out = split(_flip(adj, u, v), s, memo, stats) - _chrom(
             _contract(adj, u, v), s, memo, stats
         )
     if memo is not None:

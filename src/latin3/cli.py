@@ -20,7 +20,7 @@ from typing import Optional
 from .chromatic import DEFAULT_MAX_VERTICES, Poly, chromatic_poly, eval_poly, count_colorings_bruteforce
 from .errors import BudgetExceededError, VertexLimitError
 from .formulas import aps_g, g_npq_closed, riordan_l3, thm3_g
-from .graphs import Graph, build_gn, build_gnpq, parse_graph
+from .graphs import Graph, build_gn, build_gnpq, gnpq_vertex_count, parse_graph
 from .oracle import count_latin
 from .verify import DEFAULT_SEED, VerifyConfig, render_report, run_verify
 
@@ -173,7 +173,15 @@ def cmd_chromatic(args: argparse.Namespace) -> int:
 def cmd_gnpq(args: argparse.Namespace) -> int:
     if args.lam < 0:
         raise ValueError(f"lambda must be >= 0, got {args.lam}")
-    engine = eval_poly(_engine_poly(build_gnpq(args.n, args.p, args.q), args), args.lam)
+    size = gnpq_vertex_count(args.n, args.p, args.q)
+    # The engine refuses a graph by its vertex count alone, so past the limit
+    # an edgeless graph of G(n,p,q)'s size draws the same error and --stats
+    # line, and G(n,p,q) itself is never built.
+    if size <= args.max_vertices:
+        g = build_gnpq(args.n, args.p, args.q)
+    else:
+        g = Graph(size, frozenset())
+    engine = eval_poly(_engine_poly(g, args), args.lam)
     closed = g_npq_closed(args.n, args.p, args.q, args.lam)
     print(f"closed-form: {closed}")
     print(f"engine: {engine}")

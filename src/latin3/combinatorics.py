@@ -84,25 +84,36 @@ def gen_derangement(lam: int, n: int, t: int) -> int:
     return total
 
 
-def derangement_table(n: int) -> list[list[int]]:
-    """Rows D[m][t] = gen_derangement(m, m, t) for 0 <= t <= m <= n.
+def derangement_table(n: int, d: int = 0) -> list[list[int]]:
+    """Rows G[m][t] = gen_derangement(m + d, m, t) for 0 <= t <= m <= n.
 
-    Permutations of {1..m} with no fixed point among 1..t.  Column t = 0 is
-    m!, taken from gen_derangement itself; every other entry follows from
+    Injections of {1..m} into {1..m+d} with no fixed point among 1..t; at
+    d = 0 these are permutations.  Column t = 0 is falling(m + d, m), taken
+    from gen_derangement itself; every other entry follows from
 
-        D(m, t) = D(m, t-1) - D(m-1, t-1)
+        G(m, t) = G(m, t-1) - G(m-1, t-1)
 
-    (drop those permutations that fix t but none of 1..t-1).  Row m is thus
-    the running difference of row m-1 started at m!, built in one C-level
-    pass by itertools.accumulate, so the whole table costs O(n^2)
-    subtractions and n + 1 gen_derangement calls instead of one
+    (drop the injections that fix t but none of 1..t-1: with t and its image
+    removed, they are the injections of m - 1 points into m - 1 + d with no
+    fixed point among 1..t-1, so d is the same on both sides).  Row m is
+    thus the running difference of row m-1 started at falling(m + d, m),
+    built in one C-level pass by itertools.accumulate, so the whole table
+    costs O(n^2) subtractions and n + 1 gen_derangement calls instead of one
     inclusion-exclusion sum per entry.
+
+    With d = lam - n these are Theorem 3's factors (formulas.g_npq_closed):
+    G[k][k-t1] is the window sum B(k, t1), since sorting those injections by
+    how many of the k - t1 constrained points their image holds gives B's
+    terms, and C(l, t1) G[l][l-t1] = C(d+t1, t1) A(l, t1), since A's terms
+    are B's by trinomial revision.
     """
     if n < 0:
         raise ValueError(f"derangement_table: n must be >= 0, got {n}")
+    if d < 0:
+        raise ValueError(f"derangement_table: d must be >= 0, got {d}")
     table: list[list[int]] = []
     row: list[int] = []
     for m in range(n + 1):
-        row = list(accumulate(row, operator.sub, initial=gen_derangement(m, m, 0)))
+        row = list(accumulate(row, operator.sub, initial=gen_derangement(m + d, m, 0)))
         table.append(row)
     return table

@@ -8,26 +8,36 @@ that ties the surgered-graph counts together:
 * thm3_g(n, lam)       -- the same count: g_npq_closed(n, 0, 0, lam)
 * g_npq_closed         -- the surgered-graph count G(n,p,q) for p + q <= n:
                           an alternating sum over the plain columns of
-                          splits, each a sum of C(k, t1) * A * B^2 over t1
+                          splits, each a sum over t1 of C(k, t1) * A * B^2
 * theorem2_sum         -- the binomial alternating sum over split counts,
                           usable with any evaluator for the surgered graphs
 
 Every route is exact integer arithmetic throughout; agreement between them
 (and with the enumeration oracles) is what the test suite enforces.
 
-The sums are evaluated so that a term costs about one multiply-add: a
-product that gains one factor per step of an index is carried across the
-loop instead of rebuilt, powers of two are shifts, binomials are math.comb
-calls or reads from tables shared by a whole call, and riordan_l3 sums each
-of its rows in one C-level map pass.
+Theorem 3's factors A and B are window sums over t2 and t3, and both have
+closed forms in the generalized derangement numbers GD(a, b, t) =
+gen_derangement(a, b, t), with d = lam - n:
+
+* B(k, t1) = GD(k+d, k, k-t1): sort those injections by how many of the
+  k - t1 constrained points their image holds (see g_npq_closed);
+* C(k, t1) B(k, t1) = C(d+t1, t1) A(k, t1), term by term, by trinomial
+  revision of C(k, t1) C(k-t1, t) C(d+t1, k-t).
+
+So every split reads one table, derangement_table(., d), and no window sum
+is evaluated.  The sums are evaluated so that a term costs about one
+multiply-add: a product that gains one factor per step of an index is
+carried across the loop instead of rebuilt, powers of two are shifts,
+binomials are math.comb calls, and riordan_l3 and each split of
+g_npq_closed sum one row in one C-level map pass.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
-from typing import Callable, NamedTuple
+from itertools import accumulate, repeat
+from typing import Callable
 
 from .combinatorics import binom, derangement_table, falling
 
@@ -141,133 +151,86 @@ def aps_literal(n: int, lam: int) -> int:
     return exact(f(lam) * total, f(d) ** 3, "lam! * sum / ((lam-n)!)^3")
 
 
-def _pascal(row: list[int], count: int) -> list[list[int]]:
-    """count rows, each the one before extended by Pascal's rule: if row[j] =
-    C(x, j), the result's entry [s][j] is C(x + s, j)."""
-    rows = [row]
-    for _ in range(count - 1):
-        prev = rows[-1]
-        rows.append([1, *map(operator.add, prev[1:], prev)])
-    return rows
-
-
-def _triangle(n: int) -> list[list[int]]:
-    """Rows 0..n of Pascal's triangle: row a holds C(a, 0..a), no zeros."""
-    rows = [[1]]
-    for _ in range(n):
-        prev = rows[-1]
-        rows.append([1, *map(operator.add, prev[1:], prev), 1])
-    return rows
-
-
-class _Tables(NamedTuple):
-    """Everything the Theorem-3 factors read for one n and one d = lam - n.
-
-    derange[m][t] = gen_derangement(m, m, t) for t <= m <= n;
-    comb[a][b]    = C(a, b) for b <= a <= n (row a has a + 1 entries);
-    comb_d[s][j]  = C(d + s, j) for s <= n // 2 and j <= n.
-
-    t1 <= min(k, l) <= n // 2, so comb_d covers every C(d + t1, .) a split
-    of n needs.  Built once per call by _tables and dropped with it.
-    """
-
-    d: int
-    derange: list[list[int]]
-    comb: list[list[int]]
-    comb_d: list[list[int]]
-
-
-def _tables(d: int, n: int) -> _Tables:
-    """The tables for width n at d = lam - n: O(n^2) additions and n + 1
-    math.comb calls, besides derangement_table(n)."""
-    return _Tables(
-        d,
-        derangement_table(n),
-        _triangle(n),
-        _pascal([binom(d, j) for j in range(n + 1)], n // 2 + 1),
-    )
-
-
-def _split_sum(k: int, l: int, tab: _Tables) -> int:
-    """sum_{t1} C(k, t1) * A(t1) * B(t1)^2 for the split (k, l), with tab =
-    _tables(lam - n, n) for n = k + l.  A and B are the factors of Theorem 3:
-
-        A(t1) = sum_{t2=0}^{l-t1} C(l, t2) C(d, l-t1-t2) gen_derangement(l, l, t2)
-
-    counts the color sets T2, S of the identified columns times the
-    constrained injections of the merged vertices (C(k, t1), the choice of
-    T1, is multiplied in once per t1), and
-
-        B(t1) = sum_{t3=0}^{k-t1} C(k-t1, t3) C(d+t1, k-t3) gen_derangement(k, k, t3)
-
-    colors one full row over the deleted columns, independently for the two
-    surviving rows, hence squared.  Only nonzero terms are visited: C(d, .)
-    vanishes for t2 < l-t1-d and C(d+t1, .) for t3 < k-t1-d.  The table
-    rows a split reads are hoisted out of its loop, and the product
-    C(l, t2) gen_derangement(l, l, t2) does not depend on t1, so it is
-    formed once per split.  At d = 0 one t2 and one t3 survive per t1, so a
-    split costs O(min(k, l)) table reads and big-integer products.
-    """
-    comb, comb_d, d = tab.comb, tab.comb_d, tab.d
-    comb_k, row_k, comb_d0 = comb[k], tab.derange[k], comb_d[0]
-    row_l = list(map(operator.mul, comb[l], tab.derange[l]))
-    total = 0
-    for t1 in range(min(k, l) + 1):
-        comb_kt, comb_dt, r = comb[k - t1], comb_d[t1], l - t1
-        b_val = 0
-        for t3 in range(max(0, k - t1 - d), k - t1 + 1):
-            b_val += comb_kt[t3] * comb_dt[k - t3] * row_k[t3]
-        a_val = 0
-        for t2 in range(max(0, r - d), r + 1):
-            a_val += row_l[t2] * comb_d0[r - t2]
-        total += comb_k[t1] * a_val * b_val * b_val
-    return total
-
-
 def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     """Proper lam-colorings of the surgered graph G(n,p,q), p, q >= 0 and
     p + q <= n.
 
-    A split (k, l), k + l = n, has k deleted and l identified columns and
-    counts falling(lam, n) * _split_sum(k, l): the sum over t1 of
-    C(k, t1) * A * B^2.  Deletion-contraction on the row-1/row-2 edge of a
-    plain column makes it a deleted column minus an identified one, so with
-    r = n - p - q plain columns
+    With d = lam - n and GD(a, b, t) = gen_derangement(a, b, t), Theorem 3
+    counts a split (k, l), k + l = n, with k deleted and l identified
+    columns, as falling(lam, n) * sum_{t1} C(k, t1) * A(l, t1) * B(k, t1)^2,
 
-        falling(lam, n) * sum_{j=0}^{r} (-1)^j C(r, j) _split_sum(p+r-j, q+j).
+        A(l, t1) = sum_{t2} C(l, t2) C(d, l-t1-t2) GD(l, l, t2),
+        B(k, t1) = sum_{t3} C(k-t1, t3) C(d+t1, k-t3) GD(k, k, t3).
 
-    At r = 0 that is the single split (p, q); at p = q = 0 it is Theorem 2's
-    alternating sum at m = n, which is thm3_g.  On the closed-form side this
-    sum turns Theorem 2's m-invariance into Vandermonde's identity, so it is
-    no independent test of Theorem 2: the chromatic engine remains the
-    independent side.
+    Both window sums have closed forms:
 
-    Every binomial and every gen_derangement(m, m, t) the splits need is
-    read from tables built once per call (see _tables), and each split
-    skips the terms that are exactly 0 for d = lam - n.  Row 3 of G(n,p,q)
-    is still an n-clique, so for 0 <= lam < n the count is 0.
+    * B(k, t1) = GD(k+d, k, k-t1).  Sort the injections of {1..k} into
+      {1..k+d} with no fixed point among 1..k-t1 by the t3 of those points
+      their image holds and the k - t3 other image points, taken from the
+      d + t1 remaining symbols; each is then a bijection onto its image
+      that must move those t3 points, GD(k, k, t3) ways.
+    * C(k, t1) B(k, t1) = C(d+t1, t1) A(k, t1), term by term (t3 = t2): by
+      trinomial revision C(k, t1) C(k-t1, t) C(d+t1, k-t) and
+      C(d+t1, t1) C(k, t) C(d, k-t1-t) both equal
+      k! (d+t1)! / (t1! t! (k-t)! (k-t1-t)! (d+t1+t-k)!).
+
+    As falling(lam, n) = falling(lam, n-t1) * t1! * C(d+t1, t1), the split
+    is, with no division,
+
+        sum_{t1} C(k, t1) C(l, t1) t1! falling(lam, n-t1) G[l][l-t1] G[k][k-t1]^2
+
+    over G = derangement_table(., d), whose entry G[m][t] is GD(m+d, m, t).
+    Deletion-contraction on the row-1/row-2 edge of a plain column makes it
+    a deleted column minus an identified one, so with r = n - p - q plain
+    columns the count is the alternating sum over j = 0..r of (-1)^j C(r, j)
+    times the split (p+r-j, q+j).  At r = 0 that is the single split (p, q);
+    at p = q = 0 it is Theorem 2's alternating sum at m = n, which is thm3_g.
+    On the closed-form side this sum turns Theorem 2's m-invariance into
+    Vandermonde's identity, so it is no independent test of Theorem 2: the
+    chromatic engine remains the independent side.
+
+    One table and one list of weights t1! falling(lam, n-t1), t1 <= n // 2
+    (running products from both ends), serve every split, and each split is
+    one C-level pass over t1.  Row 3 of G(n,p,q) is still an n-clique, so
+    for 0 <= lam < n the count is 0.
     """
     _check_n_lam("g_npq_closed", n, lam)
     if p < 0 or q < 0 or p + q > n:
         raise ValueError(f"g_npq_closed: need p, q >= 0 and p + q <= n, got p={p} q={q} n={n}")
     if lam < n:
         return 0
-    tab, r = _tables(lam - n, n), n - p - q
-    return falling(lam, n) * sum(
-        (-1) ** j * c * _split_sum(p + r - j, q + j, tab) for j, c in enumerate(tab.comb[r])
-    )
+    d, r, top = lam - n, n - p - q, n // 2
+    table = derangement_table(max(p, q) + r, d)
+    # weights[t1] = t1! * falling(lam, n - t1) for t1 <= n // 2, which bounds
+    # every split's min(k, l); falling(lam, n - t1) gains the factor d+t1+1
+    # per step down in t1, so both products run without a division
+    falls = accumulate(range(d + top, d, -1), operator.mul, initial=falling(lam, n - top))
+    facts = accumulate(range(1, top + 1), operator.mul, initial=1)
+    weights = list(map(operator.mul, facts, reversed(list(falls))))
+
+    def row(m: int):
+        """C(m, t1) * G[m][m - t1] for t1 = 0..m."""
+        return map(operator.mul, map(math.comb, repeat(m), range(m + 1)), reversed(table[m]))
+
+    total = 0
+    for j in range(r + 1):
+        k, l = p + r - j, q + j
+        split = sum(map(operator.mul, map(operator.mul, weights, row(l)),
+                        map(operator.mul, row(k), reversed(table[k]))))
+        term = math.comb(r, j) * split
+        total += -term if j % 2 else term
+    return total
 
 
 def thm3_g(n: int, lam: int) -> int:
     """Number of 3 x n Latin rectangles on {1..lam}: the count of G(n) =
     G(n,0,0) by g_npq_closed, whose n plain columns make it Theorem 2's sum
+    over the n + 1 splits (n-l, l) with signs (-1)^l C(n, l).
 
-        falling(lam, n) * sum_{l=0}^{n} (-1)^l C(n,l) _split_sum(n-l, l).
-
-    All n + 1 splits share one set of tables, and at lam = n the whole sum
-    is O(n^2) table reads and products.  The count is 0 for 0 <= lam < n.
-    Agrees with aps_g and with the chromatic engine on G(n); the test suite
-    holds all three routes together.
+    All splits share one table and one list of weights, and the whole sum is
+    O(n^2) big-integer products in n + 1 C-level passes.  The count is 0 for
+    0 <= lam < n.  Agrees with aps_g and with the chromatic engine on G(n);
+    the test suite holds all three routes together.
     """
     return g_npq_closed(n, 0, 0, lam)
 

@@ -159,6 +159,16 @@ def identify(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.vertex_count - 1, frozenset(edges))
 
 
+def gnpq_vertex_count(n: int, p: int, q: int) -> int:
+    """G(n,p,q)'s vertex count 3n - q, without building it, after the checks
+    build_gnpq makes (a ValueError names build_gnpq)."""
+    if n < 1:
+        raise ValueError(f"build_gnpq: n must be >= 1, got {n}")
+    if p < 0 or q < 0 or p + q > n:
+        raise ValueError(f"build_gnpq: need p, q >= 0 and p + q <= n, got p={p} q={q} n={n}")
+    return 3 * n - q
+
+
 def build_gnpq(n: int, p: int, q: int) -> Graph:
     """G(n,p,q): G(n) with the row-1/row-2 edge deleted in columns 1..p and the
     row-1/row-2 cells identified in columns p+1..p+q.
@@ -170,13 +180,10 @@ def build_gnpq(n: int, p: int, q: int) -> Graph:
     rungs and the q merged self-pairs are skipped.  The result equals p
     delete_edge and q identify calls (the graph tests compare the two).
     """
-    if n < 1:
-        raise ValueError(f"build_gnpq: n must be >= 1, got {n}")
-    if p < 0 or q < 0 or p + q > n:
-        raise ValueError(f"build_gnpq: need p, q >= 0 and p + q <= n, got p={p} q={q} n={n}")
-    index = [*range(n + p), *range(p, p + q), *range(n + p, 3 * n - q)]
+    size = gnpq_vertex_count(n, p, q)
+    index = [*range(n + p), *range(p, p + q), *range(n + p, size)]
     return Graph.from_edges(
-        3 * n - q,
+        size,
         (
             (index[u], index[v])
             for u, v in build_gn(n).edges

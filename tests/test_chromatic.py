@@ -295,6 +295,36 @@ def test_bridge_multiplies_the_sides(memoize):
         assert stats["deletion"] > 0 and stats["components"] > 0, stats
 
 
+def test_component_search_only_where_a_deletion_can_split(monkeypatch):
+    # _chrom takes connected graphs only.  A deletion child G - uv skips the
+    # component search when u and v share a neighbour, so every graph that
+    # reaches _chrom must still be connected (or empty).
+    searched = []
+    real_chrom, real_components = chromatic._chrom, chromatic._components
+
+    def checked_chrom(adj, s, memo, stats):
+        assert len(real_components(adj)) <= 1, adj
+        return real_chrom(adj, s, memo, stats)
+
+    def counted_components(adj):
+        searched.append(adj)
+        return real_components(adj)
+
+    monkeypatch.setattr(chromatic, "_chrom", checked_chrom)
+    monkeypatch.setattr(chromatic, "_components", counted_components)
+    graphs = [build_gn(4), build_gnpq(4, 1, 1), build_gnpq(4, 2, 2)]
+    graphs += random_graphs(seed=61, count=40, min_vertices=6, max_vertices=10)
+    for g in graphs:
+        want = chromatic_poly(g, memoize=False)
+        assert chromatic_poly(g) == want
+    # G(4): the root and the 4 of its 9 deletion children whose endpoints
+    # share no neighbour; the other 5 skip the search
+    searched.clear()
+    stats: dict = {}
+    chromatic_poly(build_gn(4), stats=stats)
+    assert (len(searched), stats["deletion"], stats["components"]) == (5, 9, 0)
+
+
 def test_memo_shared_across_relabelings():
     # one memo across a graph and seeded relabelings of it: whatever the
     # relabeling does to the keys, every call returns the unmemoized polynomial

@@ -698,3 +698,24 @@ def test_gnpq_rejects_negative_lambda(capsys, argv):
 def test_gnpq_vertex_limit(capsys):
     code, _, _ = run_cli(capsys, "gnpq", "5", "0", "0", "5")
     assert code == 3
+
+
+def test_gnpq_refuses_an_over_limit_graph_before_building_it(capsys, monkeypatch):
+    # G(3000) has 9000 vertices; building it would take seconds, so the
+    # limit is checked on the vertex count 3n - q first, with the same
+    # message and --stats line the engine gives
+    def no_build(n, p, q):
+        raise AssertionError(f"built G({n},{p},{q})")
+
+    monkeypatch.setattr(cli, "build_gnpq", no_build)
+    code, out, err = run_cli(capsys, "gnpq", "3000", "0", "7", "4", "--stats")
+    assert code == 3
+    assert out == ""
+    counters, error = err.splitlines()
+    assert json.loads(counters) == dict.fromkeys(STAT_NAMES, 0)
+    assert error == "error: graph has 8993 vertices, exceeding the limit of 14"
+    code, _, err = run_cli(capsys, "gnpq", "3000", "0", "0", "4", "--max-vertices", "-1")
+    assert (code, err) == (2, "error: max_vertices must be >= 0, got -1\n")
+    code, _, err = run_cli(capsys, "gnpq", "3000", "2999", "2", "4")
+    assert code == 2
+    assert err.startswith("error: build_gnpq: need p, q >= 0 and p + q <= n")

@@ -148,3 +148,22 @@ def test_derangement_table_rejects_negative():
     assert derangement_table(0) == [[1]]
     with pytest.raises(ValueError):
         derangement_table(-1)
+    with pytest.raises(ValueError):
+        derangement_table(3, -1)
+
+
+def test_shifted_derangement_table_matches_inclusion_exclusion():
+    # row m of derangement_table(n, d) counts injections of m points into
+    # m + d symbols; d = 0 is the permutation table
+    for d in range(8):
+        table = derangement_table(15, d)
+        assert [len(row) for row in table] == list(range(1, 17))
+        for m, row in enumerate(table):
+            assert row == [gen_derangement(m + d, m, t) for t in range(m + 1)], (m, d)
+    assert derangement_table(30, 0) == derangement_table(30)
+
+
+def test_shifted_derangement_table_matches_enumeration():
+    for d in range(4):
+        for m, row in enumerate(derangement_table(6, d)):
+            assert row == injection_counts(m + d, m), (m, d)

@@ -10,12 +10,18 @@ Expected values fall into three classes:
 import pytest
 
 from latin3.chromatic import chromatic_poly, eval_poly
-from latin3.combinatorics import binom, factorial, falling, gen_binom, gen_derangement
+from latin3.combinatorics import (
+    binom,
+    derangement_table,
+    factorial,
+    falling,
+    gen_binom,
+    gen_derangement,
+)
 from latin3.formulas import (
     aps_g,
     aps_literal,
     g_npq_closed,
-    _tables,
     riordan_l3,
     theorem2_sum,
     thm3_g,
@@ -229,9 +235,9 @@ def test_engine_proves_theorem3_and_surgery_at_n5():
 def test_split_sums_rebuild_from_per_term_bodies():
     # falling(lam, n) * sum C(k, t1) A * B^2 over the full ranges of t1, t2
     # (and t3 inside _B_def), term by term from the definitions, must equal
-    # g_npq_closed, which reads shared tables and skips the terms its trimmed
-    # ranges prove zero.  lam < 2n makes d = lam - n < n, where the trim
-    # skips terms.
+    # g_npq_closed, which sums neither window and reads A and B from one
+    # derangement table.  lam < 2n makes d = lam - n < n, where some
+    # window terms vanish.
     for n in range(1, 13):
         for lam in range(n, n + 5):
             for k in range(n + 1):
@@ -245,28 +251,52 @@ def test_split_sums_rebuild_from_per_term_bodies():
 
 
 def test_terms_match_their_full_range_definitions():
-    # g_npq_closed reads every binomial and generalized derangement number of
-    # A and B from _tables and skips the terms with t2 < l-t1-d or
-    # t3 < k-t1-d.  Over the full t2 and t3 ranges, each product it would
-    # read must equal the definition's, and each skipped term must be 0.
+    # Each t1 term g_npq_closed reads from derangement_table(n, d),
+    # C(k, t1) C(l, t1) t1! falling(lam, n-t1) G[l][l-t1] G[k][k-t1]^2, must
+    # equal falling(lam, n) C(k, t1) A B^2 with A and B summed over their
+    # full t2 and t3 ranges.
     for n in range(1, 13):
         for lam in range(n, n + 5):
-            d = lam - n
-            tab = _tables(d, n)
+            table = derangement_table(n, lam - n)
             for k in range(n + 1):
                 l = n - k
                 for t1 in range(min(k, l) + 1):
-                    for t3 in range(k - t1 + 1):
-                        full = binom(k - t1, t3) * binom(d + t1, k - t3) * gen_derangement(k, k, t3)
-                        read = tab.comb[k - t1][t3] * tab.comb_d[t1][k - t3] * tab.derange[k][t3]
-                        assert read == full, (lam, k, l, t1, t3)
-                        assert t3 >= k - t1 - d or full == 0, (lam, k, l, t1, t3)
-                    for t2 in range(l - t1 + 1):
-                        full = _A_def(lam, k, l, t1, t2)
-                        read = (tab.comb[k][t1] * tab.comb[l][t2] * tab.comb_d[0][l - t1 - t2]
-                                * tab.derange[l][t2])
-                        assert read == full, (lam, k, l, t1, t2)
-                        assert t2 >= l - t1 - d or full == 0, (lam, k, l, t1, t2)
+                    full = falling(lam, n) * _B_def(lam, k, l, t1) ** 2 * sum(
+                        _A_def(lam, k, l, t1, t2) for t2 in range(l - t1 + 1)
+                    )
+                    read = (binom(k, t1) * binom(l, t1) * factorial(t1) * falling(lam, n - t1)
+                            * table[l][l - t1] * table[k][k - t1] ** 2)
+                    assert read == full, (lam, k, l, t1)
+
+
+def test_b_is_a_generalized_derangement_number():
+    # B(k, t1) = GD(k+d, k, k-t1): no window sum over t3 is needed.  B does
+    # not depend on l beyond d = lam - k - l.
+    for d in range(16):
+        for k in range(14):
+            for l in range(14):
+                for t1 in range(min(k, l) + 1):
+                    want = gen_derangement(k + d, k, k - t1)
+                    assert _B_def(k + l + d, k, l, t1) == want, (d, k, l, t1)
+
+
+def test_a_is_b_by_trinomial_revision():
+    # C(k, t1) B(k, t1) = C(d+t1, t1) A(k, t1), term by term, so
+    # C(d+t1, t1) A(l, t1) = C(l, t1) GD(l+d, l, l-t1); _A_def carries the
+    # split's C(k, t1).
+    for d in range(16):
+        for k in range(14):
+            for t1 in range(k + 1):
+                for t in range(k - t1 + 1):
+                    left = binom(k, t1) * binom(k - t1, t) * binom(d + t1, k - t)
+                    right = binom(d + t1, t1) * binom(k, t) * binom(d, k - t1 - t)
+                    assert left == right, (d, k, t1, t)
+        for k in range(14):
+            for l in range(14):
+                for t1 in range(min(k, l) + 1):
+                    a_val = sum(_A_def(k + l + d, k, l, t1, t2) for t2 in range(l - t1 + 1))
+                    want = binom(k, t1) * binom(l, t1) * gen_derangement(l + d, l, l - t1)
+                    assert binom(d + t1, t1) * a_val == want, (d, k, l, t1)
 
 
 def test_g_npq_rejects_bad_arguments():

@@ -14,6 +14,7 @@ from latin3.graphs import (
     complete,
     complete_bipartite,
     delete_edge,
+    gnpq_vertex_count,
     identify,
     line_graph,
     parse_graph,
@@ -154,6 +155,7 @@ def test_build_gnpq_counts():
         for p in range(n + 1):
             for q in range(n - p + 1):
                 assert build_gnpq(n, p, q).vertex_count == 3 * n - q
+                assert gnpq_vertex_count(n, p, q) == 3 * n - q
 
 
 def test_build_gnpq_equals_delete_and_identify():
@@ -177,12 +179,13 @@ def test_build_gnpq_smallest_cases():
 
 
 def test_build_gnpq_rejects_bad_split():
-    with pytest.raises(ValueError):
-        build_gnpq(2, 2, 1)
-    with pytest.raises(ValueError):
-        build_gnpq(1, -1, 1)
-    with pytest.raises(ValueError):
-        build_gnpq(0, 0, 0)
+    for build in (build_gnpq, gnpq_vertex_count):
+        with pytest.raises(ValueError):
+            build(2, 2, 1)
+        with pytest.raises(ValueError):
+            build(1, -1, 1)
+        with pytest.raises(ValueError):
+            build(0, 0, 0)
 
 
 def test_gnpq_labeling_structure():
