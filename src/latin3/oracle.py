@@ -55,14 +55,16 @@ STAT_NAMES = ("nodes", "memo_hits")
 
 class _FreeBits(dict):
     """A used-symbol mask -> the bits 1 << s of the symbols s of 1..lam
-    outside it, ascending; an entry is built on its first lookup."""
+    outside it, ascending.  Each entry is built on its first lookup, and all
+    share the ints of the empty mask's entry."""
 
     def __init__(self, lam: int):
         super().__init__()
-        self.bits = tuple(1 << s for s in range(1, lam + 1))
+        self.lam = lam
 
     def __missing__(self, used: int) -> tuple[int, ...]:
-        found = self[used] = tuple(bit for bit in self.bits if not used & bit)
+        bits = self[0] if used else map((1).__lshift__, range(1, self.lam + 1))
+        found = self[used] = tuple(bit for bit in bits if not used & bit)
         return found
 
 
@@ -244,46 +246,29 @@ def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
     return True
 
 
-def _row_codes(rows: set[tuple[int, ...]], n: int, lam: int) -> Optional[dict]:
-    """Each row's code, an int with bit j*(lam+1) + s set for its symbol s in
-    column j, or None when some row is not n distinct symbols of 1..lam or
-    holds a symbol that is no int (1.0 or 1.5 may pass the row check, but
-    cannot be shifted)."""
-    if not all(
-        len(row) == n and len(set(row)) == n and (n == 0 or 1 <= min(row) and max(row) <= lam)
-        for row in rows
-    ):
-        return None
-    shifts = range(0, n * (lam + 1), lam + 1)
-    try:
-        return {
-            row: sum(map(operator.lshift, repeat(1), map(operator.add, shifts, row)))
-            for row in rows
-        }
-    except TypeError:
-        return None
-
-
 def _first_invalid(rects: list[Rectangle], n: int, lam: int) -> Optional[Rectangle]:
-    """The first of rects that is_latin_rectangle rejects, or None.
+    """The first of rects that is_latin_rectangle rejects, or None, in one pass.
 
-    The same answer as testing each rectangle in turn, found at C level:
-    every distinct row is validated and encoded once (_row_codes), and two
-    rows clash in some column iff their codes share a bit, so each of the
-    three row pairs is one stream of ANDs over rects.  Only when something
-    fails, or a row cannot be encoded, are the rectangles tested one by one,
-    to find the first bad one.
+    Each distinct row is tested once per call and kept as the frozenset of its
+    (column, symbol) cells, or as None when it is not n distinct symbols of
+    1..lam.  Two rows clash in a column iff their cells meet; sets compare
+    symbols by value, as is_latin_rectangle does (1.0 and True are 1).
     """
-    if all(map((3).__eq__, map(len, rects))):
-        codes = _row_codes(set(chain.from_iterable(rects)), n, lam)
-        if codes is not None:
-            code, get = codes.__getitem__, operator.itemgetter
-            if not any(
-                any(map(operator.and_, map(code, map(get(x), rects)), map(code, map(get(y), rects))))
-                for x, y in ((0, 1), (0, 2), (1, 2))
-            ):
-                return None
-    return next((r for r in rects if not is_latin_rectangle(r, n, lam)), None)
+    cells: dict[tuple, Optional[frozenset]] = {}
+    get = cells.get
+    for rect in rects:
+        if len(rect) != 3:
+            return rect
+        prev = prev2 = frozenset()
+        for row in rect:
+            mine = get(row, ...)
+            if mine is ...:
+                bad = len(row) != n or n and (len(set(row)) != n or min(row) < 1 or max(row) > lam)
+                mine = cells[row] = None if bad else frozenset(enumerate(row))
+            if mine is None or not mine.isdisjoint(prev) or not mine.isdisjoint(prev2):
+                return rect
+            prev, prev2 = mine, prev
+    return None
 
 
 _CHUNK = 4096  # injections tested per C-level pass in injection_counts

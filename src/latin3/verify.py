@@ -110,7 +110,7 @@ Cells = Iterator[Optional[str]]
 
 
 def _formula_cells(cfg: VerifyConfig) -> Iterator[tuple[int, int]]:
-    for n in range(1, min(cfg.n_max, FORMULA_N_GUARD) + 1):
+    for n in range(1, cfg.n_max + 1):
         for off in range(cfg.lambda_offset_max + 1):
             yield n, n + off
 

@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import tracemalloc
 from itertools import islice, permutations
 
 import pytest
@@ -24,6 +25,18 @@ def test_count_latin_single_column():
     # a single column is an ordered triple of distinct symbols
     assert count_latin(1, 3) == 6
     assert count_latin(1, 4) == 24
+
+
+def test_count_latin_on_one_column_builds_no_symbol_table():
+    # one column is one last-column node, which looks up no free symbols, so
+    # nothing of size lam**2 may be built for it
+    tracemalloc.start()
+    try:
+        assert count_latin(1, 20000) == math.perm(20000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_count_latin_impossible_widths():
@@ -471,7 +484,7 @@ def test_first_invalid_matches_the_one_by_one_scan():
 
 def test_first_invalid_judges_symbols_that_are_no_ints_by_value():
     # is_latin_rectangle compares symbols by value, so 1.0 and True are 1 and
-    # 1.5 is a symbol of its own; only ints can be encoded as bits.
+    # 1.5 is a symbol of its own; _first_invalid's cell sets must agree.
     n, lam = 2, 3
     base = [((1, 2), (2, 3), (3, 1)), ((1, 3), (2, 1), (3, 2))]
     cases = [
@@ -491,11 +504,15 @@ def test_first_invalid_judges_symbols_that_are_no_ints_by_value():
             assert _first_invalid(rects, n, lam) == want, rects
         verdicts.append(is_latin_rectangle(bad, n, lam))
     assert verdicts == [True, True, True, False, False, False, False, False]
+    # Rows are remembered by value, so (1, 2) in the clashing rectangle reuses
+    # the cells kept for (1.0, 2) in the valid one before it.
+    rects = [cases[0], ((1, 2), (2, 3), (1, 3))]
+    assert _first_invalid(rects, n, lam) == _first_invalid_one_by_one(rects, n, lam) == rects[1]
 
 
 def test_first_invalid_codes_reach_past_64_bits():
-    # 4 columns on 40 symbols are row codes of 164 bits; a clash in the last
-    # column, on the largest symbol, sits in their top bits.
+    # 4 columns on 40 symbols: a clash in the last column, on the largest
+    # symbol, is the cell furthest from the first.
     rng = random.Random(40)
     n, lam = 4, 40
     base = []
