@@ -2,15 +2,15 @@
 
 Everything here returns plain Python ints, so results are exact at any size.
 The only non-stdlib-shaped pieces are the generalized binomial (negative
-upper argument allowed) and the constrained-injection count used by the
-closed-form rectangle counts.
+upper argument allowed), the constrained-injection count gen_derangement,
+and derangement_columns, the band of those counts that Theorem 3's closed
+form reads, built column by column from a fixed-point-free diagonal.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import accumulate
 
 
 def factorial(n: int) -> int:
@@ -84,36 +84,39 @@ def gen_derangement(lam: int, n: int, t: int) -> int:
     return total
 
 
-def derangement_table(n: int, d: int = 0) -> list[list[int]]:
-    """Rows G[m][t] = gen_derangement(m + d, m, t) for 0 <= t <= m <= n.
+def derangement_columns(n: int, d: int = 0) -> list[list[int]]:
+    """Columns s = 0..n // 2 of e(m, s) = gen_derangement(m + d, m, m - s),
+    column s holding m = s..n - s.
 
-    Injections of {1..m} into {1..m+d} with no fixed point among 1..t; at
-    d = 0 these are permutations.  Column t = 0 is falling(m + d, m), taken
-    from gen_derangement itself; every other entry follows from
+    e(m, s) counts the injections of {1..m} into {1..m+d} that may fix only
+    points among the last s; at d = 0 they are permutations.  Column 0 is
+    the fixed-point-free diagonal.  Sort those injections f by y = f(m) != m:
+    either y is a point i < m with f(i) = m, and dropping both leaves m - 2
+    points on m - 2 + d symbols (m - 1 ways to pick i), or rerouting to y
+    the point sent to m, if any, leaves m - 1 points on m - 1 + d symbols
+    with no fixed point, which with any of the m + d - 1 values of y gives
+    f back.  So
 
-        G(m, t) = G(m, t-1) - G(m-1, t-1)
+        e(m, 0) = (m + d - 1) e(m-1, 0) + (m - 1) e(m-2, 0),
 
-    (drop the injections that fix t but none of 1..t-1: with t and its image
-    removed, they are the injections of m - 1 points into m - 1 + d with no
-    fixed point among 1..t-1, so d is the same on both sides).  Row m is
-    thus the running difference of row m-1 started at falling(m + d, m),
-    built in one C-level pass by itertools.accumulate, so the whole table
-    costs O(n^2) subtractions and n + 1 gen_derangement calls instead of one
-    inclusion-exclusion sum per entry.
+    seeded by gen_derangement itself.  The injections that e(m, s+1) counts
+    and e(m, s) does not fix point m - s; removing it and its image leaves
+    the ones e(m-1, s) counts, so
 
-    With d = lam - n these are Theorem 3's factors (formulas.g_npq_closed):
-    G[k][k-t1] is the window sum B(k, t1), since sorting those injections by
-    how many of the k - t1 constrained points their image holds gives B's
-    terms, and C(l, t1) G[l][l-t1] = C(d+t1, t1) A(l, t1), since A's terms
-    are B's by trinomial revision.
+        e(m, s+1) = e(m, s) + e(m-1, s),
+
+    so each further column is one C-level pairwise add of the last one with
+    itself shifted, two entries shorter.  These are exactly the entries
+    formulas.g_npq_closed reads: B(k, t1) = e(k, t1) with d = lam - n, and
+    a split (k, l) with k + l = n reads only t1 <= min(k, l), so m <= n - t1.
     """
-    if n < 0:
-        raise ValueError(f"derangement_table: n must be >= 0, got {n}")
-    if d < 0:
-        raise ValueError(f"derangement_table: d must be >= 0, got {d}")
-    table: list[list[int]] = []
-    row: list[int] = []
-    for m in range(n + 1):
-        row = list(accumulate(row, operator.sub, initial=gen_derangement(m + d, m, 0)))
-        table.append(row)
-    return table
+    if n < 0 or d < 0:
+        raise ValueError(f"derangement_columns: need n, d >= 0, got n={n} d={d}")
+    column = [gen_derangement(d, 0, 0), gen_derangement(d + 1, 1, 1)][: n + 1]
+    for m in range(2, n + 1):
+        column.append((m + d - 1) * column[-1] + (m - 1) * column[-2])
+    columns = [column]
+    for _ in range(n // 2):
+        column = list(map(operator.add, column, column[1:-1]))
+        columns.append(column)
+    return columns

@@ -24,12 +24,14 @@ gen_derangement(a, b, t), with d = lam - n:
 * C(k, t1) B(k, t1) = C(d+t1, t1) A(k, t1), term by term, by trinomial
   revision of C(k, t1) C(k-t1, t) C(d+t1, k-t).
 
-So every split reads one table, derangement_table(., d), and no window sum
-is evaluated.  The sums are evaluated so that a term costs about one
-multiply-add: a product that gains one factor per step of an index is
-carried across the loop instead of rebuilt, powers of two are shifts,
-binomials are math.comb calls, and riordan_l3 and each split of
-g_npq_closed sum one row in one C-level map pass.
+So every split reads one band of generalized derangement numbers,
+e(m, s) = GD(m+d, m, m-s) for s <= n // 2 and m = s..n-s
+(combinatorics.derangement_columns), and no window sum is evaluated.  The
+sums are evaluated so that a term costs about one multiply-add: a product
+that gains one factor per step of an index is carried across the loop
+instead of rebuilt, powers of two are shifts, binomials are math.comb
+calls, riordan_l3 sums one row in one C-level map pass, and g_npq_closed
+sums every split at once, one band column per C-level pass.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import operator
 from itertools import accumulate, repeat
 from typing import Callable
 
-from .combinatorics import binom, derangement_table, falling
+from .combinatorics import binom, derangement_columns, falling
 
 
 def riordan_l3(n: int) -> int:
@@ -177,9 +179,9 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     As falling(lam, n) = falling(lam, n-t1) * t1! * C(d+t1, t1), the split
     is, with no division,
 
-        sum_{t1} C(k, t1) C(l, t1) t1! falling(lam, n-t1) G[l][l-t1] G[k][k-t1]^2
+        sum_{t1} t1! falling(lam, n-t1) C(l, t1) e(l, t1) C(k, t1) e(k, t1)^2
 
-    over G = derangement_table(., d), whose entry G[m][t] is GD(m+d, m, t).
+    over the band e(m, s) = GD(m+d, m, m-s) of derangement_columns(n, d).
     Deletion-contraction on the row-1/row-2 edge of a plain column makes it
     a deleted column minus an identified one, so with r = n - p - q plain
     columns the count is the alternating sum over j = 0..r of (-1)^j C(r, j)
@@ -189,36 +191,38 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     Vandermonde's identity, so it is no independent test of Theorem 2: the
     chromatic engine remains the independent side.
 
-    One table and one list of weights t1! falling(lam, n-t1), t1 <= n // 2
-    (running products from both ends), serve every split, and each split is
-    one C-level pass over t1.  Row 3 of G(n,p,q) is still an n-clique, so
-    for 0 <= lam < n the count is 0.
+    The double sum runs with t1 = s outside.  Column s of the band holds
+    every e(m, s) a split with min(k, l) >= s reads; u = C(m, s) e(m, s)
+    and v = u e(m, s) are formed once per entry, the splits' (-1)^j C(r, j)
+    u_l v_k are added in one C-level pass, and the weight s! falling(lam,
+    n-s), a running product from both ends, multiplies that column's sum
+    once.  Row 3 of G(n,p,q) is still an n-clique, so for 0 <= lam < n the
+    count is 0.
     """
     _check_n_lam("g_npq_closed", n, lam)
     if p < 0 or q < 0 or p + q > n:
         raise ValueError(f"g_npq_closed: need p, q >= 0 and p + q <= n, got p={p} q={q} n={n}")
     if lam < n:
         return 0
-    d, r, top = lam - n, n - p - q, n // 2
-    table = derangement_table(max(p, q) + r, d)
-    # weights[t1] = t1! * falling(lam, n - t1) for t1 <= n // 2, which bounds
-    # every split's min(k, l); falling(lam, n - t1) gains the factor d+t1+1
-    # per step down in t1, so both products run without a division
+    d, r = lam - n, n - p - q
+    top = min(min(p, q) + r, n // 2)  # the largest min(k, l) of any split
+    # weights[s] = s! * falling(lam, n - s) for s <= top; falling(lam, n - s)
+    # gains the factor d+s+1 per step down in s, so both products run
+    # without a division
     falls = accumulate(range(d + top, d, -1), operator.mul, initial=falling(lam, n - top))
     facts = accumulate(range(1, top + 1), operator.mul, initial=1)
     weights = list(map(operator.mul, facts, reversed(list(falls))))
-
-    def row(m: int):
-        """C(m, t1) * G[m][m - t1] for t1 = 0..m."""
-        return map(operator.mul, map(math.comb, repeat(m), range(m + 1)), reversed(table[m]))
-
+    signs = [-c if j % 2 else c for j, c in enumerate(map(math.comb, repeat(r), range(r + 1)))]
     total = 0
-    for j in range(r + 1):
-        k, l = p + r - j, q + j
-        split = sum(map(operator.mul, map(operator.mul, weights, row(l)),
-                        map(operator.mul, row(k), reversed(table[k]))))
-        term = math.comb(r, j) * split
-        total += -term if j % 2 else term
+    for s, (weight, column) in enumerate(zip(weights, derangement_columns(n, d))):
+        # at l = s..n-s: u = C(l, s) e(l, s) and, reversed, v = C(k, s) e(k, s)^2
+        # with k = n - l; split j = l - q reaches column s for q <= l <= q + r
+        u = list(map(operator.mul, map(math.comb, range(s, n - s + 1), repeat(s)), column))
+        v = list(map(operator.mul, u, column))[::-1]
+        lo = max(s, q)
+        window = slice(lo - s, min(n - s, q + r) - s + 1)
+        pairs = map(operator.mul, u[window], v[window])
+        total += weight * sum(map(operator.mul, signs[lo - q:], pairs))
     return total
 
 
@@ -227,10 +231,11 @@ def thm3_g(n: int, lam: int) -> int:
     G(n,0,0) by g_npq_closed, whose n plain columns make it Theorem 2's sum
     over the n + 1 splits (n-l, l) with signs (-1)^l C(n, l).
 
-    All splits share one table and one list of weights, and the whole sum is
-    O(n^2) big-integer products in n + 1 C-level passes.  The count is 0 for
-    0 <= lam < n.  Agrees with aps_g and with the chromatic engine on G(n);
-    the test suite holds all three routes together.
+    All splits share one band of n^2 / 4 + O(n) derangement numbers, and the
+    whole sum is O(n^2) big-integer products in n // 2 + 1 C-level passes,
+    one per band column.  The count is 0 for 0 <= lam < n.  Agrees with
+    aps_g and with the chromatic engine on G(n); the test suite holds all
+    three routes together.
     """
     return g_npq_closed(n, 0, 0, lam)
 

@@ -229,16 +229,17 @@ def enumerate_latin(n: int, lam: int, limit: int) -> list[Rectangle]:
 
 def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
     """True iff rect is a well-formed 3 x n array over {1..lam} with
-    pairwise-distinct symbols in every row and every column."""
+    pairwise-distinct symbols in every row and every column.
+
+    Symbols are judged by value: s is in {1..lam} iff 1 <= s <= lam holds,
+    so 1.0 and True count as 1 and NaN is never a symbol."""
     if len(rect) != 3:
         return False
     r0, r1, r2 = rect
     if len(r0) != n or len(r1) != n or len(r2) != n:
         return False
-    if n == 0:  # three empty rows; min() below needs a symbol
-        return True
     for row in rect:
-        if len(set(row)) != n or min(row) < 1 or max(row) > lam:
+        if len(set(row)) != n or not all(1 <= s <= lam for s in row):
             return False
     for x, y, z in zip(r0, r1, r2):
         if x == y or x == z or y == z:
@@ -251,7 +252,8 @@ def _first_invalid(rects: list[Rectangle], n: int, lam: int) -> Optional[Rectang
 
     Each distinct row is tested once per call and kept as the frozenset of its
     (column, symbol) cells, or as None when it is not n distinct symbols of
-    1..lam.  Two rows clash in a column iff their cells meet; sets compare
+    1..lam.  A symbol s is in 1..lam iff 1 <= s <= lam holds, so NaN never
+    is.  Two rows clash in a column iff their cells meet; sets compare
     symbols by value, as is_latin_rectangle does (1.0 and True are 1).
     """
     cells: dict[tuple, Optional[frozenset]] = {}
@@ -263,7 +265,7 @@ def _first_invalid(rects: list[Rectangle], n: int, lam: int) -> Optional[Rectang
         for row in rect:
             mine = get(row, ...)
             if mine is ...:
-                bad = len(row) != n or n and (len(set(row)) != n or min(row) < 1 or max(row) > lam)
+                bad = len(row) != n or len(set(row)) != n or not all(1 <= s <= lam for s in row)
                 mine = cells[row] = None if bad else frozenset(enumerate(row))
             if mine is None or not mine.isdisjoint(prev) or not mine.isdisjoint(prev2):
                 return rect

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from latin3.combinatorics import (
     binom,
-    derangement_table,
+    derangement_columns,
     factorial,
     falling,
     gen_binom,
@@ -132,38 +132,67 @@ def test_gen_derangement_rejects_bad_ranges(lam, n, t):
         gen_derangement(lam, n, t)
 
 
-def test_derangement_table_matches_inclusion_exclusion():
-    table = derangement_table(30)
-    assert [len(row) for row in table] == list(range(1, 32))
-    for m, row in enumerate(table):
-        assert row == [gen_derangement(m, m, t) for t in range(m + 1)]
+def _band(n, d):
+    """derangement_columns(n, d) as {(m, s): e(m, s)}, checking its shape."""
+    columns = derangement_columns(n, d)
+    assert [len(column) for column in columns] == [n - 2 * s + 1 for s in range(n // 2 + 1)]
+    return {(m, s): e for s, column in enumerate(columns) for m, e in enumerate(column, s)}
+
+
+def test_derangement_columns_match_inclusion_exclusion():
+    # column s of derangement_columns(n, d) holds e(m, s) = GD(m+d, m, m-s)
+    # for m = s..n-s: injections of m points into m + d symbols that may fix
+    # only the last s points; d = 0 is the permutation band
+    for d in range(8):
+        want = {(m, s): gen_derangement(m + d, m, m - s) for m in range(31) for s in range(m + 1)}
+        for n in range(31):
+            assert _band(n, d) == {
+                (m, s): want[m, s] for s in range(n // 2 + 1) for m in range(s, n - s + 1)
+            }, (n, d)
+    assert derangement_columns(30, 0) == derangement_columns(30)
+
+
+def test_shifted_derangement_columns_match_inclusion_exclusion():
+    # far more symbols than points, where the diagonal's factor m + d - 1
+    # and its seed e(1, 0) = d dwarf the (m - 1) e(m-2, 0) part
+    for d in (10**3, 10**6):
+        for n in range(13):
+            assert _band(n, d) == {
+                (m, s): gen_derangement(m + d, m, m - s)
+                for s in range(n // 2 + 1)
+                for m in range(s, n - s + 1)
+            }, (n, d)
+
+
+def test_derangement_column_zero_is_the_fixed_point_free_diagonal():
+    for d in [*range(12), 10**3, 10**6]:
+        assert derangement_columns(24, d)[0] == [gen_derangement(m + d, m, m) for m in range(25)], d
+
+
+def _assert_band_matches_enumeration(d):
+    # injection_counts(m + d, m)[t] counts injections with no fixed point
+    # among 1..t by walking them, and e(m, s) is its entry t = m - s
+    walked = [injection_counts(m + d, m) for m in range(7)]
+    for n in range(7):
+        for (m, s), e in _band(n, d).items():
+            assert e == walked[m][m - s], (n, d, m, s)
 
 
 def test_derangement_table_matches_enumeration():
-    for m, row in enumerate(derangement_table(6)):
-        assert row == injection_counts(m, m)
-
-
-def test_derangement_table_rejects_negative():
-    assert derangement_table(0) == [[1]]
-    with pytest.raises(ValueError):
-        derangement_table(-1)
-    with pytest.raises(ValueError):
-        derangement_table(3, -1)
-
-
-def test_shifted_derangement_table_matches_inclusion_exclusion():
-    # row m of derangement_table(n, d) counts injections of m points into
-    # m + d symbols; d = 0 is the permutation table
-    for d in range(8):
-        table = derangement_table(15, d)
-        assert [len(row) for row in table] == list(range(1, 17))
-        for m, row in enumerate(table):
-            assert row == [gen_derangement(m + d, m, t) for t in range(m + 1)], (m, d)
-    assert derangement_table(30, 0) == derangement_table(30)
+    # the permutation band, d = 0
+    _assert_band_matches_enumeration(0)
 
 
 def test_shifted_derangement_table_matches_enumeration():
-    for d in range(4):
-        for m, row in enumerate(derangement_table(6, d)):
-            assert row == injection_counts(m + d, m), (m, d)
+    # m points into m + d symbols, d = 1..3
+    for d in range(1, 4):
+        _assert_band_matches_enumeration(d)
+
+
+def test_derangement_columns_reject_negative():
+    assert derangement_columns(0) == [[1]]
+    assert derangement_columns(1, 5) == [[1, 5]]
+    with pytest.raises(ValueError):
+        derangement_columns(-1)
+    with pytest.raises(ValueError):
+        derangement_columns(3, -1)

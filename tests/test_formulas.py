@@ -12,7 +12,6 @@ import pytest
 from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.combinatorics import (
     binom,
-    derangement_table,
     factorial,
     falling,
     gen_binom,
@@ -251,21 +250,22 @@ def test_split_sums_rebuild_from_per_term_bodies():
 
 
 def test_terms_match_their_full_range_definitions():
-    # Each t1 term g_npq_closed reads from derangement_table(n, d),
-    # C(k, t1) C(l, t1) t1! falling(lam, n-t1) G[l][l-t1] G[k][k-t1]^2, must
-    # equal falling(lam, n) C(k, t1) A B^2 with A and B summed over their
-    # full t2 and t3 ranges.
+    # Each t1 term of a split that g_npq_closed sums,
+    # t1! falling(lam, n-t1) C(l, t1) e(l, t1) C(k, t1) e(k, t1)^2 with
+    # e(m, t1) = GD(m+d, m, m-t1), must equal falling(lam, n) C(k, t1) A B^2
+    # with A and B summed over their full t2 and t3 ranges.
     for n in range(1, 13):
         for lam in range(n, n + 5):
-            table = derangement_table(n, lam - n)
+            d = lam - n
             for k in range(n + 1):
                 l = n - k
                 for t1 in range(min(k, l) + 1):
                     full = falling(lam, n) * _B_def(lam, k, l, t1) ** 2 * sum(
                         _A_def(lam, k, l, t1, t2) for t2 in range(l - t1 + 1)
                     )
-                    read = (binom(k, t1) * binom(l, t1) * factorial(t1) * falling(lam, n - t1)
-                            * table[l][l - t1] * table[k][k - t1] ** 2)
+                    read = (factorial(t1) * falling(lam, n - t1)
+                            * binom(l, t1) * gen_derangement(l + d, l, l - t1)
+                            * binom(k, t1) * gen_derangement(k + d, k, k - t1) ** 2)
                     assert read == full, (lam, k, l, t1)
 
 
@@ -380,6 +380,18 @@ def test_theorem2_full_split_equals_alternating_sum():
                 n, n, lam, lambda n_, p, q, lam_: g_npq_closed(n_, p, q, lam_)
             )
             assert total == thm3_g(n, lam)
+
+
+def test_theorem2_surgered_cells_match_aps_past_brute_force():
+    # Theorem 2 on g_npq_closed's surgered cells (p or q != 0) against the
+    # APS triple sum, an independent route, at n far past the engine's and
+    # the oracles' reach; m = 1 and m = n//2 leave plain columns in every
+    # cell, and m = n reads only the split cells p + q = n.
+    for n in (11, 17, 24, 31, 40):
+        for lam in (n, n + 3):
+            want = aps_g(n, lam)
+            for m in (1, n // 2, n):
+                assert theorem2_sum(n, m, lam, g_npq_closed) == want, (n, m, lam)
 
 
 def test_theorem2_rejects_bad_m():

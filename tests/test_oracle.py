@@ -510,6 +510,23 @@ def test_first_invalid_judges_symbols_that_are_no_ints_by_value():
     assert _first_invalid(rects, n, lam) == _first_invalid_one_by_one(rects, n, lam) == rects[1]
 
 
+def test_nan_is_no_symbol():
+    # 1 <= nan <= lam is false, so a NaN anywhere makes its row invalid.
+    # One NaN object twice in a column is one set member to _first_invalid's
+    # cell sets but unequal to itself under ==; rejecting the row settles it.
+    n, lam = 2, 3
+    nan = float("nan")
+    base = [((1, 2), (2, 3), (3, 1))]
+    for bad in (
+        ((nan, 2), (2, 3), (3, 1)),
+        ((nan, 2), (nan, 3), (3, 1)),
+        ((1, 2), (2, 3), (3, nan)),
+    ):
+        assert not is_latin_rectangle(bad, n, lam), bad
+        for rects in ([bad], base + [bad], [bad] + base):
+            assert _first_invalid(rects, n, lam) is bad
+
+
 def test_first_invalid_codes_reach_past_64_bits():
     # 4 columns on 40 symbols: a clash in the last column, on the largest
     # symbol, is the cell furthest from the first.
