@@ -8,8 +8,9 @@ Four independent routes compute the same numbers:
 4. chromatic_poly on build_gn(n) -- deletion-contraction from first principles
 
 plus brute-force enumeration oracles (count_latin, enumerate_latin,
-injection_counts) that ground all of them.  Everything is exact big-integer
-arithmetic.
+injection_counts) that ground all of them.  run_verify cross-checks the
+routes on enough lambda to fix each count's polynomial in lambda.  Everything
+is exact big-integer arithmetic.
 """
 
 from .combinatorics import binom, factorial, falling, gen_binom, gen_derangement
@@ -27,13 +28,7 @@ from .graphs import (
     parse_graph,
 )
 from .chromatic import Poly, chromatic_poly, count_colorings_bruteforce, eval_poly
-from .formulas import (
-    aps_g,
-    g_npq_closed,
-    riordan_l3,
-    theorem2_sum,
-    thm3_g,
-)
+from .formulas import aps_g, g_npq_closed, riordan_l3, thm3_g
 from .oracle import (
     Rectangle,
     count_latin,
@@ -80,7 +75,6 @@ __all__ = [
     "render_report",
     "riordan_l3",
     "run_verify",
-    "theorem2_sum",
     "thm3_g",
     "__version__",
 ]

@@ -139,7 +139,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = VerifyConfig(
         n_max=args.n_max,
-        lambda_offset_max=args.lambda_offset_max,
         include_engine=not args.skip_engine,
         include_oracle=not args.skip_oracle,
         seed=args.seed,
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the identity cross-check matrix")
     verify.add_argument("--n-max", type=int, default=3)
-    verify.add_argument("--lambda-offset-max", type=int, default=2)
     verify.add_argument("--skip-engine", action="store_true")
     verify.add_argument("--skip-oracle", action="store_true")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -1,7 +1,7 @@
 """Closed-form counts of 3 x n Latin rectangles on lambda symbols.
 
-Three independent closed forms live here, plus the alternating-sum scaffold
-that ties the surgered-graph counts together:
+Three independent closed forms live here, and the surgered-graph count that
+Theorem 3 assembles the plain one from:
 
 * riordan_l3(n)        -- rectangles over {1..n} with first row pinned to 1..n
 * aps_g(n, lam)        -- rectangles over {1..lam}, triple-sum closed form
@@ -9,8 +9,6 @@ that ties the surgered-graph counts together:
 * g_npq_closed         -- the surgered-graph count G(n,p,q) for p + q <= n:
                           an alternating sum over the plain columns of
                           splits, each a sum over t1 of C(k, t1) * A * B^2
-* theorem2_sum         -- the binomial alternating sum over split counts,
-                          usable with any evaluator for the surgered graphs
 
 Every route is exact integer arithmetic throughout; agreement between them
 (and with the enumeration oracles) is what the test suite enforces.
@@ -39,8 +37,8 @@ from __future__ import annotations
 import math
 import operator
 from itertools import accumulate, repeat
-from typing import Callable
 
+# binom is bound here, not called: the benchmark tracer patches formulas.binom
 from .combinatorics import binom, derangement_columns, falling
 
 
@@ -239,25 +237,3 @@ def thm3_g(n: int, lam: int) -> int:
     """
     return g_npq_closed(n, 0, 0, lam)
 
-
-def theorem2_sum(
-    n: int, m: int, lam: int, g_eval: Callable[[int, int, int, int], int]
-) -> int:
-    """The alternating binomial sum over splits of the first m columns:
-
-        sum_{q=0}^{m} C(m,q) (-1)^q g_eval(n, m-q, q, lam)
-
-    where g_eval(n, p, q, lam) evaluates the surgered-graph count G(n,p,q)
-    by any route (typically the chromatic engine).  For every 1 <= m <= n the
-    value is the same and equals the plain G(n) count; that m-invariance is
-    one of the identities the verifier checks.
-    """
-    if n < 1:
-        raise ValueError(f"theorem2_sum: n must be >= 1, got {n}")
-    if not 1 <= m <= n:
-        raise ValueError(f"theorem2_sum: need 1 <= m <= n, got m={m} n={n}")
-    total = 0
-    for q in range(m + 1):
-        term = binom(m, q) * g_eval(n, m - q, q, lam)
-        total += -term if q % 2 else term
-    return total

@@ -13,6 +13,13 @@ else a message naming the counterexample, and the check stops at its first
 message.  The engine lane stops at n <= 4, and surgery and Theorem 2 at
 n <= 3.  All randomness is seeded, so a given configuration always produces
 the same report.
+
+The checks that compare routes in lambda sample one rule, _lams(n) =
+n..4n+2.  At lambda >= n every route's count of G(n,p,q) is a polynomial in
+lambda of degree 3n - q <= 3n, and 3n + 1 points fix such a polynomial, so
+two routes that agree on the sample agree at every lambda >= n.  The two
+further points keep lambda = 1..6 in the sample at n = 1.  Theorem 2's sum
+reaches below n, so it reads the engine polynomials at lambda = 1..4n+2.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ RANDOM_GRAPH_COUNT = 50
 @dataclass(frozen=True)
 class VerifyConfig:
     n_max: int = 3
-    lambda_offset_max: int = 2
     include_engine: bool = True
     include_oracle: bool = True
     seed: int = DEFAULT_SEED
@@ -109,10 +115,10 @@ class _Run:
 Cells = Iterator[Optional[str]]
 
 
-def _formula_cells(cfg: VerifyConfig) -> Iterator[tuple[int, int]]:
-    for n in range(1, cfg.n_max + 1):
-        for off in range(cfg.lambda_offset_max + 1):
-            yield n, n + off
+def _lams(n: int) -> range:
+    """The lambdas a check samples at n: 3n + 3 points from lambda = n, enough
+    to fix any polynomial of degree <= 3n on lambda >= n."""
+    return range(n, 4 * n + 3)
 
 
 def _binom_symmetry(run: _Run) -> Cells:
@@ -172,20 +178,22 @@ def _identify_symmetry(run: _Run) -> Cells:
 def _aps_divisibility(run: _Run) -> Cells:
     # aps_g divides by nothing; the paper's literal factorial form does,
     # and must divide exactly and agree with it
-    for n, lam in _formula_cells(run.cfg):
-        try:
-            literal = formulas.aps_literal(n, lam)
-        except ArithmeticError as exc:
-            yield str(exc)
-            return
-        fast = formulas.aps_g(n, lam)
-        yield None if fast == literal else f"n={n} lam={lam}: aps={fast} literal={literal}"
+    for n in range(1, run.cfg.n_max + 1):
+        for lam in _lams(n):
+            try:
+                literal = formulas.aps_literal(n, lam)
+            except ArithmeticError as exc:
+                yield str(exc)
+                return
+            fast = formulas.aps_g(n, lam)
+            yield None if fast == literal else f"n={n} lam={lam}: aps={fast} literal={literal}"
 
 
 def _formula_equivalence(run: _Run) -> Cells:
-    for n, lam in _formula_cells(run.cfg):
-        a, b = formulas.thm3_g(n, lam), formulas.aps_g(n, lam)
-        yield None if a == b else f"n={n} lam={lam}: thm3={a} aps={b}"
+    for n in range(1, run.cfg.n_max + 1):
+        for lam in _lams(n):
+            a, b = formulas.thm3_g(n, lam), formulas.aps_g(n, lam)
+            yield None if a == b else f"n={n} lam={lam}: thm3={a} aps={b}"
 
 
 def _riordan_bridge(run: _Run) -> Cells:
@@ -198,8 +206,7 @@ def _riordan_bridge(run: _Run) -> Cells:
 def _engine_closed_forms(run: _Run) -> Cells:
     for n in range(1, min(run.cfg.n_max, ENGINE_N_GUARD) + 1):
         poly = run.poly(build_gn(n))
-        top = min(run.cfg.lambda_offset_max, 3 if n <= 3 else 1)
-        for lam in range(n, n + top + 1):
+        for lam in _lams(n):
             engine = eval_poly(poly, lam)
             t3 = formulas.thm3_g(n, lam)
             ap = formulas.aps_g(n, lam)
@@ -213,7 +220,7 @@ def _surgery(run: _Run) -> Cells:
         for p in range(n + 1):
             for q in range(n - p + 1):
                 poly = run.poly(build_gnpq(n, p, q))
-                for lam in range(n, 7):
+                for lam in _lams(n):
                     closed = formulas.g_npq_closed(n, p, q, lam)
                     engine = eval_poly(poly, lam)
                     yield None if closed == engine else (
@@ -222,15 +229,19 @@ def _surgery(run: _Run) -> Cells:
 
 
 def _theorem2(run: _Run) -> Cells:
-    def engine_eval(n: int, p: int, q: int, lam: int) -> int:
-        return eval_poly(run.poly(build_gnpq(n, p, q)), lam)
-
+    # sum_q (-1)^q C(m, q) P(G(n, m-q, q)) = P(G(n)) for every 1 <= m <= n
     for n in range(1, min(run.cfg.n_max, 3) + 1):
         gn_poly = run.poly(build_gn(n))
-        for lam in range(1, 7):
+        polys = {
+            (p, q): run.poly(build_gnpq(n, p, q)) for p in range(n + 1) for q in range(n - p + 1)
+        }
+        for lam in range(1, 4 * n + 3):
             want = eval_poly(gn_poly, lam)
             for m in range(1, n + 1):
-                got = formulas.theorem2_sum(n, m, lam, engine_eval)
+                got = 0
+                for q in range(m + 1):
+                    term = comb.binom(m, q) * eval_poly(polys[m - q, q], lam)
+                    got += -term if q % 2 else term
                 yield None if got == want else f"n={n} m={m} lam={lam}: sum={got} engine={want}"
 
 
@@ -316,11 +327,17 @@ def _classical_derangements(run: _Run) -> Cells:
         yield None if formula == brute else f"n={n}: formula={formula} oracle={brute}"
 
 
-def _latin_bridge(run: _Run) -> Cells:
-    cells = [(n, lam) for n in range(1, min(run.cfg.n_max, 3) + 1) for lam in range(n, 7)]
-    if run.cfg.n_max >= 4:
+def _latin_cells(cfg: VerifyConfig) -> list[tuple[int, int]]:
+    """The (n, lam) cells the oracle lane counts free: every lam <= 6 for
+    n <= 3, plus (4, 4) and (4, 5); the free search blows up with lam."""
+    cells = [(n, lam) for n in range(1, min(cfg.n_max, 3) + 1) for lam in range(n, 7)]
+    if cfg.n_max >= 4:
         cells += [(4, 4), (4, 5)]
-    for n, lam in cells:
+    return cells
+
+
+def _latin_bridge(run: _Run) -> Cells:
+    for n, lam in _latin_cells(run.cfg):
         counted = run.count(n, lam)
         formula = formulas.thm3_g(n, lam)
         yield None if counted == formula else (
@@ -329,10 +346,14 @@ def _latin_bridge(run: _Run) -> Cells:
 
 
 def _latin_first_row(run: _Run) -> Cells:
-    for n in range(3, min(run.cfg.n_max, 4) + 1):
-        free = run.count(n, n)
-        pinned = comb.factorial(n) * run.count(n, n, True)
-        yield None if free == pinned else f"n={n}: free={free} n!*pinned={pinned}"
+    # relabelling the symbols maps the rectangles with any one first row onto
+    # those with first row 1..n
+    for n, lam in _latin_cells(run.cfg):
+        free = run.count(n, lam)
+        pinned = comb.falling(lam, n) * run.count(n, lam, True)
+        yield None if free == pinned else (
+            f"n={n} lam={lam}: free={free} falling(lam,n)*pinned={pinned}"
+        )
 
 
 def _riordan_oracle(run: _Run) -> Cells:
@@ -361,7 +382,6 @@ class _Check(NamedTuple):
     name: str
     lane: str  # "fast", "engine" or "oracle"
     cells: Callable[[_Run], Cells]
-    min_n: int = 1  # the check runs only when n_max >= min_n
 
 
 # The registry, in report order.  chromatic-shape must follow every other
@@ -387,7 +407,7 @@ _CHECKS = (
     _Check("derangement-oracle", "oracle", _derangement_oracle),
     _Check("classical-derangements", "oracle", _classical_derangements),
     _Check("latin-bridge", "oracle", _latin_bridge),
-    _Check("latin-first-row", "oracle", _latin_first_row, min_n=3),
+    _Check("latin-first-row", "oracle", _latin_first_row),
     _Check("riordan-oracle", "oracle", _riordan_oracle),
     _Check("enumeration-consistency", "oracle", _enumeration_consistency),
 )
@@ -411,15 +431,9 @@ def run_verify(cfg: VerifyConfig) -> list[CheckResult]:
             f"n_max={cfg.n_max} exceeds the guard of {FORMULA_N_GUARD}; "
             "the closed forms are cheap but the cross-check lanes are not"
         )
-    if cfg.lambda_offset_max < 0:
-        raise ValueError(f"lambda_offset_max must be >= 0, got {cfg.lambda_offset_max}")
     lanes = {"fast": True, "engine": cfg.include_engine, "oracle": cfg.include_oracle}
     run = _Run(cfg, random_graphs(cfg.seed))
-    return [
-        _run_check(check, run)
-        for check in _CHECKS
-        if lanes[check.lane] and cfg.n_max >= check.min_n
-    ]
+    return [_run_check(check, run) for check in _CHECKS if lanes[check.lane]]
 
 
 def render_report(results: list[CheckResult]) -> str:

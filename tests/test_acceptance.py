@@ -19,17 +19,17 @@ import pytest
 
 from latin3.verify import VerifyConfig, run_verify
 
-GATE_CONFIG = VerifyConfig(n_max=6, lambda_offset_max=4)
+GATE_CONFIG = VerifyConfig(n_max=6)
 
 # criterion -> {verify check behind it: the fewest cells it may check at GATE_CONFIG}
 CRITERIA = {
-    "formula-equivalence": {"formula-equivalence": 30},
-    "engine-grounding": {"engine-closed-forms": 14},
-    "surgery-grounding": {"surgery-closed-form": 88},
-    "theorem2-identity": {"theorem2-m-invariance": 36},
+    "formula-equivalence": {"formula-equivalence": 81},
+    "engine-grounding": {"engine-closed-forms": 42},
+    "surgery-grounding": {"surgery-closed-form": 192},
+    "theorem2-identity": {"theorem2-m-invariance": 68},
     "reduction-identity": {"reduction-identity": 284},
     "derangement-grounding": {"derangement-oracle": 120},
-    "latin-bridge": {"latin-bridge": 17, "latin-first-row": 2},
+    "latin-bridge": {"latin-bridge": 17, "latin-first-row": 17},
     "riordan-consistency": {"riordan-oracle": 4, "riordan-bridge": 19},
 }
 

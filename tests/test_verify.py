@@ -17,7 +17,7 @@ def names(results):
 
 
 def test_all_lanes_pass_at_minimal_size():
-    results = run_verify(VerifyConfig(n_max=1, lambda_offset_max=1))
+    results = run_verify(VerifyConfig(n_max=1))
     assert results, "harness produced no checks"
     failed = [r for r in results if not r.passed]
     assert not failed, failed
@@ -37,11 +37,13 @@ def test_lane_flags_prune_checks():
     assert all(r.passed for r in results)
 
 
-def test_first_row_check_needs_large_enough_n():
-    small = run_verify(VerifyConfig(n_max=2, include_engine=False))
-    assert "latin-first-row" not in names(small)
-    large = run_verify(VerifyConfig(n_max=3, include_engine=False))
-    assert "latin-first-row" in names(large)
+def test_first_row_check_covers_every_bridge_cell():
+    # free = falling(lam, n) * pinned on each cell latin-bridge counts, from
+    # n_max = 1 on
+    for n_max, cells in ((1, 6), (2, 11), (4, 17)):
+        results = {r.name: r for r in run_verify(VerifyConfig(n_max=n_max, include_engine=False))}
+        assert results["latin-first-row"].passed
+        assert results["latin-first-row"].cells == results["latin-bridge"].cells == cells
 
 
 def test_aps_divisibility_fails_on_a_wrong_aps_g(monkeypatch):
@@ -56,6 +58,34 @@ def test_aps_divisibility_fails_on_a_wrong_aps_g(monkeypatch):
     assert not check.passed
     assert check.detail == "n=1 lam=1: aps=1 literal=0"
     assert check.cells == 1
+
+
+def test_formula_equivalence_fails_on_aps_g_wrong_past_lambda_6(monkeypatch):
+    # lambda = 9 > 6 lies in n = 2's sample 2..10, so a route wrong only there
+    # is caught
+    real = formulas.aps_g
+    monkeypatch.setattr(
+        formulas, "aps_g", lambda n, lam: real(n, lam) + ((n, lam) == (2, 9))
+    )
+    results = {r.name: r for r in run_verify(VerifyConfig(n_max=6, include_oracle=False))}
+    check = results["formula-equivalence"]
+    assert not check.passed
+    assert check.detail.startswith("n=2 lam=9: ")
+    assert check.cells == 6 + 8
+
+
+def test_surgery_fails_on_g_npq_closed_wrong_past_lambda_6(monkeypatch):
+    real = formulas.g_npq_closed
+    monkeypatch.setattr(
+        formulas,
+        "g_npq_closed",
+        lambda n, p, q, lam: real(n, p, q, lam) + ((n, p, q, lam) == (2, 1, 0, 9)),
+    )
+    results = {r.name: r for r in run_verify(VerifyConfig(n_max=6, include_oracle=False))}
+    check = results["surgery-closed-form"]
+    assert not check.passed
+    assert check.detail.startswith("n=2 p=1 q=0 lam=9: ")
+    assert [r.name for r in results.values() if not r.passed] == ["surgery-closed-form"]
 
 
 def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
@@ -155,9 +185,9 @@ def test_oracle_lane_counts_each_cell_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     results = run_verify(VerifyConfig(n_max=4, include_engine=False))
     assert all(r.passed for r in results)
-    # 17 latin-bridge cells, the pinned (1,1), (2,2), (3,3) and (4,4), and
-    # enumeration-consistency's (2,1), (3,1) and (3,2)
-    assert len(calls["count_latin"]) == 24
+    # the 17 latin-bridge cells, free and pinned, and enumeration-consistency's
+    # (2,1), (3,1) and (3,2)
+    assert len(calls["count_latin"]) == 37
     # every (lam, n) with n <= lam <= 7, and (8, 8)
     assert len(calls["injection_counts"]) == 37
     for counter in calls.values():
@@ -176,7 +206,6 @@ def test_runs_are_deterministic():
     [
         VerifyConfig(n_max=0),
         VerifyConfig(n_max=7),
-        VerifyConfig(n_max=2, lambda_offset_max=-1),
     ],
 )
 def test_config_validation(cfg):
