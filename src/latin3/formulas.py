@@ -24,12 +24,15 @@ gen_derangement(a, b, t), with d = lam - n:
 
 So every split reads one band of generalized derangement numbers,
 e(m, s) = GD(m+d, m, m-s) for s <= n // 2 and m = s..n-s
-(combinatorics.derangement_columns), and no window sum is evaluated.  The
-sums are evaluated so that a term costs about one multiply-add: a product
-that gains one factor per step of an index is carried across the loop
-instead of rebuilt, powers of two are shifts, binomials are math.comb
-calls, riordan_l3 sums one row in one C-level map pass, and g_npq_closed
-sums every split at once, one band column per C-level pass.
+(combinatorics.derangement_columns), and no window sum is evaluated.
+
+The sums are evaluated so that a term costs about one multiply-add.
+riordan_l3 and aps_g take each inner hypergeometric sum from the linear
+recurrence its generating function satisfies, so a step is a few
+small-by-big products and calls no binomial, and take each outer sum by
+Horner's rule.  g_npq_closed sums every split at once, one band column per
+C-level pass, reading each column only as far as its splits reach.
+Powers of two are shifts, and no route divides.
 """
 
 from __future__ import annotations
@@ -49,26 +52,41 @@ def riordan_l3(n: int) -> int:
 
         n! * sum_{k+j<=n} (2^j / j!) * k! * gen_binom(-3(k+1), n-k-j).
 
-    n!/j! is math.perm(n, s) with s = n - j, and 2^j is a shift by j.  The
-    generalized binomial is inlined by its reflection,
-    gen_binom(-3(k+1), s-k) = (-1)^(s-k) C(s+2k+2, s-k), so with the signed
-    factorials (-1)^k k! listed once per call, the inner sum for each s is
+    With s = n - j, n!/j! = perm(n, s), and the generalized binomial's
+    reflection gen_binom(-3(k+1), s-k) = (-1)^(s-k) C(s+2k+2, s-k) makes it
 
-        (-1)^s * sum_{k=0}^{s} ((-1)^k k!) * C(s+2k+2, s-k),
+        sum_{s=0}^{n} (-1)^s perm(n, s) 2^(n-s) R_s,
+        R_s = sum_{k=0}^{s} (-1)^k k! C(s+2k+2, s-k).
 
-    one C-level pass (map over math.comb, summed) per row.  The double sum
-    thus costs O(n) interpreted steps and O(n^2) big-integer products.
-    Degenerate widths n = 1, 2 evaluate to 0, matching the enumeration
-    oracle (a column needs three distinct symbols).
+    No R_s is summed term by term.  As (-1)^k C(s+2k+2, s-k) is
+    [t^s] (1-t)^(-3) (-t/(1-t)^3)^k, the R_s have the generating function
+    G(t) = (1-t)^(-3) F(-t/(1-t)^3), where F(z) = sum_k k! z^k is Euler's
+    series, fixed by F = 1 + z F + z^2 F' (k! = (k-1)! + (k-1) (k-1)!).
+    Substituting F = (1-t)^3 G and z = -t/(1-t)^3 into that equation and
+    multiplying it by -(1+2t) gives
+
+        (t^3 - t^2) G' + (2t^4 - 5t^3 + 4t^2 - 1) G + 1 + 2t = 0,
+
+    whose coefficient of t^s reads R_0 = 1, R_1 = 2 and
+
+        R_s = -(s-1) R_{s-1} + (s+2) R_{s-2} - 5 R_{s-3} + 2 R_{s-4},
+
+    with R_{<0} = 0.  The sign (-1)^s is folded in: S_s = (-1)^s R_s has
+    S_0 = 1, S_1 = -2 and S_s = (s-1) S_{s-1} + (s+2) S_{s-2} + 5 S_{s-3}
+    + 2 S_{s-4}.  The outer sum runs by Horner's rule from s = n down,
+    acc = (S_s << (n-s)) + (n-s) * acc, since perm(n, s+1) = (n-s) perm(n, s).
+    Each step is a few small-by-big products, so the whole count is O(n)
+    of them and no binomial.  Degenerate widths n = 1, 2 evaluate to 0,
+    matching the enumeration oracle (a column needs three distinct symbols).
     """
     if n < 1:
         raise ValueError(f"riordan_l3: n must be >= 1, got {n}")
-    signed_fact = list(accumulate(range(-1, -n - 1, -1), operator.mul, initial=1))
+    rows = [0, 0, 1, -2]  # S_{-2}, S_{-1}, S_0, S_1
+    for s in range(2, n + 1):
+        rows.append((s - 1) * rows[-1] + (s + 2) * rows[-2] + 5 * rows[-3] + 2 * rows[-4])
     total = 0
-    for s in range(n + 1):
-        binoms = map(math.comb, range(s + 2, 3 * s + 3, 2), range(s, -1, -1))
-        term = (math.perm(n, s) * sum(map(operator.mul, signed_fact, binoms))) << (n - s)
-        total += -term if s % 2 else term
+    for j, row in enumerate(reversed(rows[2:])):  # s = n - j
+        total = (row << j) + j * total
     return total
 
 
@@ -88,35 +106,40 @@ def aps_g(n: int, lam: int) -> int:
     The sum is stated for lam >= n; below that no row fits and the count is 0.
     With d = lam - n the factorials cancel before anything is evaluated:
     lam!/d! = falling(lam, n), ((d+a)!/d!)^2 = falling(d+a, a)^2 and
-    n!/(a! c!) = C(n, a) * C(n-a, c) * b!, so
+    n!/(a! c!) = C(n, a) * C(n-a, c) * b!, and with x = 3d + 3a + 2,
+    b! C(x+b, b) is the rising product (x+1)(x+2)...(x+b).  So the count is
 
-        falling(lam, n) * sum_a falling(d+a, a)^2 C(n, a)
-            * sum_{b+c=n-a} (-1)^b 2^c C(n-a, c) b! C(3d + 3a + b + 2, b).
+        falling(lam, n) * sum_a falling(d+a, a)^2 C(n, a) I(n-a, x),
+        I(m, x) = sum_{b+c=m} C(m, b) 2^c (-1)^b (x+1)(x+2)...(x+b).
 
     Every factor is an integer of O(n log lam) bits, so no lam! is built and
-    nothing is divided.  Each factor is carried rather than rebuilt: with
-    x = 3d + 3a + 2, (-1)^b b! C(x + b, b) is the signed rising product
-    (-(x+1)) ... (-(x+b)), one multiplication per step of b, and
-    falling(d+a, a) grows by one factor per step of a.  2^c C(n-a, c) is
-    math.comb(n-a, b) shifted left by c.  A term of the inner sum is thus one
-    math.comb call, one shift and one multiply-add.
+    nothing is divided.  No I(m, x) is summed term by term.  Its exponential
+    generating function in m is the product of those of 2^c and of
+    (-1)^b (x+1)...(x+b),
+
+        f(t) = sum_m I(m, x) t^m / m! = e^(2t) (1+t)^(-(x+1)),
+
+    so f'/f = 2 - (x+1)/(1+t), that is (1+t) f' = (1 - x + 2t) f.  Its
+    coefficient of t^j / j! reads I(0, x) = 1 and
+
+        I(j+1, x) = (1 - x - j) I(j, x) + 2j I(j-1, x),
+
+    each step two small-by-big products.  falling(d+a, a) gains the factor
+    d + a per step of a, so the outer sum runs by Horner's rule from a = n
+    down, acc = C(n, a) I(n-a, x) + (d+a+1)^2 acc: O(n^2) small-by-big
+    products in all, and one math.comb call per a.
     """
     _check_n_lam("aps_g", n, lam)
     if lam < n:
         return 0
     d = lam - n
     total = 0
-    lead = 1  # falling(d + alpha, alpha)
-    for alpha in range(n + 1):
-        m = n - alpha
+    for alpha in range(n, -1, -1):
         x = 3 * d + 3 * alpha + 2
-        rising = 1  # (-1)^beta beta! C(x + beta, beta)
-        inner = 0
-        for beta in range(m + 1):
-            inner += (math.comb(m, beta) << (m - beta)) * rising
-            rising *= -(x + beta + 1)
-        total += lead * lead * math.comb(n, alpha) * inner
-        lead *= d + alpha + 1
+        prev, inner = 0, 1  # I(j-1, x), I(j, x) at j = 0
+        for j in range(n - alpha):
+            prev, inner = inner, (1 - x - j) * inner + 2 * j * prev
+        total = math.comb(n, alpha) * inner + (d + alpha + 1) ** 2 * total
     return falling(lam, n) * total
 
 
@@ -190,12 +213,13 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     chromatic engine remains the independent side.
 
     The double sum runs with t1 = s outside.  Column s of the band holds
-    every e(m, s) a split with min(k, l) >= s reads; u = C(m, s) e(m, s)
-    and v = u e(m, s) are formed once per entry, the splits' (-1)^j C(r, j)
-    u_l v_k are added in one C-level pass, and the weight s! falling(lam,
-    n-s), a running product from both ends, multiplies that column's sum
-    once.  Row 3 of G(n,p,q) is still an n-clique, so for 0 <= lam < n the
-    count is 0.
+    every e(m, s) a split with min(k, l) >= s reads.  The splits that reach
+    it have l in a window lo..hi, and k = n - l in its mirror; u = C(m, s)
+    e(m, s) and v = u e(m, s) are formed once per entry up to the larger
+    end of the two, the splits' (-1)^j C(r, j) u_l v_k are added in one
+    C-level pass, and the weight s! falling(lam, n-s), a running product
+    from both ends, multiplies that column's sum once.  Row 3 of G(n,p,q)
+    is still an n-clique, so for 0 <= lam < n the count is 0.
     """
     _check_n_lam("g_npq_closed", n, lam)
     if p < 0 or q < 0 or p + q > n:
@@ -213,14 +237,15 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     signs = [-c if j % 2 else c for j, c in enumerate(map(math.comb, repeat(r), range(r + 1)))]
     total = 0
     for s, (weight, column) in enumerate(zip(weights, derangement_columns(n, d))):
-        # at l = s..n-s: u = C(l, s) e(l, s) and, reversed, v = C(k, s) e(k, s)^2
-        # with k = n - l; split j = l - q reaches column s for q <= l <= q + r
-        u = list(map(operator.mul, map(math.comb, range(s, n - s + 1), repeat(s)), column))
+        # split j = l - q reaches column s at l = lo..hi, its k = n - l at
+        # n-hi..n-lo; u and v stop at m = b, the larger end of the two, and
+        # v is reversed so that v[i] is at k = b - i
+        lo, hi = max(s, q), min(n - s, q + r)
+        b = max(hi, n - lo)
+        u = list(map(operator.mul, map(math.comb, range(s, b + 1), repeat(s)), column))
         v = list(map(operator.mul, u, column))[::-1]
-        lo = max(s, q)
-        window = slice(lo - s, min(n - s, q + r) - s + 1)
-        pairs = map(operator.mul, u[window], v[window])
-        total += weight * sum(map(operator.mul, signs[lo - q:], pairs))
+        pairs = map(operator.mul, u[lo - s :], v[lo + b - n :])
+        total += weight * sum(map(operator.mul, signs[lo - q : hi - q + 1], pairs))
     return total
 
 

@@ -153,6 +153,16 @@ def test_factorial_tables_keep_every_value():
             assert aps_g(n, lam) == _aps_g_calling_factorial(n, lam), (n, lam)
 
 
+def test_recurrences_match_the_term_by_term_sums_past_n_60():
+    # riordan_l3 and aps_g step their inner sums by recurrences whose
+    # integers grow with every step; the grid above stops at n = 60.
+    for n in (61, 100, 150):
+        assert riordan_l3(n) == _riordan_l3_calling_factorial(n), n
+    for n in (80, 100):
+        for lam in (n, n + 1, 10**4):
+            assert aps_g(n, lam) == _aps_g_calling_factorial(n, lam), (n, lam)
+
+
 # --- Surgery building blocks -------------------------------------------------
 
 def _A_def(lam, k, l, t1, t2):
