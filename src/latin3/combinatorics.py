@@ -4,20 +4,16 @@ Everything here returns plain Python ints, so results are exact at any size.
 The only non-stdlib-shaped pieces are the generalized binomial (negative
 upper argument allowed), the constrained-injection count gen_derangement,
 and derangement_columns, the band of those counts that Theorem 3's closed
-form reads, built column by column from a fixed-point-free diagonal.
+form reads, built one column at a time, as it is read, from a
+fixed-point-free diagonal.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial: n must be >= 0, got {n}")
-    return math.factorial(n)
+from itertools import accumulate, repeat
+from typing import Iterator
 
 
 def falling(x: int, n: int) -> int:
@@ -84,9 +80,9 @@ def gen_derangement(lam: int, n: int, t: int) -> int:
     return total
 
 
-def derangement_columns(n: int, d: int = 0) -> list[list[int]]:
-    """Columns s = 0..n // 2 of e(m, s) = gen_derangement(m + d, m, m - s),
-    column s holding m = s..n - s.
+def derangement_columns(n: int, d: int = 0) -> Iterator[list[int]]:
+    """Iterator over columns s = 0..n // 2 of e(m, s) = gen_derangement(m + d,
+    m, m - s), column s holding m = s..n - s.
 
     e(m, s) counts the injections of {1..m} into {1..m+d} that may fix only
     points among the last s; at d = 0 they are permutations.  Column 0 is
@@ -106,17 +102,18 @@ def derangement_columns(n: int, d: int = 0) -> list[list[int]]:
         e(m, s+1) = e(m, s) + e(m-1, s),
 
     so each further column is one C-level pairwise add of the last one with
-    itself shifted, two entries shorter.  These are exactly the entries
-    formulas.g_npq_closed reads: B(k, t1) = e(k, t1) with d = lam - n, and
-    a split (k, l) with k + l = n reads only t1 <= min(k, l), so m <= n - t1.
+    itself shifted, two entries shorter.  The arguments are checked and
+    column 0 is built at the call; each further column is built only when
+    the reader asks for it, and only the last one is held.  These are
+    exactly the entries formulas.g_npq_closed reads: B(k, t1) = e(k, t1)
+    with d = lam - n, and a split (k, l) with k + l = n reads only
+    t1 <= min(k, l), so m <= n - t1.
     """
     if n < 0 or d < 0:
         raise ValueError(f"derangement_columns: need n, d >= 0, got n={n} d={d}")
     column = [gen_derangement(d, 0, 0), gen_derangement(d + 1, 1, 1)][: n + 1]
     for m in range(2, n + 1):
         column.append((m + d - 1) * column[-1] + (m - 1) * column[-2])
-    columns = [column]
-    for _ in range(n // 2):
-        column = list(map(operator.add, column, column[1:-1]))
-        columns.append(column)
-    return columns
+    return accumulate(
+        repeat(None, n // 2), lambda c, _: list(map(operator.add, c, c[1:-1])), initial=column
+    )

@@ -31,7 +31,10 @@ riordan_l3 and aps_g take each inner hypergeometric sum from the linear
 recurrence its generating function satisfies, so a step is a few
 small-by-big products and calls no binomial, and take each outer sum by
 Horner's rule.  g_npq_closed sums every split at once, one band column per
-C-level pass, reading each column only as far as its splits reach.
+C-level pass.  It reads each column whole, with a sign of 0 wherever no
+split is summed, and each column is built only when the sum reaches it, so
+the band is held one column at a time and none past the splits' reach is
+built.
 Powers of two are shifts, and no route divides.
 """
 
@@ -213,13 +216,16 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     chromatic engine remains the independent side.
 
     The double sum runs with t1 = s outside.  Column s of the band holds
-    every e(m, s) a split with min(k, l) >= s reads.  The splits that reach
-    it have l in a window lo..hi, and k = n - l in its mirror; u = C(m, s)
-    e(m, s) and v = u e(m, s) are formed once per entry up to the larger
-    end of the two, the splits' (-1)^j C(r, j) u_l v_k are added in one
-    C-level pass, and the weight s! falling(lam, n-s), a running product
-    from both ends, multiplies that column's sum once.  Row 3 of G(n,p,q)
-    is still an n-clique, so for 0 <= lam < n the count is 0.
+    every e(m, s) a split with min(k, l) >= s reads, m = s..n-s.  Each
+    split has one sign, (-1)^j C(r, j) at l = q + j and 0 at every other
+    l, so a column is read whole: u = C(m, s) e(m, s) is formed once per
+    entry, v = u e(m, s) is read from its far end, at k = n - l, and the
+    terms sign_l u_l v_k are added in one C-level pass.  The weight
+    s! falling(lam, n-s), a running product from both ends, multiplies that
+    column's sum once.  The columns are zipped with the weights of
+    s = 0..min(min(p, q) + r, n // 2), the largest min(k, l) of any split,
+    so no column past it is built.  Row 3 of G(n,p,q) is still an
+    n-clique, so for 0 <= lam < n the count is 0.
     """
     _check_n_lam("g_npq_closed", n, lam)
     if p < 0 or q < 0 or p + q > n:
@@ -234,18 +240,15 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     falls = accumulate(range(d + top, d, -1), operator.mul, initial=falling(lam, n - top))
     facts = accumulate(range(1, top + 1), operator.mul, initial=1)
     weights = list(map(operator.mul, facts, reversed(list(falls))))
-    signs = [-c if j % 2 else c for j, c in enumerate(map(math.comb, repeat(r), range(r + 1)))]
+    # signs[l] = (-1)^j C(r, j) at l = q + j, the split (n-l, l), else 0
+    binoms = map(math.comb, repeat(r), range(r + 1))
+    signs = [0] * q + [-c if j % 2 else c for j, c in enumerate(binoms)] + [0] * p
     total = 0
     for s, (weight, column) in enumerate(zip(weights, derangement_columns(n, d))):
-        # split j = l - q reaches column s at l = lo..hi, its k = n - l at
-        # n-hi..n-lo; u and v stop at m = b, the larger end of the two, and
-        # v is reversed so that v[i] is at k = b - i
-        lo, hi = max(s, q), min(n - s, q + r)
-        b = max(hi, n - lo)
-        u = list(map(operator.mul, map(math.comb, range(s, b + 1), repeat(s)), column))
-        v = list(map(operator.mul, u, column))[::-1]
-        pairs = map(operator.mul, u[lo - s :], v[lo + b - n :])
-        total += weight * sum(map(operator.mul, signs[lo - q : hi - q + 1], pairs))
+        # entry i of u is at m = l = s + i, and of v at m = k = n - l
+        u = list(map(operator.mul, map(math.comb, range(s, n - s + 1), repeat(s)), column))
+        v = map(operator.mul, reversed(u), reversed(column))
+        total += weight * sum(map(operator.mul, signs[s : n - s + 1], map(operator.mul, u, v)))
     return total
 
 
@@ -254,9 +257,10 @@ def thm3_g(n: int, lam: int) -> int:
     G(n,0,0) by g_npq_closed, whose n plain columns make it Theorem 2's sum
     over the n + 1 splits (n-l, l) with signs (-1)^l C(n, l).
 
-    All splits share one band of n^2 / 4 + O(n) derangement numbers, and the
-    whole sum is O(n^2) big-integer products in n // 2 + 1 C-level passes,
-    one per band column.  The count is 0 for 0 <= lam < n.  Agrees with
+    All splits read one band of n^2 / 4 + O(n) derangement numbers, built
+    and held one column of at most n + 1 numbers at a time, and the whole
+    sum is O(n^2) big-integer products in n // 2 + 1 C-level passes, one
+    per band column.  The count is 0 for 0 <= lam < n.  Agrees with
     aps_g and with the chromatic engine on G(n); the test suite holds all
     three routes together.
     """

@@ -24,6 +24,7 @@ reaches below n, so it reads the engine polynomials at lambda = 1..4n+2.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass, field
@@ -198,7 +199,7 @@ def _formula_equivalence(run: _Run) -> Cells:
 
 def _riordan_bridge(run: _Run) -> Cells:
     for n in range(2, 21):
-        lhs = comb.factorial(n) * formulas.riordan_l3(n)
+        lhs = math.factorial(n) * formulas.riordan_l3(n)
         rhs = formulas.thm3_g(n, n)
         yield None if lhs == rhs else f"n={n}: n!*riordan={lhs} thm3={rhs}"
 

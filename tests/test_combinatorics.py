@@ -1,28 +1,18 @@
 """Unit and property tests for the big-integer primitives."""
 
+from math import factorial
+
 import pytest
 from hypothesis import given, strategies as st
 
 from latin3.combinatorics import (
     binom,
     derangement_columns,
-    factorial,
     falling,
     gen_binom,
     gen_derangement,
 )
 from latin3.oracle import injection_counts
-
-
-def test_factorial_small_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(20) == 2432902008176640000
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_falling_examples():
@@ -134,7 +124,7 @@ def test_gen_derangement_rejects_bad_ranges(lam, n, t):
 
 def _band(n, d):
     """derangement_columns(n, d) as {(m, s): e(m, s)}, checking its shape."""
-    columns = derangement_columns(n, d)
+    columns = list(derangement_columns(n, d))
     assert [len(column) for column in columns] == [n - 2 * s + 1 for s in range(n // 2 + 1)]
     return {(m, s): e for s, column in enumerate(columns) for m, e in enumerate(column, s)}
 
@@ -149,7 +139,7 @@ def test_derangement_columns_match_inclusion_exclusion():
             assert _band(n, d) == {
                 (m, s): want[m, s] for s in range(n // 2 + 1) for m in range(s, n - s + 1)
             }, (n, d)
-    assert derangement_columns(30, 0) == derangement_columns(30)
+    assert list(derangement_columns(30, 0)) == list(derangement_columns(30))
 
 
 def test_shifted_derangement_columns_match_inclusion_exclusion():
@@ -166,7 +156,7 @@ def test_shifted_derangement_columns_match_inclusion_exclusion():
 
 def test_derangement_column_zero_is_the_fixed_point_free_diagonal():
     for d in [*range(12), 10**3, 10**6]:
-        assert derangement_columns(24, d)[0] == [gen_derangement(m + d, m, m) for m in range(25)], d
+        assert next(derangement_columns(24, d)) == [gen_derangement(m + d, m, m) for m in range(25)], d
 
 
 def _assert_band_matches_enumeration(d):
@@ -190,8 +180,8 @@ def test_shifted_derangement_table_matches_enumeration():
 
 
 def test_derangement_columns_reject_negative():
-    assert derangement_columns(0) == [[1]]
-    assert derangement_columns(1, 5) == [[1, 5]]
+    assert list(derangement_columns(0)) == [[1]]
+    assert list(derangement_columns(1, 5)) == [[1, 5]]
     with pytest.raises(ValueError):
         derangement_columns(-1)
     with pytest.raises(ValueError):

@@ -7,12 +7,14 @@ Expected values fall into three classes:
   - structural identities checked across whole parameter grids.
 """
 
+import tracemalloc
+from math import factorial
+
 import pytest
 
 from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.combinatorics import (
     binom,
-    factorial,
     falling,
     gen_binom,
     gen_derangement,
@@ -318,6 +320,25 @@ def test_g_npq_rejects_bad_arguments():
         g_npq_closed(0, 0, 0, 4)
     with pytest.raises(ValueError):
         g_npq_closed(2, 1, 1, -1)
+
+
+def test_band_is_held_one_column_at_a_time():
+    # G(400,0,400) reads column 0 alone, and thm3_g(200, 200) holds one
+    # column of at most 201 numbers at a time; building the whole band, 200
+    # and 100 further columns, peaks at about 8.3 and 1.2 MiB
+    want_cell = falling(401, 400) * gen_derangement(401, 400, 400)
+    want_square = factorial(200) * riordan_l3(200)
+    tracemalloc.start()
+    try:
+        assert g_npq_closed(400, 0, 400, 401) == want_cell
+        cell_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert thm3_g(200, 200) == want_square
+        square_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cell_peak < 2**20
+    assert square_peak < 2**19
 
 
 # --- Alternating-sum route ----------------------------------------------------
