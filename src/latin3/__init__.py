@@ -13,7 +13,7 @@ routes on enough lambda to fix each count's polynomial in lambda.  Everything
 is exact big-integer arithmetic.
 """
 
-from .combinatorics import binom, falling, gen_binom, gen_derangement
+from .combinatorics import binom, falling, gen_derangement
 from .errors import BudgetExceededError, GraphParseError, VertexLimitError
 from .graphs import (
     Graph,
@@ -64,7 +64,6 @@ __all__ = [
     "eval_poly",
     "falling",
     "g_npq_closed",
-    "gen_binom",
     "gen_derangement",
     "identify",
     "injection_counts",

@@ -1,11 +1,11 @@
 """Exact big-integer combinatorial primitives.
 
 Everything here returns plain Python ints, so results are exact at any size.
-The only non-stdlib-shaped pieces are the generalized binomial (negative
-upper argument allowed), the constrained-injection count gen_derangement,
-and derangement_columns, the band of those counts that Theorem 3's closed
-form reads, built one column at a time, as it is read, from a
-fixed-point-free diagonal.
+falling and binom are guarded wrappers of math.perm and math.comb.  The
+rest is the constrained-injection count gen_derangement and
+derangement_columns, the band of those counts that Theorem 3's closed form
+reads, built one column at a time, as it is read, from a fixed-point-free
+diagonal.
 """
 
 from __future__ import annotations
@@ -35,25 +35,6 @@ def binom(n: int, k: int) -> int:
     if k < 0:
         return 0
     return math.comb(n, k)
-
-
-def gen_binom(a: int, b: int) -> int:
-    """Generalized binomial coefficient a * (a-1) * ... * (a-b+1) / b!.
-
-    The upper argument may be any integer, including negative values; the
-    lower argument must be >= 0.  One math.comb call gives the value: C(a, b)
-    for a >= 0 (0 when b > a), and for a < 0 the reflection
-
-        gen_binom(a, b) = (-1)^b * C(b - a - 1, b),
-
-    which follows from negating each of the b factors of the product.
-    """
-    if b < 0:
-        raise ValueError(f"gen_binom: b must be >= 0, got {b}")
-    if a >= 0:
-        return math.comb(a, b)
-    c = math.comb(b - a - 1, b)
-    return -c if b % 2 else c
 
 
 def gen_derangement(lam: int, n: int, t: int) -> int:

@@ -53,10 +53,11 @@ def riordan_l3(n: int) -> int:
 
     Evaluates, with all-integer intermediates,
 
-        n! * sum_{k+j<=n} (2^j / j!) * k! * gen_binom(-3(k+1), n-k-j).
+        n! * sum_{k+j<=n} (2^j / j!) * k! * C(-3(k+1), n-k-j),
 
-    With s = n - j, n!/j! = perm(n, s), and the generalized binomial's
-    reflection gen_binom(-3(k+1), s-k) = (-1)^(s-k) C(s+2k+2, s-k) makes it
+    where C(a, b) = a (a-1) ... (a-b+1) / b! is the generalized binomial.
+    With s = n - j, n!/j! = perm(n, s), and the reflection
+    C(-3(k+1), s-k) = (-1)^(s-k) C(s+2k+2, s-k) makes it
 
         sum_{s=0}^{n} (-1)^s perm(n, s) 2^(n-s) R_s,
         R_s = sum_{k=0}^{s} (-1)^k k! C(s+2k+2, s-k).

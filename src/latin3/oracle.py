@@ -228,33 +228,22 @@ def enumerate_latin(n: int, lam: int, limit: int) -> list[Rectangle]:
 
 
 def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
-    """True iff rect is a well-formed 3 x n array over {1..lam} with
-    pairwise-distinct symbols in every row and every column.
-
-    Symbols are judged by value: s is in {1..lam} iff 1 <= s <= lam holds,
-    so 1.0 and True count as 1 and NaN is never a symbol."""
-    if len(rect) != 3:
-        return False
-    r0, r1, r2 = rect
-    if len(r0) != n or len(r1) != n or len(r2) != n:
-        return False
-    for row in rect:
-        if len(set(row)) != n or not all(1 <= s <= lam for s in row):
-            return False
-    for x, y, z in zip(r0, r1, r2):
-        if x == y or x == z or y == z:
-            return False
-    return True
+    """True iff rect is a valid 3 x n rectangle over {1..lam}, by the rule
+    _first_invalid states."""
+    return _first_invalid((rect,), n, lam) is None
 
 
-def _first_invalid(rects: list[Rectangle], n: int, lam: int) -> Optional[Rectangle]:
-    """The first of rects that is_latin_rectangle rejects, or None, in one pass.
+def _first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rectangle]:
+    """The first of rects that is no valid 3 x n rectangle over {1..lam}, or
+    None, in one pass.
 
-    Each distinct row is tested once per call and kept as the frozenset of its
-    (column, symbol) cells, or as None when it is not n distinct symbols of
-    1..lam.  A symbol s is in 1..lam iff 1 <= s <= lam holds, so NaN never
-    is.  Two rows clash in a column iff their cells meet; sets compare
-    symbols by value, as is_latin_rectangle does (1.0 and True are 1).
+    A valid rectangle has 3 rows, each n distinct symbols of 1..lam, and no
+    symbol twice in a column.  Symbols are judged by value: s is in 1..lam
+    iff 1 <= s <= lam holds, so 1.0 and True count as 1 and NaN is never a
+    symbol.  Each distinct row is tested once per call and kept as the
+    frozenset of its (column, symbol) cells, or as None when it is no valid
+    row.  Two rows clash in a column iff their cells meet; sets compare
+    symbols by value too.
     """
     cells: dict[tuple, Optional[frozenset]] = {}
     get = cells.get

@@ -122,21 +122,6 @@ def _lams(n: int) -> range:
     return range(n, 4 * n + 3)
 
 
-def _binom_symmetry(run: _Run) -> Cells:
-    for n in range(31):
-        for k in range(n + 1):
-            same = comb.binom(n, k) == comb.binom(n, n - k)
-            yield None if same else f"binom({n},{k}) != binom({n},{n - k})"
-
-
-def _pascal(run: _Run) -> Cells:
-    for a in range(-10, 11):
-        for b in range(11):
-            lhs = comb.gen_binom(a, b)
-            rhs = (comb.gen_binom(a - 1, b - 1) if b else 0) + comb.gen_binom(a - 1, b)
-            yield None if lhs == rhs else f"gen_binom({a},{b}) breaks the Pascal identity"
-
-
 def _t0_falling(run: _Run) -> Cells:
     for lam in range(13):
         for n in range(lam + 1):
@@ -388,8 +373,6 @@ class _Check(NamedTuple):
 # The registry, in report order.  chromatic-shape must follow every other
 # engine check, since it inspects the polynomials they computed.
 _CHECKS = (
-    _Check("binom-symmetry", "fast", _binom_symmetry),
-    _Check("pascal-gen-binom", "fast", _pascal),
     _Check("derangement-t0-falling", "fast", _t0_falling),
     _Check("gn-construction", "fast", _gn_construction),
     _Check("gnpq-structure", "fast", _gnpq_structure),

@@ -1,7 +1,5 @@
 """Unit and property tests for the big-integer primitives."""
 
-from math import factorial
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +7,6 @@ from latin3.combinatorics import (
     binom,
     derangement_columns,
     falling,
-    gen_binom,
     gen_derangement,
 )
 from latin3.oracle import injection_counts
@@ -52,48 +49,6 @@ def test_binom_symmetry_exhaustive():
 @given(st.integers(1, 60), st.integers(-2, 62))
 def test_binom_pascal(n, k):
     assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
-
-
-def test_gen_binom_examples():
-    assert gen_binom(-3, 2) == 6
-    assert gen_binom(-1, 5) == -1
-    assert gen_binom(7, 3) == 35
-
-
-@given(st.integers(0, 40), st.integers(0, 40))
-def test_gen_binom_matches_binom_on_nonneg(a, b):
-    assert gen_binom(a, b) == binom(a, b)
-
-
-@given(st.integers(-40, -1), st.integers(0, 20))
-def test_gen_binom_reflection(a, b):
-    # gen_binom evaluates negative a by this reflection, so this restates the
-    # implementation; test_gen_binom_literal_definition is the independent check
-    assert gen_binom(a, b) == (-1) ** b * binom(-a + b - 1, b)
-
-
-def test_gen_binom_literal_definition():
-    # a * (a-1) * ... * (a-b+1) / b!, computed here from the product itself
-    for a in range(-40, 41):
-        for b in range(26):
-            num = 1
-            for i in range(b):
-                num *= a - i
-            quotient, remainder = divmod(num, factorial(b))
-            assert remainder == 0 and gen_binom(a, b) == quotient, (a, b)
-
-
-def test_gen_binom_pascal_exhaustive():
-    for a in range(-10, 11):
-        for b in range(11):
-            lhs = gen_binom(a, b)
-            rhs = (gen_binom(a - 1, b - 1) if b else 0) + gen_binom(a - 1, b)
-            assert lhs == rhs, f"Pascal identity fails at a={a} b={b}"
-
-
-def test_gen_binom_rejects_negative_lower():
-    with pytest.raises(ValueError):
-        gen_binom(5, -1)
 
 
 def test_gen_derangement_examples():

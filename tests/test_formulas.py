@@ -8,7 +8,7 @@ Expected values fall into three classes:
 """
 
 import tracemalloc
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -16,7 +16,6 @@ from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.combinatorics import (
     binom,
     falling,
-    gen_binom,
     gen_derangement,
 )
 from latin3.formulas import (
@@ -116,12 +115,31 @@ def test_aps_agrees_with_thm3_at_large_lambda():
             assert aps_g(n, lam) == thm3_g(n, lam)
 
 
+def _gen_binom(a, b):
+    """Generalized binomial a * (a-1) * ... * (a-b+1) / b! for b >= 0; a < 0
+    by the reflection (-1)^b * C(b - a - 1, b)."""
+    if a >= 0:
+        return comb(a, b)
+    return (-1) ** b * comb(b - a - 1, b)
+
+
+def test_gen_binom_literal_definition():
+    # a * (a-1) * ... * (a-b+1) / b!, computed here from the product itself
+    for a in range(-40, 41):
+        for b in range(26):
+            num = 1
+            for i in range(b):
+                num *= a - i
+            quotient, remainder = divmod(num, factorial(b))
+            assert remainder == 0 and _gen_binom(a, b) == quotient, (a, b)
+
+
 def _riordan_l3_calling_factorial(n):
-    """riordan_l3 term by term: a factorial, gen_binom and 2**j call each."""
+    """riordan_l3 term by term: a factorial, _gen_binom and 2**j call each."""
     total = 0
     for j in range(n + 1):
         inner = sum(
-            factorial(k) * gen_binom(-3 * (k + 1), n - k - j) for k in range(n - j + 1)
+            factorial(k) * _gen_binom(-3 * (k + 1), n - k - j) for k in range(n - j + 1)
         )
         total += 2**j * falling(n, n - j) * inner
     return total

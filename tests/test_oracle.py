@@ -372,7 +372,7 @@ def test_is_latin_rectangle_rejects_bad_arrays():
 
 
 def _is_latin_rectangle_per_symbol(rect, n, lam):
-    """is_latin_rectangle as it was before the set/min/max row test: a
+    """A validator that shares no code with oracle._first_invalid: a
     generator over every symbol and a set per column."""
     if len(rect) != 3 or any(len(row) != n for row in rect):
         return False
@@ -424,7 +424,7 @@ def test_is_latin_rectangle_matches_the_per_symbol_validator():
 
 
 def _first_invalid_one_by_one(rects, n, lam):
-    return next((r for r in rects if not is_latin_rectangle(r, n, lam)), None)
+    return next((r for r in rects if not _is_latin_rectangle_per_symbol(r, n, lam)), None)
 
 
 def _column_clash(rect, x, y, j):
@@ -483,8 +483,8 @@ def test_first_invalid_matches_the_one_by_one_scan():
 
 
 def test_first_invalid_judges_symbols_that_are_no_ints_by_value():
-    # is_latin_rectangle compares symbols by value, so 1.0 and True are 1 and
-    # 1.5 is a symbol of its own; _first_invalid's cell sets must agree.
+    # Symbols are judged by value, so 1.0 and True are 1 and 1.5 is a symbol
+    # of its own; _first_invalid's cell sets must agree with the per-symbol scan.
     n, lam = 2, 3
     base = [((1, 2), (2, 3), (3, 1)), ((1, 3), (2, 1), (3, 2))]
     cases = [

@@ -91,14 +91,12 @@ def test_surgery_fails_on_g_npq_closed_wrong_past_lambda_6(monkeypatch):
 def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
     # Every check that reads thm3_g fails, and no other.  The engine
     # polynomials are shared across checks, so this also shows that no check
-    # compares a shared value with itself.  The report keeps all 23 checks in
+    # compares a shared value with itself.  The report keeps all 21 checks in
     # registry order, failed ones included.
     real = formulas.thm3_g
     monkeypatch.setattr(formulas, "thm3_g", lambda n, lam: real(n, lam) + 1)
     results = run_verify(VerifyConfig(n_max=4))
     assert names(results) == [
-        "binom-symmetry",
-        "pascal-gen-binom",
         "derangement-t0-falling",
         "gn-construction",
         "gnpq-structure",
