@@ -6,11 +6,13 @@ makes them trustworthy cross-checks for everything else in the package.
 
 count_latin remembers, for the length of one call, how many ways each exact
 state of its search (the three rows' used-symbol sets) can be finished, so
-no state is searched twice.  It uses no symmetry and no relabelling of
-symbols.  It walks only the free symbols of each row, looks each next
-state up in the memo inside that loop so that only a miss recurses, and
-settles each last-column state in one step, counting its completions by
-inclusion-exclusion over the three rows' free sets (see its docstring).
+no state is searched twice.  The memo keys each state by one int that packs
+the three sets' bitmasks side by side.  It uses no symmetry and no
+relabelling of symbols.  It walks only the free symbols of each row, looks
+each next state up in the memo inside that loop so that only a miss
+recurses, and settles each last-column state in one step, counting its
+completions by inclusion-exclusion over the three rows' free sets (see its
+docstring).
 Its budget counts nodes, one per state searched; a memo hit costs no node,
 and the "completed" count in a budget error includes the rectangles a hit
 stood for.  A search that would recurse more than MAX_SEARCH_DEPTH columns
@@ -35,8 +37,9 @@ from typing import Iterable, Iterator, Optional
 from .errors import MAX_SEARCH_DEPTH, BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**9
-# count_latin's default: a memo entry takes about 150 bytes, so 10**7 states
-# keep the memo near 1.5 GiB
+# count_latin's default: a state searched takes about 70-120 bytes at peak
+# under tracemalloc (68 at (4, 6), 116 at (6, 7)), so 10**7 states keep the
+# memo near 1.2 GiB
 DEFAULT_STATE_BUDGET = 10**7
 
 # A rectangle is 3 rows of n symbols each, as nested tuples.
@@ -87,14 +90,18 @@ def count_latin(
     How many ways the remaining columns can be filled depends only on the
     three rows' used-symbol sets (the column index is how many symbols row 0
     has used), so each such state is searched once per call and its count is
-    remembered for the rest of that call.  The memo key is the exact state:
-    no symbol relabelling or symmetry is used.  Each loop walks only the free
-    symbols, as bits read from a per-call table keyed by the used-symbol mask,
-    and looks each placement's next state up in the memo itself: a hit adds
-    its count there, and only a miss calls the search one column deeper.  In
-    the last column no placement can fail later, so a state there is settled
-    in one step: with A, B and F the free symbols of rows 0, 1 and 2 (A only
-    col + 1 when pinned) and pairs = |A||B| - |A&B|, it completes
+    remembered for the rest of that call.  The memo key is the exact state,
+    the three rows' masks packed into one int, (u0 << 2w) | (u1 << w) | u2
+    with w = lam + 1 bits each, so no tuple is built per lookup: each loop
+    builds the key's row-0 and row-1 part once per placement of those rows
+    and ORs in row 2's bit per probe.  No symbol relabelling or symmetry is
+    used.  Each loop walks only the free symbols, as bits read from a
+    per-call table keyed by the used-symbol mask, and looks each placement's
+    next state up in the memo itself: a hit adds its count there, and only a
+    miss calls the search one column deeper.  In the last column no
+    placement can fail later, so a state there is settled in one step: with
+    A, B and F the free symbols of rows 0, 1 and 2 (A only col + 1 when
+    pinned) and pairs = |A||B| - |A&B|, it completes
     pairs|F| - |A&F||B| - |B&F||A| + 2|A&B&F| rectangles.
 
     Every state searched (a memo miss, last column included) costs one node
@@ -118,14 +125,16 @@ def count_latin(
             f"rectangle search needs {depth} levels of recursion, "
             f"past the depth limit of {MAX_SEARCH_DEPTH}"
         )
-    memo: dict[tuple[int, int, int], int] = {}
+    memo: dict[int, int] = {}
     free = _FreeBits(lam)
-    symbols = (1 << (lam + 1)) - 2  # the bits of 1..lam
+    w = lam + 1  # the width of one row's used-symbol mask in a memo key
+    symbols = (1 << w) - 2  # the bits of 1..lam
     nodes = hits = 0
     done = 0  # rectangles completed so far, memo hits included
 
-    def fill(col: int, u0: int, u1: int, u2: int) -> int:
-        """Search the state (u0, u1, u2) at column col, which the memo lacks."""
+    def fill(col: int, u0: int, u1: int, u2: int, key: int) -> int:
+        """Search the state (u0, u1, u2) at column col, packed as key, which
+        the memo lacks."""
         nonlocal nodes, hits, done
         nodes += 1
         if nodes > node_budget:
@@ -155,20 +164,20 @@ def count_latin(
                 v0 = u0 | bit_a
                 for bit_b in free[u1 | bit_a]:
                     v1 = u1 | bit_b
+                    k01 = ((v0 << w) | v1) << w | u2
                     for bit_c in free[u2 | bit_a | bit_b]:
-                        v2 = u2 | bit_c
-                        found = get((v0, v1, v2))
+                        found = get(k01 | bit_c)
                         if found is None:
-                            found = fill(nxt, v0, v1, v2)
+                            found = fill(nxt, v0, v1, u2 | bit_c, k01 | bit_c)
                         else:
                             hits += 1
                             done += found
                         total += found
-        memo[u0, u1, u2] = total
+        memo[key] = total
         return total
 
     try:
-        return fill(0, 0, 0, 0)
+        return fill(0, 0, 0, 0, 0)
     finally:
         if stats is not None:
             for name, value in zip(STAT_NAMES, (nodes, hits)):
@@ -243,22 +252,39 @@ def _first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rec
     symbol.  Each distinct row is tested once per call and kept as the
     frozenset of its (column, symbol) cells, or as None when it is no valid
     row.  Two rows clash in a column iff their cells meet; sets compare
-    symbols by value too.
+    symbols by value too.  Rows 0 and 1 are checked only when either row
+    object differs from the rectangle before's, as in enumerate_latin's
+    blocks of rectangles that share both; the union of their cells is kept,
+    and row 2 is checked against it with one isdisjoint.
     """
     cells: dict[tuple, Optional[frozenset]] = {}
+
+    def cells_of(row: tuple) -> Optional[frozenset]:
+        mine = cells.get(row, ...)
+        if mine is ...:
+            bad = len(row) != n or len(set(row)) != n or not all(1 <= s <= lam for s in row)
+            mine = cells[row] = None if bad else frozenset(enumerate(row))
+        return mine
+
     get = cells.get
+    row0 = row1 = object()  # no row is this object, so the first pair is checked
+    top: Optional[frozenset] = None  # the cells of rows 0 and 1, or None if they fail
     for rect in rects:
         if len(rect) != 3:
             return rect
-        prev = prev2 = frozenset()
-        for row in rect:
-            mine = get(row, ...)
-            if mine is ...:
-                bad = len(row) != n or len(set(row)) != n or not all(1 <= s <= lam for s in row)
-                mine = cells[row] = None if bad else frozenset(enumerate(row))
-            if mine is None or not mine.isdisjoint(prev) or not mine.isdisjoint(prev2):
-                return rect
-            prev, prev2 = mine, prev
+        r0, r1, r2 = rect
+        if r0 is not row0 or r1 is not row1:
+            row0, row1 = r0, r1
+            a = cells_of(r0)
+            b = None if a is None else cells_of(r1)
+            top = None if b is None or not a.isdisjoint(b) else a | b
+        if top is None:
+            return rect
+        c = get(r2, ...)  # row 2 changes every rectangle: look its hit up inline
+        if c is ...:
+            c = cells_of(r2)
+        if c is None or not c.isdisjoint(top):
+            return rect
     return None
 
 

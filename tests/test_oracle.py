@@ -4,13 +4,14 @@ import math
 import operator
 import random
 import tracemalloc
-from itertools import islice, permutations
+from itertools import groupby, islice, permutations
 
 import pytest
 
 from latin3 import oracle
-from latin3.combinatorics import gen_derangement
+from latin3.combinatorics import falling, gen_derangement
 from latin3.errors import MAX_SEARCH_DEPTH, BudgetExceededError
+from latin3.formulas import thm3_g
 from latin3.oracle import (
     STAT_NAMES,
     _first_invalid,
@@ -254,6 +255,18 @@ def test_one_node_per_state_searched():
             assert stats["nodes"] == searched, (n, lam, pinned)
 
 
+def test_memo_keys_wider_than_three_machine_words():
+    # A memo key packs the three rows' used-symbol masks, lam + 1 bits each,
+    # so lam >= 64 makes it wider than 192 bits.  Two columns with row 0
+    # pinned to (1, 2): every first column (1, b, c) leaves its own state, so
+    # the root and (lam-1)(lam-2) last-column states are searched, none twice.
+    for lam in range(65, 71):
+        stats: dict = {}
+        pinned = count_latin(2, lam, True, stats=stats)
+        assert stats == {"nodes": 1 + (lam - 1) * (lam - 2), "memo_hits": 0}, lam
+        assert falling(lam, 2) * pinned == thm3_g(2, lam), lam
+
+
 def test_enumerate_single_column():
     rects = enumerate_latin(1, 3, 10)
     assert len(rects) == 6
@@ -480,6 +493,66 @@ def test_first_invalid_matches_the_one_by_one_scan():
     assert _first_invalid([], n, lam) is None
     assert _first_invalid([((), (), ())], 0, lam) is None
     assert _first_invalid([((), (), ()), ((), ())], 0, lam) == ((), ())
+
+
+def test_first_invalid_rechecks_rows_0_and_1_when_either_object_changes():
+    # enumerate_latin emits blocks of rectangles that hold the same row-0 and
+    # row-1 objects, and _first_invalid checks that pair once per block.  A
+    # bad rectangle at a block's first, middle or last place, with its
+    # neighbours' row objects untouched, must still be the one found.
+    n, lam = 3, 5
+    rects = enumerate_latin(n, lam, 300)
+    blocks = [list(block) for _, block in groupby(rects, lambda r: (id(r[0]), id(r[1])))]
+    at = next(i for i in range(1, len(blocks) - 1) if len(blocks[i]) >= 3)
+    start = sum(map(len, blocks[:at]))
+    size = len(blocks[at])
+    r0, r1, r2 = rects[start]
+    assert all(rect[0] is r0 and rect[1] is r1 for rect in blocks[at])
+
+    def clashes(x, y):
+        return any(map(operator.eq, x, y))
+
+    def some_row(keep):
+        return next(row for row in permutations(range(1, lam + 1), n) if keep(row))
+
+    only_row0 = some_row(lambda row: clashes(row, r0) and not clashes(row, r1))
+    only_row1 = some_row(lambda row: clashes(row, r1) and not clashes(row, r0))
+    out_of_range = r2[:-1] + (lam + 1,)
+    # rows 0 and 1 clash, with the other row of the pair the block's own object
+    bad_row1 = some_row(lambda row: clashes(row, r0) and not clashes(row, r2))
+    bad_row0 = some_row(lambda row: clashes(row, r1) and not clashes(row, r2))
+    copy = tuple(list(r0)), tuple(list(r1))  # equal by value, new objects
+    assert copy[0] is not r0 and copy[1] is not r1
+    checked = 0
+    for pos in (start, start + size // 2, start + size - 1):
+        row2 = rects[pos][2]
+        bad = [
+            (r0, r1, only_row0),
+            (r0, r1, only_row1),
+            (r0, r1, out_of_range),
+            (*copy, only_row0),
+            (*copy, only_row1),
+            (*copy, out_of_range),
+            (r0, bad_row1, row2),
+            (bad_row0, r1, row2),
+            (copy[0], bad_row1, row2),
+        ]
+        good = [(r0, r1, tuple(list(row2))), (*copy, row2), (copy[0], r1, row2)]
+        for swap in bad + good:
+            changed = rects[:pos] + [swap] + rects[pos + 1:]
+            want = _first_invalid_one_by_one(changed, n, lam)
+            assert want is (swap if swap in bad else None), (pos, swap)
+            assert _first_invalid(changed, n, lam) is want, (pos, swap)
+            checked += 1
+        # the block's pair held in new objects from pos on
+        moved = rects[:pos] + [(*copy, rect[2]) for rect in rects[pos:start + size]]
+        moved += rects[start + size:]
+        assert _first_invalid(moved, n, lam) is None
+        last = start + size - 1
+        moved[last] = (*copy, only_row0)
+        assert _first_invalid_one_by_one(moved, n, lam) is moved[last]
+        assert _first_invalid(moved, n, lam) is moved[last]
+    assert checked == 3 * 12
 
 
 def test_first_invalid_judges_symbols_that_are_no_ints_by_value():
