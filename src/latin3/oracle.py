@@ -296,9 +296,12 @@ def injection_counts(lam: int, n: int) -> list[int]:
     f: {1..n} -> {1..lam} with f(j) != j for j = 1..t.
 
     Walks every injection once via itertools.permutations and filters, so it
-    is an oracle fully independent of the inclusion-exclusion formula it
-    grounds.  The injections stream in chunks of a few thousand; each chunk
-    is narrowed column by column at C level (compress over operator.ne) to
+    is an oracle fully independent of the counts it grounds: in verify, every
+    entry e(m, s) = injection_counts(m + d, m)[m - s] of Theorem 3's band
+    combinatorics.derangement_columns(n, d), and in the tests, the
+    inclusion-exclusion formula gen_derangement.  The injections stream in
+    chunks of a few thousand; each chunk is narrowed column by column at C
+    level (compress over operator.ne) to
     the injections with no fixed point so far, and the t-th count gains the
     survivors of the first t columns, so memory stays bounded.  A call whose
     perm(lam, n) exceeds DEFAULT_NODE_BUDGET raises before the walk starts.

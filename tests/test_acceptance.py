@@ -28,7 +28,7 @@ CRITERIA = {
     "surgery-grounding": {"surgery-closed-form": 192},
     "theorem2-identity": {"theorem2-m-invariance": 68},
     "reduction-identity": {"reduction-identity": 284},
-    "derangement-grounding": {"derangement-oracle": 120},
+    "derangement-grounding": {"derangement-oracle": 209},
     "latin-bridge": {"latin-bridge": 17, "latin-first-row": 17},
     "riordan-consistency": {"riordan-oracle": 4, "riordan-bridge": 19},
 }

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from latin3 import combinatorics as comb
 from latin3 import formulas, graphs, oracle, verify
 from latin3.chromatic import Poly
 from latin3.verify import CheckResult, VerifyConfig, render_report, run_verify
@@ -91,13 +92,12 @@ def test_surgery_fails_on_g_npq_closed_wrong_past_lambda_6(monkeypatch):
 def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
     # Every check that reads thm3_g fails, and no other.  The engine
     # polynomials are shared across checks, so this also shows that no check
-    # compares a shared value with itself.  The report keeps all 21 checks in
+    # compares a shared value with itself.  The report keeps all 19 checks in
     # registry order, failed ones included.
     real = formulas.thm3_g
     monkeypatch.setattr(formulas, "thm3_g", lambda n, lam: real(n, lam) + 1)
     results = run_verify(VerifyConfig(n_max=4))
     assert names(results) == [
-        "derangement-t0-falling",
         "gn-construction",
         "gnpq-structure",
         "identify-symmetry",
@@ -113,7 +113,6 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
         "multiplicativity",
         "chromatic-shape",
         "derangement-oracle",
-        "classical-derangements",
         "latin-bridge",
         "latin-first-row",
         "riordan-oracle",
@@ -168,10 +167,36 @@ def test_enumeration_consistency_fails_on_a_repeated_rectangle(monkeypatch):
     assert [r.name for r in results.values() if not r.passed] == ["enumeration-consistency"]
 
 
+@pytest.mark.parametrize(
+    "cell, detail, cells",
+    [
+        ((2, 4, 1), "n=5 d=2 m=4 s=1: band=214 oracle=213", 146),
+        # D_8, the last cell read, is read only from column 0 at (8, 0)
+        ((0, 8, 0), "n=8 d=0 m=8 s=0: band=14834 oracle=14833", 209),
+    ],
+    ids=["e(4,1)-at-d2", "D8"],
+)
+def test_derangement_oracle_fails_on_one_wrong_band_entry(monkeypatch, cell, detail, cells):
+    # the entry e(m, s) at d is one too big in every band that holds it; the
+    # routes bind derangement_columns themselves, so only the check reading
+    # it through verify's name can fail
+    real = comb.derangement_columns
+
+    def wrong(n, d=0):
+        for s, column in enumerate(real(n, d)):
+            yield [e + ((d, m, s) == cell) for m, e in enumerate(column, s)]
+
+    monkeypatch.setattr(verify.comb, "derangement_columns", wrong)
+    results = run_verify(VerifyConfig(n_max=1, include_engine=False))
+    assert [(r.name, r.detail, r.cells) for r in results if not r.passed] == [
+        ("derangement-oracle", detail, cells)
+    ]
+
+
 def test_oracle_lane_counts_each_cell_once(monkeypatch):
     # latin-bridge, latin-first-row, riordan-oracle and enumeration-consistency
-    # share count_latin's cells; derangement-oracle and classical-derangements
-    # share the injection walks
+    # share count_latin's cells; derangement-oracle alone reads the injection
+    # walks, and reads each one once however many band cells it grounds
     calls = {"count_latin": Counter(), "injection_counts": Counter()}
     for name in calls:
         real = getattr(oracle, name)
