@@ -18,13 +18,15 @@ and the "completed" count in a budget error includes the rectangles a hit
 stood for.  A search that would recurse more than MAX_SEARCH_DEPTH columns
 deep is refused before it starts.
 
-enumerate_latin fills a row at a time from the list of perm(lam, n)
-candidate rows.  It remembers which rows are compatible but no counts, so
-it stays a plain search and comparing it with count_latin compares two
-different searches.  injection_counts walks the perm(lam, n) injections
-once and counts them for every number t of forbidden fixed points.  Both
-refuse a call whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET before they
-list a row.
+enumerate_latin lists the head of _rectangles' walk, which fills a row at a
+time from the list of perm(lam, n) candidate rows and yields the rectangles
+lazily, so a reader that streams it never holds them all.  The walk
+remembers which rows are compatible but no counts, so it stays a plain
+search and comparing it with count_latin compares two different searches.
+injection_counts walks the perm(lam, n) injections once, in chunks of 512,
+and counts them for every number t of forbidden fixed points.  Both refuse
+a call whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET before they list a
+row.
 """
 
 from __future__ import annotations
@@ -179,30 +181,46 @@ def count_latin(
     try:
         return fill(0, 0, 0, 0, 0)
     finally:
+        # fill's closure holds fill itself; breaking that cycle frees the memo
+        # now rather than at the next garbage collection
+        del fill
         if stats is not None:
             for name, value in zip(STAT_NAMES, (nodes, hits)):
                 stats[name] = stats.get(name, 0) + value
 
 
 def enumerate_latin(n: int, lam: int, limit: int) -> list[Rectangle]:
-    """The first `limit` valid rectangles in row-major lexicographic order.
+    """The first `limit` valid rectangles in row-major lexicographic order,
+    as a list: the head of the walk _rectangles(n, lam) describes.
 
-    Fills a row at a time.  The perm(lam, n) injections are the candidate
-    rows, listed once in lexicographic order; row 0 tries each of them, row 1
-    tries them all and keeps those that share no column symbol with row 0,
-    and row 2 those that share none with either.  So the rectangles come out
-    already sorted, and every rectangle is one 3-tuple of shared row tuples.
-    Each row's compatible rows are found once per call and kept for the rest
-    of it, and the walk stops once `limit` rectangles are out.  No count is
-    remembered: this is a plain search, independent of count_latin's memo.
-    A call whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET raises before the
-    rows are built.
+    A negative limit raises before the budget is checked, and a limit of 0
+    returns [] without checking it.
     """
     _check_params(n, lam)
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if limit == 0:
         return []
+    return list(islice(_rectangles(n, lam), limit))
+
+
+def _rectangles(n: int, lam: int) -> Iterator[Rectangle]:
+    """Every valid rectangle in row-major lexicographic order, lazily.
+
+    Fills a row at a time.  The perm(lam, n) injections are the candidate
+    rows, listed once in lexicographic order; row 0 tries each of them, row 1
+    tries them all and keeps those that share no column symbol with row 0,
+    and row 2 those that share none with either.  So the rectangles come out
+    already sorted, and every rectangle is one 3-tuple of shared row tuples.
+    Each row's compatible rows are found on first use and kept for the rest
+    of the walk, and a rectangle is built only when it is read, so a reader
+    that streams the walk holds the candidate rows and their partners, never
+    the rectangles.  No count is remembered: this is a plain search,
+    independent of count_latin's memo.  The arguments, and perm(lam, n)
+    against DEFAULT_NODE_BUDGET, are checked when it is called, before the
+    rows are built.
+    """
+    _check_params(n, lam)
     size = math.perm(lam, n)
     if size > DEFAULT_NODE_BUDGET:
         raise BudgetExceededError(
@@ -233,7 +251,7 @@ def enumerate_latin(n: int, lam: int, limit: int) -> list[Rectangle]:
                 twos = filter(compatible(j)[1].__contains__, ones)
                 yield zip(repeat(r0), repeat(rows[j]), map(rows.__getitem__, twos))
 
-    return list(islice(chain.from_iterable(blocks()), limit))
+    return chain.from_iterable(blocks())
 
 
 def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
@@ -253,8 +271,8 @@ def _first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rec
     frozenset of its (column, symbol) cells, or as None when it is no valid
     row.  Two rows clash in a column iff their cells meet; sets compare
     symbols by value too.  Rows 0 and 1 are checked only when either row
-    object differs from the rectangle before's, as in enumerate_latin's
-    blocks of rectangles that share both; the union of their cells is kept,
+    object differs from the rectangle before's, as in _rectangles' blocks
+    of rectangles that share both; the union of their cells is kept,
     and row 2 is checked against it with one isdisjoint.
     """
     cells: dict[tuple, Optional[frozenset]] = {}
@@ -288,7 +306,7 @@ def _first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rec
     return None
 
 
-_CHUNK = 4096  # injections tested per C-level pass in injection_counts
+_CHUNK = 512  # injections tested per C-level pass in injection_counts
 
 
 def injection_counts(lam: int, n: int) -> list[int]:
@@ -300,11 +318,12 @@ def injection_counts(lam: int, n: int) -> list[int]:
     entry e(m, s) = injection_counts(m + d, m)[m - s] of Theorem 3's band
     combinatorics.derangement_columns(n, d), and in the tests, the
     inclusion-exclusion formula gen_derangement.  The injections stream in
-    chunks of a few thousand; each chunk is narrowed column by column at C
-    level (compress over operator.ne) to
-    the injections with no fixed point so far, and the t-th count gains the
-    survivors of the first t columns, so memory stays bounded.  A call whose
-    perm(lam, n) exceeds DEFAULT_NODE_BUDGET raises before the walk starts.
+    chunks of 512 (_CHUNK); each chunk is narrowed column by column at C
+    level (compress over operator.ne) to the injections with no fixed point
+    so far, and the t-th count gains the survivors of the first t columns,
+    so memory stays bounded by one chunk whatever perm(lam, n) is.  A call
+    whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET raises before the walk
+    starts.
     """
     if not 0 <= n <= lam:
         raise ValueError(f"injection_counts: need 0 <= n <= lam, got lam={lam} n={n}")

@@ -12,8 +12,10 @@ A check function yields once per cell it checks: None if the cell holds,
 else a message naming the counterexample, and the check stops at its first
 message.  The engine lane stops at n <= 4, and surgery and Theorem 2 at
 n <= 3.  derangement-oracle checks the same 209 cells of Theorem 3's
-derangement band at every n_max.  All randomness is seeded, so a given
-configuration always produces the same report.
+derangement band at every n_max.  enumeration-consistency streams each
+rectangle walk once, counting, order-checking and validating it in one
+pass, so the oracle lane never holds a list of rectangles.  All randomness
+is seeded, so a given configuration always produces the same report.
 
 The checks that compare routes in lambda sample one rule, _lams(n) =
 n..4n+2.  At lambda >= n every route's count of G(n,p,q) is a polynomial in
@@ -26,9 +28,10 @@ reaches below n, so it reads the engine polynomials at lambda = 1..4n+2.
 from __future__ import annotations
 
 import math
-import operator
 import random
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import combinatorics as comb
@@ -338,17 +341,33 @@ def _riordan_oracle(run: _Run) -> Cells:
 
 
 def _enumeration_consistency(run: _Run) -> Cells:
+    # one pass over each walk counts it, checks that each rectangle is greater
+    # than the one before and finds the first invalid one, so no list of
+    # rectangles is held; the walk is read to its end even past an invalid
+    # rectangle, so the count comes first, then the order, then validity
     for n in range(1, min(run.cfg.n_max, 3) + 1):
         for lam in range(1, 6):
             want = run.count(n, lam)
-            rects = oracle.enumerate_latin(n, lam, want + 1)
-            if len(rects) != want:
-                yield f"n={n} lam={lam}: enumerated {len(rects)}, counted {want}"
-            elif not all(map(operator.lt, rects, rects[1:])):
+            read, ordered = 0, True
+
+            def tally(rects: Iterator[oracle.Rectangle]) -> Iterator[oracle.Rectangle]:
+                nonlocal read, ordered
+                last = None
+                for read, rect in enumerate(rects, 1):
+                    if last is not None and not last < rect:
+                        ordered = False
+                    last = rect
+                    yield rect
+
+            walk = tally(islice(oracle._rectangles(n, lam), want + 1))
+            bad = oracle._first_invalid(walk, n, lam)
+            deque(walk, maxlen=0)
+            if read != want:
+                yield f"n={n} lam={lam}: enumerated {read}, counted {want}"
+            elif not ordered:
                 # strictly increasing: sorted, and no rectangle repeated
                 yield f"n={n} lam={lam}: output is not in lexicographic order"
             else:
-                bad = oracle._first_invalid(rects, n, lam)
                 yield None if bad is None else f"n={n} lam={lam}: invalid rectangle {bad}"
 
 

@@ -1,5 +1,6 @@
 """Tests for the brute-force enumeration oracles."""
 
+import gc
 import math
 import operator
 import random
@@ -38,6 +39,26 @@ def test_count_latin_on_one_column_builds_no_symbol_table():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "budget", [oracle.DEFAULT_STATE_BUDGET, 5000], ids=["returned", "budget-error"]
+)
+def test_count_latin_frees_its_memo_when_it_returns(budget):
+    # the memo must go with the call, not wait for the cycle collector, on a
+    # return and on a budget error alike
+    gc.disable()
+    tracemalloc.start()
+    try:
+        try:
+            count_latin(4, 6, node_budget=budget)
+        except BudgetExceededError:
+            pass
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 2**14, f"{held} bytes held after the call"
 
 
 def test_count_latin_impossible_widths():
@@ -361,6 +382,21 @@ def test_enumerate_checks_its_rows_against_the_budget_first(monkeypatch):
         enumerate_latin(3, 6, 1)
     monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 120)
     assert len(enumerate_latin(3, 6, 1)) == 1
+
+
+def test_the_rectangle_walk_checks_its_arguments_when_called(monkeypatch):
+    # the walk is lazy, but a bad call fails before anything reads it
+    with pytest.raises(ValueError):
+        oracle._rectangles(0, 3)
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 119)
+    with pytest.raises(BudgetExceededError, match=r"perm\(6, 3\) = 120 candidate rows"):
+        oracle._rectangles(3, 6)
+    # a limit of 0 asks for no rows, so enumerate_latin checks no budget
+    assert enumerate_latin(3, 6, 0) == []
+    monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 120)
+    walk = oracle._rectangles(3, 6)
+    assert next(walk) == ((1, 2, 3), (2, 1, 4), (3, 4, 1))
+    assert sum(1 for _ in walk) == count_latin(3, 6) - 1
 
 
 def test_enumerate_shares_its_row_tuples():

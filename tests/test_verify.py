@@ -3,6 +3,7 @@ failure paths, determinism, report rendering.  The identities the harness
 checks are covered in depth by the other test modules; here we only need
 small, fast configurations."""
 
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -149,22 +150,80 @@ def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
     assert shape.detail == "a 3-vertex graph has coefficients (0, 2, 3, 1)"
 
 
+def _edit_walk(monkeypatch, edit):
+    """Make oracle._rectangles, the walk enumeration-consistency reads,
+    yield edit(rects, n, lam) in place of its rectangles."""
+    real = oracle._rectangles
+
+    def edited(n, lam):
+        return iter(edit(list(real(n, lam)), n, lam))
+
+    monkeypatch.setattr(oracle, "_rectangles", edited)
+
+
 def test_enumeration_consistency_fails_on_a_repeated_rectangle(monkeypatch):
     # a repeat in place of a missing rectangle keeps the length, the order
     # and every rectangle valid; only a strict increase catches it
-    real = oracle.enumerate_latin
-
-    def repeat_first(n, lam, limit, **kw):
-        rects = real(n, lam, limit, **kw)
-        return rects[:1] + rects[:-1]
-
-    monkeypatch.setattr(oracle, "enumerate_latin", repeat_first)
+    _edit_walk(monkeypatch, lambda rects, n, lam: rects[:1] + rects[:-1])
     results = {r.name: r for r in run_verify(VerifyConfig(n_max=1, include_engine=False))}
     check = results["enumeration-consistency"]
     assert not check.passed
     assert check.detail == "n=1 lam=3: output is not in lexicographic order"
     assert check.cells == 3
     assert [r.name for r in results.values() if not r.passed] == ["enumeration-consistency"]
+
+
+def _invalid_first(rects, n, lam):
+    # row 2 of the first rectangle becomes all 0s: invalid, and still below
+    # the second rectangle
+    return rects and [rects[0][:2] + ((0,) * n,)] + rects[1:]
+
+
+@pytest.mark.parametrize(
+    "edit, detail",
+    [
+        (lambda rects, n, lam: rects[:-1], "n=1 lam=3: enumerated 5, counted 6"),
+        # past the last rectangle and above it, so only the count can fail;
+        # reading want + 1 rectangles is what sees it
+        (
+            lambda rects, n, lam: rects and rects + [((lam + 1,) * n,) * 3],
+            "n=1 lam=3: enumerated 7, counted 6",
+        ),
+        # the walk goes on past the invalid first rectangle, so the count holds
+        (_invalid_first, "n=1 lam=3: invalid rectangle ((1,), (2,), (0,))"),
+        # a short count outranks an invalid rectangle, as the messages are ordered
+        (
+            lambda rects, n, lam: _invalid_first(rects, n, lam)[:-1],
+            "n=1 lam=3: enumerated 5, counted 6",
+        ),
+    ],
+    ids=["dropped", "extra", "invalid", "invalid-and-short"],
+)
+def test_enumeration_consistency_fails_on_a_faulty_walk(monkeypatch, edit, detail):
+    _edit_walk(monkeypatch, edit)
+    results = run_verify(VerifyConfig(n_max=1, include_engine=False))
+    assert [(r.name, r.detail, r.cells) for r in results if not r.passed] == [
+        ("enumeration-consistency", detail, 3)
+    ]
+
+
+@pytest.mark.parametrize("name", ["enumeration-consistency", "derangement-oracle"])
+def test_oracle_checks_stream_their_walks(name):
+    # with the run's counts filled, neither check may hold its walk: a list
+    # of (3, 5)'s 27,480 rectangles would take about 2.2 MiB, and injection
+    # chunks of 4,096 about 1.2 MiB
+    cfg = VerifyConfig(n_max=3, include_engine=False)
+    run = verify._Run(cfg, verify.random_graphs(cfg.seed))
+    checks = {check.name: check for check in verify._CHECKS}
+    assert verify._run_check(checks["latin-bridge"], run).passed
+    tracemalloc.start()
+    try:
+        result = verify._run_check(checks[name], run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result
+    assert peak < 512 * 1024, f"{name} peaked at {peak // 1024} KiB"
 
 
 @pytest.mark.parametrize(
