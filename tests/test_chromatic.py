@@ -16,8 +16,8 @@ from latin3.chromatic import (
     _chrom,
     _decode,
     _memo_key,
+    _min_fill,
     _pick_edge,
-    _pick_non_edge,
     _split,
     chromatic_poly,
     count_colorings_bruteforce,
@@ -232,14 +232,19 @@ def test_pick_edge_takes_a_least_degree_vertex():
 
 def test_engine_node_counts_stay_bounded():
     # A node is one recursion call, which removes every simplicial vertex it
-    # can: G(4) takes 131 nodes and G(5) 309 (394 and 759 when each removal
-    # was a node of its own; the greatest-degree-sum edge took G(4) in 4,668).
-    stats: dict = {}
-    chromatic_poly(build_gn(4), stats=stats)
-    assert stats["nodes"] <= 165, stats
-    stats = {}
-    chromatic_poly(build_gn(5), max_vertices=15, stats=stats)
-    assert stats["nodes"] <= 390, stats
+    # can.  Choosing addition or deletion by fill-in, G(4) takes 119 nodes,
+    # G(5) 275, G(4,1,1) 37 and G(4,2,2) 27; the density test took 131, 309,
+    # 105 and 75 (G(4) took 394 when each removal was a node of its own, and
+    # 4,668 at the edge of greatest endpoint degree sum).
+    for g, bound in (
+        (build_gn(4), 125),
+        (build_gn(5), 290),
+        (build_gnpq(4, 1, 1), 45),
+        (build_gnpq(4, 2, 2), 35),
+    ):
+        stats: dict = {}
+        chromatic_poly(g, max_vertices=15, stats=stats)
+        assert stats["nodes"] <= bound, (g.vertex_count, stats)
 
 
 def _random_tree_edges(rng, n):
@@ -256,40 +261,39 @@ def test_paths_trees_and_cliques_take_one_node():
         assert stats["simplicial"] == g.vertex_count, stats
 
 
-def _cycle_with_chords(rng):
-    # a 4- to 6-cycle plus seeded chords, redrawn until no vertex is simplicial
+def _bridge_side(rng):
+    # a seeded bipartite graph between vertices 0..3 and three or four more,
+    # redrawn until vertex 0 has degree 2 and neighbours of degree >= 4, and
+    # every other vertex degree >= 3.  Having no triangle, a vertex of degree
+    # d has C(d, 2) >= d non-adjacent pairs among its neighbours.
     while True:
-        k = rng.randint(4, 6)
-        pairs = list(itertools.combinations(range(k), 2))
-        edges = [(i, (i + 1) % k) for i in range(k)] + rng.sample(pairs, rng.randint(0, k - 3))
-        g = Graph.from_edges(k, edges)
+        k = rng.randint(3, 4)
+        pairs = [(a, b) for a in range(4) for b in range(4, 4 + k)]
+        g = Graph.from_edges(4 + k, rng.sample(pairs, rng.randint(9, len(pairs))))
         masks = g.adjacency_masks()
-        neighbours = [[u for u in range(k) if masks[v] >> u & 1] for v in range(k)]
-        if not any(
-            all(g.has_edge(a, b) for a, b in itertools.combinations(neighbours[v], 2))
-            for v in range(k)
-        ):
+        degrees = _degrees(masks)
+        hub = [degrees[v] for v in range(4 + k) if masks[0] >> v & 1]
+        if len(hub) == 2 and min(hub) >= 4 and min(degrees[1:]) >= 3:
             return g
 
 
 @pytest.mark.parametrize("memoize", [True, False])
 def test_bridge_multiplies_the_sides(memoize):
-    # P(G1 + bridge + G2) = P(G1) P(G2) (lambda - 1) / lambda.  G1 is a side
-    # H1 plus a vertex 0 hung from it, and the bridge joins 0 to the side G2.
-    # Vertex 0 has degree 2, the least, and no vertex is simplicial, so the
-    # root deletes one of 0's edges, both bridges: the deletion disconnects the
-    # graph, and the split there must still multiply out right.
+    # P(G1 + bridge + G2) = P(G1) P(G2) (lambda - 1) / lambda, the bridge
+    # joining the two sides' vertices 0.  Those have degree 3, the least, and
+    # every vertex has at least as many missing pairs among its neighbours as
+    # its degree, so the root deletes at vertex 0, and its least-degree
+    # neighbour is the bridge's far end: the deletion disconnects the graph,
+    # and the split there must still multiply out right.
     rng = random.Random(47)
     for _ in range(10):
-        h1, g2 = _cycle_with_chords(rng), _cycle_with_chords(rng)
-        n1 = h1.vertex_count + 1
-        e1 = [(a + 1, b + 1) for a, b in h1.edges] + [(0, rng.randint(1, h1.vertex_count))]
+        g1, g2 = _bridge_side(rng), _bridge_side(rng)
+        n1 = g1.vertex_count
         e2 = [(a + n1, b + n1) for a, b in g2.edges]
-        bridge = (0, n1 + rng.randrange(g2.vertex_count))
-        joined = Graph.from_edges(n1 + g2.vertex_count, e1 + e2 + [bridge])
+        joined = Graph.from_edges(n1 + g2.vertex_count, [*g1.edges, *e2, (0, n1)])
         stats: dict = {}
-        p = chromatic_poly(joined, memoize=memoize, stats=stats)
-        p1 = chromatic_poly(Graph.from_edges(n1, e1), memoize=memoize)
+        p = chromatic_poly(joined, max_vertices=16, memoize=memoize, stats=stats)
+        p1 = chromatic_poly(g1, memoize=memoize)
         p2 = chromatic_poly(g2, memoize=memoize)
         assert p * Poly((0, 1)) == p1 * p2 * Poly((-1, 1)), sorted(joined.edges)
         assert stats["deletion"] > 0 and stats["components"] > 0, stats
@@ -317,12 +321,12 @@ def test_component_search_only_where_a_deletion_can_split(monkeypatch):
     for g in graphs:
         want = chromatic_poly(g, memoize=False)
         assert chromatic_poly(g) == want
-    # G(4): the root and the 4 of its 9 deletion children whose endpoints
-    # share no neighbour; the other 5 skip the search
+    # G(4): the root and the 1 of its 4 deletion children whose endpoints
+    # share no neighbour; the other 3 skip the search
     searched.clear()
     stats: dict = {}
     chromatic_poly(build_gn(4), stats=stats)
-    assert (len(searched), stats["deletion"], stats["components"]) == (5, 9, 0)
+    assert (len(searched), stats["deletion"], stats["components"]) == (2, 4, 0)
 
 
 def test_memo_shared_across_relabelings():
@@ -361,17 +365,61 @@ def test_stats_hold_every_counter_after_a_vertex_limit_error():
     assert stats == dict.fromkeys(STAT_NAMES, 0)
 
 
-def test_pick_non_edge_rejects_complete_adjacency():
-    assert _pick_non_edge((0b010, 0b101, 0b010)) == (0, 2)
-    with pytest.raises(ValueError):
-        _pick_non_edge((0b110, 0b101, 0b011))
+def _fills(adj):
+    """Each vertex's fill, the non-adjacent pairs among its neighbours, by
+    pairs of vertices; shares no code with the engine."""
+    n = len(adj)
+    return [
+        sum(
+            1
+            for a, b in itertools.combinations(range(n), 2)
+            if adj[w] >> a & 1 and adj[w] >> b & 1 and not adj[a] >> b & 1
+        )
+        for w in range(n)
+    ]
 
 
-def test_pick_edge_rejects_edgeless_adjacency_under_optimize(latin3_env):
+def test_min_fill_takes_the_least_fill_at_the_lowest_vertex():
+    # the path 1-0-2: only 0 has a fill, the pair of its two leaves
+    assert _min_fill(_adjacency(3, [(0, 1), (0, 2)])) == (1, 1, 2)
+    # the 4-cycle: every fill is 1, and the tie goes to vertex 0
+    assert _min_fill(_adjacency(4, [(0, 1), (1, 2), (2, 3), (3, 0)])) == (1, 1, 3)
+    # 0 misses all 3 pairs of its neighbours, 1 only 0-4: least beats lowest
+    assert _min_fill(_adjacency(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)])) == (1, 0, 4)
+    # 0's lowest neighbour 1 sees 2 and 3, so the pair is 2-3, not one of 1's
+    assert _min_fill(_adjacency(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])) == (1, 2, 3)
+    # K_{3,3}: every fill is 3, and vertex 0's first missing pair is 3-4
+    k33 = _adjacency(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    assert _min_fill(k33) == (3, 3, 4)
+    # against fills counted pair by pair: the least positive one, at the
+    # lowest vertex that has it, and a pair of its neighbours that it misses
+    for g in random_graphs(seed=67, count=40, min_vertices=4, max_vertices=9):
+        adj = g.adjacency_masks()
+        fills = _fills(adj)
+        positive = [f for f in fills if f]
+        if not positive:
+            continue
+        fill, u, v = _min_fill(adj)
+        w = fills.index(min(positive))
+        assert fill == fills[w], sorted(g.edges)
+        assert u < v and adj[w] >> u & 1 and adj[w] >> v & 1, sorted(g.edges)
+        assert not adj[u] >> v & 1, sorted(g.edges)
+
+
+def test_min_fill_rejects_all_simplicial_adjacency():
+    # a clique, an edgeless graph and a triangle beside an edge: every vertex
+    # is simplicial, so no pair is missing
+    triangle_and_edge = _adjacency(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    for adj in ((0b110, 0b101, 0b011), (0, 0, 0), triangle_and_edge):
+        with pytest.raises(ValueError):
+            _min_fill(adj)
+
+
+def _value_error_under_optimize(latin3_env, call):
     # python -O strips asserts, so the check must be an explicit raise
     code = (
-        "from latin3.chromatic import _pick_edge\n"
-        "try:\n    _pick_edge((0, 0, 0), [0, 0, 0])\n"
+        "from latin3.chromatic import _min_fill, _pick_edge\n"
+        f"try:\n    {call}\n"
         "except ValueError:\n    print('ValueError')\n"
     )
     proc = subprocess.run(
@@ -380,6 +428,14 @@ def test_pick_edge_rejects_edgeless_adjacency_under_optimize(latin3_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "ValueError"
+
+
+def test_pick_edge_rejects_edgeless_adjacency_under_optimize(latin3_env):
+    _value_error_under_optimize(latin3_env, "_pick_edge((0, 0, 0), [0, 0, 0])")
+
+
+def test_min_fill_rejects_a_clique_under_optimize(latin3_env):
+    _value_error_under_optimize(latin3_env, "_min_fill((0b110, 0b101, 0b011))")
 
 
 def test_bruteforce_edge_cases():
@@ -515,10 +571,16 @@ def test_every_graph_on_five_vertices_matches_bare_deletion_contraction():
         want = Poly.of(_bare_dc(5, edges))
         assert chromatic_poly(g, stats=stats) == want, sorted(edges)
         assert chromatic_poly(g, memoize=False) == want, sorted(edges)
-    # every rule but deletion fired: on five vertices the only sparse connected
-    # graph without a simplicial vertex is the 5-cycle
+    # every rule but deletion fired: on five vertices every graph that
+    # branches has a vertex whose fill is below the least degree
     rules = ("components", "cycle", "simplicial", "addition")
     assert all(stats[name] > 0 for name in rules), stats
+
+
+PETERSEN = Graph.from_edges(
+    10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
 
 
 def _seeded_graphs():
@@ -528,6 +590,9 @@ def _seeded_graphs():
         pairs = list(itertools.combinations(range(vertices), 2))
         for density in (0.35, 0.6, 0.7, 0.8, 0.9):
             out.append(Graph.from_edges(vertices, rng.sample(pairs, round(density * len(pairs)))))
+    # the Petersen graph, 3-regular with 3 missing pairs around every vertex,
+    # which the engine branches on by deletion
+    out.append(PETERSEN)
     # K_8 minus a perfect matching; the fan on 8 vertices (a path plus an apex),
     # whose vertices become simplicial one after another
     out.append(Graph.from_edges(8, [p for p in itertools.combinations(range(8), 2) if p[1] != p[0] + 4]))
@@ -588,12 +653,12 @@ def test_stats_count_every_memo_lookup(monkeypatch):
     stats: dict = {}
     chromatic_poly(build_gn(4), stats=stats)
     lookups = stats["memo_hits"] + stats["memo_misses"]
-    assert lookups == len(branches) - stats["cycle"] == 97, stats
-    # 57 of G(4)'s 97 lookups land in a bucket no graph has reached yet, and
-    # build no key (the other 40 build theirs, plus 17 buckets' first graphs)
-    assert len(keys) == 57 < lookups
-    # each miss stores one memo entry; branching at a least-degree vertex
-    # leaves G(4)'s memo with 65 entries
+    assert lookups == len(branches) - stats["cycle"] == 89, stats
+    # 52 of G(4)'s 89 lookups land in a bucket no graph has reached yet, and
+    # build no key (the other 37 build theirs, plus 17 buckets' first graphs)
+    assert len(keys) == 54 < lookups
+    # each miss stores one memo entry; branching by fill-in leaves G(4)'s
+    # memo with 59 entries
     assert stats["memo_misses"] < 200
     assert stats["addition"] > 0 and stats["simplicial"] > 0
 
@@ -622,8 +687,8 @@ def test_lazy_memo_keeps_every_counter():
         poly = chromatic_poly(g, max_vertices=15, stats=total)
         assert poly == chromatic_poly(g, max_vertices=15, memoize=False), sorted(g.edges)
     assert total == {
-        "nodes": 1985, "memo_hits": 480, "memo_misses": 929, "components": 17,
-        "cycle": 14, "simplicial": 4011, "deletion": 141, "addition": 788,
+        "nodes": 1411, "memo_hits": 291, "memo_misses": 642, "components": 17,
+        "cycle": 12, "simplicial": 3209, "deletion": 19, "addition": 623,
     }
 
 
