@@ -7,10 +7,10 @@ Four independent routes compute the same numbers:
 3. thm3_g -- assembly from surgered-graph counts: g_npq_closed(n, 0, 0, lam)
 4. chromatic_poly on build_gn(n) -- deletion-contraction from first principles
 
-plus brute-force enumeration oracles (count_latin, enumerate_latin,
-injection_counts) that ground all of them.  run_verify cross-checks the
-routes on enough lambda to fix each count's polynomial in lambda.  Everything
-is exact big-integer arithmetic.
+plus brute-force enumeration oracles (count_latin, the lazy rectangle walk
+enumerate_latin, injection_counts) that ground all of them.  run_verify
+cross-checks the routes on enough lambda to fix each count's polynomial in
+lambda.  Everything is exact big-integer arithmetic.
 """
 
 from .combinatorics import binom, falling, gen_derangement
@@ -29,13 +29,7 @@ from .graphs import (
 )
 from .chromatic import Poly, chromatic_poly, count_colorings_bruteforce, eval_poly
 from .formulas import aps_g, g_npq_closed, riordan_l3, thm3_g
-from .oracle import (
-    Rectangle,
-    count_latin,
-    enumerate_latin,
-    injection_counts,
-    is_latin_rectangle,
-)
+from .oracle import Rectangle, count_latin, enumerate_latin, injection_counts
 from .verify import CheckResult, VerifyConfig, render_report, run_verify
 
 __version__ = "0.1.0"
@@ -67,7 +61,6 @@ __all__ = [
     "gen_derangement",
     "identify",
     "injection_counts",
-    "is_latin_rectangle",
     "line_graph",
     "parse_graph",
     "render_report",

@@ -79,12 +79,24 @@ def _print_stats(stats: Optional[dict]) -> None:
         print(json.dumps(stats), file=sys.stderr)
 
 
+def _stand_in(size: int, max_vertices: int) -> Optional[Graph]:
+    """Past max_vertices, an edgeless graph of size vertices, else None.  The
+    engine refuses a graph by its vertex count alone, so the stand-in draws
+    the same error and --stats line as the graph of that size it replaces,
+    and the caller never builds that graph."""
+    return Graph(size, frozenset()) if size > max_vertices else None
+
+
 def _routes(stats: Optional[dict], costs: dict) -> dict:
     """The table's formulas, each a value function of (n, lam), over one
-    table's stats dict and given cost flags.  G(n) is built once per n.  Routes
-    are called by their module-level names, so a wrapper bound later runs."""
+    table's stats dict and given cost flags.  G(n) is built once per n, and
+    not at all for an engine past its vertex limit.  Routes are called by
+    their module-level names, so a wrapper bound later runs."""
     gn = functools.cache(lambda n: build_gn(n))
-    engine = functools.cache(lambda n: chromatic_poly(gn(n), stats=stats, **costs))
+    limit = costs.get("max_vertices", DEFAULT_MAX_VERTICES)
+    engine = functools.cache(
+        lambda n: chromatic_poly(_stand_in(3 * n, limit) or gn(n), stats=stats, **costs)
+    )
     return {
         "riordan": lambda n, lam: riordan_l3(n),
         "aps": lambda n, lam: aps_g(n, lam),
@@ -173,13 +185,7 @@ def cmd_gnpq(args: argparse.Namespace) -> int:
     if args.lam < 0:
         raise ValueError(f"lambda must be >= 0, got {args.lam}")
     size = gnpq_vertex_count(args.n, args.p, args.q)
-    # The engine refuses a graph by its vertex count alone, so past the limit
-    # an edgeless graph of G(n,p,q)'s size draws the same error and --stats
-    # line, and G(n,p,q) itself is never built.
-    if size <= args.max_vertices:
-        g = build_gnpq(args.n, args.p, args.q)
-    else:
-        g = Graph(size, frozenset())
+    g = _stand_in(size, args.max_vertices) or build_gnpq(args.n, args.p, args.q)
     engine = eval_poly(_engine_poly(g, args), args.lam)
     closed = g_npq_closed(args.n, args.p, args.q, args.lam)
     print(f"closed-form: {closed}")

@@ -18,11 +18,12 @@ and the "completed" count in a budget error includes the rectangles a hit
 stood for.  A search that would recurse more than MAX_SEARCH_DEPTH columns
 deep is refused before it starts.
 
-enumerate_latin lists the head of _rectangles' walk, which fills a row at a
-time from the list of perm(lam, n) candidate rows and yields the rectangles
-lazily, so a reader that streams it never holds them all.  The walk
+enumerate_latin walks the rectangles, filling a row at a time from the list
+of perm(lam, n) candidate rows, and yields them lazily, so a reader that
+streams it never holds them all; itertools.islice takes its head.  The walk
 remembers which rows are compatible but no counts, so it stays a plain
 search and comparing it with count_latin compares two different searches.
+first_invalid validates a stream of rectangles in one pass.
 injection_counts walks the perm(lam, n) injections once, in chunks of 512,
 and counts them for every number t of forbidden fixed points.  Both refuse
 a call whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET before they list a
@@ -189,23 +190,9 @@ def count_latin(
                 stats[name] = stats.get(name, 0) + value
 
 
-def enumerate_latin(n: int, lam: int, limit: int) -> list[Rectangle]:
-    """The first `limit` valid rectangles in row-major lexicographic order,
-    as a list: the head of the walk _rectangles(n, lam) describes.
-
-    A negative limit raises before the budget is checked, and a limit of 0
-    returns [] without checking it.
-    """
-    _check_params(n, lam)
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    if limit == 0:
-        return []
-    return list(islice(_rectangles(n, lam), limit))
-
-
-def _rectangles(n: int, lam: int) -> Iterator[Rectangle]:
-    """Every valid rectangle in row-major lexicographic order, lazily.
+def enumerate_latin(n: int, lam: int) -> Iterator[Rectangle]:
+    """Every valid rectangle in row-major lexicographic order, lazily;
+    itertools.islice(enumerate_latin(n, lam), k) is its first k.
 
     Fills a row at a time.  The perm(lam, n) injections are the candidate
     rows, listed once in lexicographic order; row 0 tries each of them, row 1
@@ -254,13 +241,7 @@ def _rectangles(n: int, lam: int) -> Iterator[Rectangle]:
     return chain.from_iterable(blocks())
 
 
-def is_latin_rectangle(rect: Rectangle, n: int, lam: int) -> bool:
-    """True iff rect is a valid 3 x n rectangle over {1..lam}, by the rule
-    _first_invalid states."""
-    return _first_invalid((rect,), n, lam) is None
-
-
-def _first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rectangle]:
+def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rectangle]:
     """The first of rects that is no valid 3 x n rectangle over {1..lam}, or
     None, in one pass.
 
@@ -271,9 +252,10 @@ def _first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rec
     frozenset of its (column, symbol) cells, or as None when it is no valid
     row.  Two rows clash in a column iff their cells meet; sets compare
     symbols by value too.  Rows 0 and 1 are checked only when either row
-    object differs from the rectangle before's, as in _rectangles' blocks
-    of rectangles that share both; the union of their cells is kept,
-    and row 2 is checked against it with one isdisjoint.
+    object differs from the rectangle before's, as in enumerate_latin's
+    blocks of rectangles that share both; the union of their cells is kept,
+    and row 2 is checked against it with one isdisjoint.  On one rectangle,
+    first_invalid((rect,), n, lam) is None iff rect is valid.
     """
     cells: dict[tuple, Optional[frozenset]] = {}
 

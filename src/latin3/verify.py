@@ -10,8 +10,10 @@ acceptance gate (``tests/test_acceptance.py``) both run it through
 
 A check function yields once per cell it checks: None if the cell holds,
 else a message naming the counterexample, and the check stops at its first
-message.  The engine lane stops at n <= 4, and surgery and Theorem 2 at
-n <= 3.  derangement-oracle checks the same 209 cells of Theorem 3's
+message.  Each identity has one check, which compares every route of it on
+the same cells.  The engine lane stops at n <= 4: surgery reads every
+G(n,p,q) with n <= 3 and G(4) itself, and Theorem 2 stops at n <= 3.
+derangement-oracle checks the same 209 cells of Theorem 3's
 derangement band at every n_max.  enumeration-consistency streams each
 rectangle walk once, counting, order-checking and validating it in one
 pass, so the oracle lane never holds a list of rectangles.  All randomness
@@ -158,9 +160,9 @@ def _identify_symmetry(run: _Run) -> Cells:
                 yield None if same else f"graph #{gi}: identify({u},{v}) != identify({v},{u})"
 
 
-def _aps_divisibility(run: _Run) -> Cells:
-    # aps_g divides by nothing; the paper's literal factorial form does,
-    # and must divide exactly and agree with it
+def _formula_equivalence(run: _Run) -> Cells:
+    # aps_g and thm3_g divide by nothing; the paper's literal factorial form
+    # does, and must divide exactly and agree with both
     for n in range(1, run.cfg.n_max + 1):
         for lam in _lams(n):
             try:
@@ -168,15 +170,10 @@ def _aps_divisibility(run: _Run) -> Cells:
             except ArithmeticError as exc:
                 yield str(exc)
                 return
-            fast = formulas.aps_g(n, lam)
-            yield None if fast == literal else f"n={n} lam={lam}: aps={fast} literal={literal}"
-
-
-def _formula_equivalence(run: _Run) -> Cells:
-    for n in range(1, run.cfg.n_max + 1):
-        for lam in _lams(n):
-            a, b = formulas.thm3_g(n, lam), formulas.aps_g(n, lam)
-            yield None if a == b else f"n={n} lam={lam}: thm3={a} aps={b}"
+            aps, t3 = formulas.aps_g(n, lam), formulas.thm3_g(n, lam)
+            yield None if literal == aps == t3 else (
+                f"n={n} lam={lam}: literal={literal} aps={aps} thm3={t3}"
+            )
 
 
 def _riordan_bridge(run: _Run) -> Cells:
@@ -186,29 +183,19 @@ def _riordan_bridge(run: _Run) -> Cells:
         yield None if lhs == rhs else f"n={n}: n!*riordan={lhs} thm3={rhs}"
 
 
-def _engine_closed_forms(run: _Run) -> Cells:
-    for n in range(1, min(run.cfg.n_max, ENGINE_N_GUARD) + 1):
-        poly = run.poly(build_gn(n))
-        for lam in _lams(n):
-            engine = eval_poly(poly, lam)
-            t3 = formulas.thm3_g(n, lam)
-            ap = formulas.aps_g(n, lam)
-            yield None if engine == t3 == ap else (
-                f"n={n} lam={lam}: engine={engine} thm3={t3} aps={ap}"
-            )
-
-
 def _surgery(run: _Run) -> Cells:
-    for n in range(1, min(run.cfg.n_max, 3) + 1):
-        for p in range(n + 1):
-            for q in range(n - p + 1):
-                poly = run.poly(build_gnpq(n, p, q))
-                for lam in _lams(n):
-                    closed = formulas.g_npq_closed(n, p, q, lam)
-                    engine = eval_poly(poly, lam)
-                    yield None if closed == engine else (
-                        f"n={n} p={p} q={q} lam={lam}: closed={closed} engine={engine}"
-                    )
+    # every G(n,p,q) with n <= 3, then G(4) = G(4,0,0); each (n, 0, 0) cell
+    # is the engine on G(n) against thm3_g, which is g_npq_closed(n, 0, 0, lam)
+    for n in range(1, min(run.cfg.n_max, ENGINE_N_GUARD) + 1):
+        splits = [(p, q) for p in range(n + 1) for q in range(n - p + 1)] if n <= 3 else [(0, 0)]
+        for p, q in splits:
+            poly = run.poly(build_gnpq(n, p, q))
+            for lam in _lams(n):
+                closed = formulas.g_npq_closed(n, p, q, lam)
+                engine = eval_poly(poly, lam)
+                yield None if closed == engine else (
+                    f"n={n} p={p} q={q} lam={lam}: closed={closed} engine={engine}"
+                )
 
 
 def _theorem2(run: _Run) -> Cells:
@@ -314,30 +301,20 @@ def _latin_cells(cfg: VerifyConfig) -> list[tuple[int, int]]:
 
 
 def _latin_bridge(run: _Run) -> Cells:
-    for n, lam in _latin_cells(run.cfg):
-        counted = run.count(n, lam)
-        formula = formulas.thm3_g(n, lam)
-        yield None if counted == formula else (
-            f"n={n} lam={lam}: enumeration={counted} thm3={formula}"
-        )
-
-
-def _latin_first_row(run: _Run) -> Cells:
     # relabelling the symbols maps the rectangles with any one first row onto
-    # those with first row 1..n
+    # those with first row 1..n, which at lam = n Riordan's form counts
     for n, lam in _latin_cells(run.cfg):
-        free = run.count(n, lam)
-        pinned = comb.falling(lam, n) * run.count(n, lam, True)
-        yield None if free == pinned else (
-            f"n={n} lam={lam}: free={free} falling(lam,n)*pinned={pinned}"
-        )
-
-
-def _riordan_oracle(run: _Run) -> Cells:
-    for n in range(1, min(run.cfg.n_max, 4) + 1):
-        formula = formulas.riordan_l3(n)
-        counted = run.count(n, n, True)
-        yield None if formula == counted else f"n={n}: riordan={formula} enumeration={counted}"
+        free, pinned = run.count(n, lam), run.count(n, lam, True)
+        formula, relabelled = formulas.thm3_g(n, lam), comb.falling(lam, n) * pinned
+        if not free == formula == relabelled:
+            yield (
+                f"n={n} lam={lam}: enumeration={free} thm3={formula} "
+                f"falling(lam,n)*pinned={relabelled}"
+            )
+        elif lam == n and pinned != (riordan := formulas.riordan_l3(n)):
+            yield f"n={n} lam={lam}: pinned={pinned} riordan={riordan}"
+        else:
+            yield None
 
 
 def _enumeration_consistency(run: _Run) -> Cells:
@@ -359,8 +336,8 @@ def _enumeration_consistency(run: _Run) -> Cells:
                     last = rect
                     yield rect
 
-            walk = tally(islice(oracle._rectangles(n, lam), want + 1))
-            bad = oracle._first_invalid(walk, n, lam)
+            walk = tally(islice(oracle.enumerate_latin(n, lam), want + 1))
+            bad = oracle.first_invalid(walk, n, lam)
             deque(walk, maxlen=0)
             if read != want:
                 yield f"n={n} lam={lam}: enumerated {read}, counted {want}"
@@ -383,10 +360,8 @@ _CHECKS = (
     _Check("gn-construction", "fast", _gn_construction),
     _Check("gnpq-structure", "fast", _gnpq_structure),
     _Check("identify-symmetry", "fast", _identify_symmetry),
-    _Check("aps-divisibility", "fast", _aps_divisibility),
     _Check("formula-equivalence", "fast", _formula_equivalence),
     _Check("riordan-bridge", "fast", _riordan_bridge),
-    _Check("engine-closed-forms", "engine", _engine_closed_forms),
     _Check("surgery-closed-form", "engine", _surgery),
     _Check("theorem2-m-invariance", "engine", _theorem2),
     _Check("reduction-identity", "engine", _reduction),
@@ -396,8 +371,6 @@ _CHECKS = (
     _Check("chromatic-shape", "engine", _chromatic_shape),
     _Check("derangement-oracle", "oracle", _derangement_oracle),
     _Check("latin-bridge", "oracle", _latin_bridge),
-    _Check("latin-first-row", "oracle", _latin_first_row),
-    _Check("riordan-oracle", "oracle", _riordan_oracle),
     _Check("enumeration-consistency", "oracle", _enumeration_consistency),
 )
 

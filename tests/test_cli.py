@@ -666,6 +666,22 @@ def test_table_engine_stats_list_every_counter_before_a_vertex_limit_error(capsy
     assert error == "error: graph has 15 vertices, exceeding the limit of 14"
 
 
+def test_table_engine_refuses_an_over_limit_graph_before_building_it(capsys, monkeypatch):
+    # G(5)'s 15 vertices exceed the default limit of 14: the table refuses it
+    # by its vertex count, as gnpq does, with the engine's message and
+    # --stats line, and never builds it
+    def no_build(*args):
+        raise AssertionError(f"built a graph for {args}")
+
+    monkeypatch.setattr(cli, "build_gn", no_build)
+    monkeypatch.setattr(cli, "build_gnpq", no_build)
+    error = "error: graph has 15 vertices, exceeding the limit of 14\n"
+    argv = ("table", "--formula", "engine", "--n", "5")
+    assert run_cli(capsys, *argv) == (3, "", error)
+    counters = json.dumps(dict.fromkeys(STAT_NAMES, 0)) + "\n"
+    assert run_cli(capsys, *argv, "--stats") == (3, "", counters + error)
+
+
 def test_negative_max_vertices_is_an_argument_error(capsys, tmp_path):
     path = write_graph(tmp_path, "3\n0 1\n")
     for argv in (

@@ -13,14 +13,7 @@ from latin3 import oracle
 from latin3.combinatorics import falling, gen_derangement
 from latin3.errors import MAX_SEARCH_DEPTH, BudgetExceededError
 from latin3.formulas import thm3_g
-from latin3.oracle import (
-    STAT_NAMES,
-    _first_invalid,
-    count_latin,
-    enumerate_latin,
-    injection_counts,
-    is_latin_rectangle,
-)
+from latin3.oracle import STAT_NAMES, count_latin, enumerate_latin, first_invalid, injection_counts
 
 
 def test_count_latin_single_column():
@@ -87,14 +80,14 @@ def test_count_latin_rejects_bad_params():
     with pytest.raises(ValueError):
         count_latin(2, 3, node_budget=0)
     with pytest.raises(ValueError):
-        enumerate_latin(2, -1, 5)
+        enumerate_latin(2, -1)
 
 
 def test_no_rectangles_on_zero_symbols():
     for n in (1, 2, 3):
         assert count_latin(n, 0) == 0
         assert count_latin(n, 0, fixed_first_row=True) == 0
-        assert enumerate_latin(n, 0, 5) == []
+        assert list(enumerate_latin(n, 0)) == []
 
 
 def test_count_latin_budget():
@@ -248,7 +241,7 @@ def _distinct_states(n, lam, pinned):
     rectangles of 1..n-1 columns (row 0 is 1..k when pinned)."""
     states = {None}
     for k in range(1, n):
-        for rect in enumerate_latin(k, lam, 10**6):
+        for rect in enumerate_latin(k, lam):
             if not pinned or rect[0] == tuple(range(1, k + 1)):
                 states.add(tuple(map(frozenset, rect)))
     return len(states)
@@ -289,34 +282,27 @@ def test_memo_keys_wider_than_three_machine_words():
 
 
 def test_enumerate_single_column():
-    rects = enumerate_latin(1, 3, 10)
+    rects = list(enumerate_latin(1, 3))
     assert len(rects) == 6
     assert rects[0] == ((1,), (2,), (3,))
 
 
 def test_enumerate_empty_when_impossible():
-    assert enumerate_latin(2, 2, 10) == []
+    assert list(enumerate_latin(2, 2)) == []
 
 
 def test_enumerate_least_rectangle():
-    assert enumerate_latin(2, 3, 1) == [((1, 2), (2, 3), (3, 1))]
+    assert next(enumerate_latin(2, 3)) == ((1, 2), (2, 3), (3, 1))
 
 
 def test_enumerate_is_sorted_valid_and_complete():
     for n in (1, 2, 3):
         for lam in (2, 3, 4):
             want = count_latin(n, lam)
-            rects = enumerate_latin(n, lam, want + 5)
+            rects = list(enumerate_latin(n, lam))
             assert len(rects) == want
             assert all(map(operator.lt, rects, rects[1:]))  # sorted, no repeats
-            assert all(is_latin_rectangle(r, n, lam) for r in rects)
-
-
-def test_enumerate_truncates_at_limit():
-    full = enumerate_latin(2, 3, 100)
-    assert len(full) == count_latin(2, 3) == 12
-    assert enumerate_latin(2, 3, 5) == full[:5]
-    assert enumerate_latin(2, 3, 0) == []
+            assert first_invalid(rects, n, lam) is None
 
 
 def _enumerate_latin_cell_by_cell(n, lam, visit):
@@ -356,9 +342,9 @@ def test_enumerate_matches_the_cell_by_cell_enumerator():
                 _enumerate_latin_cell_by_cell(
                     n, lam, lambda rect: want.append(rect) or len(want) >= limit
                 )
-            assert enumerate_latin(n, lam, limit) == want, (n, lam, limit)
+            assert list(islice(enumerate_latin(n, lam), limit)) == want, (n, lam, limit)
         # the whole list, compared as it is found: (3, 6) has 317,760
-        full = enumerate_latin(n, lam, 10**6)
+        full = list(enumerate_latin(n, lam))
         found = iter(full)
         mismatches = []
 
@@ -379,49 +365,47 @@ def test_enumerate_checks_its_rows_against_the_budget_first(monkeypatch):
         BudgetExceededError,
         match=r"node budget of 119: its perm\(6, 3\) = 120 candidate rows do not fit",
     ):
-        enumerate_latin(3, 6, 1)
+        enumerate_latin(3, 6)
     monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 120)
-    assert len(enumerate_latin(3, 6, 1)) == 1
+    assert len(list(islice(enumerate_latin(3, 6), 1))) == 1
 
 
 def test_the_rectangle_walk_checks_its_arguments_when_called(monkeypatch):
     # the walk is lazy, but a bad call fails before anything reads it
     with pytest.raises(ValueError):
-        oracle._rectangles(0, 3)
+        enumerate_latin(0, 3)
     monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 119)
     with pytest.raises(BudgetExceededError, match=r"perm\(6, 3\) = 120 candidate rows"):
-        oracle._rectangles(3, 6)
-    # a limit of 0 asks for no rows, so enumerate_latin checks no budget
-    assert enumerate_latin(3, 6, 0) == []
+        enumerate_latin(3, 6)
     monkeypatch.setattr(oracle, "DEFAULT_NODE_BUDGET", 120)
-    walk = oracle._rectangles(3, 6)
+    walk = enumerate_latin(3, 6)
     assert next(walk) == ((1, 2, 3), (2, 1, 4), (3, 4, 1))
     assert sum(1 for _ in walk) == count_latin(3, 6) - 1
 
 
 def test_enumerate_shares_its_row_tuples():
-    rects = enumerate_latin(2, 4, 300)
+    rects = list(enumerate_latin(2, 4))
     rows = {id(row) for rect in rects for row in rect}
     assert len(rows) == math.perm(4, 2)
 
 
-def test_enumerate_rejects_negative_limit():
-    with pytest.raises(ValueError):
-        enumerate_latin(2, 3, -1)
+def _valid(rect, n, lam):
+    """Whether first_invalid finds rect, on its own, valid."""
+    return first_invalid((rect,), n, lam) is None
 
 
 def test_is_latin_rectangle_rejects_bad_arrays():
-    assert is_latin_rectangle(((1, 2), (2, 3), (3, 1)), 2, 3)
-    assert not is_latin_rectangle(((1, 2), (2, 3)), 2, 3)  # only two rows
-    assert not is_latin_rectangle(((1, 2), (2, 3), (3,)), 2, 3)  # ragged
-    assert not is_latin_rectangle(((1, 1), (2, 3), (3, 2)), 2, 3)  # row repeat
-    assert not is_latin_rectangle(((1, 2), (2, 3), (1, 1)), 2, 3)  # column repeat
-    assert not is_latin_rectangle(((1, 2), (2, 4), (3, 1)), 2, 3)  # symbol too big
-    assert not is_latin_rectangle(((0, 2), (2, 3), (3, 1)), 2, 3)  # symbol too small
+    assert _valid(((1, 2), (2, 3), (3, 1)), 2, 3)
+    assert not _valid(((1, 2), (2, 3)), 2, 3)  # only two rows
+    assert not _valid(((1, 2), (2, 3), (3,)), 2, 3)  # ragged
+    assert not _valid(((1, 1), (2, 3), (3, 2)), 2, 3)  # row repeat
+    assert not _valid(((1, 2), (2, 3), (1, 1)), 2, 3)  # column repeat
+    assert not _valid(((1, 2), (2, 4), (3, 1)), 2, 3)  # symbol too big
+    assert not _valid(((0, 2), (2, 3), (3, 1)), 2, 3)  # symbol too small
 
 
 def _is_latin_rectangle_per_symbol(rect, n, lam):
-    """A validator that shares no code with oracle._first_invalid: a
+    """A validator that shares no code with oracle.first_invalid: a
     generator over every symbol and a set per column."""
     if len(rect) != 3 or any(len(row) != n for row in rect):
         return False
@@ -444,7 +428,7 @@ def test_is_latin_rectangle_matches_the_per_symbol_validator():
         lam = rng.randrange(7)
         if 1 <= n <= lam and lam >= 3 and rng.random() < 0.5:
             # a true rectangle, then maybe one cell changed
-            rect = [list(row) for row in rng.choice(enumerate_latin(n, lam, 8))]
+            rect = [list(row) for row in rng.choice(list(islice(enumerate_latin(n, lam), 8)))]
             if rng.random() < 0.5:
                 rng.choice(rect)[rng.randrange(n)] = rng.randrange(lam + 2)
         else:
@@ -462,14 +446,14 @@ def test_is_latin_rectangle_matches_the_per_symbol_validator():
                 row.append(rng.randrange(1, lam + 2))
         rect = tuple(tuple(row) for row in rect)
         want = _is_latin_rectangle_per_symbol(rect, n, lam)
-        assert is_latin_rectangle(rect, n, lam) == want, (rect, n, lam)
+        assert _valid(rect, n, lam) == want, (rect, n, lam)
         valid += want
     assert valid > 1000
     # three empty rows are the one 3 x 0 rectangle, on any number of symbols
     for lam in (0, 1, 3):
-        assert is_latin_rectangle(((), (), ()), 0, lam)
-        assert not is_latin_rectangle(((), ()), 0, lam)
-        assert not is_latin_rectangle(((), (), (), ()), 0, lam)
+        assert _valid(((), (), ()), 0, lam)
+        assert not _valid(((), ()), 0, lam)
+        assert not _valid(((), (), (), ()), 0, lam)
 
 
 def _first_invalid_one_by_one(rects, n, lam):
@@ -493,7 +477,7 @@ def _column_clash(rect, x, y, j):
 def test_first_invalid_matches_the_one_by_one_scan():
     rng = random.Random(1318)
     n, lam = 3, 5
-    base = enumerate_latin(n, lam, 240)
+    base = list(islice(enumerate_latin(n, lam), 240))
 
     def mutants(rect):
         rows = [list(row) for row in rect]
@@ -519,25 +503,25 @@ def test_first_invalid_matches_the_one_by_one_scan():
             rects = base[:pos] + [bad] + base[pos + 1:]
             want = _first_invalid_one_by_one(rects, n, lam)
             assert want is not None
-            assert _first_invalid(rects, n, lam) == want, (pos, bad)
+            assert first_invalid(rects, n, lam) == want, (pos, bad)
             # with a second bad rectangle further on, the first one is found
             later = rects + [bad[:2]]
-            assert _first_invalid(later, n, lam) == want
+            assert first_invalid(later, n, lam) == want
             checked += 1
     assert checked == 3 * 24
-    assert _first_invalid(base, n, lam) is None
-    assert _first_invalid([], n, lam) is None
-    assert _first_invalid([((), (), ())], 0, lam) is None
-    assert _first_invalid([((), (), ()), ((), ())], 0, lam) == ((), ())
+    assert first_invalid(base, n, lam) is None
+    assert first_invalid([], n, lam) is None
+    assert first_invalid([((), (), ())], 0, lam) is None
+    assert first_invalid([((), (), ()), ((), ())], 0, lam) == ((), ())
 
 
 def test_first_invalid_rechecks_rows_0_and_1_when_either_object_changes():
     # enumerate_latin emits blocks of rectangles that hold the same row-0 and
-    # row-1 objects, and _first_invalid checks that pair once per block.  A
+    # row-1 objects, and first_invalid checks that pair once per block.  A
     # bad rectangle at a block's first, middle or last place, with its
     # neighbours' row objects untouched, must still be the one found.
     n, lam = 3, 5
-    rects = enumerate_latin(n, lam, 300)
+    rects = list(islice(enumerate_latin(n, lam), 300))
     blocks = [list(block) for _, block in groupby(rects, lambda r: (id(r[0]), id(r[1])))]
     at = next(i for i in range(1, len(blocks) - 1) if len(blocks[i]) >= 3)
     start = sum(map(len, blocks[:at]))
@@ -578,22 +562,22 @@ def test_first_invalid_rechecks_rows_0_and_1_when_either_object_changes():
             changed = rects[:pos] + [swap] + rects[pos + 1:]
             want = _first_invalid_one_by_one(changed, n, lam)
             assert want is (swap if swap in bad else None), (pos, swap)
-            assert _first_invalid(changed, n, lam) is want, (pos, swap)
+            assert first_invalid(changed, n, lam) is want, (pos, swap)
             checked += 1
         # the block's pair held in new objects from pos on
         moved = rects[:pos] + [(*copy, rect[2]) for rect in rects[pos:start + size]]
         moved += rects[start + size:]
-        assert _first_invalid(moved, n, lam) is None
+        assert first_invalid(moved, n, lam) is None
         last = start + size - 1
         moved[last] = (*copy, only_row0)
         assert _first_invalid_one_by_one(moved, n, lam) is moved[last]
-        assert _first_invalid(moved, n, lam) is moved[last]
+        assert first_invalid(moved, n, lam) is moved[last]
     assert checked == 3 * 12
 
 
 def test_first_invalid_judges_symbols_that_are_no_ints_by_value():
     # Symbols are judged by value, so 1.0 and True are 1 and 1.5 is a symbol
-    # of its own; _first_invalid's cell sets must agree with the per-symbol scan.
+    # of its own; first_invalid's cell sets must agree with the per-symbol scan.
     n, lam = 2, 3
     base = [((1, 2), (2, 3), (3, 1)), ((1, 3), (2, 1), (3, 2))]
     cases = [
@@ -610,18 +594,18 @@ def test_first_invalid_judges_symbols_that_are_no_ints_by_value():
     for bad in cases:
         for rects in (base + [bad], [bad] + base, base[:1] + [bad] + base[1:] + [bad[:2]]):
             want = _first_invalid_one_by_one(rects, n, lam)
-            assert _first_invalid(rects, n, lam) == want, rects
-        verdicts.append(is_latin_rectangle(bad, n, lam))
+            assert first_invalid(rects, n, lam) == want, rects
+        verdicts.append(_valid(bad, n, lam))
     assert verdicts == [True, True, True, False, False, False, False, False]
     # Rows are remembered by value, so (1, 2) in the clashing rectangle reuses
     # the cells kept for (1.0, 2) in the valid one before it.
     rects = [cases[0], ((1, 2), (2, 3), (1, 3))]
-    assert _first_invalid(rects, n, lam) == _first_invalid_one_by_one(rects, n, lam) == rects[1]
+    assert first_invalid(rects, n, lam) == _first_invalid_one_by_one(rects, n, lam) == rects[1]
 
 
 def test_nan_is_no_symbol():
     # 1 <= nan <= lam is false, so a NaN anywhere makes its row invalid.
-    # One NaN object twice in a column is one set member to _first_invalid's
+    # One NaN object twice in a column is one set member to first_invalid's
     # cell sets but unequal to itself under ==; rejecting the row settles it.
     n, lam = 2, 3
     nan = float("nan")
@@ -631,9 +615,9 @@ def test_nan_is_no_symbol():
         ((nan, 2), (nan, 3), (3, 1)),
         ((1, 2), (2, 3), (3, nan)),
     ):
-        assert not is_latin_rectangle(bad, n, lam), bad
+        assert not _valid(bad, n, lam), bad
         for rects in ([bad], base + [bad], [bad] + base):
-            assert _first_invalid(rects, n, lam) is bad
+            assert first_invalid(rects, n, lam) is bad
 
 
 def test_first_invalid_codes_reach_past_64_bits():
@@ -646,7 +630,7 @@ def test_first_invalid_codes_reach_past_64_bits():
         rect = tuple(tuple(rng.sample(range(1, lam + 1), n)) for _ in range(3))
         if all(len(set(col)) == 3 for col in zip(*rect)):
             base.append(rect)
-    assert _first_invalid(base, n, lam) is None
+    assert first_invalid(base, n, lam) is None
     checked = 0
     for pos in (0, 30, 59):
         for x, y in ((0, 1), (0, 2), (1, 2)):
@@ -662,7 +646,7 @@ def test_first_invalid_codes_reach_past_64_bits():
                 rects = base[:pos] + [bad] + base[pos + 1:]
                 want = _first_invalid_one_by_one(rects, n, lam)
                 assert want == bad
-                assert _first_invalid(rects, n, lam) == want, (pos, x, y, target)
+                assert first_invalid(rects, n, lam) == want, (pos, x, y, target)
                 checked += 1
     assert checked == 18
 

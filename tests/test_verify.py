@@ -18,6 +18,10 @@ def names(results):
     return [r.name for r in results]
 
 
+def failures(results):
+    return [(r.name, r.detail, r.cells) for r in results if not r.passed]
+
+
 def test_all_lanes_pass_at_minimal_size():
     results = run_verify(VerifyConfig(n_max=1))
     assert results, "harness produced no checks"
@@ -40,26 +44,33 @@ def test_lane_flags_prune_checks():
 
 
 def test_first_row_check_covers_every_bridge_cell():
-    # free = falling(lam, n) * pinned on each cell latin-bridge counts, from
-    # n_max = 1 on
+    # latin-bridge checks free = falling(lam, n) * pinned on each cell it
+    # counts, from n_max = 1 on
     for n_max, cells in ((1, 6), (2, 11), (4, 17)):
         results = {r.name: r for r in run_verify(VerifyConfig(n_max=n_max, include_engine=False))}
-        assert results["latin-first-row"].passed
-        assert results["latin-first-row"].cells == results["latin-bridge"].cells == cells
+        assert results["latin-bridge"].passed
+        assert results["latin-bridge"].cells == cells
 
 
-def test_aps_divisibility_fails_on_a_wrong_aps_g(monkeypatch):
-    cfg = VerifyConfig(n_max=2, include_engine=False, include_oracle=False)
-    before = {r.name: r for r in run_verify(cfg)}
-    assert before["aps-divisibility"].passed
+def test_formula_equivalence_fails_when_aps_literal_raises(monkeypatch):
+    message = "aps_literal(1, 1): lam! * sum / ((lam-n)!)^3 leaves remainder 1"
+
+    def raising(n, lam):
+        raise ArithmeticError(message)
+
+    monkeypatch.setattr(formulas, "aps_literal", raising)
+    results = run_verify(VerifyConfig(n_max=1))
+    assert failures(results) == [("formula-equivalence", message, 1)]
+
+
+def test_formula_equivalence_names_the_literal_and_aps_g_values(monkeypatch):
+    # aps_g is read by formula-equivalence alone, so no other check fails
     real = formulas.aps_g
     monkeypatch.setattr(formulas, "aps_g", lambda n, lam: real(n, lam) + 1)
-    after = {r.name: r for r in run_verify(cfg)}
-    assert list(after) == list(before)
-    check = after["aps-divisibility"]
-    assert not check.passed
-    assert check.detail == "n=1 lam=1: aps=1 literal=0"
-    assert check.cells == 1
+    results = run_verify(VerifyConfig(n_max=1))
+    assert failures(results) == [
+        ("formula-equivalence", "n=1 lam=1: literal=0 aps=1 thm3=0", 1)
+    ]
 
 
 def test_formula_equivalence_fails_on_aps_g_wrong_past_lambda_6(monkeypatch):
@@ -91,10 +102,11 @@ def test_surgery_fails_on_g_npq_closed_wrong_past_lambda_6(monkeypatch):
 
 
 def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
-    # Every check that reads thm3_g fails, and no other.  The engine
-    # polynomials are shared across checks, so this also shows that no check
-    # compares a shared value with itself.  The report keeps all 19 checks in
-    # registry order, failed ones included.
+    # Every check that reads thm3_g fails, and no other: surgery reads
+    # g_npq_closed, whose (n, 0, 0) cell thm3_g is, not thm3_g itself.  The
+    # engine polynomials are shared across checks, so this also shows that no
+    # check compares a shared value with itself.  The report keeps all 15
+    # checks in registry order, failed ones included.
     real = formulas.thm3_g
     monkeypatch.setattr(formulas, "thm3_g", lambda n, lam: real(n, lam) + 1)
     results = run_verify(VerifyConfig(n_max=4))
@@ -102,10 +114,8 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
         "gn-construction",
         "gnpq-structure",
         "identify-symmetry",
-        "aps-divisibility",
         "formula-equivalence",
         "riordan-bridge",
-        "engine-closed-forms",
         "surgery-closed-form",
         "theorem2-m-invariance",
         "reduction-identity",
@@ -115,16 +125,58 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
         "chromatic-shape",
         "derangement-oracle",
         "latin-bridge",
-        "latin-first-row",
-        "riordan-oracle",
         "enumeration-consistency",
     ]
     assert {r.name for r in results if not r.passed} == {
         "formula-equivalence",
-        "engine-closed-forms",
-        "latin-bridge",
         "riordan-bridge",
+        "latin-bridge",
     }
+
+
+def test_surgery_fails_on_an_engine_wrong_only_on_g4(monkeypatch):
+    # G(4) = G(4,0,0) is surgery's last cell, after the 192 of n <= 3.  The
+    # lambda^1 coefficient grows in size with its sign kept, so the
+    # polynomial keeps a chromatic polynomial's shape.
+    real, g4 = verify.chromatic_poly, graphs.build_gn(4)
+
+    def wrong(g, **kw):
+        c = list(real(g, **kw).coefficients)
+        c[1] -= g == g4
+        return Poly.of(c)
+
+    monkeypatch.setattr(verify, "chromatic_poly", wrong)
+    results = run_verify(VerifyConfig(n_max=4, include_oracle=False))
+    assert failures(results) == [
+        ("surgery-closed-form", "n=4 p=0 q=0 lam=4: closed=576 engine=572", 193)
+    ]
+
+
+def test_latin_bridge_fails_on_a_wrong_pinned_count(monkeypatch):
+    # (2, 3) is the bridge's eighth cell, after n = 1's six and (2, 2)
+    real = oracle.count_latin
+    monkeypatch.setattr(
+        oracle,
+        "count_latin",
+        lambda n, lam, pinned=False: real(n, lam, pinned) + (pinned and (n, lam) == (2, 3)),
+    )
+    results = run_verify(VerifyConfig(n_max=2, include_engine=False))
+    assert failures(results) == [
+        ("latin-bridge", "n=2 lam=3: enumeration=12 thm3=12 falling(lam,n)*pinned=18", 8)
+    ]
+
+
+def test_latin_bridge_fails_on_riordan_wrong_only_at_4(monkeypatch):
+    # the pinned count at lambda = n = 4, the bridge's 16th cell (before
+    # (4, 5)), and n! * riordan_l3(n) = thm3_g(n, n) at n = 4,
+    # riordan-bridge's third
+    real = formulas.riordan_l3
+    monkeypatch.setattr(formulas, "riordan_l3", lambda n: real(n) + (n == 4))
+    results = run_verify(VerifyConfig(n_max=4, include_engine=False))
+    assert failures(results) == [
+        ("riordan-bridge", "n=4: n!*riordan=600 thm3=576", 3),
+        ("latin-bridge", "n=4 lam=4: pinned=24 riordan=25", 16),
+    ]
 
 
 def test_gnpq_structure_fails_on_a_surgery_that_keeps_the_rungs(monkeypatch):
@@ -151,14 +203,14 @@ def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
 
 
 def _edit_walk(monkeypatch, edit):
-    """Make oracle._rectangles, the walk enumeration-consistency reads,
+    """Make oracle.enumerate_latin, the walk enumeration-consistency reads,
     yield edit(rects, n, lam) in place of its rectangles."""
-    real = oracle._rectangles
+    real = oracle.enumerate_latin
 
     def edited(n, lam):
         return iter(edit(list(real(n, lam)), n, lam))
 
-    monkeypatch.setattr(oracle, "_rectangles", edited)
+    monkeypatch.setattr(oracle, "enumerate_latin", edited)
 
 
 def test_enumeration_consistency_fails_on_a_repeated_rectangle(monkeypatch):
@@ -202,9 +254,7 @@ def _invalid_first(rects, n, lam):
 def test_enumeration_consistency_fails_on_a_faulty_walk(monkeypatch, edit, detail):
     _edit_walk(monkeypatch, edit)
     results = run_verify(VerifyConfig(n_max=1, include_engine=False))
-    assert [(r.name, r.detail, r.cells) for r in results if not r.passed] == [
-        ("enumeration-consistency", detail, 3)
-    ]
+    assert failures(results) == [("enumeration-consistency", detail, 3)]
 
 
 @pytest.mark.parametrize("name", ["enumeration-consistency", "derangement-oracle"])
@@ -247,14 +297,11 @@ def test_derangement_oracle_fails_on_one_wrong_band_entry(monkeypatch, cell, det
 
     monkeypatch.setattr(verify.comb, "derangement_columns", wrong)
     results = run_verify(VerifyConfig(n_max=1, include_engine=False))
-    assert [(r.name, r.detail, r.cells) for r in results if not r.passed] == [
-        ("derangement-oracle", detail, cells)
-    ]
+    assert failures(results) == [("derangement-oracle", detail, cells)]
 
 
 def test_oracle_lane_counts_each_cell_once(monkeypatch):
-    # latin-bridge, latin-first-row, riordan-oracle and enumeration-consistency
-    # share count_latin's cells; derangement-oracle alone reads the injection
+    # latin-bridge and enumeration-consistency share count_latin's cells; derangement-oracle alone reads the injection
     # walks, and reads each one once however many band cells it grounds
     calls = {"count_latin": Counter(), "injection_counts": Counter()}
     for name in calls:
