@@ -27,14 +27,16 @@ e(m, s) = GD(m+d, m, m-s) for s <= n // 2 and m = s..n-s
 (combinatorics.derangement_columns), and no window sum is evaluated.
 
 The sums are evaluated so that a term costs about one multiply-add.
-riordan_l3 and aps_g take each inner hypergeometric sum from the linear
-recurrence its generating function satisfies, so a step is a few
-small-by-big products and calls no binomial, and take each outer sum by
-Horner's rule.  g_npq_closed sums every split at once, one band column per
-C-level pass.  It reads each column whole, with a sign of 0 wherever no
-split is summed, and each column is built only when the sum reaches it, so
-the band is held one column at a time and none past the splits' reach is
-built.
+riordan_l3 takes each inner hypergeometric sum from the linear recurrence
+its generating function satisfies, so a step is a few small-by-big
+products and calls no binomial, and takes the outer sum by Horner's rule.
+aps_g folds its whole double sum into one power series and steps the
+linear recurrence in n that the series' differential equation gives, so
+it too is O(n) small-by-big products.  g_npq_closed sums every split at
+once, one band column per C-level pass.  It reads each column whole, with
+a sign of 0 wherever no split is summed, and each column is built only
+when the sum reaches it, so the band is held one column at a time and none
+past the splits' reach is built.
 Powers of two are shifts, and no route divides.
 """
 
@@ -112,39 +114,68 @@ def aps_g(n: int, lam: int) -> int:
     lam!/d! = falling(lam, n), ((d+a)!/d!)^2 = falling(d+a, a)^2 and
     n!/(a! c!) = C(n, a) * C(n-a, c) * b!, and with x = 3d + 3a + 2,
     b! C(x+b, b) is the rising product (x+1)(x+2)...(x+b).  So the count is
+    falling(lam, n) * S(n), where
 
-        falling(lam, n) * sum_a falling(d+a, a)^2 C(n, a) I(n-a, x),
+        S(n) = sum_a falling(d+a, a)^2 C(n, a) I(n-a, x),
         I(m, x) = sum_{b+c=m} C(m, b) 2^c (-1)^b (x+1)(x+2)...(x+b).
 
-    Every factor is an integer of O(n log lam) bits, so no lam! is built and
-    nothing is divided.  No I(m, x) is summed term by term.  Its exponential
-    generating function in m is the product of those of 2^c and of
-    (-1)^b (x+1)...(x+b),
+    Neither sum is taken term by term.  The exponential generating function
+    of I(m, x) in m is the product of those of 2^c and of
+    (-1)^b (x+1)...(x+b), that is e^(2t) (1+t)^(-(x+1)).  Three facts fold
+    the sum over a into the same series, with d held fixed:
+    C(n, a) (n-a)! = n!/a!, falling(d+a, a) = (d+1)_a, the rising product
+    (d+1)(d+2)...(d+a), and x + 1 = 3(d+1) + 3a.  So
 
-        f(t) = sum_m I(m, x) t^m / m! = e^(2t) (1+t)^(-(x+1)),
+        S(n) = n! [t^n] H(t),  H(t) = e^(2t) (1+t)^(-3(d+1)) G(t/(1+t)^3),
+        G(z) = sum_a ((d+1)_a)^2 z^a / a!.
 
-    so f'/f = 2 - (x+1)/(1+t), that is (1+t) f' = (1 - x + 2t) f.  Its
-    coefficient of t^j / j! reads I(0, x) = 1 and
+    G's coefficients c_a satisfy (a+1) c_{a+1} = (a+d+1)^2 c_a, so with
+    theta = z d/dz, G' = (theta + d + 1)^2 G, that is
 
-        I(j+1, x) = (1 - x - j) I(j, x) + 2j I(j-1, x),
+        z^2 G'' + ((2d+3) z - 1) G' + (d+1)^2 G = 0.
 
-    each step two small-by-big products.  falling(d+a, a) gains the factor
-    d + a per step of a, so the outer sum runs by Horner's rule from a = n
-    down, acc = C(n, a) I(n-a, x) + (d+a+1)^2 acc: O(n^2) small-by-big
-    products in all, and one math.comb call per a.
+    Substituting z = t/(1+t)^3, whose derivative is (1-2t)/(1+t)^4, and
+    G = e^(-2t) (1+t)^(3(d+1)) H, then multiplying the equation by
+    (2t-1)^3 e^(2t) (1+t)^(-3d-4), gives P2 H'' + P1 H' + P0 H = 0 with
+
+        P2 = -t^2 + t^3 + 2t^4,
+        P1 = 1 - (2d+4) t + (2d-1) t^2 + (4d+3) t^3 + 4t^5,
+        P0 = d - d^2 + (d^2-3d) t + (2d^2-9d-1) t^2 + (4d+2) t^3
+             + (12d+4) t^4 - 8t^5.
+
+    P2 starts at t^2 and P1 at 1, so the coefficient of t^m of that
+    equation holds (m+1) [t^(m+1)] H and coefficients of lower powers
+    only.  Multiplied by m!, it turns (m+1)! [t^(m+1)] H into S(m+1) and
+    m! [t^(m-i)] H into m(m-1)...(m-i+1) S(m-i), and reads S(0) = 1,
+    S(<0) = 0 and, with e = m + d,
+
+        S(m+1) = (e^2 + 3m - d) S(m) - m (e^2 - 4m - 5d + 3) S(m-1)
+                 - m(m-1) (2e^2 - 7m - 17d + 5) S(m-2)
+                 - 2(2d+1) m(m-1)(m-2) S(m-3)
+                 - 4(m + 3d - 3) m(m-1)(m-2)(m-3) S(m-4)
+                 + 8 m(m-1)(m-2)(m-3)(m-4) S(m-5).
+
+    The step runs nested, S(m+1) = A S(m) - m (B S(m-1) + (m-1) (...)), so
+    the falling factors m(m-1)... fold into ten small-by-big products.  The
+    whole count is O(n) of them: no binomial is called and nothing divides.
     """
     _check_n_lam("aps_g", n, lam)
     if lam < n:
         return 0
     d = lam - n
-    total = 0
-    for alpha in range(n, -1, -1):
-        x = 3 * d + 3 * alpha + 2
-        prev, inner = 0, 1  # I(j-1, x), I(j, x) at j = 0
-        for j in range(n - alpha):
-            prev, inner = inner, (1 - x - j) * inner + 2 * j * prev
-        total = math.comb(n, alpha) * inner + (d + alpha + 1) ** 2 * total
-    return falling(lam, n) * total
+    k1, k2, k3, k4 = 5 * d - 3, 17 * d - 5, 4 * d + 2, 3 * d - 3  # the terms in d alone
+    s5 = s4 = s3 = s2 = s1 = 0  # S(m-5) .. S(m-1)
+    s0 = 1  # S(m), from m = 0
+    for m in range(n):
+        e2 = (m + d) ** 2
+        s5, s4, s3, s2, s1, s0 = s4, s3, s2, s1, s0, (e2 + 3 * m - d) * s0 - m * (
+            (e2 - 4 * m - k1) * s1
+            + (m - 1) * (
+                (2 * e2 - 7 * m - k2) * s2
+                + (m - 2) * (k3 * s3 + (m - 3) * (4 * (m + k4) * s4 - 8 * (m - 4) * s5))
+            )
+        )
+    return falling(lam, n) * s0
 
 
 def aps_literal(n: int, lam: int) -> int:
@@ -265,5 +296,6 @@ def thm3_g(n: int, lam: int) -> int:
     aps_g and with the chromatic engine on G(n); the test suite holds all
     three routes together.
     """
+    _check_n_lam("thm3_g", n, lam)
     return g_npq_closed(n, 0, 0, lam)
 

@@ -179,8 +179,8 @@ def _formula_equivalence(run: _Run) -> Cells:
 def _riordan_bridge(run: _Run) -> Cells:
     for n in range(2, 21):
         lhs = math.factorial(n) * formulas.riordan_l3(n)
-        rhs = formulas.thm3_g(n, n)
-        yield None if lhs == rhs else f"n={n}: n!*riordan={lhs} thm3={rhs}"
+        rhs, aps = formulas.thm3_g(n, n), formulas.aps_g(n, n)
+        yield None if lhs == rhs == aps else f"n={n}: n!*riordan={lhs} thm3={rhs} aps={aps}"
 
 
 def _surgery(run: _Run) -> Cells:

@@ -174,13 +174,21 @@ def test_factorial_tables_keep_every_value():
 
 
 def test_recurrences_match_the_term_by_term_sums_past_n_60():
-    # riordan_l3 and aps_g step their inner sums by recurrences whose
-    # integers grow with every step; the grid above stops at n = 60.
+    # riordan_l3 steps its inner sums, and aps_g its whole sum, by
+    # recurrences whose integers grow with every step; the grid above stops
+    # at n = 60.
     for n in (61, 100, 150):
         assert riordan_l3(n) == _riordan_l3_calling_factorial(n), n
-    for n in (80, 100):
+    for n in (80, 100, 150):
         for lam in (n, n + 1, 10**4):
             assert aps_g(n, lam) == _aps_g_calling_factorial(n, lam), (n, lam)
+
+
+def test_aps_g_equals_n_factorial_riordan_to_n_300():
+    # two O(n) recurrences from different generating functions: aps_g's in n
+    # from the APS sum, riordan_l3's inner one from Euler's series
+    for n in range(1, 301):
+        assert aps_g(n, n) == factorial(n) * riordan_l3(n), n
 
 
 # --- Surgery building blocks -------------------------------------------------
@@ -389,9 +397,9 @@ def test_thm3_square_matches_aps_and_riordan(n):
 
 
 def test_thm3_rejects_bad_arguments():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="thm3_g"):
         thm3_g(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="thm3_g"):
         thm3_g(2, -1)
 
 

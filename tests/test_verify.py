@@ -64,12 +64,14 @@ def test_formula_equivalence_fails_when_aps_literal_raises(monkeypatch):
 
 
 def test_formula_equivalence_names_the_literal_and_aps_g_values(monkeypatch):
-    # aps_g is read by formula-equivalence alone, so no other check fails
+    # aps_g is read by formula-equivalence and, at lambda = n = 2..20, by
+    # riordan-bridge, so exactly those two fail
     real = formulas.aps_g
     monkeypatch.setattr(formulas, "aps_g", lambda n, lam: real(n, lam) + 1)
     results = run_verify(VerifyConfig(n_max=1))
     assert failures(results) == [
-        ("formula-equivalence", "n=1 lam=1: literal=0 aps=1 thm3=0", 1)
+        ("formula-equivalence", "n=1 lam=1: literal=0 aps=1 thm3=0", 1),
+        ("riordan-bridge", "n=2: n!*riordan=0 thm3=0 aps=1", 1),
     ]
 
 
@@ -174,7 +176,7 @@ def test_latin_bridge_fails_on_riordan_wrong_only_at_4(monkeypatch):
     monkeypatch.setattr(formulas, "riordan_l3", lambda n: real(n) + (n == 4))
     results = run_verify(VerifyConfig(n_max=4, include_engine=False))
     assert failures(results) == [
-        ("riordan-bridge", "n=4: n!*riordan=600 thm3=576", 3),
+        ("riordan-bridge", "n=4: n!*riordan=600 thm3=576 aps=576", 3),
         ("latin-bridge", "n=4 lam=4: pinned=24 riordan=25", 16),
     ]
 
