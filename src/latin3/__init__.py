@@ -4,7 +4,8 @@ Four independent routes compute the same numbers:
 
 1. riordan_l3 -- the classical first-row-normalized closed form
 2. aps_g -- the triple-sum closed form over lambda symbols
-3. thm3_g -- assembly from surgered-graph counts: g_npq_closed(n, 0, 0, lam)
+3. thm3_g -- assembly from surgered-graph counts: Theorem 2's sum over the
+   splits of G(n), each paired with its mirror
 4. chromatic_poly on build_gn(n) -- deletion-contraction from first principles
 
 plus brute-force enumeration oracles (count_latin, the lazy rectangle walk

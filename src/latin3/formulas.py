@@ -5,7 +5,8 @@ Theorem 3 assembles the plain one from:
 
 * riordan_l3(n)        -- rectangles over {1..n} with first row pinned to 1..n
 * aps_g(n, lam)        -- rectangles over {1..lam}, triple-sum closed form
-* thm3_g(n, lam)       -- the same count: g_npq_closed(n, 0, 0, lam)
+* thm3_g(n, lam)       -- the same count: g_npq_closed's sum at p = q = 0,
+                          each split paired with its mirror
 * g_npq_closed         -- the surgered-graph count G(n,p,q) for p + q <= n:
                           an alternating sum over the plain columns of
                           splits, each a sum over t1 of C(k, t1) * A * B^2
@@ -36,7 +37,9 @@ it too is O(n) small-by-big products.  g_npq_closed sums every split at
 once, one band column per C-level pass.  It reads each column whole, with
 a sign of 0 wherever no split is summed, and each column is built only
 when the sum reaches it, so the band is held one column at a time and none
-past the splits' reach is built.
+past the splits' reach is built.  thm3_g walks the same columns, but at
+p = q = 0 the binomials of column s collapse to one row C(n - 2s, i), so
+it adds each split to its mirror and takes half the big products.
 Powers of two are shifts, and no route divides.
 """
 
@@ -209,6 +212,18 @@ def aps_literal(n: int, lam: int) -> int:
     return exact(f(lam) * total, f(d) ** 3, "lam! * sum / ((lam-n)!)^3")
 
 
+def _split_weights(n: int, lam: int, top: int) -> list[int]:
+    """s! * falling(lam, n - s) for s = 0..top, lam >= n >= 2 top.
+
+    falling(lam, n - s) gains the factor lam - n + s + 1 per step down in s,
+    so both running products are taken without a division.
+    """
+    d = lam - n
+    falls = accumulate(range(d + top, d, -1), operator.mul, initial=falling(lam, n - top))
+    facts = accumulate(range(1, top + 1), operator.mul, initial=1)
+    return list(map(operator.mul, facts, reversed(list(falls))))
+
+
 def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     """Proper lam-colorings of the surgered graph G(n,p,q), p, q >= 0 and
     p + q <= n.
@@ -242,7 +257,8 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     a deleted column minus an identified one, so with r = n - p - q plain
     columns the count is the alternating sum over j = 0..r of (-1)^j C(r, j)
     times the split (p+r-j, q+j).  At r = 0 that is the single split (p, q);
-    at p = q = 0 it is Theorem 2's alternating sum at m = n, which is thm3_g.
+    at p = q = 0 it is Theorem 2's alternating sum at m = n, the count of
+    G(n), which thm3_g takes with each split paired with its mirror.
     On the closed-form side this sum turns Theorem 2's m-invariance into
     Vandermonde's identity, so it is no independent test of Theorem 2: the
     chromatic engine remains the independent side.
@@ -266,12 +282,7 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
         return 0
     d, r = lam - n, n - p - q
     top = min(min(p, q) + r, n // 2)  # the largest min(k, l) of any split
-    # weights[s] = s! * falling(lam, n - s) for s <= top; falling(lam, n - s)
-    # gains the factor d+s+1 per step down in s, so both products run
-    # without a division
-    falls = accumulate(range(d + top, d, -1), operator.mul, initial=falling(lam, n - top))
-    facts = accumulate(range(1, top + 1), operator.mul, initial=1)
-    weights = list(map(operator.mul, facts, reversed(list(falls))))
+    weights = _split_weights(n, lam, top)
     # signs[l] = (-1)^j C(r, j) at l = q + j, the split (n-l, l), else 0
     binoms = map(math.comb, repeat(r), range(r + 1))
     signs = [0] * q + [-c if j % 2 else c for j, c in enumerate(binoms)] + [0] * p
@@ -286,16 +297,66 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
 
 def thm3_g(n: int, lam: int) -> int:
     """Number of 3 x n Latin rectangles on {1..lam}: the count of G(n) =
-    G(n,0,0) by g_npq_closed, whose n plain columns make it Theorem 2's sum
-    over the n + 1 splits (n-l, l) with signs (-1)^l C(n, l).
+    G(n,0,0), whose n plain columns make it Theorem 2's sum over the n + 1
+    splits (n-l, l) with signs (-1)^l C(n, l).
 
-    All splits read one band of n^2 / 4 + O(n) derangement numbers, built
-    and held one column of at most n + 1 numbers at a time, and the whole
-    sum is O(n^2) big-integer products in n // 2 + 1 C-level passes, one
-    per band column.  The count is 0 for 0 <= lam < n.  Agrees with
-    aps_g and with the chromatic engine on G(n); the test suite holds all
-    three routes together.
+    That is g_npq_closed's sum at p = q = 0, taken here with each split
+    paired with its mirror.  In column s of the band, the split (n-l, l)
+    adds s! falling(lam, n-s) times (-1)^l C(n, l) C(l, s) e(l, s)
+    C(n-l, s) e(n-l, s)^2.  With N = n - 2s and l = s + i, the three
+    binomials are one row in i times a factor of the column,
+
+        C(n, l) C(l, s) C(n-l, s) = n! / (s! s! i! (N-i)!)
+                                  = C(n, 2s) C(2s, s) C(N, i),
+
+    and with a_i = e(s+i, s), entry i of the column, e(n-l, s) = a_{N-i}.
+    So column s adds (-1)^s C(n, 2s) C(2s, s) s! falling(lam, n-s) T_s,
+
+        T_s = sum_{i=0}^{N} (-1)^i C(N, i) a_i a_{N-i}^2.
+
+    Terms i and N - i share C(N, i) and a_i a_{N-i}, and (-1)^(N-i) =
+    (-1)^N (-1)^i, so for i < N - i the two add to
+
+        (-1)^i C(N, i) a_i a_{N-i} (a_{N-i} + (-1)^N a_i),
+
+    and when N is even the middle term is (-1)^(N/2) C(N, N/2) a_{N/2}^3.
+    T_s is then one C-level pass over ceil(N/2) pairs: the product
+    a_i a_{N-i}, and the pair sum times the signed binomial (-1)^i C(N, i).
+    That is about N big-by-big products per column, where g_npq_closed's
+    general loop takes about 2N.  Only the plain columns of G(n) give the
+    single binomial row, so g_npq_closed keeps that loop for the surgered
+    cells.
+
+    The signed row is built once, at N = n, and carried from column to
+    column with no binomial called per pair: its prefix sums are the
+    signed row of N - 1, sum_{j<=i} (-1)^j C(N, j) = (-1)^i C(N-1, i) by
+    Pascal's rule, so two C-level prefix-sum passes step N down by 2.  A
+    prefix sum reads only the entries before it, so the row is kept to
+    the N // 2 + 1 entries that column s reads.
+
+    The band is built and held one column of at most n + 1 numbers at a
+    time, and the whole sum is O(n^2) big-integer products that divide
+    nothing.  The count is 0 for 0 <= lam < n.  Agrees with
+    g_npq_closed(n, 0, 0, lam), with aps_g and with the chromatic engine
+    on G(n); the test suite and verify hold them together.
     """
     _check_n_lam("thm3_g", n, lam)
-    return g_npq_closed(n, 0, 0, lam)
-
+    if lam < n:
+        return 0
+    total = 0
+    # row[i] = (-1)^i C(N, i) for i <= N // 2, from N = n
+    row = [-c if i % 2 else c for i, c in enumerate(map(math.comb, repeat(n), range(n // 2 + 1)))]
+    columns = derangement_columns(n, lam - n)
+    for s, (weight, a) in enumerate(zip(_split_weights(n, lam, n // 2), columns)):
+        N = n - 2 * s
+        h = (N + 1) // 2  # the pairs (i, N - i) with i < N - i
+        far = a[: N - h : -1]  # a_{N-i} for i < h
+        pair_sums = map(operator.sub if N % 2 else operator.add, far, a)
+        products = map(operator.mul, a, far)  # a_i a_{N-i}
+        column_sum = sum(map(operator.mul, products, map(operator.mul, row, pair_sums)))
+        if not N % 2:
+            column_sum += row[h] * a[h] ** 3
+        column_sum *= weight * (math.comb(n, 2 * s) * math.comb(2 * s, s))
+        total += -column_sum if s % 2 else column_sum
+        row = list(accumulate(accumulate(row[: N // 2])))  # the row of N - 2
+    return total

@@ -162,7 +162,9 @@ def _identify_symmetry(run: _Run) -> Cells:
 
 def _formula_equivalence(run: _Run) -> Cells:
     # aps_g and thm3_g divide by nothing; the paper's literal factorial form
-    # does, and must divide exactly and agree with both
+    # does, and must divide exactly and agree with both.  thm3_g pairs each
+    # split with its mirror, so it must also equal the plain split sum that
+    # g_npq_closed takes at p = q = 0
     for n in range(1, run.cfg.n_max + 1):
         for lam in _lams(n):
             try:
@@ -171,8 +173,9 @@ def _formula_equivalence(run: _Run) -> Cells:
                 yield str(exc)
                 return
             aps, t3 = formulas.aps_g(n, lam), formulas.thm3_g(n, lam)
-            yield None if literal == aps == t3 else (
-                f"n={n} lam={lam}: literal={literal} aps={aps} thm3={t3}"
+            split = formulas.g_npq_closed(n, 0, 0, lam)
+            yield None if literal == aps == t3 == split else (
+                f"n={n} lam={lam}: literal={literal} aps={aps} thm3={t3} g_npq_closed={split}"
             )
 
 
@@ -185,7 +188,8 @@ def _riordan_bridge(run: _Run) -> Cells:
 
 def _surgery(run: _Run) -> Cells:
     # every G(n,p,q) with n <= 3, then G(4) = G(4,0,0); each (n, 0, 0) cell
-    # is the engine on G(n) against thm3_g, which is g_npq_closed(n, 0, 0, lam)
+    # is the engine on G(n) against g_npq_closed's split sum, which
+    # formula-equivalence ties to thm3_g's paired one
     for n in range(1, min(run.cfg.n_max, ENGINE_N_GUARD) + 1):
         splits = [(p, q) for p in range(n + 1) for q in range(n - p + 1)] if n <= 3 else [(0, 0)]
         for p, q in splits:

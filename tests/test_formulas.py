@@ -396,6 +396,15 @@ def test_thm3_square_matches_aps_and_riordan(n):
     assert thm3_g(n, n) == aps_g(n, n) == factorial(n) * riordan_l3(n)
 
 
+def test_thm3_paired_sum_equals_the_split_sum():
+    # thm3_g pairs split l with split n - l inside each band column; the
+    # unpaired sum is g_npq_closed's at p = q = 0.  n <= 30 reaches both
+    # parities of a column's length N = n - 2s and its ends N = 0 and 1.
+    for n in range(1, 31):
+        for lam in (*range(3 * n + 2), 10**3, 10**6):
+            assert thm3_g(n, lam) == g_npq_closed(n, 0, 0, lam), (n, lam)
+
+
 def test_thm3_rejects_bad_arguments():
     with pytest.raises(ValueError, match="thm3_g"):
         thm3_g(0, 1)
@@ -431,7 +440,8 @@ def test_theorem2_engine_m_invariance():
 
 def test_theorem2_full_split_equals_alternating_sum():
     # With m = n every summand is one split, p + q = n, and the sum must
-    # reproduce thm3_g, which runs the same alternating sum in g_npq_closed.
+    # reproduce thm3_g, which takes the same alternating sum with each split
+    # paired with its mirror.
     for n in range(1, 4):
         for lam in range(n, 6):
             total = alternating_sum(n, n, lam, g_npq_closed)

@@ -70,7 +70,7 @@ def test_formula_equivalence_names_the_literal_and_aps_g_values(monkeypatch):
     monkeypatch.setattr(formulas, "aps_g", lambda n, lam: real(n, lam) + 1)
     results = run_verify(VerifyConfig(n_max=1))
     assert failures(results) == [
-        ("formula-equivalence", "n=1 lam=1: literal=0 aps=1 thm3=0", 1),
+        ("formula-equivalence", "n=1 lam=1: literal=0 aps=1 thm3=0 g_npq_closed=0", 1),
         ("riordan-bridge", "n=2: n!*riordan=0 thm3=0 aps=1", 1),
     ]
 
@@ -103,9 +103,35 @@ def test_surgery_fails_on_g_npq_closed_wrong_past_lambda_6(monkeypatch):
     assert [r.name for r in results.values() if not r.passed] == ["surgery-closed-form"]
 
 
+def test_g_npq_closed_wrong_only_on_one_plain_cell(monkeypatch):
+    # G(3) = G(3,0,0) at lambda = 7: surgery compares the cell with the
+    # engine, and formula-equivalence with thm3_g's paired sum, which reads
+    # no g_npq_closed; no other check reads g_npq_closed
+    real = formulas.g_npq_closed
+    monkeypatch.setattr(
+        formulas,
+        "g_npq_closed",
+        lambda n, p, q, lam: real(n, p, q, lam) + ((n, p, q, lam) == (3, 0, 0, 7)),
+    )
+    results = run_verify(VerifyConfig(n_max=4))
+    g = real(3, 0, 0, 7)
+    assert failures(results) == [
+        (
+            "formula-equivalence",
+            f"n=3 lam=7: literal={g} aps={g} thm3={g} g_npq_closed={g + 1}",
+            6 + 9 + 5,
+        ),
+        (
+            "surgery-closed-form",
+            f"n=3 p=0 q=0 lam=7: closed={g + 1} engine={g}",
+            3 * 6 + 6 * 9 + 5,
+        ),
+    ]
+
+
 def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
     # Every check that reads thm3_g fails, and no other: surgery reads
-    # g_npq_closed, whose (n, 0, 0) cell thm3_g is, not thm3_g itself.  The
+    # g_npq_closed's split sum, not thm3_g's paired one.  The
     # engine polynomials are shared across checks, so this also shows that no
     # check compares a shared value with itself.  The report keeps all 15
     # checks in registry order, failed ones included.
