@@ -1,10 +1,14 @@
 """Closed-form counts of 3 x n Latin rectangles on lambda symbols.
 
-Three independent closed forms live here, and the surgered-graph count that
-Theorem 3 assembles the plain one from:
+Three independent closed forms live here, the paper's literal form of one
+of them, and the surgered-graph count that Theorem 3 assembles the plain
+one from:
 
 * riordan_l3(n)        -- rectangles over {1..n} with first row pinned to 1..n
 * aps_g(n, lam)        -- rectangles over {1..lam}, triple-sum closed form
+* aps_literal(n, lam)  -- the same APS sum as the paper writes it, with
+                          full factorials and exact divisions; a reference
+                          for aps_g at modest lam
 * thm3_g(n, lam)       -- the same count: g_npq_closed's sum at p = q = 0,
                           each split paired with its mirror
 * g_npq_closed         -- the surgered-graph count G(n,p,q) for p + q <= n:
@@ -40,7 +44,7 @@ when the sum reaches it, so the band is held one column at a time and none
 past the splits' reach is built.  thm3_g walks the same columns, but at
 p = q = 0 the binomials of column s collapse to one row C(n - 2s, i), so
 it adds each split to its mirror and takes half the big products.
-Powers of two are shifts, and no route divides.
+Powers of two are shifts, and no route but aps_literal divides.
 """
 
 from __future__ import annotations

@@ -119,7 +119,7 @@ def build_gn(n: int) -> Graph:
     """The 3-row rook graph G(n) = K3 x Kn on vertices (i-1)*n + (j-1).
 
     Built as a Cartesian product.  It equals, vertex for vertex, the line
-    graph of K_{3,n}; verify's gn-construction check and the graph tests
+    graph of K_{3,n}; verify's gnpq-structure check and the graph tests
     compare the two constructions.
     """
     if n < 1:

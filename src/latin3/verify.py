@@ -128,15 +128,12 @@ def _lams(n: int) -> range:
     return range(n, 4 * n + 3)
 
 
-def _gn_construction(run: _Run) -> Cells:
-    for n in range(1, 6):
-        same = build_gn(n) == line_graph(complete_bipartite(3, n))
-        yield None if same else f"n={n}: product and line-graph constructions differ"
-
-
 def _gnpq_structure(run: _Run) -> Cells:
     for n in range(1, 6):
-        yield None if build_gnpq(n, 0, 0) == build_gn(n) else f"G({n},0,0) != G({n})"
+        gn = build_gn(n)
+        same = gn == line_graph(complete_bipartite(3, n))
+        yield None if same else f"n={n}: product and line-graph constructions differ"
+        yield None if build_gnpq(n, 0, 0) == gn else f"G({n},0,0) != G({n})"
         for p in range(n + 1):
             for q in range(n - p + 1):
                 g = build_gnpq(n, p, q)
@@ -161,29 +158,28 @@ def _identify_symmetry(run: _Run) -> Cells:
 
 
 def _formula_equivalence(run: _Run) -> Cells:
-    # aps_g and thm3_g divide by nothing; the paper's literal factorial form
-    # does, and must divide exactly and agree with both.  thm3_g pairs each
-    # split with its mirror, so it must also equal the plain split sum that
-    # g_npq_closed takes at p = q = 0
-    for n in range(1, run.cfg.n_max + 1):
-        for lam in _lams(n):
+    # every closed form of g(n, lam) on one list of cells.  aps_g and thm3_g
+    # divide by nothing; the paper's literal factorial form does, and must
+    # divide exactly and agree with both.  thm3_g pairs each split with its
+    # mirror, so it must also equal the plain split sum that g_npq_closed
+    # takes at p = q = 0.  At lam = n, n! times Riordan's pinned count joins
+    # them, and aps_g and thm3_g meet it there up to n = 20 at every n_max
+    n_max = run.cfg.n_max
+    cells = [(n, lam) for n in range(1, n_max + 1) for lam in _lams(n)]
+    for n, lam in cells + [(n, n) for n in range(n_max + 1, 21)]:
+        values = {"aps": formulas.aps_g(n, lam), "thm3": formulas.thm3_g(n, lam)}
+        if n <= n_max:
             try:
-                literal = formulas.aps_literal(n, lam)
+                values["literal"] = formulas.aps_literal(n, lam)
             except ArithmeticError as exc:
                 yield str(exc)
                 return
-            aps, t3 = formulas.aps_g(n, lam), formulas.thm3_g(n, lam)
-            split = formulas.g_npq_closed(n, 0, 0, lam)
-            yield None if literal == aps == t3 == split else (
-                f"n={n} lam={lam}: literal={literal} aps={aps} thm3={t3} g_npq_closed={split}"
-            )
-
-
-def _riordan_bridge(run: _Run) -> Cells:
-    for n in range(2, 21):
-        lhs = math.factorial(n) * formulas.riordan_l3(n)
-        rhs, aps = formulas.thm3_g(n, n), formulas.aps_g(n, n)
-        yield None if lhs == rhs == aps else f"n={n}: n!*riordan={lhs} thm3={rhs} aps={aps}"
+            values["g_npq_closed"] = formulas.g_npq_closed(n, 0, 0, lam)
+        if lam == n:
+            values["n!*riordan"] = math.factorial(n) * formulas.riordan_l3(n)
+        yield None if len(set(values.values())) == 1 else (
+            f"n={n} lam={lam}: " + " ".join(f"{k}={v}" for k, v in values.items())
+        )
 
 
 def _surgery(run: _Run) -> Cells:
@@ -306,19 +302,16 @@ def _latin_cells(cfg: VerifyConfig) -> list[tuple[int, int]]:
 
 def _latin_bridge(run: _Run) -> Cells:
     # relabelling the symbols maps the rectangles with any one first row onto
-    # those with first row 1..n, which at lam = n Riordan's form counts
+    # those with first row 1..n; at lam = n, falling(n, n) = n!, so with
+    # formula-equivalence's n! * riordan_l3(n) = thm3_g the pinned count is
+    # Riordan's
     for n, lam in _latin_cells(run.cfg):
         free, pinned = run.count(n, lam), run.count(n, lam, True)
         formula, relabelled = formulas.thm3_g(n, lam), comb.falling(lam, n) * pinned
-        if not free == formula == relabelled:
-            yield (
-                f"n={n} lam={lam}: enumeration={free} thm3={formula} "
-                f"falling(lam,n)*pinned={relabelled}"
-            )
-        elif lam == n and pinned != (riordan := formulas.riordan_l3(n)):
-            yield f"n={n} lam={lam}: pinned={pinned} riordan={riordan}"
-        else:
-            yield None
+        yield None if free == formula == relabelled else (
+            f"n={n} lam={lam}: enumeration={free} thm3={formula} "
+            f"falling(lam,n)*pinned={relabelled}"
+        )
 
 
 def _enumeration_consistency(run: _Run) -> Cells:
@@ -361,11 +354,9 @@ class _Check(NamedTuple):
 # The registry, in report order.  chromatic-shape must follow every other
 # engine check, since it inspects the polynomials they computed.
 _CHECKS = (
-    _Check("gn-construction", "fast", _gn_construction),
     _Check("gnpq-structure", "fast", _gnpq_structure),
     _Check("identify-symmetry", "fast", _identify_symmetry),
     _Check("formula-equivalence", "fast", _formula_equivalence),
-    _Check("riordan-bridge", "fast", _riordan_bridge),
     _Check("surgery-closed-form", "engine", _surgery),
     _Check("theorem2-m-invariance", "engine", _theorem2),
     _Check("reduction-identity", "engine", _reduction),

@@ -23,14 +23,14 @@ GATE_CONFIG = VerifyConfig(n_max=6)
 
 # criterion -> {verify check behind it: the fewest cells it may check at GATE_CONFIG}
 CRITERIA = {
-    "formula-equivalence": {"formula-equivalence": 81},
+    "formula-equivalence": {"formula-equivalence": 95},
     "engine-grounding": {"surgery-closed-form": 207},
     "surgery-grounding": {"surgery-closed-form": 207},
     "theorem2-identity": {"theorem2-m-invariance": 68},
     "reduction-identity": {"reduction-identity": 284},
     "derangement-grounding": {"derangement-oracle": 209},
     "latin-bridge": {"latin-bridge": 17},
-    "riordan-consistency": {"latin-bridge": 17, "riordan-bridge": 19},
+    "riordan-consistency": {"latin-bridge": 17, "formula-equivalence": 95},
 }
 
 

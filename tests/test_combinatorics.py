@@ -123,12 +123,12 @@ def _assert_band_matches_enumeration(d):
             assert e == walked[m][m - s], (n, d, m, s)
 
 
-def test_derangement_table_matches_enumeration():
+def test_derangement_columns_match_enumeration():
     # the permutation band, d = 0
     _assert_band_matches_enumeration(0)
 
 
-def test_shifted_derangement_table_matches_enumeration():
+def test_shifted_derangement_columns_match_enumeration():
     # m points into m + d symbols, d = 1..3
     for d in range(1, 4):
         _assert_band_matches_enumeration(d)

@@ -166,7 +166,7 @@ def _aps_g_calling_factorial(n, lam):
     return falling(lam, n) * total
 
 
-def test_factorial_tables_keep_every_value():
+def test_recurrences_match_the_term_by_term_sums_to_n_60():
     for n in range(1, 61):
         assert riordan_l3(n) == _riordan_l3_calling_factorial(n), n
         for lam in (0, n - 1, n, n + 1, 2 * n, 10**4):

@@ -394,7 +394,7 @@ def _valid(rect, n, lam):
     return first_invalid((rect,), n, lam) is None
 
 
-def test_is_latin_rectangle_rejects_bad_arrays():
+def test_first_invalid_rejects_bad_arrays():
     assert _valid(((1, 2), (2, 3), (3, 1)), 2, 3)
     assert not _valid(((1, 2), (2, 3)), 2, 3)  # only two rows
     assert not _valid(((1, 2), (2, 3), (3,)), 2, 3)  # ragged
@@ -420,7 +420,7 @@ def _is_latin_rectangle_per_symbol(rect, n, lam):
     return True
 
 
-def test_is_latin_rectangle_matches_the_per_symbol_validator():
+def test_first_invalid_matches_the_per_symbol_validator():
     rng = random.Random(20241018)
     valid = 0
     for _ in range(20000):

@@ -3,6 +3,7 @@ failure paths, determinism, report rendering.  The identities the harness
 checks are covered in depth by the other test modules; here we only need
 small, fast configurations."""
 
+import math
 import tracemalloc
 from collections import Counter
 
@@ -37,7 +38,7 @@ def test_lane_flags_prune_checks():
     )
     got = names(results)
     assert "formula-equivalence" in got
-    assert "riordan-bridge" in got
+    assert "gnpq-structure" in got
     assert "reduction-identity" not in got
     assert "derangement-oracle" not in got
     assert all(r.passed for r in results)
@@ -64,14 +65,17 @@ def test_formula_equivalence_fails_when_aps_literal_raises(monkeypatch):
 
 
 def test_formula_equivalence_names_the_literal_and_aps_g_values(monkeypatch):
-    # aps_g is read by formula-equivalence and, at lambda = n = 2..20, by
-    # riordan-bridge, so exactly those two fail
+    # aps_g is read by formula-equivalence alone, and its first cell, at
+    # lambda = n, names every route
     real = formulas.aps_g
     monkeypatch.setattr(formulas, "aps_g", lambda n, lam: real(n, lam) + 1)
     results = run_verify(VerifyConfig(n_max=1))
     assert failures(results) == [
-        ("formula-equivalence", "n=1 lam=1: literal=0 aps=1 thm3=0 g_npq_closed=0", 1),
-        ("riordan-bridge", "n=2: n!*riordan=0 thm3=0 aps=1", 1),
+        (
+            "formula-equivalence",
+            "n=1 lam=1: aps=1 thm3=0 literal=0 g_npq_closed=0 n!*riordan=0",
+            1,
+        ),
     ]
 
 
@@ -118,7 +122,7 @@ def test_g_npq_closed_wrong_only_on_one_plain_cell(monkeypatch):
     assert failures(results) == [
         (
             "formula-equivalence",
-            f"n=3 lam=7: literal={g} aps={g} thm3={g} g_npq_closed={g + 1}",
+            f"n=3 lam=7: aps={g} thm3={g} literal={g} g_npq_closed={g + 1}",
             6 + 9 + 5,
         ),
         (
@@ -133,17 +137,15 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
     # Every check that reads thm3_g fails, and no other: surgery reads
     # g_npq_closed's split sum, not thm3_g's paired one.  The
     # engine polynomials are shared across checks, so this also shows that no
-    # check compares a shared value with itself.  The report keeps all 15
+    # check compares a shared value with itself.  The report keeps all 13
     # checks in registry order, failed ones included.
     real = formulas.thm3_g
     monkeypatch.setattr(formulas, "thm3_g", lambda n, lam: real(n, lam) + 1)
     results = run_verify(VerifyConfig(n_max=4))
     assert names(results) == [
-        "gn-construction",
         "gnpq-structure",
         "identify-symmetry",
         "formula-equivalence",
-        "riordan-bridge",
         "surgery-closed-form",
         "theorem2-m-invariance",
         "reduction-identity",
@@ -155,11 +157,7 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
         "latin-bridge",
         "enumeration-consistency",
     ]
-    assert {r.name for r in results if not r.passed} == {
-        "formula-equivalence",
-        "riordan-bridge",
-        "latin-bridge",
-    }
+    assert {r.name for r in results if not r.passed} == {"formula-equivalence", "latin-bridge"}
 
 
 def test_surgery_fails_on_an_engine_wrong_only_on_g4(monkeypatch):
@@ -194,17 +192,25 @@ def test_latin_bridge_fails_on_a_wrong_pinned_count(monkeypatch):
     ]
 
 
-def test_latin_bridge_fails_on_riordan_wrong_only_at_4(monkeypatch):
-    # the pinned count at lambda = n = 4, the bridge's 16th cell (before
-    # (4, 5)), and n! * riordan_l3(n) = thm3_g(n, n) at n = 4,
-    # riordan-bridge's third
+@pytest.mark.parametrize(
+    "n, routes, cells",
+    [
+        # (4, 4) follows the 27 cells of n <= 3, and latin-bridge, which reads
+        # no riordan_l3, holds its pinned count there
+        (4, "aps={g} thm3={g} literal={g} g_npq_closed={g}", 6 + 9 + 12 + 1),
+        # past n_max = 4 the check still reads lambda = n up to n = 20:
+        # (15, 15) follows the 42 cells of n <= 4 and the 10 of n = 5..14
+        (15, "aps={g} thm3={g}", 42 + 10 + 1),
+    ],
+    ids=["4", "15"],
+)
+def test_formula_equivalence_fails_on_riordan_wrong_only_at_one_n(monkeypatch, n, routes, cells):
     real = formulas.riordan_l3
-    monkeypatch.setattr(formulas, "riordan_l3", lambda n: real(n) + (n == 4))
-    results = run_verify(VerifyConfig(n_max=4, include_engine=False))
-    assert failures(results) == [
-        ("riordan-bridge", "n=4: n!*riordan=600 thm3=576 aps=576", 3),
-        ("latin-bridge", "n=4 lam=4: pinned=24 riordan=25", 16),
-    ]
+    monkeypatch.setattr(formulas, "riordan_l3", lambda m: real(m) + (m == n))
+    results = run_verify(VerifyConfig(n_max=4))
+    g = formulas.thm3_g(n, n)
+    detail = f"n={n} lam={n}: {routes.format(g=g)} n!*riordan={g + math.factorial(n)}"
+    assert failures(results) == [("formula-equivalence", detail, cells)]
 
 
 def test_gnpq_structure_fails_on_a_surgery_that_keeps_the_rungs(monkeypatch):
@@ -215,6 +221,26 @@ def test_gnpq_structure_fails_on_a_surgery_that_keeps_the_rungs(monkeypatch):
     assert {r.name for r in results if not r.passed} == {"gnpq-structure"}
     failed = next(r for r in results if r.name == "gnpq-structure")
     assert failed.detail == "G(1,1,0) has 3 edges, want 2"
+
+
+def test_gnpq_structure_fails_on_a_line_graph_wrong_only_at_5(monkeypatch):
+    # G(5) is built twice, as a Cartesian product and as the line graph of
+    # K_{3,5}, the one K_{3,n} with 8 vertices; gnpq-structure's first cell
+    # at n = 5, after the 76 of n <= 4, compares the two
+    real = graphs.line_graph
+
+    def wrong(g):
+        return graphs.delete_edge(real(g), 0, 1) if g.vertex_count == 8 else real(g)
+
+    monkeypatch.setattr(verify, "line_graph", wrong)
+    results = run_verify(VerifyConfig(n_max=4))
+    assert failures(results) == [
+        (
+            "gnpq-structure",
+            "n=5: product and line-graph constructions differ",
+            76 + 1,
+        ),
+    ]
 
 
 def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
