@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import chain, compress, islice, permutations, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import MAX_SEARCH_DEPTH, BudgetExceededError
 
@@ -255,11 +255,15 @@ def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rect
     object differs from the rectangle before's, as in enumerate_latin's
     blocks of rectangles that share both; the union of their cells is kept,
     and row 2 is checked against it with one isdisjoint.  On one rectangle,
-    first_invalid((rect,), n, lam) is None iff rect is valid.
+    first_invalid((rect,), n, lam) is None iff rect is valid.  A row that is
+    a list, as in a rectangle loaded from JSON, is judged as the tuple of its
+    symbols.
     """
     cells: dict[tuple, Optional[frozenset]] = {}
 
-    def cells_of(row: tuple) -> Optional[frozenset]:
+    def cells_of(row: Sequence) -> Optional[frozenset]:
+        if type(row) is list:
+            row = tuple(row)
         mine = cells.get(row, ...)
         if mine is ...:
             bad = len(row) != n or len(set(row)) != n or not all(1 <= s <= lam for s in row)
@@ -280,7 +284,10 @@ def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rect
             top = None if b is None or not a.isdisjoint(b) else a | b
         if top is None:
             return rect
-        c = get(r2, ...)  # row 2 changes every rectangle: look its hit up inline
+        try:
+            c = get(r2, ...)  # row 2 changes every rectangle: look its hit up inline
+        except TypeError:  # a list row
+            c = ...
         if c is ...:
             c = cells_of(r2)
         if c is None or not c.isdisjoint(top):

@@ -29,8 +29,8 @@ CRITERIA = {
     "theorem2-identity": {"theorem2-m-invariance": 68},
     "reduction-identity": {"reduction-identity": 284},
     "derangement-grounding": {"derangement-oracle": 209},
-    "latin-bridge": {"latin-bridge": 17},
-    "riordan-consistency": {"latin-bridge": 17, "formula-equivalence": 95},
+    "latin-bridge": {"latin-bridge": 20},
+    "riordan-consistency": {"latin-bridge": 20, "formula-equivalence": 95},
 }
 
 

@@ -404,6 +404,14 @@ def test_first_invalid_rejects_bad_arrays():
     assert not _valid(((0, 2), (2, 3), (3, 1)), 2, 3)  # symbol too small
 
 
+def test_first_invalid_judges_list_rows_as_tuple_rows():
+    # rows loaded from JSON are lists, which cannot key a dict
+    good, bad = [[1, 2], [2, 3], [3, 1]], [[1, 2], [2, 1], [3, 3]]
+    assert first_invalid([good], 2, 3) is None
+    assert first_invalid([bad], 2, 3) is bad
+    assert first_invalid([good, ((1, 2), (2, 3), [3, 1]), bad, good], 2, 3) is bad
+
+
 def _is_latin_rectangle_per_symbol(rect, n, lam):
     """A validator that shares no code with oracle.first_invalid: a
     generator over every symbol and a set per column."""

@@ -46,8 +46,9 @@ def test_lane_flags_prune_checks():
 
 def test_first_row_check_covers_every_bridge_cell():
     # latin-bridge checks free = falling(lam, n) * pinned on each cell it
-    # counts, from n_max = 1 on
-    for n_max, cells in ((1, 6), (2, 11), (4, 17)):
+    # counts, from n_max = 1 on: lam = 1..6 for each n <= 3, then (4, 4) and
+    # (4, 5)
+    for n_max, cells in ((1, 6), (2, 12), (4, 20)):
         results = {r.name: r for r in run_verify(VerifyConfig(n_max=n_max, include_engine=False))}
         assert results["latin-bridge"].passed
         assert results["latin-bridge"].cells == cells
@@ -137,7 +138,7 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
     # Every check that reads thm3_g fails, and no other: surgery reads
     # g_npq_closed's split sum, not thm3_g's paired one.  The
     # engine polynomials are shared across checks, so this also shows that no
-    # check compares a shared value with itself.  The report keeps all 13
+    # check compares a shared value with itself.  The report keeps all 11
     # checks in registry order, failed ones included.
     real = formulas.thm3_g
     monkeypatch.setattr(formulas, "thm3_g", lambda n, lam: real(n, lam) + 1)
@@ -149,13 +150,11 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
         "surgery-closed-form",
         "theorem2-m-invariance",
         "reduction-identity",
-        "memo-transparency",
         "engine-vs-brute",
         "multiplicativity",
         "chromatic-shape",
         "derangement-oracle",
         "latin-bridge",
-        "enumeration-consistency",
     ]
     assert {r.name for r in results if not r.passed} == {"formula-equivalence", "latin-bridge"}
 
@@ -178,8 +177,25 @@ def test_surgery_fails_on_an_engine_wrong_only_on_g4(monkeypatch):
     ]
 
 
+def test_engine_vs_brute_fails_on_an_unmemoized_engine_wrong_on_one_graph(monkeypatch):
+    # the unmemoized engine's lambda^1 coefficient of the triangle, the tenth
+    # named graph, is one too small; no other check calls that engine
+    real, k3 = verify.chromatic_poly, graphs.complete(3)
+
+    def wrong(g, memoize=True, **kw):
+        c = list(real(g, memoize=memoize, **kw).coefficients)
+        c[1] -= not memoize and g == k3
+        return Poly.of(c)
+
+    monkeypatch.setattr(verify, "chromatic_poly", wrong)
+    results = run_verify(VerifyConfig(n_max=1, include_oracle=False))
+    assert failures(results) == [
+        ("engine-vs-brute", "triangle: memoized=(0, 2, -3, 1) unmemoized=(0, 1, -3, 1)", 9 * 7 + 1)
+    ]
+
+
 def test_latin_bridge_fails_on_a_wrong_pinned_count(monkeypatch):
-    # (2, 3) is the bridge's eighth cell, after n = 1's six and (2, 2)
+    # (2, 3) is the bridge's ninth cell, after n = 1's six, (2, 1) and (2, 2)
     real = oracle.count_latin
     monkeypatch.setattr(
         oracle,
@@ -188,7 +204,11 @@ def test_latin_bridge_fails_on_a_wrong_pinned_count(monkeypatch):
     )
     results = run_verify(VerifyConfig(n_max=2, include_engine=False))
     assert failures(results) == [
-        ("latin-bridge", "n=2 lam=3: enumeration=12 thm3=12 falling(lam,n)*pinned=18", 8)
+        (
+            "latin-bridge",
+            "n=2 lam=3: count_latin=12 thm3=12 falling(lam,n)*pinned=18 walk=12",
+            9,
+        )
     ]
 
 
@@ -257,8 +277,8 @@ def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
 
 
 def _edit_walk(monkeypatch, edit):
-    """Make oracle.enumerate_latin, the walk enumeration-consistency reads,
-    yield edit(rects, n, lam) in place of its rectangles."""
+    """Make oracle.enumerate_latin, the walk latin-bridge reads, yield
+    edit(rects, n, lam) in place of its rectangles."""
     real = oracle.enumerate_latin
 
     def edited(n, lam):
@@ -269,14 +289,12 @@ def _edit_walk(monkeypatch, edit):
 
 def test_enumeration_consistency_fails_on_a_repeated_rectangle(monkeypatch):
     # a repeat in place of a missing rectangle keeps the length, the order
-    # and every rectangle valid; only a strict increase catches it
+    # and every rectangle valid; only latin-bridge's strict increase catches it
     _edit_walk(monkeypatch, lambda rects, n, lam: rects[:1] + rects[:-1])
-    results = {r.name: r for r in run_verify(VerifyConfig(n_max=1, include_engine=False))}
-    check = results["enumeration-consistency"]
-    assert not check.passed
-    assert check.detail == "n=1 lam=3: output is not in lexicographic order"
-    assert check.cells == 3
-    assert [r.name for r in results.values() if not r.passed] == ["enumeration-consistency"]
+    results = run_verify(VerifyConfig(n_max=1, include_engine=False))
+    assert failures(results) == [
+        ("latin-bridge", "n=1 lam=3: output is not in lexicographic order", 3)
+    ]
 
 
 def _invalid_first(rects, n, lam):
@@ -288,34 +306,36 @@ def _invalid_first(rects, n, lam):
 @pytest.mark.parametrize(
     "edit, detail",
     [
-        (lambda rects, n, lam: rects[:-1], "n=1 lam=3: enumerated 5, counted 6"),
+        (lambda rects, n, lam: rects[:-1], "n=1 lam=3: {routes} walk=5"),
         # past the last rectangle and above it, so only the count can fail;
         # reading want + 1 rectangles is what sees it
         (
             lambda rects, n, lam: rects and rects + [((lam + 1,) * n,) * 3],
-            "n=1 lam=3: enumerated 7, counted 6",
+            "n=1 lam=3: {routes} walk=7",
         ),
         # the walk goes on past the invalid first rectangle, so the count holds
         (_invalid_first, "n=1 lam=3: invalid rectangle ((1,), (2,), (0,))"),
         # a short count outranks an invalid rectangle, as the messages are ordered
         (
             lambda rects, n, lam: _invalid_first(rects, n, lam)[:-1],
-            "n=1 lam=3: enumerated 5, counted 6",
+            "n=1 lam=3: {routes} walk=5",
         ),
     ],
     ids=["dropped", "extra", "invalid", "invalid-and-short"],
 )
 def test_enumeration_consistency_fails_on_a_faulty_walk(monkeypatch, edit, detail):
+    # (1, 3) is latin-bridge's third cell, and its first with rectangles
     _edit_walk(monkeypatch, edit)
     results = run_verify(VerifyConfig(n_max=1, include_engine=False))
-    assert failures(results) == [("enumeration-consistency", detail, 3)]
+    routes = "count_latin=6 thm3=6 falling(lam,n)*pinned=6"
+    assert failures(results) == [("latin-bridge", detail.format(routes=routes), 3)]
 
 
-@pytest.mark.parametrize("name", ["enumeration-consistency", "derangement-oracle"])
+@pytest.mark.parametrize("name", ["latin-bridge", "derangement-oracle"])
 def test_oracle_checks_stream_their_walks(name):
-    # with the run's counts filled, neither check may hold its walk: a list
-    # of (3, 5)'s 27,480 rectangles would take about 2.2 MiB, and injection
-    # chunks of 4,096 about 1.2 MiB
+    # with the run's counts filled by a first latin-bridge, neither check may
+    # hold its walk: a list of (3, 5)'s 27,480 rectangles would take about
+    # 2.2 MiB, and injection chunks of 4,096 about 1.2 MiB
     cfg = VerifyConfig(n_max=3, include_engine=False)
     run = verify._Run(cfg, verify.random_graphs(cfg.seed))
     checks = {check.name: check for check in verify._CHECKS}
@@ -355,8 +375,8 @@ def test_derangement_oracle_fails_on_one_wrong_band_entry(monkeypatch, cell, det
 
 
 def test_oracle_lane_counts_each_cell_once(monkeypatch):
-    # latin-bridge and enumeration-consistency share count_latin's cells; derangement-oracle alone reads the injection
-    # walks, and reads each one once however many band cells it grounds
+    # latin-bridge alone reads count_latin's cells, and derangement-oracle
+    # the injection walks, each one once however many band cells it grounds
     calls = {"count_latin": Counter(), "injection_counts": Counter()}
     for name in calls:
         real = getattr(oracle, name)
@@ -368,9 +388,8 @@ def test_oracle_lane_counts_each_cell_once(monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     results = run_verify(VerifyConfig(n_max=4, include_engine=False))
     assert all(r.passed for r in results)
-    # the 17 latin-bridge cells, free and pinned, and enumeration-consistency's
-    # (2,1), (3,1) and (3,2)
-    assert len(calls["count_latin"]) == 37
+    # the 20 latin-bridge cells, free and pinned
+    assert len(calls["count_latin"]) == 40
     # every (lam, n) with n <= lam <= 7, and (8, 8)
     assert len(calls["injection_counts"]) == 37
     for counter in calls.values():
