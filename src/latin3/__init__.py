@@ -14,7 +14,7 @@ cross-checks the routes on enough lambda to fix each count's polynomial in
 lambda.  Everything is exact big-integer arithmetic.
 """
 
-from .combinatorics import binom, falling, gen_derangement
+from .combinatorics import falling
 from .errors import BudgetExceededError, GraphParseError, VertexLimitError
 from .graphs import (
     Graph,
@@ -45,7 +45,6 @@ __all__ = [
     "VerifyConfig",
     "VertexLimitError",
     "aps_g",
-    "binom",
     "build_gn",
     "build_gnpq",
     "cartesian_product",
@@ -59,7 +58,6 @@ __all__ = [
     "eval_poly",
     "falling",
     "g_npq_closed",
-    "gen_derangement",
     "identify",
     "injection_counts",
     "line_graph",

@@ -25,9 +25,11 @@ remembers which rows are compatible but no counts, so it stays a plain
 search and comparing it with count_latin compares two different searches.
 first_invalid validates a stream of rectangles in one pass.
 injection_counts walks the perm(lam, n) injections once, in chunks of 512,
-and counts them for every number t of forbidden fixed points.  Both refuse
-a call whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET before they list a
-row.
+and counts them for every number t of forbidden fixed points.  It reads each
+chunk as one bytes object and tests a column of fixed points per translate;
+a fixed point needs a symbol <= n, so it writes every symbol past n as 0
+and any lam fits in bytes.  Both refuse a call whose perm(lam, n) exceeds
+DEFAULT_NODE_BUDGET before they list a row.
 """
 
 from __future__ import annotations
@@ -295,24 +297,38 @@ def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rect
     return None
 
 
-_CHUNK = 512  # injections tested per C-level pass in injection_counts
+# injections per chunk in injection_counts; a chunk is read as one bytes
+# object of _CHUNK * n bytes, and it and one _CHUNK-byte column slice bound
+# the walk's memory
+_CHUNK = 512
 
 
 def injection_counts(lam: int, n: int) -> list[int]:
     """Exhaustively count, for every t = 0..n, the injections
     f: {1..n} -> {1..lam} with f(j) != j for j = 1..t.
 
-    Walks every injection once via itertools.permutations and filters, so it
-    is an oracle fully independent of the counts it grounds: in verify, every
-    entry e(m, s) = injection_counts(m + d, m)[m - s] of Theorem 3's band
-    combinatorics.derangement_columns(n, d), and in the tests, the
-    inclusion-exclusion formula gen_derangement.  The injections stream in
-    chunks of 512 (_CHUNK); each chunk is narrowed column by column at C
-    level (compress over operator.ne) to the injections with no fixed point
-    so far, and the t-th count gains the survivors of the first t columns,
-    so memory stays bounded by one chunk whatever perm(lam, n) is.  A call
-    whose perm(lam, n) exceeds DEFAULT_NODE_BUDGET raises before the walk
-    starts.
+    Walks every injection once via itertools.permutations and tests each
+    one's fixed points, so it is an oracle fully independent of the counts
+    it grounds: in verify, every entry e(m, s) = injection_counts(m + d,
+    m)[m - s] of Theorem 3's band combinatorics.derangement_columns(n, d),
+    and in the tests, the inclusion-exclusion formula gen_derangement.
+
+    A fixed point j -> j needs a symbol j <= n, so the walk permutes the
+    symbols 1..n and lam - n zeros standing for the symbols past n: it
+    still yields perm(lam, n) injections, each with the same fixed points,
+    and every symbol fits in a byte whatever lam is (perm(lam, n) >= n!, so
+    n <= 12 under DEFAULT_NODE_BUDGET).  The injections stream in chunks of
+    512 (_CHUNK), each read as one bytes object of n bytes per injection;
+    no tuple is kept, so permutations reuses its result tuple.  For each
+    column j, translating the chunk's slice block[j - 1::n] writes a 1 byte
+    for each injection with f(j) = j and a 0 byte otherwise; read as one
+    int and OR-ed into a running hit, it marks the injections with a fixed
+    point among 1..j, so the j-th count gains the chunk's size less
+    hit.bit_count().  Beside the lam-entry pool that permutations keeps,
+    memory stays bounded by one chunk whatever perm(lam, n) is.  The one
+    injection of n = 0 is empty, which a bytes chunk cannot show, so it is
+    counted on its own.  A call whose perm(lam, n) exceeds
+    DEFAULT_NODE_BUDGET raises before the walk starts.
     """
     if not 0 <= n <= lam:
         raise ValueError(f"injection_counts: need 0 <= n <= lam, got lam={lam} n={n}")
@@ -321,12 +337,17 @@ def injection_counts(lam: int, n: int) -> list[int]:
             f"enumerating perm({lam}, {n}) injections exceeds "
             f"the node budget of {DEFAULT_NODE_BUDGET}"
         )
+    if n == 0:
+        return [1]
     counts = [0] * (n + 1)
-    walk = permutations(range(1, lam + 1), n)
-    while chunk := list(islice(walk, _CHUNK)):
-        counts[0] += len(chunk)
-        for j in range(n):
-            column = map(operator.itemgetter(j), chunk)
-            chunk = list(compress(chunk, map(operator.ne, column, repeat(j + 1))))
-            counts[j + 1] += len(chunk)
+    # table j maps byte j to 1 and every other byte to 0
+    tables = [bytes(map(j.__eq__, range(256))) for j in range(1, n + 1)]
+    walk = permutations((*range(1, n + 1), *repeat(0, lam - n)), n)
+    while block := bytes(chain.from_iterable(islice(walk, _CHUNK))):
+        size = len(block) // n
+        counts[0] += size
+        hit = 0
+        for j, table in enumerate(tables, 1):
+            hit |= int.from_bytes(block[j - 1::n].translate(table), "little")
+            counts[j] += size - hit.bit_count()
     return counts

@@ -663,14 +663,18 @@ def test_injection_examples():
     assert injection_counts(5, 3)[0] == 60
     assert injection_counts(3, 3)[3] == 2
     assert injection_counts(4, 3)[2] == 14
+    # n = 0 has one injection, the empty one, whatever lam is
+    assert injection_counts(300, 0) == [1]
 
 
 def test_injection_matches_formula_exhaustively():
-    for lam in range(8):
-        for n in range(lam + 1):
-            assert injection_counts(lam, n) == [
-                gen_derangement(lam, n, t) for t in range(n + 1)
-            ], f"lam={lam} n={n}"
+    # (260, 3): symbols past 255 would not fit in a byte, and the one-by-one
+    # walk over its 17,373,720 injections would take about 20 s
+    cells = [(lam, n) for lam in range(8) for n in range(lam + 1)] + [(260, 3)]
+    for lam, n in cells:
+        assert injection_counts(lam, n) == [
+            gen_derangement(lam, n, t) for t in range(n + 1)
+        ], f"lam={lam} n={n}"
 
 
 def _count_injections_one_by_one(lam, n, t):
@@ -686,11 +690,25 @@ def _count_injections_one_by_one(lam, n, t):
 
 def test_injection_counts_match_the_one_by_one_walk():
     # (8, 8) and (8, 7) each hold 40,320 injections, so the walk crosses
-    # chunk boundaries
-    for lam in range(9):
-        for n in range(lam + 1):
-            want = [_count_injections_one_by_one(lam, n, t) for t in range(n + 1)]
-            assert injection_counts(lam, n) == want, (lam, n)
+    # chunk boundaries; at (300, 2) and (1000, 1) symbols past 255 would not
+    # fit in a byte
+    cells = [(lam, n) for lam in range(9) for n in range(lam + 1)] + [(300, 2), (1000, 1)]
+    for lam, n in cells:
+        want = [_count_injections_one_by_one(lam, n, t) for t in range(n + 1)]
+        assert injection_counts(lam, n) == want, (lam, n)
+
+
+def test_injection_counts_memory_is_one_chunk():
+    # perm(9, 7) = 181,440 injections in 355 chunks of 512, which peak near
+    # 11 KiB
+    injection_counts(3, 2)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        assert injection_counts(9, 7)[7] == gen_derangement(9, 7, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 1024, f"peaked at {peak} bytes"
 
 
 def test_injection_rejects_bad_ranges():
