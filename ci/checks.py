@@ -29,11 +29,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from latin3 import cli  # noqa: E402
+from latin3 import cli, verify  # noqa: E402
 from latin3.chromatic import chromatic_poly, eval_poly  # noqa: E402
 from latin3.formulas import aps_g, g_npq_closed, riordan_l3, thm3_g  # noqa: E402
 from latin3.graphs import build_gnpq  # noqa: E402
-from latin3.verify import VerifyConfig, run_verify  # noqa: E402
 
 
 class Failed(Exception):
@@ -123,11 +122,14 @@ def output(command, want):
         raise Failed(f"{command}: exit {code}, stdout {out!r}, want {want!r}; {err.strip()}")
 
 
-def counters(command, pin):
-    """The command with --stats exits 0 and prints exactly the pinned counters on stderr."""
-    code, _, err = run_cli(f"{command} --stats")
+def counters(command, pin, want=None):
+    """The command with --stats exits 0 and prints exactly the pinned counters
+    on stderr, and exactly want, if given, on stdout."""
+    code, out, err = run_cli(f"{command} --stats")
     if code or err != pin + "\n":
         raise Failed(f"{command} --stats: exit {code}, stderr {err.strip()!r}, pinned {pin!r}")
+    if want is not None and out != want:
+        raise Failed(f"{command} --stats: stdout {out!r}, want {want!r}")
 
 
 def budget(command, nodes, completed, value):
@@ -170,11 +172,14 @@ def refused(command):
         raise Failed(f"{command}: exit {code}, want 3")
 
 
-def oracle_lane_memory():
-    """run_verify(n_max=4) without the engine lane passes, its traced peak under 1 MiB."""
+def oracle_memory():
+    """verify's derangement-oracle and latin-bridge pass on a fresh run at
+    n_max = 4, their traced peak under 1 MiB."""
+    checks = [check for check in verify._CHECKS if check.name in ("derangement-oracle", "latin-bridge")]
     tracemalloc.start()
     try:
-        results = run_verify(VerifyConfig(n_max=4, include_engine=False))
+        run = verify._Run(verify.VerifyConfig(n_max=4), verify.random_graphs(verify.DEFAULT_SEED))
+        results = [verify._run_check(check, run) for check in checks]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -182,13 +187,16 @@ def oracle_lane_memory():
     if failed:
         raise Failed(f"verify failed: {failed}")
     if peak >= 1 << 20:
-        raise Failed(f"oracle lane peaked at {peak / 1024:.0f} KiB, not under 1 MiB")
+        raise Failed(f"the oracle checks peaked at {peak / 1024:.0f} KiB, not under 1 MiB")
 
 
 CHECKS = [
     ("Oracle exactness past tier-1",
      # count_latin against thm3_g: no tier-1 test reaches (5,6) or (6,7).
-     (tables, 4, "--n 5..6 --lambda-offset 0..1", "latin-oracle", "thm3")),
+     # (6,7) is compared under "Oracle counters unchanged", which pins its
+     # 102,992-state search, so that search runs once.
+     (tables, 2, "--n 5 --lambda-offset 0..1", "latin-oracle", "thm3"),
+     (tables, 1, "--n 6 --lambda 6", "latin-oracle", "thm3")),
     ("Closed forms agree past the benchmark",
      # n = 1..80: the square benchmark stops at n = 51.
      (tables, 240, "--n 1..80 --lambda-offset 0..2", "thm3", "aps")),
@@ -208,7 +216,7 @@ CHECKS = [
      (tables, 4, "--n 5 --lambda-offset 0..3", "engine --max-vertices 15", "thm3")),
     ("Engine exactness on every G(5,p,q)",
      # 16 points fix a polynomial of degree <= 15 on lambda >= 5; verify's
-     # engine lane stops at n = 4.
+     # surgery-closed-form stops at n = 4.
      (agree, surgered([5], lambda n: range(5, 21)),
       {"engine": lambda n, p, q, lam: eval_poly(gnpq_poly(n, p, q), lam), "g_npq_closed": g_npq_closed})),
     ("Engine counters unchanged",
@@ -283,9 +291,10 @@ CHECKS = [
       "degree=9\n0\n0\n-12\n54\n-106\n119\n-83\n36\n-9\n1\n")),
     ("Oracle counters unchanged",
      # count_latin's search is pinned state for state: states searched, and
-     # memo hits looked up in the loop.
+     # memo hits looked up in the loop.  The value at (6,7) must equal thm3_g.
      (counters, "table --formula latin-oracle --n 4 --lambda 6", '{"nodes": 10761, "memo_hits": 95200}'),
-     (counters, "table --formula latin-oracle --n 6 --lambda 7", '{"nodes": 102992, "memo_hits": 2919119}')),
+     (counters, "table --formula latin-oracle --n 6 --lambda 7", '{"nodes": 102992, "memo_hits": 2919119}',
+      f"6 7 latin-oracle {thm3_g(6, 7)}\n")),
     ("Brute-force counters unchanged",
      # count_colorings_bruteforce charges one node per colour attempt.
      (counters, "table --formula brute --n 3 --lambda 4", '{"nodes": 7748}'),
@@ -307,12 +316,14 @@ CHECKS = [
       "PASS derangement-oracle\n"
       "PASS latin-bridge\n"
       "11 checks, all passed\n")),
-    ("Oracle lane memory under python -O",
-     # verify's oracle lane streams its rectangle walks and reads the
-     # injections as one bytes object per chunk of 512: about 0.4 MiB (0.7 MiB
-     # when each chunk was a list of tuples, 3.0 MiB when verify listed every
-     # rectangle of a walk).
-     (oracle_lane_memory,)),
+    ("Oracle memory under python -O",
+     # latin-bridge streams its rectangle walks and derangement-oracle reads
+     # the injections as one bytes object per chunk of 512: about 0.35 MiB,
+     # and 2.0 MiB if verify listed every rectangle of a walk.  The whole run
+     # at n_max = 4 peaks at about 0.9 MiB, more than half of it the engine
+     # polynomials kept for chromatic-shape: too close to the bound to show a
+     # leak in these two.
+     (oracle_memory,)),
 ]
 
 

@@ -149,13 +149,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = VerifyConfig(
-        n_max=args.n_max,
-        include_engine=not args.skip_engine,
-        include_oracle=not args.skip_oracle,
-        seed=args.seed,
-    )
-    results = run_verify(cfg)
+    results = run_verify(VerifyConfig(n_max=args.n_max, seed=args.seed))
     sys.stdout.write(render_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -230,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the identity cross-check matrix")
     verify.add_argument("--n-max", type=int, default=3)
-    verify.add_argument("--skip-engine", action="store_true")
-    verify.add_argument("--skip-oracle", action="store_true")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     chromatic = sub.add_parser(

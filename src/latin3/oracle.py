@@ -259,17 +259,22 @@ def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rect
     and row 2 is checked against it with one isdisjoint.  On one rectangle,
     first_invalid((rect,), n, lam) is None iff rect is valid.  A row that is
     a list, as in a rectangle loaded from JSON, is judged as the tuple of its
-    symbols.
+    symbols; a row that is no sequence, or that holds a symbol that does not
+    compare with numbers or cannot be hashed (JSON's null, a string, a list),
+    makes its rectangle invalid.
     """
     cells: dict[tuple, Optional[frozenset]] = {}
 
     def cells_of(row: Sequence) -> Optional[frozenset]:
         if type(row) is list:
             row = tuple(row)
-        mine = cells.get(row, ...)
-        if mine is ...:
-            bad = len(row) != n or len(set(row)) != n or not all(1 <= s <= lam for s in row)
-            mine = cells[row] = None if bad else frozenset(enumerate(row))
+        try:
+            mine = cells.get(row, ...)
+            if mine is ...:
+                bad = len(row) != n or len(set(row)) != n or not all(1 <= s <= lam for s in row)
+                mine = cells[row] = None if bad else frozenset(enumerate(row))
+        except TypeError:  # an unhashable symbol, a row with no len, or 1 <= s unsupported
+            return None
         return mine
 
     get = cells.get

@@ -2,24 +2,32 @@
 
 ``_CHECKS`` is the one registry of these checks.  ``latin3 verify`` and the
 acceptance gate (``tests/test_acceptance.py``) both run it through
-``run_verify``.  Each row names a check, its lane and its check function:
+``run_verify``, which runs every check in registry order.  Each row names a
+check and its check function.  n_max (1..6) bounds how far in n a check
+reads, and each check stops at its own limit:
 
-* fast lane    -- closed forms and graph construction only; no search
-* engine lane  -- everything involving the deletion-contraction engine
-* oracle lane  -- everything grounded in brute-force enumeration
+* gnpq-structure        -- every G(n,p,q) with n <= 5, at every n_max
+* identify-symmetry     -- four fixed graphs, at every n_max
+* formula-equivalence   -- n <= n_max, and lambda = n up to n = 20
+* surgery-closed-form   -- every G(n,p,q) with n <= min(n_max, 3), then
+  G(4) when n_max >= 4
+* theorem2-m-invariance -- n <= min(n_max, 3)
+* reduction-identity, engine-vs-brute and multiplicativity -- fixed and
+  seeded random graphs, at every n_max
+* chromatic-shape       -- every polynomial the checks before it computed
+* derangement-oracle    -- the same 209 cells of Theorem 3's derangement
+  band, at every n_max
+* latin-bridge          -- lambda = 1..6 for n <= min(n_max, 3), then
+  (4, 4) and (4, 5) when n_max >= 4
 
 A check function yields once per cell it checks: None if the cell holds,
 else a message naming the counterexample, and the check stops at its first
 message.  Each identity has one check, which compares every route of it on
-the same cells.  The engine lane stops at n <= 4: surgery reads every
-G(n,p,q) with n <= 3 and G(4) itself, and Theorem 2 stops at n <= 3.
-engine-vs-brute gives every graph it reads the memoized engine, the
-unmemoized engine and brute force.  derangement-oracle checks the same 209
-cells of Theorem 3's derangement band at every n_max.  latin-bridge streams
-each rectangle walk it reads once, counting, order-checking and validating
-it in one pass, so the oracle lane never holds a list of rectangles.  All
-randomness is seeded, so a given configuration always produces the same
-report.
+the same cells.  engine-vs-brute gives every graph it reads the memoized
+engine, the unmemoized engine and brute force.  latin-bridge streams each
+rectangle walk it reads once, counting, order-checking and validating it in
+one pass, so it never holds a list of rectangles.  All randomness is
+seeded, so a given n_max and seed always produce the same report.
 
 The checks that compare routes in lambda sample one rule, _lams(n) =
 n..4n+2.  At lambda >= n every route's count of G(n,p,q) is a polynomial in
@@ -62,8 +70,6 @@ RANDOM_GRAPH_COUNT = 50
 @dataclass(frozen=True)
 class VerifyConfig:
     n_max: int = 3
-    include_engine: bool = True
-    include_oracle: bool = True
     seed: int = DEFAULT_SEED
 
 
@@ -330,24 +336,23 @@ def _latin_bridge(run: _Run) -> Cells:
 
 class _Check(NamedTuple):
     name: str
-    lane: str  # "fast", "engine" or "oracle"
     cells: Callable[[_Run], Cells]
 
 
 # The registry, in report order.  chromatic-shape must follow every other
 # engine check, since it inspects the polynomials they computed.
 _CHECKS = (
-    _Check("gnpq-structure", "fast", _gnpq_structure),
-    _Check("identify-symmetry", "fast", _identify_symmetry),
-    _Check("formula-equivalence", "fast", _formula_equivalence),
-    _Check("surgery-closed-form", "engine", _surgery),
-    _Check("theorem2-m-invariance", "engine", _theorem2),
-    _Check("reduction-identity", "engine", _reduction),
-    _Check("engine-vs-brute", "engine", _engine_vs_brute),
-    _Check("multiplicativity", "engine", _multiplicativity),
-    _Check("chromatic-shape", "engine", _chromatic_shape),
-    _Check("derangement-oracle", "oracle", _derangement_oracle),
-    _Check("latin-bridge", "oracle", _latin_bridge),
+    _Check("gnpq-structure", _gnpq_structure),
+    _Check("identify-symmetry", _identify_symmetry),
+    _Check("formula-equivalence", _formula_equivalence),
+    _Check("surgery-closed-form", _surgery),
+    _Check("theorem2-m-invariance", _theorem2),
+    _Check("reduction-identity", _reduction),
+    _Check("engine-vs-brute", _engine_vs_brute),
+    _Check("multiplicativity", _multiplicativity),
+    _Check("chromatic-shape", _chromatic_shape),
+    _Check("derangement-oracle", _derangement_oracle),
+    _Check("latin-bridge", _latin_bridge),
 )
 
 
@@ -361,17 +366,11 @@ def _run_check(check: _Check, run: _Run) -> CheckResult:
 
 
 def run_verify(cfg: VerifyConfig) -> list[CheckResult]:
-    """Run every registry check that the config's lanes and n_max select, in order."""
-    if cfg.n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {cfg.n_max}")
-    if cfg.n_max > FORMULA_N_GUARD:
-        raise ValueError(
-            f"n_max={cfg.n_max} exceeds the guard of {FORMULA_N_GUARD}; "
-            "the closed forms are cheap but the cross-check lanes are not"
-        )
-    lanes = {"fast": True, "engine": cfg.include_engine, "oracle": cfg.include_oracle}
+    """Run every registry check, in order."""
+    if not 1 <= cfg.n_max <= FORMULA_N_GUARD:
+        raise ValueError(f"n_max must be in 1..{FORMULA_N_GUARD}, got {cfg.n_max}")
     run = _Run(cfg, random_graphs(cfg.seed))
-    return [_run_check(check, run) for check in _CHECKS if lanes[check.lane]]
+    return [_run_check(check, run) for check in _CHECKS]
 
 
 def render_report(results: list[CheckResult]) -> str:

@@ -34,6 +34,13 @@ def test_counter_off_by_one_fails(capsys):
     assert '"nodes": 27,' in log
 
 
+def test_counters_with_wrong_output_fail(capsys):
+    assert checks.run([("exact", (checks.counters, BRUTE_23, '{"nodes": 174}', "2 3 brute 12\n"))]) == []
+    capsys.readouterr()
+    log = fails(("Brute counters", (checks.counters, BRUTE_23, '{"nodes": 174}', "2 3 brute 13\n")), capsys)
+    assert "stdout '2 3 brute 12\\n'" in log
+
+
 def test_budget_with_wrong_node_count_fails(capsys):
     assert checks.run([("exact", (checks.budget, BRUTE_23, 174, "12 colorings", "2 3 brute 12"))]) == []
     capsys.readouterr()

@@ -425,24 +425,6 @@ def test_table_builds_each_gn_once(capsys, monkeypatch, formula):
 
 # --- verify ------------------------------------------------------------------
 
-def test_verify_fast_lane(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--n-max", "2", "--skip-engine", "--skip-oracle"
-    )
-    assert code == 0
-    assert "FAIL" not in out
-    assert "formula-equivalence" in out
-    assert "reduction-identity" not in out  # engine lane was skipped
-    assert "derangement-oracle" not in out  # oracle lane was skipped
-    assert out.rstrip().endswith("all passed")
-
-
-def test_verify_engine_lane_includes_surgery(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--n-max", "1", "--skip-oracle")
-    assert code == 0
-    assert "PASS surgery-closed-form" in out
-
-
 @pytest.mark.parametrize("n_max", ["0", "7"])
 def test_verify_n_max_out_of_range(capsys, n_max):
     code, out, err = run_cli(capsys, "verify", "--n-max", n_max)
@@ -465,7 +447,7 @@ def test_verify_output_is_unchanged_by_optimize_flag(latin3_env):
 
 
 def test_verify_is_deterministic(capsys):
-    args = ("verify", "--n-max", "2", "--skip-engine")
+    args = ("verify", "--n-max", "2")
     code, first, _ = run_cli(capsys, *args)
     assert code == 0
     code, second, _ = run_cli(capsys, *args)
@@ -483,7 +465,7 @@ def test_main_is_reentrant_with_one_parser(capsys, tmp_path):
     calls = [
         ("table", "--formula", "latin-oracle", "--n", "1..2", "--lambda", "3", "--stats"),
         ("table", "--formula", "engine", "--n", "2", "--lambda", "4", "--format", "json"),
-        ("verify", "--n-max", "1", "--skip-engine"),
+        ("verify", "--n-max", "1"),
         ("chromatic", graph, "--stats"),
         ("gnpq", "2", "1", "1", "3"),
         ("table", "--formula", "nope", "--n", "1"),

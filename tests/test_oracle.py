@@ -412,6 +412,30 @@ def test_first_invalid_judges_list_rows_as_tuple_rows():
     assert first_invalid([good, ((1, 2), (2, 3), [3, 1]), bad, good], 2, 3) is bad
 
 
+@pytest.mark.parametrize(
+    "rect",
+    [
+        [[1, 2], [2, 1], [3, None]],
+        [[1, 2], [2, 1], [3, "4"]],
+        [[1, 2], [2, 1], [3, [4]]],
+        [[None, 2], [2, 1], [3, 4]],
+        [[1, 2], [[2], 1], [3, 4]],
+        [[1, 2], [2, 1], "34"],
+        [[1, 2], 5, [3, 4]],
+        [None, [2, 1], [3, 4]],
+        [[1, 2], [2, 1], None],
+    ],
+    ids=["null-symbol", "string-symbol", "list-symbol", "null-in-row-0", "list-in-row-1",
+         "string-row", "number-row", "null-row-0", "null-row-2"],
+)
+def test_first_invalid_returns_json_rectangles_it_cannot_judge(rect):
+    # symbols and rows that JSON can hold but that are no symbols or rows:
+    # the rectangle is invalid, alone or after a valid one, and nothing raises
+    good = [[1, 2], [2, 1], [3, 4]]
+    assert first_invalid([rect], 2, 4) is rect
+    assert first_invalid([good, rect, good], 2, 4) is rect
+
+
 def _is_latin_rectangle_per_symbol(rect, n, lam):
     """A validator that shares no code with oracle.first_invalid: a
     generator over every symbol and a set per column."""

@@ -1,7 +1,7 @@
-"""Tests for the self-check harness itself: lane selection, check order,
-failure paths, determinism, report rendering.  The identities the harness
-checks are covered in depth by the other test modules; here we only need
-small, fast configurations."""
+"""Tests for the self-check harness itself: check order, failure paths,
+determinism, report rendering.  The identities the harness checks are
+covered in depth by the other test modules; here we only need small, fast
+configurations."""
 
 import math
 import tracemalloc
@@ -32,24 +32,12 @@ def test_all_lanes_pass_at_minimal_size():
     assert "latin-bridge" in names(results)
 
 
-def test_lane_flags_prune_checks():
-    results = run_verify(
-        VerifyConfig(n_max=2, include_engine=False, include_oracle=False)
-    )
-    got = names(results)
-    assert "formula-equivalence" in got
-    assert "gnpq-structure" in got
-    assert "reduction-identity" not in got
-    assert "derangement-oracle" not in got
-    assert all(r.passed for r in results)
-
-
 def test_first_row_check_covers_every_bridge_cell():
     # latin-bridge checks free = falling(lam, n) * pinned on each cell it
     # counts, from n_max = 1 on: lam = 1..6 for each n <= 3, then (4, 4) and
     # (4, 5)
     for n_max, cells in ((1, 6), (2, 12), (4, 20)):
-        results = {r.name: r for r in run_verify(VerifyConfig(n_max=n_max, include_engine=False))}
+        results = {r.name: r for r in run_verify(VerifyConfig(n_max=n_max))}
         assert results["latin-bridge"].passed
         assert results["latin-bridge"].cells == cells
 
@@ -87,7 +75,7 @@ def test_formula_equivalence_fails_on_aps_g_wrong_past_lambda_6(monkeypatch):
     monkeypatch.setattr(
         formulas, "aps_g", lambda n, lam: real(n, lam) + ((n, lam) == (2, 9))
     )
-    results = {r.name: r for r in run_verify(VerifyConfig(n_max=6, include_oracle=False))}
+    results = {r.name: r for r in run_verify(VerifyConfig(n_max=6))}
     check = results["formula-equivalence"]
     assert not check.passed
     assert check.detail.startswith("n=2 lam=9: ")
@@ -101,7 +89,7 @@ def test_surgery_fails_on_g_npq_closed_wrong_past_lambda_6(monkeypatch):
         "g_npq_closed",
         lambda n, p, q, lam: real(n, p, q, lam) + ((n, p, q, lam) == (2, 1, 0, 9)),
     )
-    results = {r.name: r for r in run_verify(VerifyConfig(n_max=6, include_oracle=False))}
+    results = {r.name: r for r in run_verify(VerifyConfig(n_max=6))}
     check = results["surgery-closed-form"]
     assert not check.passed
     assert check.detail.startswith("n=2 p=1 q=0 lam=9: ")
@@ -171,7 +159,7 @@ def test_surgery_fails_on_an_engine_wrong_only_on_g4(monkeypatch):
         return Poly.of(c)
 
     monkeypatch.setattr(verify, "chromatic_poly", wrong)
-    results = run_verify(VerifyConfig(n_max=4, include_oracle=False))
+    results = run_verify(VerifyConfig(n_max=4))
     assert failures(results) == [
         ("surgery-closed-form", "n=4 p=0 q=0 lam=4: closed=576 engine=572", 193)
     ]
@@ -188,7 +176,7 @@ def test_engine_vs_brute_fails_on_an_unmemoized_engine_wrong_on_one_graph(monkey
         return Poly.of(c)
 
     monkeypatch.setattr(verify, "chromatic_poly", wrong)
-    results = run_verify(VerifyConfig(n_max=1, include_oracle=False))
+    results = run_verify(VerifyConfig(n_max=1))
     assert failures(results) == [
         ("engine-vs-brute", "triangle: memoized=(0, 2, -3, 1) unmemoized=(0, 1, -3, 1)", 9 * 7 + 1)
     ]
@@ -202,7 +190,7 @@ def test_latin_bridge_fails_on_a_wrong_pinned_count(monkeypatch):
         "count_latin",
         lambda n, lam, pinned=False: real(n, lam, pinned) + (pinned and (n, lam) == (2, 3)),
     )
-    results = run_verify(VerifyConfig(n_max=2, include_engine=False))
+    results = run_verify(VerifyConfig(n_max=2))
     assert failures(results) == [
         (
             "latin-bridge",
@@ -234,13 +222,18 @@ def test_formula_equivalence_fails_on_riordan_wrong_only_at_one_n(monkeypatch, n
 
 
 def test_gnpq_structure_fails_on_a_surgery_that_keeps_the_rungs(monkeypatch):
-    # G(n,0,q) has the 3n - q vertices of G(n,p,q); only its p extra rung
-    # edges tell it apart
+    # G(n,0,q) has the 3n - q vertices of G(n,p,q).  gnpq-structure tells it
+    # apart by its p extra rung edges alone, and the two engine checks that
+    # read G(1,1,0) by its polynomial: at lambda = 2 the triangle G(1,0,0)
+    # has 0 colourings, the path G(1,1,0) 2 and the edge G(1,0,1) 2
     monkeypatch.setattr(verify, "build_gnpq", lambda n, p, q: graphs.build_gnpq(n, 0, q))
-    results = run_verify(VerifyConfig(n_max=1, include_engine=False, include_oracle=False))
-    assert {r.name for r in results if not r.passed} == {"gnpq-structure"}
-    failed = next(r for r in results if r.name == "gnpq-structure")
-    assert failed.detail == "G(1,1,0) has 3 edges, want 2"
+    results = run_verify(VerifyConfig(n_max=1))
+    assert failures(results) == [
+        ("gnpq-structure", "G(1,1,0) has 3 edges, want 2", 8),
+        # after the 12 cells of G(1,0,0) and G(1,0,1), and G(1,1,0) at lambda = 1
+        ("surgery-closed-form", "n=1 p=1 q=0 lam=2: closed=2 engine=0", 14),
+        ("theorem2-m-invariance", "n=1 m=1 lam=2: sum=-2 engine=0", 2),
+    ]
 
 
 def test_gnpq_structure_fails_on_a_line_graph_wrong_only_at_5(monkeypatch):
@@ -270,7 +263,7 @@ def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
     monkeypatch.setattr(
         verify, "chromatic_poly", lambda g, **kw: Poly.of(map(abs, real(g, **kw).coefficients))
     )
-    results = {r.name: r for r in run_verify(VerifyConfig(n_max=1, include_oracle=False))}
+    results = {r.name: r for r in run_verify(VerifyConfig(n_max=1))}
     shape = results["chromatic-shape"]
     assert not shape.passed
     assert shape.detail == "a 3-vertex graph has coefficients (0, 2, 3, 1)"
@@ -291,7 +284,7 @@ def test_enumeration_consistency_fails_on_a_repeated_rectangle(monkeypatch):
     # a repeat in place of a missing rectangle keeps the length, the order
     # and every rectangle valid; only latin-bridge's strict increase catches it
     _edit_walk(monkeypatch, lambda rects, n, lam: rects[:1] + rects[:-1])
-    results = run_verify(VerifyConfig(n_max=1, include_engine=False))
+    results = run_verify(VerifyConfig(n_max=1))
     assert failures(results) == [
         ("latin-bridge", "n=1 lam=3: output is not in lexicographic order", 3)
     ]
@@ -326,7 +319,7 @@ def _invalid_first(rects, n, lam):
 def test_enumeration_consistency_fails_on_a_faulty_walk(monkeypatch, edit, detail):
     # (1, 3) is latin-bridge's third cell, and its first with rectangles
     _edit_walk(monkeypatch, edit)
-    results = run_verify(VerifyConfig(n_max=1, include_engine=False))
+    results = run_verify(VerifyConfig(n_max=1))
     routes = "count_latin=6 thm3=6 falling(lam,n)*pinned=6"
     assert failures(results) == [("latin-bridge", detail.format(routes=routes), 3)]
 
@@ -336,7 +329,7 @@ def test_oracle_checks_stream_their_walks(name):
     # with the run's counts filled by a first latin-bridge, neither check may
     # hold its walk: a list of (3, 5)'s 27,480 rectangles would take about
     # 2.2 MiB, and injection chunks of 4,096 about 1.2 MiB
-    cfg = VerifyConfig(n_max=3, include_engine=False)
+    cfg = VerifyConfig(n_max=3)
     run = verify._Run(cfg, verify.random_graphs(cfg.seed))
     checks = {check.name: check for check in verify._CHECKS}
     assert verify._run_check(checks["latin-bridge"], run).passed
@@ -370,7 +363,7 @@ def test_derangement_oracle_fails_on_one_wrong_band_entry(monkeypatch, cell, det
             yield [e + ((d, m, s) == cell) for m, e in enumerate(column, s)]
 
     monkeypatch.setattr(verify.comb, "derangement_columns", wrong)
-    results = run_verify(VerifyConfig(n_max=1, include_engine=False))
+    results = run_verify(VerifyConfig(n_max=1))
     assert failures(results) == [("derangement-oracle", detail, cells)]
 
 
@@ -386,7 +379,7 @@ def test_oracle_lane_counts_each_cell_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(oracle, name, counted)
-    results = run_verify(VerifyConfig(n_max=4, include_engine=False))
+    results = run_verify(VerifyConfig(n_max=4))
     assert all(r.passed for r in results)
     # the 20 latin-bridge cells, free and pinned
     assert len(calls["count_latin"]) == 40
@@ -397,7 +390,7 @@ def test_oracle_lane_counts_each_cell_once(monkeypatch):
 
 
 def test_runs_are_deterministic():
-    cfg = VerifyConfig(n_max=2, include_oracle=False)
+    cfg = VerifyConfig(n_max=2)
     first = render_report(run_verify(cfg))
     second = render_report(run_verify(cfg))
     assert first == second
@@ -411,7 +404,7 @@ def test_runs_are_deterministic():
     ],
 )
 def test_config_validation(cfg):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^n_max must be in 1\.\.6, got {cfg.n_max}$"):
         run_verify(cfg)
 
 
