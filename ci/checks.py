@@ -266,6 +266,11 @@ CHECKS = [
      # compares them only to n = 6.
      (agree, [(n, lam) for n in range(1, 151) for lam in (n, n + 1, 2 * n, 10**5)],
       {"thm3_g": thm3_g, "g_npq_closed(n, 0, 0, lambda)": lambda n, lam: g_npq_closed(n, 0, 0, lam)})),
+    ("Theorem 3 at n in the hundreds",
+     # thm3_g reads the reduced band, whose columns shrink most against the
+     # unreduced one at large n; the checks above compare thm3_g with
+     # another route only up to n = 200.
+     (agree, [(n, lam) for n in (300, 400, 500) for lam in (n, n + 1)], {"thm3_g": thm3_g, "aps_g": aps_g})),
     ("Over-limit graphs refused unbuilt",
      # Both check G(n,p,q)'s 3n - q vertices against --max-vertices before
      # building it, so G(3000), 9000 vertices, is refused within 2 s.

@@ -5,14 +5,13 @@ falling and binom are guarded wrappers of math.perm and math.comb.  The
 rest is the constrained-injection count gen_derangement and
 derangement_columns, the band of those counts that Theorem 3's closed form
 reads, built one column at a time, as it is read, from a fixed-point-free
-diagonal.
+diagonal, and held reduced: column s divided by falling(d + s, s).
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterator
 
 
@@ -62,8 +61,9 @@ def gen_derangement(lam: int, n: int, t: int) -> int:
 
 
 def derangement_columns(n: int, d: int = 0) -> Iterator[list[int]]:
-    """Iterator over columns s = 0..n // 2 of e(m, s) = gen_derangement(m + d,
-    m, m - s), column s holding m = s..n - s.
+    """Iterator over columns s = 0..n // 2 of the reduced band b(m, s) =
+    e(m, s) / F_s, m = s..n - s, where e(m, s) = gen_derangement(m + d, m,
+    m - s) and F_s = falling(d + s, s) = (d + 1)(d + 2)...(d + s).
 
     e(m, s) counts the injections of {1..m} into {1..m+d} that may fix only
     points among the last s; at d = 0 they are permutations.  Column 0 is
@@ -78,23 +78,25 @@ def derangement_columns(n: int, d: int = 0) -> Iterator[list[int]]:
 
     seeded by gen_derangement itself.  The injections that e(m, s+1) counts
     and e(m, s) does not fix point m - s; removing it and its image leaves
-    the ones e(m-1, s) counts, so
+    the ones e(m-1, s) counts, so e(m, s+1) = e(m, s) + e(m-1, s).  By
+    inclusion-exclusion over the fixed points among the first m - s points,
+    e(m, s) = sum_{j <= m-s} (-1)^j C(m-s, j) (d + 1)(d + 2)...(m + d - j),
+    and as j <= m - s each product holds F_s.  So F_s divides e(m, s), and
 
-        e(m, s+1) = e(m, s) + e(m-1, s),
+        b(m, s+1) = (b(m, s) + b(m-1, s)) / (d + s + 1)
 
-    so each further column is one C-level pairwise add of the last one with
-    itself shifted, two entries shorter.  The arguments are checked and
-    column 0 is built at the call; each further column is built only when
-    the reader asks for it, and only the last one is held.  These are
-    exactly the entries formulas.g_npq_closed reads: B(k, t1) = e(k, t1)
-    with d = lam - n, and a split (k, l) with k + l = n reads only
-    t1 <= min(k, l), so m <= n - t1.
+    divides exactly.  Each further column is one pass over the last one
+    and itself shifted, two entries shorter.  The arguments are checked
+    and column 0 is built at the call; each further column is built only
+    when the reader asks for it, and only the last one is held.  These
+    are exactly the entries formulas.g_npq_closed reads: B(k, t1) =
+    F_t1 b(k, t1) with d = lam - n, and a split (k, l) with k + l = n
+    reads only t1 <= min(k, l), so m <= n - t1.
     """
     if n < 0 or d < 0:
         raise ValueError(f"derangement_columns: need n, d >= 0, got n={n} d={d}")
     column = [gen_derangement(d, 0, 0), gen_derangement(d + 1, 1, 1)][: n + 1]
     for m in range(2, n + 1):
         column.append((m + d - 1) * column[-1] + (m - 1) * column[-2])
-    return accumulate(
-        repeat(None, n // 2), lambda c, _: list(map(operator.add, c, c[1:-1])), initial=column
-    )
+    steps = range(d + 1, d + n // 2 + 1)  # column s is divided by d + s
+    return accumulate(steps, lambda b, k: [(x + y) // k for x, y in zip(b, b[1:-1])], initial=column)

@@ -28,7 +28,8 @@ gen_derangement(a, b, t), with d = lam - n:
   revision of C(k, t1) C(k-t1, t) C(d+t1, k-t).
 
 So every split reads one band of generalized derangement numbers,
-e(m, s) = GD(m+d, m, m-s) for s <= n // 2 and m = s..n-s
+e(m, s) = GD(m+d, m, m-s) for s <= n // 2 and m = s..n-s, read reduced by
+the F_s = falling(d+s, s) that divides column s
 (combinatorics.derangement_columns), and no window sum is evaluated.
 
 The sums are evaluated so that a term costs about one multiply-add.
@@ -44,7 +45,7 @@ when the sum reaches it, so the band is held one column at a time and none
 past the splits' reach is built.  thm3_g walks the same columns, but at
 p = q = 0 the binomials of column s collapse to one row C(n - 2s, i), so
 it adds each split to its mirror and takes half the big products.
-Powers of two are shifts, and no route but aps_literal divides.
+Powers of two are shifts, and every division outside aps_literal is exact.
 """
 
 from __future__ import annotations
@@ -216,18 +217,6 @@ def aps_literal(n: int, lam: int) -> int:
     return exact(f(lam) * total, f(d) ** 3, "lam! * sum / ((lam-n)!)^3")
 
 
-def _split_weights(n: int, lam: int, top: int) -> list[int]:
-    """s! * falling(lam, n - s) for s = 0..top, lam >= n >= 2 top.
-
-    falling(lam, n - s) gains the factor lam - n + s + 1 per step down in s,
-    so both running products are taken without a division.
-    """
-    d = lam - n
-    falls = accumulate(range(d + top, d, -1), operator.mul, initial=falling(lam, n - top))
-    facts = accumulate(range(1, top + 1), operator.mul, initial=1)
-    return list(map(operator.mul, facts, reversed(list(falls))))
-
-
 def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     """Proper lam-colorings of the surgered graph G(n,p,q), p, q >= 0 and
     p + q <= n.
@@ -251,12 +240,12 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
       C(d+t1, t1) C(k, t) C(d, k-t1-t) both equal
       k! (d+t1)! / (t1! t! (k-t)! (k-t1-t)! (d+t1+t-k)!).
 
-    As falling(lam, n) = falling(lam, n-t1) * t1! * C(d+t1, t1), the split
-    is, with no division,
+    So A(l, t1) = C(l, t1) e(l, t1) / C(d+t1, t1) over the band e(m, s) =
+    GD(m+d, m, m-s).  With F_s = falling(d+s, s) = s! C(d+s, s) and the
+    reduced band b = e / F_s of derangement_columns(n, d), the split is
 
-        sum_{t1} t1! falling(lam, n-t1) C(l, t1) e(l, t1) C(k, t1) e(k, t1)^2
+        falling(lam, n) sum_{t1} t1! F_t1^2 C(l, t1) b(l, t1) C(k, t1) b(k, t1)^2.
 
-    over the band e(m, s) = GD(m+d, m, m-s) of derangement_columns(n, d).
     Deletion-contraction on the row-1/row-2 edge of a plain column makes it
     a deleted column minus an identified one, so with r = n - p - q plain
     columns the count is the alternating sum over j = 0..r of (-1)^j C(r, j)
@@ -268,16 +257,16 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     chromatic engine remains the independent side.
 
     The double sum runs with t1 = s outside.  Column s of the band holds
-    every e(m, s) a split with min(k, l) >= s reads, m = s..n-s.  Each
+    every b(m, s) a split with min(k, l) >= s reads, m = s..n-s.  Each
     split has one sign, (-1)^j C(r, j) at l = q + j and 0 at every other
-    l, so a column is read whole: u = C(m, s) e(m, s) is formed once per
-    entry, v = u e(m, s) is read from its far end, at k = n - l, and the
+    l, so a column is read whole: u = C(m, s) b(m, s) is formed once per
+    entry, v = u b(m, s) is read from its far end, at k = n - l, and the
     terms sign_l u_l v_k are added in one C-level pass.  The weight
-    s! falling(lam, n-s), a running product from both ends, multiplies that
-    column's sum once.  The columns are zipped with the weights of
-    s = 0..min(min(p, q) + r, n // 2), the largest min(k, l) of any split,
-    so no column past it is built.  Row 3 of G(n,p,q) is still an
-    n-clique, so for 0 <= lam < n the count is 0.
+    s! F_s^2, a running product of the small factors s (d+s)^2, multiplies
+    that column's sum once, and falling(lam, n) the whole sum.  The columns
+    are zipped with the weights of s = 0..min(min(p, q) + r, n // 2), the
+    largest min(k, l) of any split, so no column past it is built.  Row 3
+    of G(n,p,q) is still an n-clique, so for 0 <= lam < n the count is 0.
     """
     _check_n_lam("g_npq_closed", n, lam)
     if p < 0 or q < 0 or p + q > n:
@@ -286,7 +275,7 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
         return 0
     d, r = lam - n, n - p - q
     top = min(min(p, q) + r, n // 2)  # the largest min(k, l) of any split
-    weights = _split_weights(n, lam, top)
+    weights = accumulate(range(1, top + 1), lambda w, s: w * s * (d + s) ** 2, initial=1)
     # signs[l] = (-1)^j C(r, j) at l = q + j, the split (n-l, l), else 0
     binoms = map(math.comb, repeat(r), range(r + 1))
     signs = [0] * q + [-c if j % 2 else c for j, c in enumerate(binoms)] + [0] * p
@@ -296,7 +285,7 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
         u = list(map(operator.mul, map(math.comb, range(s, n - s + 1), repeat(s)), column))
         v = map(operator.mul, reversed(u), reversed(column))
         total += weight * sum(map(operator.mul, signs[s : n - s + 1], map(operator.mul, u, v)))
-    return total
+    return falling(lam, n) * total
 
 
 def thm3_g(n: int, lam: int) -> int:
@@ -305,17 +294,19 @@ def thm3_g(n: int, lam: int) -> int:
     splits (n-l, l) with signs (-1)^l C(n, l).
 
     That is g_npq_closed's sum at p = q = 0, taken here with each split
-    paired with its mirror.  In column s of the band, the split (n-l, l)
-    adds s! falling(lam, n-s) times (-1)^l C(n, l) C(l, s) e(l, s)
-    C(n-l, s) e(n-l, s)^2.  With N = n - 2s and l = s + i, the three
+    paired with its mirror.  In column s of the reduced band b, the split
+    (n-l, l) adds falling(lam, n) s! F_s^2 times (-1)^l C(n, l) C(l, s)
+    b(l, s) C(n-l, s) b(n-l, s)^2.  With N = n - 2s and l = s + i, the three
     binomials are one row in i times a factor of the column,
 
         C(n, l) C(l, s) C(n-l, s) = n! / (s! s! i! (N-i)!)
                                   = C(n, 2s) C(2s, s) C(N, i),
 
-    and with a_i = e(s+i, s), entry i of the column, e(n-l, s) = a_{N-i}.
-    So column s adds (-1)^s C(n, 2s) C(2s, s) s! falling(lam, n-s) T_s,
+    and with a_i = b(s+i, s), entry i of the column, b(n-l, s) = a_{N-i}.
+    So column s adds falling(lam, n) w_s T_s, where w_0 = 1,
+    w_{s+1} = -w_s N (N-1) (d+s+1)^2 / (s+1) exactly, and
 
+        w_s = (-1)^s C(n, 2s) C(2s, s) s! F_s^2,
         T_s = sum_{i=0}^{N} (-1)^i C(N, i) a_i a_{N-i}^2.
 
     Terms i and N - i share C(N, i) and a_i a_{N-i}, and (-1)^(N-i) =
@@ -324,8 +315,9 @@ def thm3_g(n: int, lam: int) -> int:
         (-1)^i C(N, i) a_i a_{N-i} (a_{N-i} + (-1)^N a_i),
 
     and when N is even the middle term is (-1)^(N/2) C(N, N/2) a_{N/2}^3.
-    T_s is then one C-level pass over ceil(N/2) pairs: the product
-    a_i a_{N-i}, and the pair sum times the signed binomial (-1)^i C(N, i).
+    T_s is then one pass over ceil(N/2) pairs, the product a_i a_{N-i}
+    times the signed binomial (-1)^i C(N, i) times the pair sum, in a list
+    comprehension, which is faster here than chained maps.
     That is about N big-by-big products per column, where g_npq_closed's
     general loop takes about 2N.  Only the plain columns of G(n) give the
     single binomial row, so g_npq_closed keeps that loop for the surgered
@@ -339,28 +331,29 @@ def thm3_g(n: int, lam: int) -> int:
     the N // 2 + 1 entries that column s reads.
 
     The band is built and held one column of at most n + 1 numbers at a
-    time, and the whole sum is O(n^2) big-integer products that divide
-    nothing.  The count is 0 for 0 <= lam < n.  Agrees with
-    g_npq_closed(n, 0, 0, lam), with aps_g and with the chromatic engine
-    on G(n); the test suite and verify hold them together.
+    time, and the whole sum is O(n^2) big-integer products, whose only
+    divisions are exact ones by small ints.  The count is 0 for
+    0 <= lam < n.  Agrees with g_npq_closed(n, 0, 0, lam), with aps_g and
+    with the chromatic engine on G(n); the test suite and verify hold them
+    together.
     """
     _check_n_lam("thm3_g", n, lam)
     if lam < n:
         return 0
-    total = 0
+    d, total = lam - n, 0
     # row[i] = (-1)^i C(N, i) for i <= N // 2, from N = n
     row = [-c if i % 2 else c for i, c in enumerate(map(math.comb, repeat(n), range(n // 2 + 1)))]
-    columns = derangement_columns(n, lam - n)
-    for s, (weight, a) in enumerate(zip(_split_weights(n, lam, n // 2), columns)):
+    weight = 1  # (-1)^s C(n, 2s) C(2s, s) s! F_s^2, from s = 0
+    for s, a in enumerate(derangement_columns(n, d)):
         N = n - 2 * s
         h = (N + 1) // 2  # the pairs (i, N - i) with i < N - i
         far = a[: N - h : -1]  # a_{N-i} for i < h
-        pair_sums = map(operator.sub if N % 2 else operator.add, far, a)
-        products = map(operator.mul, a, far)  # a_i a_{N-i}
-        column_sum = sum(map(operator.mul, products, map(operator.mul, row, pair_sums)))
-        if not N % 2:
+        if N % 2:
+            column_sum = sum([r * (x * y) * (y - x) for r, x, y in zip(row, a, far)])
+        else:
+            column_sum = sum([r * (x * y) * (y + x) for r, x, y in zip(row, a, far)])
             column_sum += row[h] * a[h] ** 3
-        column_sum *= weight * (math.comb(n, 2 * s) * math.comb(2 * s, s))
-        total += -column_sum if s % 2 else column_sum
+        total += weight * column_sum
+        weight = -weight * N * (N - 1) * (d + s + 1) ** 2 // (s + 1)
         row = list(accumulate(accumulate(row[: N // 2])))  # the row of N - 2
-    return total
+    return falling(lam, n) * total

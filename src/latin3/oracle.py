@@ -261,7 +261,7 @@ def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rect
     a list, as in a rectangle loaded from JSON, is judged as the tuple of its
     symbols; a row that is no sequence, or that holds a symbol that does not
     compare with numbers or cannot be hashed (JSON's null, a string, a list),
-    makes its rectangle invalid.
+    makes its rectangle invalid, as does a rectangle with no len.
     """
     cells: dict[tuple, Optional[frozenset]] = {}
 
@@ -281,7 +281,10 @@ def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rect
     row0 = row1 = object()  # no row is this object, so the first pair is checked
     top: Optional[frozenset] = None  # the cells of rows 0 and 1, or None if they fail
     for rect in rects:
-        if len(rect) != 3:
+        try:
+            if len(rect) != 3:
+                return rect
+        except TypeError:  # a rectangle with no len, as JSON's null or a number
             return rect
         r0, r1, r2 = rect
         if r0 is not row0 or r1 is not row1:
@@ -315,8 +318,8 @@ def injection_counts(lam: int, n: int) -> list[int]:
     Walks every injection once via itertools.permutations and tests each
     one's fixed points, so it is an oracle fully independent of the counts
     it grounds: in verify, every entry e(m, s) = injection_counts(m + d,
-    m)[m - s] of Theorem 3's band combinatorics.derangement_columns(n, d),
-    and in the tests, the inclusion-exclusion formula gen_derangement.
+    m)[m - s] of Theorem 3's band (falling(d + s, s) times the reduced
+    derangement_columns), and in the tests, the formula gen_derangement.
 
     A fixed point j -> j needs a symbol j <= n, so the walk permutes the
     symbols 1..n and lam - n zeros standing for the symbols past n: it

@@ -16,7 +16,7 @@ reads, and each check stops at its own limit:
   seeded random graphs, at every n_max
 * chromatic-shape       -- every polynomial the checks before it computed
 * derangement-oracle    -- the same 209 cells of Theorem 3's derangement
-  band, at every n_max
+  band, each read reduced and multiplied back, at every n_max
 * latin-bridge          -- lambda = 1..6 for n <= min(n_max, 3), then
   (4, 4) and (4, 5) when n_max >= 4
 
@@ -276,12 +276,14 @@ def _chromatic_shape(run: _Run) -> Cells:
 
 
 def _derangement_oracle(run: _Run) -> Cells:
-    # every entry e(m, s) of the band the routes read at n + d <= 7, then
-    # column 0 at (8, 0): the classical derangement numbers D_0..D_8
+    # every entry e(m, s) = falling(d + s, s) b(m, s) of the reduced band the
+    # routes read at n + d <= 7, so the walks ground its divisibility too,
+    # then column 0 at (8, 0): the classical derangement numbers D_0..D_8
     bands = [(n, d, n // 2 + 1) for n in range(8) for d in range(8 - n)] + [(8, 0, 1)]
     for n, d, columns in bands:
         for s, column in zip(range(columns), comb.derangement_columns(n, d)):
-            for m, band in enumerate(column, s):
+            for m, reduced in enumerate(column, s):
+                band = comb.falling(d + s, s) * reduced
                 brute = run.injections(m + d, m)[m - s]
                 yield None if band == brute else (
                     f"n={n} d={d} m={m} s={s}: band={band} oracle={brute}"

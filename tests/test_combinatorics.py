@@ -78,38 +78,49 @@ def test_gen_derangement_rejects_bad_ranges(lam, n, t):
 
 
 def _band(n, d):
-    """derangement_columns(n, d) as {(m, s): e(m, s)}, checking its shape."""
+    """derangement_columns(n, d) as {(m, s): b(m, s)}, checking its shape."""
     columns = list(derangement_columns(n, d))
     assert [len(column) for column in columns] == [n - 2 * s + 1 for s in range(n // 2 + 1)]
-    return {(m, s): e for s, column in enumerate(columns) for m, e in enumerate(column, s)}
+    return {(m, s): b for s, column in enumerate(columns) for m, b in enumerate(column, s)}
+
+
+def _reduced(e, d, s):
+    """e(m, s) in the band's units: e // falling(d + s, s), which must divide it."""
+    b, remainder = divmod(e, falling(d + s, s))
+    assert remainder == 0, (e, d, s)
+    return b
 
 
 def test_derangement_columns_match_inclusion_exclusion():
-    # column s of derangement_columns(n, d) holds e(m, s) = GD(m+d, m, m-s)
-    # for m = s..n-s: injections of m points into m + d symbols that may fix
-    # only the last s points; d = 0 is the permutation band
-    for d in range(8):
+    # column s of derangement_columns(n, d) holds b(m, s) = e(m, s) / F_s for
+    # m = s..n-s, where e(m, s) = GD(m+d, m, m-s) counts the injections of m
+    # points into m + d symbols that may fix only the last s points (d = 0
+    # is the permutation band) and F_s = falling(d + s, s)
+    for d in range(31):
         want = {(m, s): gen_derangement(m + d, m, m - s) for m in range(31) for s in range(m + 1)}
         for n in range(31):
-            assert _band(n, d) == {
-                (m, s): want[m, s] for s in range(n // 2 + 1) for m in range(s, n - s + 1)
-            }, (n, d)
+            band = _band(n, d)
+            assert band.keys() == {(m, s) for s in range(n // 2 + 1) for m in range(s, n - s + 1)}
+            for (m, s), b in band.items():
+                assert falling(d + s, s) * b == want[m, s], (n, d, m, s)
     assert list(derangement_columns(30, 0)) == list(derangement_columns(30))
 
 
 def test_shifted_derangement_columns_match_inclusion_exclusion():
     # far more symbols than points, where the diagonal's factor m + d - 1
-    # and its seed e(1, 0) = d dwarf the (m - 1) e(m-2, 0) part
+    # and its seed e(1, 0) = d dwarf the (m - 1) e(m-2, 0) part, and each
+    # column's divisor d + s is near d
     for d in (10**3, 10**6):
         for n in range(13):
             assert _band(n, d) == {
-                (m, s): gen_derangement(m + d, m, m - s)
+                (m, s): _reduced(gen_derangement(m + d, m, m - s), d, s)
                 for s in range(n // 2 + 1)
                 for m in range(s, n - s + 1)
             }, (n, d)
 
 
 def test_derangement_column_zero_is_the_fixed_point_free_diagonal():
+    # F_0 = 1, so column 0 is unreduced
     for d in [*range(12), 10**3, 10**6]:
         assert next(derangement_columns(24, d)) == [gen_derangement(m + d, m, m) for m in range(25)], d
 
@@ -119,8 +130,8 @@ def _assert_band_matches_enumeration(d):
     # among 1..t by walking them, and e(m, s) is its entry t = m - s
     walked = [injection_counts(m + d, m) for m in range(7)]
     for n in range(7):
-        for (m, s), e in _band(n, d).items():
-            assert e == walked[m][m - s], (n, d, m, s)
+        for (m, s), b in _band(n, d).items():
+            assert b == _reduced(walked[m][m - s], d, s), (n, d, m, s)
 
 
 def test_derangement_columns_match_enumeration():

@@ -424,9 +424,12 @@ def test_first_invalid_judges_list_rows_as_tuple_rows():
         [[1, 2], 5, [3, 4]],
         [None, [2, 1], [3, 4]],
         [[1, 2], [2, 1], None],
+        None,
+        5,
     ],
     ids=["null-symbol", "string-symbol", "list-symbol", "null-in-row-0", "list-in-row-1",
-         "string-row", "number-row", "null-row-0", "null-row-2"],
+         "string-row", "number-row", "null-row-0", "null-row-2", "null-rectangle",
+         "number-rectangle"],
 )
 def test_first_invalid_returns_json_rectangles_it_cannot_judge(rect):
     # symbols and rows that JSON can hold but that are no symbols or rows:

@@ -23,7 +23,7 @@ def failures(results):
     return [(r.name, r.detail, r.cells) for r in results if not r.passed]
 
 
-def test_all_lanes_pass_at_minimal_size():
+def test_every_check_passes_at_minimal_size():
     results = run_verify(VerifyConfig(n_max=1))
     assert results, "harness produced no checks"
     failed = [r for r in results if not r.passed]
@@ -346,14 +346,16 @@ def test_oracle_checks_stream_their_walks(name):
 @pytest.mark.parametrize(
     "cell, detail, cells",
     [
-        ((2, 4, 1), "n=5 d=2 m=4 s=1: band=214 oracle=213", 146),
+        # F_1 = falling(3, 1) = 3 at d = 2, so b(4, 1) one too big reads
+        # e(4, 1) three too big
+        ((2, 4, 1), "n=5 d=2 m=4 s=1: band=216 oracle=213", 146),
         # D_8, the last cell read, is read only from column 0 at (8, 0)
         ((0, 8, 0), "n=8 d=0 m=8 s=0: band=14834 oracle=14833", 209),
     ],
     ids=["e(4,1)-at-d2", "D8"],
 )
 def test_derangement_oracle_fails_on_one_wrong_band_entry(monkeypatch, cell, detail, cells):
-    # the entry e(m, s) at d is one too big in every band that holds it; the
+    # the entry b(m, s) at d is one too big in every band that holds it; the
     # routes bind derangement_columns themselves, so only the check reading
     # it through verify's name can fail
     real = comb.derangement_columns
@@ -367,7 +369,7 @@ def test_derangement_oracle_fails_on_one_wrong_band_entry(monkeypatch, cell, det
     assert failures(results) == [("derangement-oracle", detail, cells)]
 
 
-def test_oracle_lane_counts_each_cell_once(monkeypatch):
+def test_oracle_checks_count_each_cell_once(monkeypatch):
     # latin-bridge alone reads count_latin's cells, and derangement-oracle
     # the injection walks, each one once however many band cells it grounds
     calls = {"count_latin": Counter(), "injection_counts": Counter()}
