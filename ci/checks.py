@@ -172,10 +172,10 @@ def refused(command):
         raise Failed(f"{command}: exit {code}, want 3")
 
 
-def oracle_memory():
-    """verify's derangement-oracle and latin-bridge pass on a fresh run at
-    n_max = 4, their traced peak under 1 MiB."""
-    checks = [check for check in verify._CHECKS if check.name in ("derangement-oracle", "latin-bridge")]
+def memory(kib, *names):
+    """verify's named checks, or every check if none is named, pass on a
+    fresh run at n_max = 4, their traced peak under kib KiB."""
+    checks = [check for check in verify._CHECKS if not names or check.name in names]
     tracemalloc.start()
     try:
         run = verify._Run(verify.VerifyConfig(n_max=4), verify.random_graphs(verify.DEFAULT_SEED))
@@ -186,8 +186,8 @@ def oracle_memory():
     failed = [r.name for r in results if not r.passed]
     if failed:
         raise Failed(f"verify failed: {failed}")
-    if peak >= 1 << 20:
-        raise Failed(f"the oracle checks peaked at {peak / 1024:.0f} KiB, not under 1 MiB")
+    if peak >= kib << 10:
+        raise Failed(f"{' and '.join(names) or 'the whole run'} peaked at {peak >> 10} KiB, not under {kib} KiB")
 
 
 CHECKS = [
@@ -325,10 +325,11 @@ CHECKS = [
      # latin-bridge streams its rectangle walks and derangement-oracle reads
      # the injections as one bytes object per chunk of 512: about 0.35 MiB,
      # and 2.0 MiB if verify listed every rectangle of a walk.  The whole run
-     # at n_max = 4 peaks at about 0.9 MiB, more than half of it the engine
-     # polynomials kept for chromatic-shape: too close to the bound to show a
-     # leak in these two.
-     (oracle_memory,)),
+     # peaks at about 0.48 MiB, since it keeps only the engine polynomials a
+     # later check reads again; keeping reduction-identity's children too
+     # took it to 0.9 MiB.
+     (memory, 1024, "derangement-oracle", "latin-bridge"),
+     (memory, 640)),
 ]
 
 

@@ -14,7 +14,7 @@ reads, and each check stops at its own limit:
 * theorem2-m-invariance -- n <= min(n_max, 3)
 * reduction-identity, engine-vs-brute and multiplicativity -- fixed and
   seeded random graphs, at every n_max
-* chromatic-shape       -- every polynomial the checks before it computed
+* chromatic-shape       -- every _Run.poly polynomial, as it is computed
 * derangement-oracle    -- the same 209 cells of Theorem 3's derangement
   band, each read reduced and multiplied back, at every n_max
 * latin-bridge          -- lambda = 1..6 for n <= min(n_max, 3), then
@@ -43,7 +43,7 @@ import functools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -96,25 +96,37 @@ def random_graphs(
     return out
 
 
-@dataclass
 class _Run:
     """What the checks of one run_verify call share: the config, the seeded
-    graph pool, one engine polynomial per graph any check has needed, and
-    oracle.count_latin and oracle.injection_counts cached, so each oracle
-    cell is counted, and each injection walk read, once per run."""
+    graph pool, oracle.count_latin and oracle.injection_counts cached, so
+    each oracle cell is counted, and each injection walk read, once per run,
+    and the engine polynomials.  poly checks each one's shape for
+    chromatic-shape as it computes it, and keeps it unless keep=False:
+    theorem2-m-invariance reads surgery's again, and engine-vs-brute and
+    multiplicativity the pool's, but no check reads reduction-identity's
+    children again."""
 
-    cfg: VerifyConfig
-    pool: list[Graph]
-    polys: dict[Graph, Poly] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(self, cfg: VerifyConfig, pool: list[Graph]) -> None:
+        self.cfg, self.pool = cfg, pool
+        self.polys: dict[Graph, Poly] = {}
+        self.shapes: list[Optional[str]] = []
         self.count = functools.cache(oracle.count_latin)
         self.injections = functools.cache(oracle.injection_counts)
 
-    def poly(self, g: Graph) -> Poly:
-        if g not in self.polys:
-            self.polys[g] = chromatic_poly(g)
-        return self.polys[g]
+    def poly(self, g: Graph, keep: bool = True) -> Poly:
+        poly = self.polys.get(g)
+        if poly is None:
+            poly = chromatic_poly(g)
+            # a chromatic polynomial has degree v, is monic, has no constant
+            # term when v >= 1, and the sign of its lambda^i coefficient is
+            # (-1)^(v - i) or 0
+            c, v = poly.coefficients, g.vertex_count
+            signs = all(x == 0 or (x > 0) == ((v - i) % 2 == 0) for i, x in enumerate(c))
+            shaped = poly.degree == v and c[-1] == 1 and (v == 0 or c[0] == 0) and signs
+            self.shapes.append(None if shaped else f"a {v}-vertex graph has coefficients {c}")
+            if keep:
+                self.polys[g] = poly
+        return poly
 
 
 Cells = Iterator[Optional[str]]
@@ -214,10 +226,11 @@ def _theorem2(run: _Run) -> Cells:
 
 
 def _reduction(run: _Run) -> Cells:
+    child = functools.partial(run.poly, keep=False)  # no later cell reads one
     for gi, g in enumerate(run.pool):
         whole = run.poly(g)
         for u, v in sorted(g.edges):
-            parts = run.poly(delete_edge(g, u, v)) - run.poly(identify(g, u, v))
+            parts = child(delete_edge(g, u, v)) - child(identify(g, u, v))
             yield None if whole == parts else (
                 f"random graph #{gi}, edge ({u},{v}): reduction identity fails"
             )
@@ -261,18 +274,6 @@ def _multiplicativity(run: _Run) -> Cells:
         union = Graph.from_edges(g.vertex_count + h.vertex_count, edges)
         same = run.poly(union) == run.poly(g) * run.poly(h)
         yield None if same else f"pair #{i}: union polynomial is not the product"
-
-
-def _chromatic_shape(run: _Run) -> Cells:
-    # every polynomial the earlier engine checks computed, one per graph: a
-    # chromatic polynomial has degree v, is monic, has no constant term when
-    # v >= 1, and the sign of its lambda^i coefficient is (-1)^(v - i) or 0
-    for g, poly in run.polys.items():
-        c = poly.coefficients
-        v = g.vertex_count
-        signs = all(x == 0 or (x > 0) == ((v - i) % 2 == 0) for i, x in enumerate(c))
-        shaped = poly.degree == v and c[-1] == 1 and (v == 0 or c[0] == 0) and signs
-        yield None if shaped else f"a {v}-vertex graph has coefficients {c}"
 
 
 def _derangement_oracle(run: _Run) -> Cells:
@@ -342,7 +343,7 @@ class _Check(NamedTuple):
 
 
 # The registry, in report order.  chromatic-shape must follow every other
-# engine check, since it inspects the polynomials they computed.
+# engine check: it reads the shapes of the polynomials they computed.
 _CHECKS = (
     _Check("gnpq-structure", _gnpq_structure),
     _Check("identify-symmetry", _identify_symmetry),
@@ -352,7 +353,7 @@ _CHECKS = (
     _Check("reduction-identity", _reduction),
     _Check("engine-vs-brute", _engine_vs_brute),
     _Check("multiplicativity", _multiplicativity),
-    _Check("chromatic-shape", _chromatic_shape),
+    _Check("chromatic-shape", lambda run: iter(run.shapes)),
     _Check("derangement-oracle", _derangement_oracle),
     _Check("latin-bridge", _latin_bridge),
 )
@@ -381,8 +382,5 @@ def render_report(results: list[CheckResult]) -> str:
         f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}" for r in results
     ]
     failed = sum(1 for r in results if not r.passed)
-    if failed:
-        lines.append(f"{len(results)} checks, {failed} failed")
-    else:
-        lines.append(f"{len(results)} checks, all passed")
+    lines.append(f"{len(results)} checks, " + (f"{failed} failed" if failed else "all passed"))
     return "\n".join(lines) + "\n"

@@ -73,3 +73,14 @@ def test_refuses_to_run_with_asserts_on():
     assert result.returncode != 0
     assert result.stdout == ""
     assert "python -O ci/checks.py" in result.stderr
+
+
+def test_a_run_that_keeps_every_polynomial_fails_the_memory_row(monkeypatch, capsys):
+    # the whole run's part sees reduction-identity's children kept again; the
+    # oracle checks' part, which computes no polynomial, still passes
+    poly = checks.verify._Run.poly
+    monkeypatch.setattr(checks.verify._Run, "poly", lambda run, g, keep=True: poly(run, g))
+    assert checks.run([("oracle checks", (checks.memory, 1024, "derangement-oracle", "latin-bridge"))]) == []
+    capsys.readouterr()
+    log = fails(("Verify memory", (checks.memory, 640)), capsys)
+    assert "the whole run peaked at " in log and " KiB, not under 640 KiB" in log

@@ -269,6 +269,25 @@ def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
     assert shape.detail == "a 3-vertex graph has coefficients (0, 2, 3, 1)"
 
 
+def test_chromatic_shape_checks_a_child_no_check_keeps(monkeypatch):
+    # random graph #2's first identify child is compared by reduction-identity
+    # and dropped: no other check reads it, so the run never keeps it, and
+    # chromatic-shape must still see its unsigned coefficients
+    cfg = VerifyConfig(n_max=1)
+    pool = verify.random_graphs(cfg.seed)
+    child = graphs.identify(pool[2], *min(pool[2].edges))
+    real = verify.chromatic_poly
+    unsigned = Poly.of(map(abs, real(child).coefficients))
+    monkeypatch.setattr(verify, "chromatic_poly", lambda g, **kw: unsigned if g == child else real(g, **kw))
+    run = verify._Run(cfg, pool)
+    results = [verify._run_check(check, run) for check in verify._CHECKS]
+    assert child not in run.polys
+    assert [(name, detail) for name, detail, _ in failures(results)] == [
+        ("reduction-identity", "random graph #2, edge (0,1): reduction identity fails"),
+        ("chromatic-shape", "a 6-vertex graph has coefficients (0, 0, 2, 7, 9, 5, 1)"),
+    ]
+
+
 def _edit_walk(monkeypatch, edit):
     """Make oracle.enumerate_latin, the walk latin-bridge reads, yield
     edit(rects, n, lam) in place of its rectangles."""
@@ -341,6 +360,19 @@ def test_oracle_checks_stream_their_walks(name):
         tracemalloc.stop()
     assert result.passed, result
     assert peak < 512 * 1024, f"{name} peaked at {peak // 1024} KiB"
+
+
+def test_a_whole_run_keeps_only_the_polynomials_a_later_check_reads():
+    # reduction-identity's 568 delete and identify children are checked and
+    # dropped; a run that kept them all peaked at about 905 KiB
+    tracemalloc.start()
+    try:
+        results = run_verify(VerifyConfig(n_max=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in results), failures(results)
+    assert peak < 640 * 1024, f"run_verify(n_max=4) peaked at {peak // 1024} KiB"
 
 
 @pytest.mark.parametrize(
