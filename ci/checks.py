@@ -178,7 +178,7 @@ def memory(kib, *names):
     checks = [check for check in verify._CHECKS if not names or check.name in names]
     tracemalloc.start()
     try:
-        run = verify._Run(verify.VerifyConfig(n_max=4), verify.random_graphs(verify.DEFAULT_SEED))
+        run = verify._Run(4, verify.DEFAULT_SEED)
         results = [verify._run_check(check, run) for check in checks]
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -31,7 +31,7 @@ from .graphs import (
 from .chromatic import Poly, chromatic_poly, count_colorings_bruteforce, eval_poly
 from .formulas import aps_g, g_npq_closed, riordan_l3, thm3_g
 from .oracle import Rectangle, count_latin, enumerate_latin, injection_counts
-from .verify import CheckResult, VerifyConfig, render_report, run_verify
+from .verify import CheckResult, render_report, run_verify
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "GraphParseError",
     "Poly",
     "Rectangle",
-    "VerifyConfig",
     "VertexLimitError",
     "aps_g",
     "build_gn",

@@ -22,7 +22,7 @@ from .errors import BudgetExceededError, VertexLimitError
 from .formulas import aps_g, g_npq_closed, riordan_l3, thm3_g
 from .graphs import Graph, build_gn, build_gnpq, gnpq_vertex_count, parse_graph
 from .oracle import count_latin
-from .verify import DEFAULT_SEED, VerifyConfig, render_report, run_verify
+from .verify import DEFAULT_SEED, render_report, run_verify
 
 FORMAT_CHOICES = ("plain", "csv", "json")
 STATS_HELP = "print the engine's counters as one JSON line on stderr"
@@ -149,7 +149,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_verify(VerifyConfig(n_max=args.n_max, seed=args.seed))
+    results = run_verify(n_max=args.n_max, seed=args.seed)
     sys.stdout.write(render_report(results))
     return 0 if all(r.passed for r in results) else 1
 

@@ -23,7 +23,8 @@ of perm(lam, n) candidate rows, and yields them lazily, so a reader that
 streams it never holds them all; itertools.islice takes its head.  The walk
 remembers which rows are compatible but no counts, so it stays a plain
 search and comparing it with count_latin compares two different searches.
-first_invalid validates a stream of rectangles in one pass.
+first_invalid validates a stream of rectangles in one pass; it takes rows
+as tuples, as enumerate_latin yields them, and raises TypeError on list rows.
 injection_counts walks the perm(lam, n) injections once, in chunks of 512,
 and counts them for every number t of forbidden fixed points.  It reads each
 chunk as one bytes object and tests a column of fixed points per translate;
@@ -257,34 +258,25 @@ def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rect
     object differs from the rectangle before's, as in enumerate_latin's
     blocks of rectangles that share both; the union of their cells is kept,
     and row 2 is checked against it with one isdisjoint.  On one rectangle,
-    first_invalid((rect,), n, lam) is None iff rect is valid.  A row that is
-    a list, as in a rectangle loaded from JSON, is judged as the tuple of its
-    symbols; a row that is no sequence, or that holds a symbol that does not
-    compare with numbers or cannot be hashed (JSON's null, a string, a list),
-    makes its rectangle invalid, as does a rectangle with no len.
+    first_invalid((rect,), n, lam) is None iff rect is valid.  Rows are
+    hashable sequences of numbers, as enumerate_latin's tuples are; anything
+    else, such as a list row, a None row or a string symbol, raises TypeError
+    or is judged invalid, and is never judged valid.
     """
     cells: dict[tuple, Optional[frozenset]] = {}
 
     def cells_of(row: Sequence) -> Optional[frozenset]:
-        if type(row) is list:
-            row = tuple(row)
-        try:
-            mine = cells.get(row, ...)
-            if mine is ...:
-                bad = len(row) != n or len(set(row)) != n or not all(1 <= s <= lam for s in row)
-                mine = cells[row] = None if bad else frozenset(enumerate(row))
-        except TypeError:  # an unhashable symbol, a row with no len, or 1 <= s unsupported
-            return None
+        mine = cells.get(row, ...)
+        if mine is ...:
+            bad = len(row) != n or len(set(row)) != n or not all(1 <= s <= lam for s in row)
+            mine = cells[row] = None if bad else frozenset(enumerate(row))
         return mine
 
     get = cells.get
     row0 = row1 = object()  # no row is this object, so the first pair is checked
     top: Optional[frozenset] = None  # the cells of rows 0 and 1, or None if they fail
     for rect in rects:
-        try:
-            if len(rect) != 3:
-                return rect
-        except TypeError:  # a rectangle with no len, as JSON's null or a number
+        if len(rect) != 3:
             return rect
         r0, r1, r2 = rect
         if r0 is not row0 or r1 is not row1:
@@ -294,10 +286,7 @@ def first_invalid(rects: Iterable[Rectangle], n: int, lam: int) -> Optional[Rect
             top = None if b is None or not a.isdisjoint(b) else a | b
         if top is None:
             return rect
-        try:
-            c = get(r2, ...)  # row 2 changes every rectangle: look its hit up inline
-        except TypeError:  # a list row
-            c = ...
+        c = get(r2, ...)  # row 2 changes every rectangle: look its hit up inline
         if c is ...:
             c = cells_of(r2)
         if c is None or not c.isdisjoint(top):

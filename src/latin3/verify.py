@@ -68,12 +68,6 @@ RANDOM_GRAPH_COUNT = 50
 
 
 @dataclass(frozen=True)
-class VerifyConfig:
-    n_max: int = 3
-    seed: int = DEFAULT_SEED
-
-
-@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -97,17 +91,17 @@ def random_graphs(
 
 
 class _Run:
-    """What the checks of one run_verify call share: the config, the seeded
-    graph pool, oracle.count_latin and oracle.injection_counts cached, so
-    each oracle cell is counted, and each injection walk read, once per run,
-    and the engine polynomials.  poly checks each one's shape for
-    chromatic-shape as it computes it, and keeps it unless keep=False:
+    """What the checks of one run_verify call share: n_max, the graph pool
+    random_graphs(seed), oracle.count_latin and oracle.injection_counts
+    cached, so each oracle cell is counted, and each injection walk read,
+    once per run, and the engine polynomials.  poly checks each one's shape
+    for chromatic-shape as it computes it, and keeps it unless keep=False:
     theorem2-m-invariance reads surgery's again, and engine-vs-brute and
     multiplicativity the pool's, but no check reads reduction-identity's
     children again."""
 
-    def __init__(self, cfg: VerifyConfig, pool: list[Graph]) -> None:
-        self.cfg, self.pool = cfg, pool
+    def __init__(self, n_max: int, seed: int) -> None:
+        self.n_max, self.pool = n_max, random_graphs(seed)
         self.polys: dict[Graph, Poly] = {}
         self.shapes: list[Optional[str]] = []
         self.count = functools.cache(oracle.count_latin)
@@ -174,7 +168,7 @@ def _formula_equivalence(run: _Run) -> Cells:
     # mirror, so it must also equal the plain split sum that g_npq_closed
     # takes at p = q = 0.  At lam = n, n! times Riordan's pinned count joins
     # them, and aps_g and thm3_g meet it there up to n = 20 at every n_max
-    n_max = run.cfg.n_max
+    n_max = run.n_max
     cells = [(n, lam) for n in range(1, n_max + 1) for lam in _lams(n)]
     for n, lam in cells + [(n, n) for n in range(n_max + 1, 21)]:
         values = {"aps": formulas.aps_g(n, lam), "thm3": formulas.thm3_g(n, lam)}
@@ -196,7 +190,7 @@ def _surgery(run: _Run) -> Cells:
     # every G(n,p,q) with n <= 3, then G(4) = G(4,0,0); each (n, 0, 0) cell
     # is the engine on G(n) against g_npq_closed's split sum, which
     # formula-equivalence ties to thm3_g's paired one
-    for n in range(1, min(run.cfg.n_max, ENGINE_N_GUARD) + 1):
+    for n in range(1, min(run.n_max, ENGINE_N_GUARD) + 1):
         splits = [(p, q) for p in range(n + 1) for q in range(n - p + 1)] if n <= 3 else [(0, 0)]
         for p, q in splits:
             poly = run.poly(build_gnpq(n, p, q))
@@ -210,7 +204,7 @@ def _surgery(run: _Run) -> Cells:
 
 def _theorem2(run: _Run) -> Cells:
     # sum_q (-1)^q C(m, q) P(G(n, m-q, q)) = P(G(n)) for every 1 <= m <= n
-    for n in range(1, min(run.cfg.n_max, 3) + 1):
+    for n in range(1, min(run.n_max, 3) + 1):
         gn_poly = run.poly(build_gn(n))
         polys = {
             (p, q): run.poly(build_gnpq(n, p, q)) for p in range(n + 1) for q in range(n - p + 1)
@@ -303,7 +297,7 @@ def _latin_bridge(run: _Run) -> Cells:
     # list of rectangles is held.  The walk is read to its end even past an
     # invalid rectangle, so the count comes first, then the order, then
     # validity
-    n_max = run.cfg.n_max
+    n_max = run.n_max
     cells = [(n, lam) for n in range(1, min(n_max, 3) + 1) for lam in range(1, 7)]
     for n, lam in cells + ([(4, 4), (4, 5)] if n_max >= 4 else []):
         want = run.count(n, lam)
@@ -368,11 +362,12 @@ def _run_check(check: _Check, run: _Run) -> CheckResult:
     return CheckResult(check.name, True, "", cells)
 
 
-def run_verify(cfg: VerifyConfig) -> list[CheckResult]:
-    """Run every registry check, in order."""
-    if not 1 <= cfg.n_max <= FORMULA_N_GUARD:
-        raise ValueError(f"n_max must be in 1..{FORMULA_N_GUARD}, got {cfg.n_max}")
-    run = _Run(cfg, random_graphs(cfg.seed))
+def run_verify(*, n_max: int = 3, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    """Run every registry check, in order, reading n up to n_max (1..6) and
+    drawing the random graphs from seed."""
+    if not 1 <= n_max <= FORMULA_N_GUARD:
+        raise ValueError(f"n_max must be in 1..{FORMULA_N_GUARD}, got {n_max}")
+    run = _Run(n_max, seed)
     return [_run_check(check, run) for check in _CHECKS]
 
 

@@ -1,9 +1,9 @@
 """Acceptance gate: the nine cross-checks that certify the library end to end.
 
-Criteria 1-8 are checks of ``latin3.verify``'s registry, run once at the gate
-config.  A criterion passes when every check behind it passed and checked at
-least the cells ``CRITERIA`` lists, so a narrowed grid fails it as a wrong
-value does.  Criterion 9 runs the CLI twice per command.  Every criterion is
+Criteria 1-8 are checks of ``latin3.verify``'s registry, run once at
+n_max = GATE_N_MAX.  A criterion passes when every check behind it passed
+and checked at least the cells ``CRITERIA`` lists, so a narrowed grid fails
+it as a wrong value does.  Criterion 9 runs the CLI twice per command.  Every criterion is
 exact.  Each test prints one machine-greppable status line of the form
 
     ACCEPTANCE <criterion>: PASS|FAIL
@@ -17,11 +17,11 @@ import sys
 
 import pytest
 
-from latin3.verify import VerifyConfig, run_verify
+from latin3.verify import run_verify
 
-GATE_CONFIG = VerifyConfig(n_max=6)
+GATE_N_MAX = 6
 
-# criterion -> {verify check behind it: the fewest cells it may check at GATE_CONFIG}
+# criterion -> {verify check behind it: the fewest cells it may check at GATE_N_MAX}
 CRITERIA = {
     "formula-equivalence": {"formula-equivalence": 95},
     "engine-grounding": {"surgery-closed-form": 207},
@@ -49,7 +49,7 @@ def check(capfd):
 
 @pytest.fixture(scope="module")
 def gate_results():
-    return {r.name: r for r in run_verify(GATE_CONFIG)}
+    return {r.name: r for r in run_verify(n_max=GATE_N_MAX)}
 
 
 @pytest.fixture

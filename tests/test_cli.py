@@ -12,6 +12,7 @@ from latin3.cli import main
 from latin3.errors import MAX_SEARCH_DEPTH
 from latin3.graphs import build_gn, build_gnpq
 from latin3.oracle import count_latin
+from latin3.verify import render_report, run_verify
 
 
 def run_cli(capsys, *argv):
@@ -444,6 +445,14 @@ def test_verify_output_is_unchanged_by_optimize_flag(latin3_env):
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_verify_defaults_are_the_librarys(capsys):
+    # the command and run_verify each default n_max and seed; both must pick
+    # the same pair, 3 and 1729
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert out == render_report(run_verify())
 
 
 def test_verify_is_deterministic(capsys):

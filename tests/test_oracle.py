@@ -404,14 +404,6 @@ def test_first_invalid_rejects_bad_arrays():
     assert not _valid(((0, 2), (2, 3), (3, 1)), 2, 3)  # symbol too small
 
 
-def test_first_invalid_judges_list_rows_as_tuple_rows():
-    # rows loaded from JSON are lists, which cannot key a dict
-    good, bad = [[1, 2], [2, 3], [3, 1]], [[1, 2], [2, 1], [3, 3]]
-    assert first_invalid([good], 2, 3) is None
-    assert first_invalid([bad], 2, 3) is bad
-    assert first_invalid([good, ((1, 2), (2, 3), [3, 1]), bad, good], 2, 3) is bad
-
-
 @pytest.mark.parametrize(
     "rect",
     [
@@ -426,17 +418,20 @@ def test_first_invalid_judges_list_rows_as_tuple_rows():
         [[1, 2], [2, 1], None],
         None,
         5,
+        [[1, 2], [2, 3], [3, 1]],
     ],
     ids=["null-symbol", "string-symbol", "list-symbol", "null-in-row-0", "list-in-row-1",
          "string-row", "number-row", "null-row-0", "null-row-2", "null-rectangle",
-         "number-rectangle"],
+         "number-rectangle", "list-rows"],
 )
 def test_first_invalid_returns_json_rectangles_it_cannot_judge(rect):
-    # symbols and rows that JSON can hold but that are no symbols or rows:
-    # the rectangle is invalid, alone or after a valid one, and nothing raises
-    good = [[1, 2], [2, 1], [3, 4]]
-    assert first_invalid([rect], 2, 4) is rect
-    assert first_invalid([good, rect, good], 2, 4) is rect
+    # rectangles as JSON holds them: first_invalid takes rows as tuples, so
+    # each raises TypeError, alone or after a valid rectangle, and none is
+    # judged valid; the last is valid by value but has list rows
+    good = ((1, 2), (2, 1), (3, 4))
+    for rects in ([rect], [good, rect, good]):
+        with pytest.raises(TypeError):
+            first_invalid(rects, 2, 4)
 
 
 def _is_latin_rectangle_per_symbol(rect, n, lam):

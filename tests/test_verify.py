@@ -12,7 +12,7 @@ import pytest
 from latin3 import combinatorics as comb
 from latin3 import formulas, graphs, oracle, verify
 from latin3.chromatic import Poly
-from latin3.verify import CheckResult, VerifyConfig, render_report, run_verify
+from latin3.verify import CheckResult, render_report, run_verify
 
 
 def names(results):
@@ -24,7 +24,7 @@ def failures(results):
 
 
 def test_every_check_passes_at_minimal_size():
-    results = run_verify(VerifyConfig(n_max=1))
+    results = run_verify(n_max=1)
     assert results, "harness produced no checks"
     failed = [r for r in results if not r.passed]
     assert not failed, failed
@@ -37,7 +37,7 @@ def test_first_row_check_covers_every_bridge_cell():
     # counts, from n_max = 1 on: lam = 1..6 for each n <= 3, then (4, 4) and
     # (4, 5)
     for n_max, cells in ((1, 6), (2, 12), (4, 20)):
-        results = {r.name: r for r in run_verify(VerifyConfig(n_max=n_max))}
+        results = {r.name: r for r in run_verify(n_max=n_max)}
         assert results["latin-bridge"].passed
         assert results["latin-bridge"].cells == cells
 
@@ -49,7 +49,7 @@ def test_formula_equivalence_fails_when_aps_literal_raises(monkeypatch):
         raise ArithmeticError(message)
 
     monkeypatch.setattr(formulas, "aps_literal", raising)
-    results = run_verify(VerifyConfig(n_max=1))
+    results = run_verify(n_max=1)
     assert failures(results) == [("formula-equivalence", message, 1)]
 
 
@@ -58,7 +58,7 @@ def test_formula_equivalence_names_the_literal_and_aps_g_values(monkeypatch):
     # lambda = n, names every route
     real = formulas.aps_g
     monkeypatch.setattr(formulas, "aps_g", lambda n, lam: real(n, lam) + 1)
-    results = run_verify(VerifyConfig(n_max=1))
+    results = run_verify(n_max=1)
     assert failures(results) == [
         (
             "formula-equivalence",
@@ -75,7 +75,7 @@ def test_formula_equivalence_fails_on_aps_g_wrong_past_lambda_6(monkeypatch):
     monkeypatch.setattr(
         formulas, "aps_g", lambda n, lam: real(n, lam) + ((n, lam) == (2, 9))
     )
-    results = {r.name: r for r in run_verify(VerifyConfig(n_max=6))}
+    results = {r.name: r for r in run_verify(n_max=6)}
     check = results["formula-equivalence"]
     assert not check.passed
     assert check.detail.startswith("n=2 lam=9: ")
@@ -89,7 +89,7 @@ def test_surgery_fails_on_g_npq_closed_wrong_past_lambda_6(monkeypatch):
         "g_npq_closed",
         lambda n, p, q, lam: real(n, p, q, lam) + ((n, p, q, lam) == (2, 1, 0, 9)),
     )
-    results = {r.name: r for r in run_verify(VerifyConfig(n_max=6))}
+    results = {r.name: r for r in run_verify(n_max=6)}
     check = results["surgery-closed-form"]
     assert not check.passed
     assert check.detail.startswith("n=2 p=1 q=0 lam=9: ")
@@ -106,7 +106,7 @@ def test_g_npq_closed_wrong_only_on_one_plain_cell(monkeypatch):
         "g_npq_closed",
         lambda n, p, q, lam: real(n, p, q, lam) + ((n, p, q, lam) == (3, 0, 0, 7)),
     )
-    results = run_verify(VerifyConfig(n_max=4))
+    results = run_verify(n_max=4)
     g = real(3, 0, 0, 7)
     assert failures(results) == [
         (
@@ -130,7 +130,7 @@ def test_check_order_and_what_a_wrong_thm3_g_fails(monkeypatch):
     # checks in registry order, failed ones included.
     real = formulas.thm3_g
     monkeypatch.setattr(formulas, "thm3_g", lambda n, lam: real(n, lam) + 1)
-    results = run_verify(VerifyConfig(n_max=4))
+    results = run_verify(n_max=4)
     assert names(results) == [
         "gnpq-structure",
         "identify-symmetry",
@@ -159,7 +159,7 @@ def test_surgery_fails_on_an_engine_wrong_only_on_g4(monkeypatch):
         return Poly.of(c)
 
     monkeypatch.setattr(verify, "chromatic_poly", wrong)
-    results = run_verify(VerifyConfig(n_max=4))
+    results = run_verify(n_max=4)
     assert failures(results) == [
         ("surgery-closed-form", "n=4 p=0 q=0 lam=4: closed=576 engine=572", 193)
     ]
@@ -176,7 +176,7 @@ def test_engine_vs_brute_fails_on_an_unmemoized_engine_wrong_on_one_graph(monkey
         return Poly.of(c)
 
     monkeypatch.setattr(verify, "chromatic_poly", wrong)
-    results = run_verify(VerifyConfig(n_max=1))
+    results = run_verify(n_max=1)
     assert failures(results) == [
         ("engine-vs-brute", "triangle: memoized=(0, 2, -3, 1) unmemoized=(0, 1, -3, 1)", 9 * 7 + 1)
     ]
@@ -190,7 +190,7 @@ def test_latin_bridge_fails_on_a_wrong_pinned_count(monkeypatch):
         "count_latin",
         lambda n, lam, pinned=False: real(n, lam, pinned) + (pinned and (n, lam) == (2, 3)),
     )
-    results = run_verify(VerifyConfig(n_max=2))
+    results = run_verify(n_max=2)
     assert failures(results) == [
         (
             "latin-bridge",
@@ -215,7 +215,7 @@ def test_latin_bridge_fails_on_a_wrong_pinned_count(monkeypatch):
 def test_formula_equivalence_fails_on_riordan_wrong_only_at_one_n(monkeypatch, n, routes, cells):
     real = formulas.riordan_l3
     monkeypatch.setattr(formulas, "riordan_l3", lambda m: real(m) + (m == n))
-    results = run_verify(VerifyConfig(n_max=4))
+    results = run_verify(n_max=4)
     g = formulas.thm3_g(n, n)
     detail = f"n={n} lam={n}: {routes.format(g=g)} n!*riordan={g + math.factorial(n)}"
     assert failures(results) == [("formula-equivalence", detail, cells)]
@@ -227,7 +227,7 @@ def test_gnpq_structure_fails_on_a_surgery_that_keeps_the_rungs(monkeypatch):
     # read G(1,1,0) by its polynomial: at lambda = 2 the triangle G(1,0,0)
     # has 0 colourings, the path G(1,1,0) 2 and the edge G(1,0,1) 2
     monkeypatch.setattr(verify, "build_gnpq", lambda n, p, q: graphs.build_gnpq(n, 0, q))
-    results = run_verify(VerifyConfig(n_max=1))
+    results = run_verify(n_max=1)
     assert failures(results) == [
         ("gnpq-structure", "G(1,1,0) has 3 edges, want 2", 8),
         # after the 12 cells of G(1,0,0) and G(1,0,1), and G(1,1,0) at lambda = 1
@@ -246,7 +246,7 @@ def test_gnpq_structure_fails_on_a_line_graph_wrong_only_at_5(monkeypatch):
         return graphs.delete_edge(real(g), 0, 1) if g.vertex_count == 8 else real(g)
 
     monkeypatch.setattr(verify, "line_graph", wrong)
-    results = run_verify(VerifyConfig(n_max=4))
+    results = run_verify(n_max=4)
     assert failures(results) == [
         (
             "gnpq-structure",
@@ -263,7 +263,7 @@ def test_chromatic_shape_fails_on_unsigned_coefficients(monkeypatch):
     monkeypatch.setattr(
         verify, "chromatic_poly", lambda g, **kw: Poly.of(map(abs, real(g, **kw).coefficients))
     )
-    results = {r.name: r for r in run_verify(VerifyConfig(n_max=1))}
+    results = {r.name: r for r in run_verify(n_max=1)}
     shape = results["chromatic-shape"]
     assert not shape.passed
     assert shape.detail == "a 3-vertex graph has coefficients (0, 2, 3, 1)"
@@ -273,13 +273,11 @@ def test_chromatic_shape_checks_a_child_no_check_keeps(monkeypatch):
     # random graph #2's first identify child is compared by reduction-identity
     # and dropped: no other check reads it, so the run never keeps it, and
     # chromatic-shape must still see its unsigned coefficients
-    cfg = VerifyConfig(n_max=1)
-    pool = verify.random_graphs(cfg.seed)
-    child = graphs.identify(pool[2], *min(pool[2].edges))
+    run = verify._Run(1, verify.DEFAULT_SEED)
+    child = graphs.identify(run.pool[2], *min(run.pool[2].edges))
     real = verify.chromatic_poly
     unsigned = Poly.of(map(abs, real(child).coefficients))
     monkeypatch.setattr(verify, "chromatic_poly", lambda g, **kw: unsigned if g == child else real(g, **kw))
-    run = verify._Run(cfg, pool)
     results = [verify._run_check(check, run) for check in verify._CHECKS]
     assert child not in run.polys
     assert [(name, detail) for name, detail, _ in failures(results)] == [
@@ -303,7 +301,7 @@ def test_enumeration_consistency_fails_on_a_repeated_rectangle(monkeypatch):
     # a repeat in place of a missing rectangle keeps the length, the order
     # and every rectangle valid; only latin-bridge's strict increase catches it
     _edit_walk(monkeypatch, lambda rects, n, lam: rects[:1] + rects[:-1])
-    results = run_verify(VerifyConfig(n_max=1))
+    results = run_verify(n_max=1)
     assert failures(results) == [
         ("latin-bridge", "n=1 lam=3: output is not in lexicographic order", 3)
     ]
@@ -338,7 +336,7 @@ def _invalid_first(rects, n, lam):
 def test_enumeration_consistency_fails_on_a_faulty_walk(monkeypatch, edit, detail):
     # (1, 3) is latin-bridge's third cell, and its first with rectangles
     _edit_walk(monkeypatch, edit)
-    results = run_verify(VerifyConfig(n_max=1))
+    results = run_verify(n_max=1)
     routes = "count_latin=6 thm3=6 falling(lam,n)*pinned=6"
     assert failures(results) == [("latin-bridge", detail.format(routes=routes), 3)]
 
@@ -348,8 +346,7 @@ def test_oracle_checks_stream_their_walks(name):
     # with the run's counts filled by a first latin-bridge, neither check may
     # hold its walk: a list of (3, 5)'s 27,480 rectangles would take about
     # 2.2 MiB, and injection chunks of 4,096 about 1.2 MiB
-    cfg = VerifyConfig(n_max=3)
-    run = verify._Run(cfg, verify.random_graphs(cfg.seed))
+    run = verify._Run(3, verify.DEFAULT_SEED)
     checks = {check.name: check for check in verify._CHECKS}
     assert verify._run_check(checks["latin-bridge"], run).passed
     tracemalloc.start()
@@ -367,7 +364,7 @@ def test_a_whole_run_keeps_only_the_polynomials_a_later_check_reads():
     # dropped; a run that kept them all peaked at about 905 KiB
     tracemalloc.start()
     try:
-        results = run_verify(VerifyConfig(n_max=4))
+        results = run_verify(n_max=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -397,7 +394,7 @@ def test_derangement_oracle_fails_on_one_wrong_band_entry(monkeypatch, cell, det
             yield [e + ((d, m, s) == cell) for m, e in enumerate(column, s)]
 
     monkeypatch.setattr(verify.comb, "derangement_columns", wrong)
-    results = run_verify(VerifyConfig(n_max=1))
+    results = run_verify(n_max=1)
     assert failures(results) == [("derangement-oracle", detail, cells)]
 
 
@@ -413,7 +410,7 @@ def test_oracle_checks_count_each_cell_once(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(oracle, name, counted)
-    results = run_verify(VerifyConfig(n_max=4))
+    results = run_verify(n_max=4)
     assert all(r.passed for r in results)
     # the 20 latin-bridge cells, free and pinned
     assert len(calls["count_latin"]) == 40
@@ -424,22 +421,21 @@ def test_oracle_checks_count_each_cell_once(monkeypatch):
 
 
 def test_runs_are_deterministic():
-    cfg = VerifyConfig(n_max=2)
-    first = render_report(run_verify(cfg))
-    second = render_report(run_verify(cfg))
+    first = render_report(run_verify(n_max=2))
+    second = render_report(run_verify(n_max=2))
     assert first == second
 
 
 @pytest.mark.parametrize(
     "cfg",
     [
-        VerifyConfig(n_max=0),
-        VerifyConfig(n_max=7),
+        {"n_max": 0},
+        {"n_max": 7},
     ],
 )
 def test_config_validation(cfg):
-    with pytest.raises(ValueError, match=rf"^n_max must be in 1\.\.6, got {cfg.n_max}$"):
-        run_verify(cfg)
+    with pytest.raises(ValueError, match=rf"^n_max must be in 1\.\.6, got {cfg['n_max']}$"):
+        run_verify(**cfg)
 
 
 def test_render_report_formats_failures():
