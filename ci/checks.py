@@ -222,15 +222,15 @@ CHECKS = [
     ("Engine counters unchanged",
      # The engine's search is pinned node for node.
      (counters, "table --formula engine --n 4 --lambda 4",
-      '{"nodes": 119, "memo_hits": 30, "memo_misses": 59, "components": 0, "cycle": 0, "simplicial": 243, "deletion": 4, "addition": 55}'),
+      '{"nodes": 119, "memo_hits": 30, "memo_misses": 59, "simplicial": 243, "deletion": 4, "addition": 55}'),
      (counters, "table --formula engine --n 5 --lambda 5 --max-vertices 15",
-      '{"nodes": 275, "memo_hits": 96, "memo_misses": 137, "components": 0, "cycle": 0, "simplicial": 459, "deletion": 9, "addition": 128}')),
+      '{"nodes": 275, "memo_hits": 96, "memo_misses": 137, "simplicial": 459, "deletion": 9, "addition": 128}')),
     ("Surgered-graph engine counters unchanged",
      # The same pin on the surgered graphs; G(4,1,1)'s p + q < n leaves plain columns.
      (counters, "gnpq 4 2 2 4",
-      '{"nodes": 27, "memo_hits": 3, "memo_misses": 13, "components": 0, "cycle": 0, "simplicial": 79, "deletion": 0, "addition": 13}'),
+      '{"nodes": 27, "memo_hits": 3, "memo_misses": 13, "simplicial": 79, "deletion": 0, "addition": 13}'),
      (counters, "gnpq 4 1 1 4",
-      '{"nodes": 37, "memo_hits": 6, "memo_misses": 18, "components": 0, "cycle": 0, "simplicial": 101, "deletion": 0, "addition": 18}')),
+      '{"nodes": 37, "memo_hits": 6, "memo_misses": 18, "simplicial": 101, "deletion": 0, "addition": 18}')),
     ("Surgered closed form on every cell",
      # g_npq_closed covers every G(n,p,q) with p + q <= n.  A graph past the
      # engine's vertex limit is checked by "Over-limit graphs refused unbuilt".
@@ -276,23 +276,23 @@ CHECKS = [
      # building it, so G(3000), 9000 vertices, is refused within 2 s.
      (refused, "gnpq 3000 0 0 4"),
      (refused, "table --formula engine --n 3000")),
-    ("Engine component split unchanged",
-     # The engine multiplies components at the root and on a deletion child:
-     # two copies of K_{3,4} minus one edge, bridged between the 4-side
+    ("Engine on disconnected graphs unchanged",
+     # No rule splits components, so the branchings alone must multiply them
+     # out: two copies of K_{3,4} minus one edge, bridged between the 4-side
      # vertices 0 and 7 that lost it (every vertex misses at least as many
      # pairs among its neighbours as its degree, so the root deletes the
-     # bridge and the deletion child splits), and a 4-cycle beside a 5-cycle
-     # (split at the root; skipping it would fire the cycle rule on a graph
-     # that is no cycle).  Coefficients are printed lowest first.
+     # bridge and its deletion child is disconnected), and a 4-cycle beside a
+     # 5-cycle, disconnected from the root on, with every degree 2.
+     # Coefficients are printed lowest first.
      (on_graph,
       "14\n0 2\n0 3\n1 4\n1 5\n1 6\n2 4\n2 5\n2 6\n3 4\n3 5\n3 6\n"
       "7 9\n7 10\n8 11\n8 12\n8 13\n9 11\n9 12\n9 13\n10 11\n10 12\n10 13\n0 7\n",
-      '{"nodes": 23, "memo_hits": 7, "memo_misses": 10, "components": 1, "cycle": 0, "simplicial": 54, "deletion": 2, "addition": 8}',
+      '{"nodes": 33, "memo_hits": 12, "memo_misses": 16, "simplicial": 92, "deletion": 2, "addition": 14}',
       "degree=14\n0\n-4761\n32913\n-103302\n195408\n-249321\n227379\n-153081\n"
       "77349\n-29461\n8393\n-1747\n253\n-23\n1\n"),
      (on_graph,
       "9\n0 1\n1 2\n2 3\n0 3\n4 5\n5 6\n6 7\n7 8\n4 8\n",
-      '{"nodes": 3, "memo_hits": 0, "memo_misses": 0, "components": 1, "cycle": 2, "simplicial": 0, "deletion": 0, "addition": 0}',
+      '{"nodes": 7, "memo_hits": 1, "memo_misses": 3, "simplicial": 19, "deletion": 0, "addition": 3}',
       "degree=9\n0\n0\n-12\n54\n-106\n119\n-83\n36\n-9\n1\n")),
     ("Oracle counters unchanged",
      # count_latin's search is pinned state for state: states searched, and

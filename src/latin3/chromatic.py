@@ -1,15 +1,12 @@
 """Chromatic polynomials from first principles.
 
 The engine computes P(G, lambda) exactly by applying, to each graph it
-meets, the first of these rules that fits:
+meets, the first of these four rules that fits:
 
 * no vertices: P = 1;
-* several components: P is the product over the components;
 * a simplicial vertex v, whose d neighbors are pairwise adjacent:
   P(G) = (lambda - d) P(G - v).  Cliques and trees reduce to nothing by
-  this rule alone, and an isolated vertex, a component of its own, is the
-  case d = 0;
-* a cycle: P = (lambda-1)^n + (-1)^n (lambda-1);
+  this rule alone, and an isolated vertex is the case d = 0;
 * w's fill, its neighbors' non-adjacent pairs, below the least degree d:
   addition-contraction on such a pair uv, P(G) = P(G + uv) + P(G / uv);
 * otherwise deletion-contraction on an edge uv, P(G) = P(G - uv) - P(G / uv).
@@ -19,27 +16,23 @@ one after fill(w) additions (its fill-in in vertex elimination, Rose, Tarjan &
 Lueker, SIAM J. Comput. 5 (1976)), a least-degree vertex after at most d - 1
 deletions at it (R. C. Read, J. Combin. Theory 4 (1968)).  The engine takes
 the shorter route, addition on a tie: G(4) takes 119 recursion nodes and G(5)
-275, where addition only on graphs over half dense took 131 and 309.
+275, where addition only on graphs over half dense took 131 and 309.  Every
+rule holds on any graph, connected or not, so a disconnected graph needs no
+rule of its own: the recursion finds P(G u H) = P(G) P(H) by itself.
 
 One recursion node removes every simplicial vertex it can, in passes over
 its vertices, and multiplies in their linear factors at the end.  A vertex
 stays simplicial when others are removed, so the set removed does not depend
-on the order.  Components are split off by _split, which the root and each
-deletion child go through: those are the only graphs that can be
-disconnected, since removing a simplicial vertex, contracting and adding an
-edge keep a connected graph connected.  A deletion child G - uv skips the
-search when u and v share a neighbour, which keeps them joined.  A graph of
-several components takes one recursion node of its own, and each component
-one more.
+on the order.
 
 The recursion does not carry polynomials.  Each node returns one int, the
 value of P at lambda = X = 2**s, where s = E + 2 and E is the root's edge
 count, so the rules are integer operations: + and - for addition and
-deletion, * for components, (P << s) - d*P for a simplicial vertex of degree
-d.  By Whitney's broken-circuit theorem (H. Whitney, Bull. AMS 38 (1932))
-the coefficients a_i of the root's P satisfy |a_i| <= C(E, v - i) <= 2**E,
-below X / 2, so chromatic_poly reads them back exactly as the v + 1 balanced
-base-X digits of that one int.
+deletion, (P << s) - d*P for a simplicial vertex of degree d.  By Whitney's
+broken-circuit theorem (H. Whitney, Bull. AMS 38 (1932)) the coefficients
+a_i of the root's P satisfy |a_i| <= C(E, v - i) <= 2**E, below X / 2, so
+chromatic_poly reads them back exactly as the v + 1 balanced base-X digits
+of that one int.
 
 An optional per-call memo maps each graph that reaches one of the two
 branching rules to its value at X, in two levels.  The first is keyed on the
@@ -133,27 +126,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _components(adj: Coeffs) -> list[int]:
-    """The vertex masks of adj's components, by least vertex."""
-    n = len(adj)
-    seen = 0
-    comps = []
-    for start in range(n):
-        if seen >> start & 1:
-            continue
-        comp = 0
-        frontier = 1 << start
-        while frontier:
-            comp |= frontier
-            grown = 0
-            for v in _bits(frontier):
-                grown |= adj[v]
-            frontier = grown & ~comp
-        seen |= comp
-        comps.append(comp)
-    return comps
 
 
 def _flip(adj: Coeffs, u: int, v: int) -> Coeffs:
@@ -270,23 +242,8 @@ def _min_fill(adj: Coeffs) -> tuple[int, int, int]:
     return best, u, next(_bits(nbrs & ~adj[u] & ~(1 << u)))
 
 
-def _split(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
-    """P(G, 2**s) of any graph: one node multiplies its components' values
-    when it has several, and a graph with fewer is left to _chrom."""
-    comps = _components(adj)
-    if len(comps) < 2:
-        return _chrom(adj, s, memo, stats)
-    stats["nodes"] += 1
-    stats["components"] += 1
-    everything = (1 << len(adj)) - 1
-    out = 1
-    for comp in comps:
-        out *= _chrom(_drop(adj, everything ^ comp), s, memo, stats)
-    return out
-
-
 def _chrom(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
-    """P(G, 2**s) of one recursion node, for a connected or empty graph G."""
+    """P(G, 2**s) of one recursion node."""
     stats["nodes"] += 1
     # A simplicial vertex's d neighbors are pairwise adjacent, so they use d
     # distinct colors in every proper coloring of G - v, leaving lambda - d
@@ -319,13 +276,8 @@ def _chrom(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
 
 
 def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
-    """P(G, 2**s) of a nonempty connected graph with no simplicial vertex."""
-    n = len(adj)
+    """P(G, 2**s) of a nonempty graph with no simplicial vertex."""
     degrees = [m.bit_count() for m in adj]
-    if degrees.count(2) == n:
-        stats["cycle"] += 1
-        x1 = (1 << s) - 1
-        return x1**n + (-x1 if n % 2 else x1)
     if memo is not None:
         # two levels (see the module docstring): an unseen bucket is a miss
         # with no full key built, and a bucket's first graph is keyed only
@@ -354,10 +306,7 @@ def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
     else:
         stats["deletion"] += 1
         u, v = _pick_edge(adj, degrees)
-        # with a common neighbour w, u-w-v still joins u and v, so G - uv
-        # stays connected and needs no component search
-        split = _chrom if adj[u] & adj[v] else _split
-        out = split(_flip(adj, u, v), s, memo, stats) - _chrom(
+        out = _chrom(_flip(adj, u, v), s, memo, stats) - _chrom(
             _contract(adj, u, v), s, memo, stats
         )
     if memo is not None:
@@ -386,8 +335,7 @@ def _decode(value: int, s: int, v: int) -> Poly:
 
 
 STAT_NAMES = (
-    "nodes", "memo_hits", "memo_misses",
-    "components", "cycle", "simplicial", "deletion", "addition",
+    "nodes", "memo_hits", "memo_misses", "simplicial", "deletion", "addition",
 )
 
 
@@ -412,8 +360,9 @@ def chromatic_poly(
     the relabeled graph; the result is identical either way.  A dict passed
     as stats gets the counts named in STAT_NAMES added to it: recursion
     calls ("nodes"), memo hits and misses, simplicial vertices removed, and
-    how often each other rule fired.  Every counter is set up before any
-    check, so a limit error still leaves them all in the dict.
+    how often each branching rule, deletion or addition, fired.  Every
+    counter is set up before any check, so a limit error still leaves them
+    all in the dict.
     """
     stats = {} if stats is None else stats
     for name in STAT_NAMES:
@@ -426,7 +375,7 @@ def chromatic_poly(
         )
     s = g.edge_count + 2
     memo: Optional[dict] = {} if memoize else None
-    return _decode(_split(g.adjacency_masks(), s, memo, stats), s, g.vertex_count)
+    return _decode(_chrom(g.adjacency_masks(), s, memo, stats), s, g.vertex_count)
 
 
 def count_colorings_bruteforce(

@@ -92,10 +92,11 @@ def random_graphs(
 
 class _Run:
     """What the checks of one run_verify call share: n_max, the graph pool
-    random_graphs(seed), oracle.count_latin and oracle.injection_counts
-    cached, so each oracle cell is counted, and each injection walk read,
-    once per run, and the engine polynomials.  poly checks each one's shape
-    for chromatic-shape as it computes it, and keeps it unless keep=False:
+    random_graphs(seed), oracle.injection_counts cached, so each injection
+    walk is read once per run however many band cells it grounds, and the
+    engine polynomials.  count_latin is not cached: latin-bridge alone reads
+    its cells, each once.  poly checks each polynomial's shape for
+    chromatic-shape as it computes it, and keeps it unless keep=False:
     theorem2-m-invariance reads surgery's again, and engine-vs-brute and
     multiplicativity the pool's, but no check reads reduction-identity's
     children again."""
@@ -104,7 +105,6 @@ class _Run:
         self.n_max, self.pool = n_max, random_graphs(seed)
         self.polys: dict[Graph, Poly] = {}
         self.shapes: list[Optional[str]] = []
-        self.count = functools.cache(oracle.count_latin)
         self.injections = functools.cache(oracle.injection_counts)
 
     def poly(self, g: Graph, keep: bool = True) -> Poly:
@@ -260,6 +260,8 @@ def _engine_vs_brute(run: _Run) -> Cells:
 
 
 def _multiplicativity(run: _Run) -> Cells:
+    # the engine has no rule for components: it branches on the union as on
+    # any graph, so the product is found, not built in
     small = [g for g in run.pool if g.vertex_count <= 5]
     for i in range(0, min(len(small) - 1, 8), 2):
         g, h = small[i], small[i + 1]
@@ -300,11 +302,11 @@ def _latin_bridge(run: _Run) -> Cells:
     n_max = run.n_max
     cells = [(n, lam) for n in range(1, min(n_max, 3) + 1) for lam in range(1, 7)]
     for n, lam in cells + ([(4, 4), (4, 5)] if n_max >= 4 else []):
-        want = run.count(n, lam)
+        want = oracle.count_latin(n, lam)
         values = {
             "count_latin": want,
             "thm3": formulas.thm3_g(n, lam),
-            "falling(lam,n)*pinned": comb.falling(lam, n) * run.count(n, lam, True),
+            "falling(lam,n)*pinned": comb.falling(lam, n) * oracle.count_latin(n, lam, True),
         }
         read, ordered, bad = 0, True, None
         if n <= 3 and lam <= 5:

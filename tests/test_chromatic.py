@@ -18,7 +18,6 @@ from latin3.chromatic import (
     _memo_key,
     _min_fill,
     _pick_edge,
-    _split,
     chromatic_poly,
     count_colorings_bruteforce,
     eval_poly,
@@ -181,10 +180,29 @@ def test_shape_invariants():
                 assert c * (-1) ** (g.vertex_count - i) > 0
 
 
+def _union(*graphs: Graph) -> Graph:
+    edges, shift = [], 0
+    for g in graphs:
+        edges += [(a + shift, b + shift) for a, b in g.edges]
+        shift += g.vertex_count
+    return Graph.from_edges(shift, edges)
+
+
 def test_disconnected_graph_multiplies():
-    tri_plus_edge = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
-    product = chromatic_poly(complete(3)) * chromatic_poly(complete(2))
-    assert chromatic_poly(tri_plus_edge) == product
+    # no rule splits components: the branchings alone must find
+    # P(G u H) = P(G) P(H), also with several non-trivial components
+    cases = [
+        ((complete(3), complete(2)), 14),
+        ((build_gn(3), build_gn(3)), 18),
+        ((cycle(4), cycle(5)), 14),
+        ((complete(4), complete(4), complete(2)), 14),
+    ]
+    for (parts, limit), memoize in itertools.product(cases, (True, False)):
+        product = Poly((1,))
+        for g in parts:
+            product = product * chromatic_poly(g, memoize=memoize)
+        union = _union(*parts)
+        assert chromatic_poly(union, max_vertices=limit, memoize=memoize) == product, (parts, memoize)
 
 
 def test_vertex_limit():
@@ -284,7 +302,7 @@ def test_bridge_multiplies_the_sides(memoize):
     # every vertex has at least as many missing pairs among its neighbours as
     # its degree, so the root deletes at vertex 0, and its least-degree
     # neighbour is the bridge's far end: the deletion disconnects the graph,
-    # and the split there must still multiply out right.
+    # and the recursion below it must still multiply the sides out right.
     rng = random.Random(47)
     for _ in range(10):
         g1, g2 = _bridge_side(rng), _bridge_side(rng)
@@ -296,37 +314,7 @@ def test_bridge_multiplies_the_sides(memoize):
         p1 = chromatic_poly(g1, memoize=memoize)
         p2 = chromatic_poly(g2, memoize=memoize)
         assert p * Poly((0, 1)) == p1 * p2 * Poly((-1, 1)), sorted(joined.edges)
-        assert stats["deletion"] > 0 and stats["components"] > 0, stats
-
-
-def test_component_search_only_where_a_deletion_can_split(monkeypatch):
-    # _chrom takes connected graphs only.  A deletion child G - uv skips the
-    # component search when u and v share a neighbour, so every graph that
-    # reaches _chrom must still be connected (or empty).
-    searched = []
-    real_chrom, real_components = chromatic._chrom, chromatic._components
-
-    def checked_chrom(adj, s, memo, stats):
-        assert len(real_components(adj)) <= 1, adj
-        return real_chrom(adj, s, memo, stats)
-
-    def counted_components(adj):
-        searched.append(adj)
-        return real_components(adj)
-
-    monkeypatch.setattr(chromatic, "_chrom", checked_chrom)
-    monkeypatch.setattr(chromatic, "_components", counted_components)
-    graphs = [build_gn(4), build_gnpq(4, 1, 1), build_gnpq(4, 2, 2)]
-    graphs += random_graphs(seed=61, count=40, min_vertices=6, max_vertices=10)
-    for g in graphs:
-        want = chromatic_poly(g, memoize=False)
-        assert chromatic_poly(g) == want
-    # G(4): the root and the 1 of its 4 deletion children whose endpoints
-    # share no neighbour; the other 3 skip the search
-    searched.clear()
-    stats: dict = {}
-    chromatic_poly(build_gn(4), stats=stats)
-    assert (len(searched), stats["deletion"], stats["components"]) == (2, 4, 0)
+        assert stats["deletion"] > 0, stats
 
 
 def test_memo_shared_across_relabelings():
@@ -345,7 +333,7 @@ def test_memo_shared_across_relabelings():
             perm = list(range(g.vertex_count))
             rng.shuffle(perm)
             relabeled = Graph.from_edges(g.vertex_count, [(perm[a], perm[b]) for a, b in g.edges])
-            value = _split(relabeled.adjacency_masks(), s, memo, stats)
+            value = _chrom(relabeled.adjacency_masks(), s, memo, stats)
             assert _decode(value, s, g.vertex_count) == want
     assert stats["memo_hits"] > 0, stats
 
@@ -573,7 +561,7 @@ def test_every_graph_on_five_vertices_matches_bare_deletion_contraction():
         assert chromatic_poly(g, memoize=False) == want, sorted(edges)
     # every rule but deletion fired: on five vertices every graph that
     # branches has a vertex whose fill is below the least degree
-    rules = ("components", "cycle", "simplicial", "addition")
+    rules = ("simplicial", "addition")
     assert all(stats[name] > 0 for name in rules), stats
 
 
@@ -633,8 +621,8 @@ def test_stats_repeat_exactly():
 
 
 def test_stats_count_every_memo_lookup(monkeypatch):
-    # every _branch call but a cycle looks the graph up in the memo, so the
-    # hits and misses add up to those calls; the full key is built only in a
+    # every _branch call looks the graph up in the memo, so the hits and
+    # misses add up to those calls; the full key is built only in a
     # bucket (sorted degrees) that some graph has reached before
     branches = []
     keys = []
@@ -653,7 +641,7 @@ def test_stats_count_every_memo_lookup(monkeypatch):
     stats: dict = {}
     chromatic_poly(build_gn(4), stats=stats)
     lookups = stats["memo_hits"] + stats["memo_misses"]
-    assert lookups == len(branches) - stats["cycle"] == 89, stats
+    assert lookups == len(branches) == 89, stats
     # 52 of G(4)'s 89 lookups land in a bucket no graph has reached yet, and
     # build no key (the other 37 build theirs, plus 17 buckets' first graphs)
     assert len(keys) == 54 < lookups
@@ -687,8 +675,8 @@ def test_lazy_memo_keeps_every_counter():
         poly = chromatic_poly(g, max_vertices=15, stats=total)
         assert poly == chromatic_poly(g, max_vertices=15, memoize=False), sorted(g.edges)
     assert total == {
-        "nodes": 1411, "memo_hits": 291, "memo_misses": 642, "components": 17,
-        "cycle": 12, "simplicial": 3209, "deletion": 19, "addition": 623,
+        "nodes": 1399, "memo_hits": 291, "memo_misses": 655, "simplicial": 3298,
+        "deletion": 19, "addition": 636,
     }
 
 

@@ -29,7 +29,7 @@ def test_wrong_digest_fails(capsys):
 
 
 def test_counter_off_by_one_fails(capsys):
-    pin = '{"nodes": 28, "memo_hits": 3, "memo_misses": 13, "components": 0, "cycle": 0, "simplicial": 79, "deletion": 0, "addition": 13}'
+    pin = '{"nodes": 28, "memo_hits": 3, "memo_misses": 13, "simplicial": 79, "deletion": 0, "addition": 13}'
     log = fails(("G(4,2,2) counters", (checks.counters, "gnpq 4 2 2 4", pin)), capsys)
     assert '"nodes": 27,' in log
 
