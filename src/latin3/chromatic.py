@@ -206,23 +206,17 @@ def _memo_key(adj: Coeffs, degrees: list[int]) -> tuple[int, int]:
     return n, code
 
 
-def _pick_edge(adj: Coeffs, degrees: list[int]) -> tuple[int, int]:
-    """Deterministic edge choice: u is a non-isolated vertex of least degree
-    and v its neighbor of least degree, ties going to the lowest index, the
-    pair coming back as (min, max).  degrees is adj's degree list.  An
-    edgeless adjacency raises ValueError."""
-    u = min((w for w in range(len(adj)) if degrees[w]), key=degrees.__getitem__, default=None)
-    if u is None:
-        raise ValueError("_pick_edge: the graph has no edges")
-    v = min(_bits(adj[u]), key=degrees.__getitem__)
-    return (u, v) if u < v else (v, u)
-
-
-def _min_fill(adj: Coeffs) -> tuple[int, int, int]:
-    """(fill, u, v) at the lowest vertex w of least positive fill, the count of
-    non-adjacent pairs among its neighbors; a fill of 1 ends the scan.  u < v
-    is N(w)'s first such pair, u its lowest neighbor missing another and v the
-    lowest it misses.  ValueError if every vertex is simplicial."""
+def _branch_pair(adj: Coeffs, degrees: list[int]) -> tuple[int, int]:
+    """The pair uv (u < v) that _branch branches on, by the shorter route to
+    a simplicial vertex, addition on a tie.  Let w be the lowest vertex of
+    least positive fill, the count of non-adjacent pairs among its neighbors
+    (a fill of 1 ends the scan).  If that fill is below the least degree d,
+    uv is N(w)'s first missing pair, a non-edge: u is w's lowest neighbor
+    missing another, and v the lowest it misses.  Otherwise uv is an edge: a
+    vertex of degree d, the lowest, and its neighbor of least degree, ties
+    going to the lower index.  degrees is adj's degree list, whose least is
+    positive because _branch meets no isolated vertex (an isolated vertex is
+    simplicial).  ValueError if every vertex is simplicial."""
     best = best_w = 0
     limit = len(adj) ** 2  # twice a fill is below it
     for w, nbrs in enumerate(adj):
@@ -236,10 +230,15 @@ def _min_fill(adj: Coeffs) -> tuple[int, int, int]:
             if best == 1:
                 break
     if not best:
-        raise ValueError("_min_fill: every vertex is simplicial")
-    nbrs = adj[best_w]
-    u = next(x for x in _bits(nbrs) if nbrs & ~adj[x] & ~(1 << x))
-    return best, u, next(_bits(nbrs & ~adj[u] & ~(1 << u)))
+        raise ValueError("_branch_pair: every vertex is simplicial")
+    least = min(degrees)
+    if best < least:
+        nbrs = adj[best_w]
+        u = next(x for x in _bits(nbrs) if nbrs & ~adj[x] & ~(1 << x))
+        return u, next(_bits(nbrs & ~adj[u] & ~(1 << u)))
+    u = degrees.index(least)
+    v = min(_bits(adj[u]), key=degrees.__getitem__)
+    return (u, v) if u < v else (v, u)
 
 
 def _chrom(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
@@ -276,7 +275,11 @@ def _chrom(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
 
 
 def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
-    """P(G, 2**s) of a nonempty graph with no simplicial vertex."""
+    """P(G, 2**s) of a nonempty graph with no simplicial vertex, by one
+    branching step on the pair _branch_pair chooses, the one place the
+    branching rule lives.  Flipping uv and contracting it give the two
+    children: deletion-contraction if uv is an edge, addition-contraction if
+    it is not, and that same edge test picks the counter and the sign."""
     degrees = [m.bit_count() for m in adj]
     if memo is not None:
         # two levels (see the module docstring): an unseen bucket is a miss
@@ -296,19 +299,13 @@ def _branch(adj: Coeffs, s: int, memo: Optional[dict], stats: dict) -> int:
                 stats["memo_hits"] += 1
                 return hit
         stats["memo_misses"] += 1
-    # the shorter route to a simplicial vertex, addition on a tie (module docstring)
-    fill, u, v = _min_fill(adj)
-    if fill < min(degrees):
-        stats["addition"] += 1  # P(G) = P(G + uv) + P(G / uv)
-        out = _chrom(_flip(adj, u, v), s, memo, stats) + _chrom(
-            _contract(adj, u, v), s, memo, stats
-        )
-    else:
-        stats["deletion"] += 1
-        u, v = _pick_edge(adj, degrees)
-        out = _chrom(_flip(adj, u, v), s, memo, stats) - _chrom(
-            _contract(adj, u, v), s, memo, stats
-        )
+    u, v = _branch_pair(adj, degrees)
+    edge = adj[u] >> v & 1
+    stats["deletion" if edge else "addition"] += 1
+    # an edge: P(G) = P(G - uv) - P(G / uv); a non-edge: P(G + uv) + P(G / uv)
+    flipped = _chrom(_flip(adj, u, v), s, memo, stats)
+    contracted = _chrom(_contract(adj, u, v), s, memo, stats)
+    out = flipped - contracted if edge else flipped + contracted
     if memo is not None:
         # no graph below this node has its n and E (deletion only removes
         # edges, addition only adds them, every other step removes vertices),
@@ -362,7 +359,10 @@ def chromatic_poly(
     calls ("nodes"), memo hits and misses, simplicial vertices removed, and
     how often each branching rule, deletion or addition, fired.  Every
     counter is set up before any check, so a limit error still leaves them
-    all in the dict.
+    all in the dict.  A recursion that passes Python's recursion limit (the
+    520-vertex cycle's does, at the default limit of 1000) raises
+    BudgetExceededError naming the nodes visited, the counters holding what
+    the search did up to then.
     """
     stats = {} if stats is None else stats
     for name in STAT_NAMES:
@@ -375,7 +375,13 @@ def chromatic_poly(
         )
     s = g.edge_count + 2
     memo: Optional[dict] = {} if memoize else None
-    return _decode(_chrom(g.adjacency_masks(), s, memo, stats), s, g.vertex_count)
+    try:
+        value = _chrom(g.adjacency_masks(), s, memo, stats)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"chromatic recursion passed Python's recursion limit: visited {stats['nodes']} nodes"
+        ) from None
+    return _decode(value, s, g.vertex_count)
 
 
 def count_colorings_bruteforce(

@@ -262,7 +262,3 @@ def main(argv=None) -> int:
     except (BudgetExceededError, VertexLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,11 +13,10 @@ from latin3 import chromatic
 from latin3.chromatic import (
     STAT_NAMES,
     Poly,
+    _branch_pair,
     _chrom,
     _decode,
     _memo_key,
-    _min_fill,
-    _pick_edge,
     chromatic_poly,
     count_colorings_bruteforce,
     eval_poly,
@@ -218,34 +217,49 @@ def _degrees(adj):
     return [m.bit_count() for m in adj]
 
 
-def test_pick_edge_rejects_edgeless_adjacency():
-    assert _pick_edge((0b10, 0b01), _degrees((0b10, 0b01))) == (0, 1)
-    with pytest.raises(ValueError):
-        _pick_edge((0, 0, 0), _degrees((0, 0, 0)))
-
-
 def _adjacency(n, edges):
     return Graph.from_edges(n, edges).adjacency_masks()
 
 
-def _pick_edge_of(n, edges):
+def _branch_pair_of(n, edges):
     adj = _adjacency(n, edges)
-    return _pick_edge(adj, _degrees(adj))
+    return _branch_pair(adj, _degrees(adj))
 
 
-def test_pick_edge_takes_a_least_degree_vertex():
-    # star with its center at 0: the leaf 1 is the least-degree vertex, and
-    # the pair comes back as (min, max)
-    assert _pick_edge_of(5, [(0, v) for v in range(1, 5)]) == (0, 1)
-    # path 3-1-0-2: the endpoints 2 and 3 have degree 1; 2 wins the tie
-    assert _pick_edge_of(4, [(3, 1), (1, 0), (0, 2)]) == (0, 2)
-    # 0, 2 and 4 tie at degree 2, so u = 0; of its neighbors 1 (degree 3)
-    # and 2 (degree 2), the least-degree one is taken, not the lowest index
-    edges = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
-    assert _pick_edge_of(5, edges) == (0, 2)
-    # an isolated vertex is skipped; around the 4-cycle 1-2-3-4 every degree
-    # ties, so the lowest indices win
-    assert _pick_edge_of(5, [(1, 2), (2, 3), (3, 4), (4, 1)]) == (1, 2)
+def test_branch_pair_adds_on_a_fill_below_the_least_degree():
+    # the 4-cycle: every fill is 1, below the degree 2, and the tie goes to
+    # vertex 0, whose neighbours 1 and 3 are the missing pair
+    assert _branch_pair_of(4, [(0, 1), (1, 2), (2, 3), (3, 0)]) == (1, 3)
+    # K4 minus the edge 2-3: 0's lowest neighbour 1 sees 2 and 3, so the
+    # pair is 2-3, not one of 1's
+    assert _branch_pair_of(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]) == (2, 3)
+    # the wheel with its hub at 0: the hub's fill is 5, each rim vertex's 1,
+    # so the least fill beats the lowest index, and rim vertex 1 misses 2-5
+    rim = [(v, v % 5 + 1) for v in range(1, 6)]
+    assert _branch_pair_of(6, [(0, v) for v in range(1, 6)] + rim) == (2, 5)
+    # the octahedron, parts {0, 1}, {2, 3}, {4, 5}: every fill is 2, below the
+    # degree 4, so the scan runs on past vertex 0, and 0's first missing
+    # pair is 2-3
+    octahedron = [(a, b) for a, b in itertools.combinations(range(6), 2) if a // 2 != b // 2]
+    assert _branch_pair_of(6, octahedron) == (2, 3)
+
+
+def test_branch_pair_deletes_at_a_least_degree_vertex():
+    # star with its center at 0: the center's fill, 6, is not below the
+    # least degree 1; the leaf 1 is the least-degree vertex, and the pair
+    # comes back as (min, max)
+    assert _branch_pair_of(5, [(0, v) for v in range(1, 5)]) == (0, 1)
+    # path 3-1-0-2: fill 1 is not below degree 1; the endpoints 2 and 3 have
+    # degree 1, and 2 wins the tie
+    assert _branch_pair_of(4, [(3, 1), (1, 0), (0, 2)]) == (0, 2)
+    # the bowtie, triangles 0-1-2 and 1-3-4: only the centre 1 has a fill, 4;
+    # of 0's neighbours 1 (degree 4) and 2 (degree 2), the least-degree one
+    # is taken, not the lowest index
+    assert _branch_pair_of(5, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (3, 4)]) == (0, 2)
+    # K_{3,3}: every fill is 3, not below the degree 3, so vertex 0 and its
+    # lowest neighbour 3
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    assert _branch_pair_of(6, k33) == (0, 3)
 
 
 def test_engine_node_counts_stay_bounded():
@@ -353,6 +367,17 @@ def test_stats_hold_every_counter_after_a_vertex_limit_error():
     assert stats == dict.fromkeys(STAT_NAMES, 0)
 
 
+def test_recursion_past_python_limit_is_a_budget_error():
+    # each level of C600's first branch removes one vertex, so the
+    # recursion passes the default limit of 1000 frames long before the end
+    cycle = Graph.from_edges(600, [(v, (v + 1) % 600) for v in range(600)])
+    stats: dict = {}
+    with pytest.raises(BudgetExceededError, match=r"recursion limit: visited \d+ nodes"):
+        chromatic_poly(cycle, max_vertices=600, stats=stats)
+    assert set(stats) == set(STAT_NAMES)
+    assert stats["nodes"] > 0
+
+
 def _fills(adj):
     """Each vertex's fill, the non-adjacent pairs among its neighbours, by
     pairs of vertices; shares no code with the engine."""
@@ -367,47 +392,49 @@ def _fills(adj):
     ]
 
 
-def test_min_fill_takes_the_least_fill_at_the_lowest_vertex():
-    # the path 1-0-2: only 0 has a fill, the pair of its two leaves
-    assert _min_fill(_adjacency(3, [(0, 1), (0, 2)])) == (1, 1, 2)
-    # the 4-cycle: every fill is 1, and the tie goes to vertex 0
-    assert _min_fill(_adjacency(4, [(0, 1), (1, 2), (2, 3), (3, 0)])) == (1, 1, 3)
-    # 0 misses all 3 pairs of its neighbours, 1 only 0-4: least beats lowest
-    assert _min_fill(_adjacency(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4)])) == (1, 0, 4)
-    # 0's lowest neighbour 1 sees 2 and 3, so the pair is 2-3, not one of 1's
-    assert _min_fill(_adjacency(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])) == (1, 2, 3)
-    # K_{3,3}: every fill is 3, and vertex 0's first missing pair is 3-4
-    k33 = _adjacency(6, [(a, b) for a in range(3) for b in range(3, 6)])
-    assert _min_fill(k33) == (3, 3, 4)
-    # against fills counted pair by pair: the least positive one, at the
-    # lowest vertex that has it, and a pair of its neighbours that it misses
+def test_branch_pair_follows_fills_and_degrees():
+    # against fills counted pair by pair: addition on a pair of neighbours
+    # that the lowest least-fill vertex misses when that fill is below the
+    # least degree, else deletion on an edge at the lowest least-degree
+    # vertex, to a neighbour of least degree.  _branch meets no isolated
+    # vertex, so graphs with one are skipped.
+    rules = set()
     for g in random_graphs(seed=67, count=40, min_vertices=4, max_vertices=9):
         adj = g.adjacency_masks()
-        fills = _fills(adj)
+        fills, degrees = _fills(adj), _degrees(adj)
         positive = [f for f in fills if f]
-        if not positive:
+        if not positive or not min(degrees):
             continue
-        fill, u, v = _min_fill(adj)
-        w = fills.index(min(positive))
-        assert fill == fills[w], sorted(g.edges)
-        assert u < v and adj[w] >> u & 1 and adj[w] >> v & 1, sorted(g.edges)
-        assert not adj[u] >> v & 1, sorted(g.edges)
+        u, v = _branch_pair(adj, degrees)
+        assert u < v, sorted(g.edges)
+        if min(positive) < min(degrees):
+            rules.add("addition")
+            w = fills.index(min(positive))
+            assert adj[w] >> u & 1 and adj[w] >> v & 1, sorted(g.edges)
+            assert not adj[u] >> v & 1, sorted(g.edges)
+        else:
+            rules.add("deletion")
+            w = degrees.index(min(degrees))
+            assert w in (u, v) and adj[u] >> v & 1, sorted(g.edges)
+            other = v if w == u else u
+            assert degrees[other] == min(degrees[x] for x in range(len(adj)) if adj[w] >> x & 1)
+    assert rules == {"addition", "deletion"}
 
 
-def test_min_fill_rejects_all_simplicial_adjacency():
+def test_branch_pair_rejects_all_simplicial_adjacency():
     # a clique, an edgeless graph and a triangle beside an edge: every vertex
     # is simplicial, so no pair is missing
     triangle_and_edge = _adjacency(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     for adj in ((0b110, 0b101, 0b011), (0, 0, 0), triangle_and_edge):
         with pytest.raises(ValueError):
-            _min_fill(adj)
+            _branch_pair(adj, _degrees(adj))
 
 
-def _value_error_under_optimize(latin3_env, call):
+def test_branch_pair_rejects_a_clique_under_optimize(latin3_env):
     # python -O strips asserts, so the check must be an explicit raise
     code = (
-        "from latin3.chromatic import _min_fill, _pick_edge\n"
-        f"try:\n    {call}\n"
+        "from latin3.chromatic import _branch_pair\n"
+        "try:\n    _branch_pair((0b110, 0b101, 0b011), [2, 2, 2])\n"
         "except ValueError:\n    print('ValueError')\n"
     )
     proc = subprocess.run(
@@ -418,19 +445,13 @@ def _value_error_under_optimize(latin3_env, call):
     assert proc.stdout.decode().strip() == "ValueError"
 
 
-def test_pick_edge_rejects_edgeless_adjacency_under_optimize(latin3_env):
-    _value_error_under_optimize(latin3_env, "_pick_edge((0, 0, 0), [0, 0, 0])")
-
-
-def test_min_fill_rejects_a_clique_under_optimize(latin3_env):
-    _value_error_under_optimize(latin3_env, "_min_fill((0b110, 0b101, 0b011))")
-
-
 def test_bruteforce_edge_cases():
     assert count_colorings_bruteforce(complete(3), 2) == 0
     assert count_colorings_bruteforce(Graph.from_edges(0, []), 5) == 1
     with pytest.raises(ValueError):
         count_colorings_bruteforce(complete(3), -1)
+    with pytest.raises(ValueError, match="node_budget must be >= 1, got 0"):
+        count_colorings_bruteforce(complete(3), 3, node_budget=0)
     with pytest.raises(BudgetExceededError):
         count_colorings_bruteforce(build_gn(2), 4, node_budget=10)
     # The triangle on 3 colors: the 10th attempt is the one past a budget of

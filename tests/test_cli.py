@@ -147,6 +147,8 @@ def test_table_aps_and_thm3_agree_at_a_million_symbols(capsys):
         ("table", "--formula", "thm3", "--n", "2", "--lambda", "-1"),
         # an empty offset is a bad range, as an empty --lambda is, not offset 0
         ("table", "--formula", "thm3", "--n", "2", "--lambda-offset", ""),
+        ("table", "--formula", "thm3", "--n", "1..2..3"),
+        ("table", "--formula", "thm3", "--n", "2", "--lambda-offset", "-1"),
     ],
 )
 def test_table_invalid_arguments_exit_2(capsys, argv):
@@ -593,6 +595,23 @@ def test_chromatic_vertex_ceiling_is_adjustable(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "chromatic", path, "--max-vertices", "15")
     assert code == 0
     assert out.splitlines()[0] == "degree=15"
+
+
+def test_chromatic_recursion_past_python_limit_exits_3(tmp_path, latin3_env):
+    # a run in its own interpreter, so that a RecursionError escaping main
+    # would show as a traceback on stderr and exit 1
+    text = "600\n" + "".join(f"{v} {(v + 1) % 600}\n" for v in range(600))
+    path = write_graph(tmp_path, text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "latin3", "chromatic", path, "--max-vertices", "600", "--stats"],
+        capture_output=True, text=True, env=latin3_env, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    counters, error = proc.stderr.splitlines()
+    assert set(json.loads(counters)) == set(STAT_NAMES)
+    assert error.startswith("error: chromatic recursion passed Python's recursion limit")
 
 
 # --- gnpq ---------------------------------------------------------------------

@@ -38,6 +38,8 @@ def test_binom_examples():
     assert binom(4, -1) == 0
     assert binom(10, 10) == 1
     assert binom(3, 7) == 0
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        binom(-1, 0)
 
 
 def test_binom_symmetry_exhaustive():

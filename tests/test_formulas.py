@@ -75,6 +75,8 @@ def test_aps_rejects_bad_arguments():
         aps_g(0, 3)
     with pytest.raises(ValueError):
         aps_g(3, -1)
+    with pytest.raises(ValueError, match="needs lam >= n"):
+        aps_literal(3, 2)
 
 
 def test_closed_forms_are_zero_below_n_symbols():

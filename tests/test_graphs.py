@@ -52,6 +52,10 @@ def test_graph_rejects_bad_input():
         Graph(3, frozenset({(2, 0)}))  # unnormalized pair
     with pytest.raises(ValueError):
         Graph(-1, frozenset())
+    with pytest.raises(ValueError, match="complete: n must be >= 0"):
+        complete(-1)
+    with pytest.raises(ValueError, match="build_gn: n must be >= 1"):
+        build_gn(0)
 
 
 def test_adjacency_masks():
@@ -238,6 +242,7 @@ def test_format_parse_round_trip_random(g):
         ("# c\n3\n\n1 1\n", 4),
         ("2\n0 2\n", 2),
         ("-1\n", 1),
+        ("3 4\n", 1),
     ],
 )
 def test_parse_graph_errors_carry_line_numbers(text, line):

@@ -424,7 +424,7 @@ def test_first_invalid_rejects_bad_arrays():
          "string-row", "number-row", "null-row-0", "null-row-2", "null-rectangle",
          "number-rectangle", "list-rows"],
 )
-def test_first_invalid_returns_json_rectangles_it_cannot_judge(rect):
+def test_first_invalid_raises_on_rectangles_it_cannot_judge(rect):
     # rectangles as JSON holds them: first_invalid takes rows as tuples, so
     # each raises TypeError, alone or after a valid rectangle, and none is
     # judged valid; the last is valid by value but has list rows
