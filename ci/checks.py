@@ -31,8 +31,10 @@ sys.path.insert(0, str(SRC))
 
 from latin3 import cli, verify  # noqa: E402
 from latin3.chromatic import chromatic_poly, eval_poly  # noqa: E402
+from latin3.combinatorics import falling  # noqa: E402
 from latin3.formulas import aps_g, g_npq_closed, riordan_l3, thm3_g  # noqa: E402
 from latin3.graphs import build_gnpq  # noqa: E402
+from latin3.oracle import count_latin  # noqa: E402
 
 
 class Failed(Exception):
@@ -73,9 +75,14 @@ def riordan_rectangles(n, lam):
     return math.factorial(n) * riordan_l3(n)
 
 
+def pinned_rectangles(n, lam):
+    """falling(lambda, n) * count_latin with the first row pinned to 1..n."""
+    return falling(lam, n) * count_latin(n, lam, True)
+
+
 @functools.cache
 def gnpq_poly(n, p, q):
-    return chromatic_poly(build_gnpq(n, p, q), max_vertices=15)
+    return chromatic_poly(build_gnpq(n, p, q), max_vertices=3 * n)
 
 
 def agree(cells, routes):
@@ -294,6 +301,21 @@ CHECKS = [
       "9\n0 1\n1 2\n2 3\n0 3\n4 5\n5 6\n6 7\n7 8\n4 8\n",
       '{"nodes": 7, "memo_hits": 1, "memo_misses": 3, "simplicial": 19, "deletion": 0, "addition": 3}',
       "degree=9\n0\n0\n-12\n54\n-106\n119\n-83\n36\n-9\n1\n")),
+    ("Engine grounds G(n) to n = 9",
+     # "Engine exactness past tier-1" stops at G(5).  3n + 2 points fix a
+     # polynomial of degree 3n on lambda >= n; G(9), 27 vertices, takes most
+     # of this row's 3 s.
+     (agree, [(n, lam) for n in range(6, 10) for lam in range(n, 4 * n + 2)],
+      {"engine": lambda n, lam: eval_poly(gnpq_poly(n, 0, 0), lam), "thm3_g": thm3_g, "aps_g": aps_g})),
+    ("Pinned oracle past brute force's reach",
+     # Pinning the first row to 1..n divides the count by falling(lambda, n),
+     # and the search reaches n = 10 in about 1 s; in this module the
+     # unpinned search stops at (6, 7) and brute force at (3, 5).  At lambda = n,
+     # falling(n, n) = n! ties the pinned count to riordan_l3(n).
+     (agree, [(n, n) for n in range(7, 11)],
+      {"falling(lambda, n) * pinned": pinned_rectangles, "thm3_g": thm3_g,
+       "n! * riordan_l3(n)": riordan_rectangles}),
+     (agree, [(7, 8), (8, 9)], {"falling(lambda, n) * pinned": pinned_rectangles, "thm3_g": thm3_g})),
     ("Oracle counters unchanged",
      # count_latin's search is pinned state for state: states searched, and
      # memo hits looked up in the loop.  The value at (6,7) must equal thm3_g.

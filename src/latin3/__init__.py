@@ -20,7 +20,6 @@ from .graphs import (
     Graph,
     build_gn,
     build_gnpq,
-    cartesian_product,
     complete,
     complete_bipartite,
     delete_edge,
@@ -46,7 +45,6 @@ __all__ = [
     "aps_g",
     "build_gn",
     "build_gnpq",
-    "cartesian_product",
     "chromatic_poly",
     "complete",
     "complete_bipartite",

@@ -199,7 +199,7 @@ def _memo_key(adj: Coeffs, degrees: list[int]) -> tuple[int, int]:
         rows = rows << n | adj[v]
     # column: bit 0 of every n-bit row; rows >> v & column is old column v,
     # which the relabeling moves to column i
-    column = ((1 << n * n) - 1) // ((1 << n) - 1) if n else 0
+    column = ((1 << n * n) - 1) // ((1 << n) - 1)
     code = 0
     for i, v in enumerate(order):
         code |= (rows >> v & column) << i

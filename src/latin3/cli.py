@@ -2,7 +2,7 @@
 chromatic polynomials of arbitrary graphs, and surgered-graph comparisons.
 
 Exit codes: 0 success; 1 identity failure; 2 invalid arguments or input;
-3 cost limit (node budget, search depth or vertex ceiling) exceeded.  Data
+3 cost limit (node budget, search depth, vertex ceiling or memory) exceeded.  Data
 goes to stdout, diagnostics to stderr; all numbers are exact decimals.  The
 argument parser is built once per process, on the first call of main, and
 reused after that.
@@ -261,4 +261,7 @@ def main(argv=None) -> int:
         return 2
     except (BudgetExceededError, VertexLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: ran out of memory", file=sys.stderr)
         return 3

@@ -265,8 +265,9 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     comprehension, which is faster here than chained maps.  The weight
     s! F_s^2, a running product of the small factors s (d+s)^2, multiplies
     that column's sum once, and falling(lam, n) the whole sum.  The columns
-    are zipped with the weights of s = 0..min(min(p, q) + r, n // 2), the
-    largest min(k, l) of any split, so no column past it is built.  Row 3
+    are zipped with the weights of s = 0..min(p, q) + r, which bounds
+    min(k, l) in every split, and derangement_columns stops at s = n // 2,
+    so no column past min(min(p, q) + r, n // 2) is built.  Row 3
     of G(n,p,q) is still an n-clique, so for 0 <= lam < n the count is 0.
     """
     _check_n_lam("g_npq_closed", n, lam)
@@ -275,7 +276,7 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     if lam < n:
         return 0
     d, r = lam - n, n - p - q
-    top = min(min(p, q) + r, n // 2)  # the largest min(k, l) of any split
+    top = min(p, q) + r  # min(k, l) <= top in every split
     weights = accumulate(range(1, top + 1), lambda w, s: w * s * (d + s) ** 2, initial=1)
     # signs[l] = (-1)^j C(r, j) at l = q + j, the split (n-l, l), else 0
     binoms = map(math.comb, repeat(r), range(r + 1))
@@ -284,6 +285,8 @@ def g_npq_closed(n: int, p: int, q: int, lam: int) -> int:
     for s, (weight, column) in enumerate(zip(weights, derangement_columns(n, d))):
         # entry i of u is at m = l = s + i; v = u b is read at m = k = n - l
         u = [math.comb(m, s) * b for m, b in enumerate(column, s)]
+        # zip stops at u's n - 2s + 1 entries anyway; the slice's end is
+        # there for cost, so that no sign past them is copied
         terms = zip(signs[s : n - s + 1], u, reversed(u), reversed(column))
         total += weight * sum([sign * x * (y * b) for sign, x, y, b in terms if sign])
     return falling(lam, n) * total

@@ -1,11 +1,11 @@
 """Simple undirected graphs and the constructions behind the rectangle counts.
 
 Vertices are the integers 0..vertex_count-1.  The central family is the
-rook-style graph G(n) on 3 rows and n columns (two cells adjacent iff they
-share a row or a column), which this module builds two independent ways and
-checks against itself: as the Cartesian product K3 x Kn and as the line graph
-of K_{3,n}.  Cell (row i, column j), both 1-based, sits at vertex index
-(i-1)*n + (j-1).
+rook-style graph G(n) on 3 rows and n columns, built from its cell rule:
+two cells are adjacent iff they share a row or a column.  Cell (row i,
+column j), both 1-based, sits at vertex index (i-1)*n + (j-1).  The line
+graph of K_{3,n} is the same graph, vertex for vertex, built independently;
+verify's gnpq-structure check and the graph tests compare the two.
 
 G(n,p,q) is the surgered variant: the first p columns lose their row-1/row-2
 edge, and in the next q columns the row-1 and row-2 cells are identified.
@@ -99,32 +99,17 @@ def line_graph(g: Graph) -> Graph:
     return Graph.from_edges(m, out)
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Cartesian product: (u, x) ~ (v, y) iff (u = v and x ~ y) or (u ~ v and x = y).
-
-    Vertex (u, x) gets index u * h.vertex_count + x.
-    """
-    nh = h.vertex_count
-    edges = []
-    for u in range(g.vertex_count):
-        for x, y in h.edges:
-            edges.append((u * nh + x, u * nh + y))
-    for u, v in g.edges:
-        for x in range(nh):
-            edges.append((u * nh + x, v * nh + x))
-    return Graph.from_edges(g.vertex_count * nh, edges)
-
-
 def build_gn(n: int) -> Graph:
-    """The 3-row rook graph G(n) = K3 x Kn on vertices (i-1)*n + (j-1).
+    """The 3-row rook graph G(n) on vertices (i-1)*n + (j-1): two cells are
+    adjacent iff they share a row or a column.
 
-    Built as a Cartesian product.  It equals, vertex for vertex, the line
-    graph of K_{3,n}; verify's gnpq-structure check and the graph tests
-    compare the two constructions.
+    It is G(n,0,0).  It equals, vertex for vertex, the line graph of
+    K_{3,n}; verify's gnpq-structure check and the graph tests compare the
+    two constructions.
     """
     if n < 1:
         raise ValueError(f"build_gn: n must be >= 1, got {n}")
-    return cartesian_product(complete(3), complete(n))
+    return build_gnpq(n, 0, 0)
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
@@ -176,17 +161,22 @@ def build_gnpq(n: int, p: int, q: int) -> Graph:
     Has 3n - q vertices.  G(n,0,0) is G(n) itself.  The merged cell of
     (0-based) column j is vertex j, its row-1 index; every vertex above a
     removed row-2 cell moves down by one.  Built in one pass over G(n)'s
-    edges: each endpoint goes through one index table, and the p deleted
-    rungs and the q merged self-pairs are skipped.  The result equals p
-    delete_edge and q identify calls (the graph tests compare the two).
+    edges, taken from the cell rule: the row pairs (i*n + a, i*n + b), a < b,
+    and the column pairs (i*n + j, k*n + j) of rows i < k.  Each endpoint
+    goes through one index table, and the p deleted rungs and the q merged
+    self-pairs are skipped.  The result equals p delete_edge and q identify
+    calls (the graph tests compare the two).
     """
     size = gnpq_vertex_count(n, p, q)
     index = [*range(n + p), *range(p, p + q), *range(n + p, size)]
+    rows = ((i * n + a, i * n + b) for i in range(3) for a in range(n) for b in range(a + 1, n))
+    columns = ((i * n + j, k * n + j) for i, k in ((0, 1), (0, 2), (1, 2)) for j in range(n))
     return Graph.from_edges(
         size,
         (
             (index[u], index[v])
-            for u, v in build_gn(n).edges
+            for pairs in (rows, columns)
+            for u, v in pairs
             if index[u] != index[v] and not (u < p and v == u + n)
         ),
     )

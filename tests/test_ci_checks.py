@@ -3,13 +3,15 @@ under the check's name, and the module refuses to run with asserts on."""
 
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 CI = Path(__file__).resolve().parent.parent / "ci"
 sys.path.insert(0, str(CI))
 
 import checks  # noqa: E402
-from latin3.formulas import riordan_l3  # noqa: E402
+from latin3.chromatic import Poly  # noqa: E402
+from latin3.formulas import riordan_l3, thm3_g  # noqa: E402
 
 BRUTE_23 = "table --formula brute --n 2 --lambda 3"
 
@@ -84,3 +86,32 @@ def test_a_run_that_keeps_every_polynomial_fails_the_memory_row(monkeypatch, cap
     capsys.readouterr()
     log = fails(("Verify memory", (checks.memory, 640)), capsys)
     assert "the whole run peaked at " in log and " KiB, not under 640 KiB" in log
+
+
+def row(name):
+    return next(r for r in checks.CHECKS if r[0] == name)
+
+
+def test_an_engine_coefficient_off_by_one_fails_the_gn_row(monkeypatch, capsys):
+    # the row's own kind and routes, on its G(7) cells alone
+    name, (kind, cells, routes) = row("Engine grounds G(n) to n = 9")
+    real = checks.gnpq_poly
+
+    def off(n, p, q):
+        c = list(real(n, p, q).coefficients)
+        c[5] += 1
+        return Poly.of(c)
+
+    monkeypatch.setattr(checks, "gnpq_poly", off)
+    log = fails((name, (kind, [cell for cell in cells if cell[0] == 7], routes)), capsys)
+    # lambda^5 adds 7^5 at the first cell
+    assert f"at (7, 7): engine {thm3_g(7, 7) + 7**5}, thm3_g {thm3_g(7, 7)}" in log
+
+
+def test_a_wrong_pinned_count_at_9_fails_the_oracle_row(monkeypatch, capsys):
+    real = checks.count_latin
+    monkeypatch.setattr(
+        checks, "count_latin", lambda n, lam, pinned: real(n, lam, pinned) + ((n, lam) == (9, 9))
+    )
+    log = fails(row("Pinned oracle past brute force's reach"), capsys)
+    assert f"at (9, 9): falling(lambda, n) * pinned {thm3_g(9, 9) + factorial(9)}, thm3_g {thm3_g(9, 9)}" in log

@@ -381,6 +381,32 @@ def test_table_search_past_the_depth_limit_exits_3(capsys, args, err):
     assert run_cli(capsys, "table", *args, "--stats") == (3, "", err)
 
 
+def test_table_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(n, lam):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "aps_g", exhausted)
+    code, out, err = run_cli(capsys, "table", "--formula", "aps", "--n", "1", "--lambda", "3")
+    assert (code, out, err) == (3, "", "error: ran out of memory\n")
+
+
+def test_table_stats_print_before_an_out_of_memory_error(capsys, monkeypatch):
+    # G(1) is computed; G(2) runs out of memory
+    real = cli.chromatic_poly
+
+    def exhausted(g, **kwargs):
+        if g.vertex_count > 3:
+            raise MemoryError
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(cli, "chromatic_poly", exhausted)
+    code, out, err = run_cli(capsys, "table", "--formula", "engine", "--n", "1..2", "--stats")
+    assert (code, out) == (3, "")
+    want: dict = {}
+    chromatic_poly(build_gn(1), stats=want)
+    assert err == json.dumps(want) + "\nerror: ran out of memory\n"
+
+
 def test_table_searches_keep_their_own_default_budget(capsys, monkeypatch):
     # without --node-budget no budget is passed on, so count_latin keeps its
     # state budget and the colouring search its attempt budget

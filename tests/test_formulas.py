@@ -12,6 +12,7 @@ from math import comb, factorial
 
 import pytest
 
+from latin3 import formulas
 from latin3.chromatic import chromatic_poly, eval_poly
 from latin3.combinatorics import (
     binom,
@@ -367,6 +368,25 @@ def test_band_is_held_one_column_at_a_time():
         tracemalloc.stop()
     assert cell_peak < 2**20
     assert square_peak < 2**19
+
+
+def test_g_npq_builds_no_band_column_past_its_splits(monkeypatch):
+    # with r = n - p - q plain columns, every split (k, l) has min(k, l) <=
+    # min(p, q) + r, and the band stops at column n // 2 on its own
+    real = formulas.derangement_columns
+    pulled = 0
+
+    def counted(n, d):
+        nonlocal pulled
+        for column in real(n, d):
+            pulled += 1
+            yield column
+
+    monkeypatch.setattr(formulas, "derangement_columns", counted)
+    for n, p, q, want in ((10, 7, 1, 4), (10, 0, 0, 6), (9, 9, 0, 1)):
+        pulled = 0
+        g_npq_closed(n, p, q, n + 2)
+        assert pulled == min(min(p, q) + n - p - q, n // 2) + 1 == want, (n, p, q)
 
 
 # --- Alternating-sum route ----------------------------------------------------

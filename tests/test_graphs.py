@@ -10,7 +10,6 @@ from latin3.graphs import (
     Graph,
     build_gn,
     build_gnpq,
-    cartesian_product,
     complete,
     complete_bipartite,
     delete_edge,
@@ -80,15 +79,6 @@ def test_line_graph_small():
     assert lg == build_gn(2)
 
 
-def test_cartesian_product_small():
-    assert cartesian_product(complete(1), complete(3)) == complete(3)
-    c4 = cartesian_product(complete(2), complete(2))
-    assert (c4.vertex_count, c4.edge_count) == (4, 4)
-    assert [row.bit_count() for row in c4.adjacency_masks()] == [2, 2, 2, 2]
-    k33 = cartesian_product(complete(3), complete(3))
-    assert (k33.vertex_count, k33.edge_count) == (9, 18)
-
-
 def test_build_gn_counts_and_labeled_equality():
     assert build_gn(1) == complete(3)
     for n in range(1, 6):
@@ -155,7 +145,6 @@ def test_identify_symmetric(g, data):
 
 def test_build_gnpq_counts():
     for n in range(1, 6):
-        assert build_gnpq(n, 0, 0) == build_gn(n)
         for p in range(n + 1):
             for q in range(n - p + 1):
                 assert build_gnpq(n, p, q).vertex_count == 3 * n - q

@@ -229,7 +229,7 @@ def test_gnpq_structure_fails_on_a_surgery_that_keeps_the_rungs(monkeypatch):
     monkeypatch.setattr(verify, "build_gnpq", lambda n, p, q: graphs.build_gnpq(n, 0, q))
     results = run_verify(n_max=1)
     assert failures(results) == [
-        ("gnpq-structure", "G(1,1,0) has 3 edges, want 2", 8),
+        ("gnpq-structure", "G(1,1,0) has 3 edges, want 2", 7),
         # after the 12 cells of G(1,0,0) and G(1,0,1), and G(1,1,0) at lambda = 1
         ("surgery-closed-form", "n=1 p=1 q=0 lam=2: closed=2 engine=0", 14),
         ("theorem2-m-invariance", "n=1 m=1 lam=2: sum=-2 engine=0", 2),
@@ -237,9 +237,9 @@ def test_gnpq_structure_fails_on_a_surgery_that_keeps_the_rungs(monkeypatch):
 
 
 def test_gnpq_structure_fails_on_a_line_graph_wrong_only_at_5(monkeypatch):
-    # G(5) is built twice, as a Cartesian product and as the line graph of
+    # G(5) is built twice, from the cell rule and as the line graph of
     # K_{3,5}, the one K_{3,n} with 8 vertices; gnpq-structure's first cell
-    # at n = 5, after the 76 of n <= 4, compares the two
+    # at n = 5, after the 72 of n <= 4, compares the two
     real = graphs.line_graph
 
     def wrong(g):
@@ -250,8 +250,8 @@ def test_gnpq_structure_fails_on_a_line_graph_wrong_only_at_5(monkeypatch):
     assert failures(results) == [
         (
             "gnpq-structure",
-            "n=5: product and line-graph constructions differ",
-            76 + 1,
+            "n=5: cell-rule and line-graph constructions differ",
+            72 + 1,
         ),
     ]
 
