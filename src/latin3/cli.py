@@ -28,50 +28,39 @@ FORMAT_CHOICES = ("plain", "csv", "json")
 STATS_HELP = "print the engine's counters as one JSON line on stderr"
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """Parse 'A' or 'A..B' into an inclusive integer range."""
+def _parse_range(text: str, name: str, low: int) -> range:
+    """Parse 'A' or 'A..B' into the inclusive range A..B, whose lower end A,
+    called name in the message, must be at least low."""
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
+        if len(parts) > 2:
             raise ValueError
+        lo, hi = int(parts[0]), int(parts[-1])
     except ValueError:
         raise ValueError(f"bad range {text!r}; expected 'A' or 'A..B'") from None
     if lo > hi:
         raise ValueError(f"empty range {text!r}")
-    return lo, hi
+    if lo < low:
+        raise ValueError(f"{name} must be >= {low}, got {lo}")
+    return range(lo, hi + 1)
 
 
 def _table_cells(args: argparse.Namespace) -> list[tuple[int, int]]:
-    n_lo, n_hi = _parse_range(args.n)
-    if n_lo < 1:
-        raise ValueError(f"n must be >= 1, got {n_lo}")
+    """The table's (n, lambda) cells; riordan's are those of offset 0."""
+    ns = _parse_range(args.n, "n", 1)
     if args.formula == "riordan":
         if args.lam is not None or args.lambda_offset is not None:
             raise ValueError(
                 "the riordan formula has no lambda parameter; drop --lambda/--lambda-offset"
             )
-        return [(n, n) for n in range(n_lo, n_hi + 1)]
-    if args.lam is not None and args.lambda_offset is not None:
+    elif args.lam is not None and args.lambda_offset is not None:
         raise ValueError("give at most one of --lambda and --lambda-offset")
-    if args.lam is not None:
-        lam_lo, lam_hi = _parse_range(args.lam)
-        if lam_lo < 0:
-            raise ValueError(f"lambda must be >= 0, got {lam_lo}")
-        return [
-            (n, lam)
-            for n in range(n_lo, n_hi + 1)
-            for lam in range(lam_lo, lam_hi + 1)
-        ]
-    off_lo, off_hi = _parse_range("0" if args.lambda_offset is None else args.lambda_offset)
-    if off_lo < 0:
-        raise ValueError(f"lambda offset must be >= 0, got {off_lo}")
-    return [
-        (n, n + off) for n in range(n_lo, n_hi + 1) for off in range(off_lo, off_hi + 1)
-    ]
+    elif args.lam is not None:
+        lams = _parse_range(args.lam, "lambda", 0)
+        return [(n, lam) for n in ns for lam in lams]
+    offset = "0" if args.lambda_offset is None else args.lambda_offset
+    offsets = _parse_range(offset, "lambda offset", 0)
+    return [(n, n + off) for n in ns for off in offsets]
 
 
 def _print_stats(stats: Optional[dict]) -> None:
@@ -132,19 +121,15 @@ def cmd_table(args: argparse.Namespace) -> int:
         rows = [(n, lam, args.formula, str(value(n, lam))) for n, lam in cells]
     finally:
         _print_stats(stats)
+    keys = ("n", "lambda", "formula", "value")
+    if args.format == "json":
+        print(json.dumps([dict(zip(keys, row)) for row in rows], indent=2))
+        return 0
+    sep = "," if args.format == "csv" else " "
     if args.format == "csv":
-        print("n,lambda,formula,value")
-        for n, lam, formula, val in rows:
-            print(f"{n},{lam},{formula},{val}")
-    elif args.format == "json":
-        payload = [
-            {"n": n, "lambda": lam, "formula": formula, "value": val}
-            for n, lam, formula, val in rows
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        for n, lam, formula, val in rows:
-            print(f"{n} {lam} {formula} {val}")
+        print(*keys, sep=sep)
+    for row in rows:
+        print(*row, sep=sep)
     return 0
 
 

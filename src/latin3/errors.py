@@ -7,12 +7,6 @@ long".
 """
 
 
-# The deepest recursion oracle.count_latin starts.  CPython's default
-# recursion limit is 1000, and the frames below a search's entry point need
-# room too.
-MAX_SEARCH_DEPTH = 800
-
-
 class BudgetExceededError(RuntimeError):
     """A search visited more nodes than its configured budget allows."""
 

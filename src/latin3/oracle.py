@@ -40,13 +40,16 @@ import operator
 from itertools import chain, compress, islice, permutations, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import MAX_SEARCH_DEPTH, BudgetExceededError
+from .errors import BudgetExceededError
 
 DEFAULT_NODE_BUDGET = 10**9
 # count_latin's default: a state searched takes about 70-120 bytes at peak
 # under tracemalloc (68 at (4, 6), 116 at (6, 7)), so 10**7 states keep the
 # memo near 1.2 GiB
 DEFAULT_STATE_BUDGET = 10**7
+# The deepest recursion count_latin starts.  CPython's default recursion
+# limit is 1000, and the frames below a search's entry point need room too.
+MAX_SEARCH_DEPTH = 800
 
 # A rectangle is 3 rows of n symbols each, as nested tuples.
 Rectangle = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]

@@ -9,9 +9,8 @@ import pytest
 from latin3.chromatic import STAT_NAMES, chromatic_poly, count_colorings_bruteforce, eval_poly
 from latin3 import cli
 from latin3.cli import main
-from latin3.errors import MAX_SEARCH_DEPTH
 from latin3.graphs import build_gn, build_gnpq
-from latin3.oracle import count_latin
+from latin3.oracle import MAX_SEARCH_DEPTH, count_latin
 from latin3.verify import render_report, run_verify
 
 
@@ -67,6 +66,20 @@ def test_table_json_matches_csv(capsys):
     assert code == 0
     code, csv_out, _ = run_cli(capsys, *args, "--format", "csv")
     assert code == 0
+    code, plain_out, _ = run_cli(capsys, *args)
+    assert code == 0
+
+    cells = [(2, 2, "0"), (2, 3, "12"), (3, 3, "12"), (3, 4, "1056")]
+    assert plain_out == "".join(f"{n} {lam} thm3 {v}\n" for n, lam, v in cells)
+    assert csv_out == "n,lambda,formula,value\n" + "".join(
+        f"{n},{lam},thm3,{v}\n" for n, lam, v in cells
+    )
+    # the exact bytes: two-space indent, keys in this order, values as strings
+    assert json_out == "[\n" + ",\n".join(
+        f'  {{\n    "n": {n},\n    "lambda": {lam},\n    "formula": "thm3",\n'
+        f'    "value": "{v}"\n  }}'
+        for n, lam, v in cells
+    ) + "\n]\n"
 
     records = json.loads(json_out)
     csv_rows = [line.split(",") for line in csv_out.splitlines()[1:]]
@@ -136,26 +149,35 @@ def test_table_aps_and_thm3_agree_at_a_million_symbols(capsys):
     assert rows["aps"][2] == str(eval_poly(chromatic_poly(build_gn(3)), 10**6))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("table", "--formula", "thm3", "--n", "0"),
-        ("table", "--formula", "thm3", "--n", "3..1"),
-        ("table", "--formula", "thm3", "--n", "x..2"),
-        ("table", "--formula", "thm3", "--n", "2", "--lambda", "3",
-         "--lambda-offset", "1"),
-        ("table", "--formula", "thm3", "--n", "2", "--lambda", "-1"),
-        # an empty offset is a bad range, as an empty --lambda is, not offset 0
-        ("table", "--formula", "thm3", "--n", "2", "--lambda-offset", ""),
-        ("table", "--formula", "thm3", "--n", "1..2..3"),
-        ("table", "--formula", "thm3", "--n", "2", "--lambda-offset", "-1"),
-    ],
-)
+# each invalid table command and its whole stderr line, less "error: "
+TABLE_ARGUMENT_ERRORS = {
+    ("table", "--formula", "thm3", "--n", "0"): "n must be >= 1, got 0",
+    ("table", "--formula", "thm3", "--n", "3..1"): "empty range '3..1'",
+    ("table", "--formula", "thm3", "--n", "x..2"):
+        "bad range 'x..2'; expected 'A' or 'A..B'",
+    ("table", "--formula", "thm3", "--n", "2", "--lambda", "3", "--lambda-offset", "1"):
+        "give at most one of --lambda and --lambda-offset",
+    ("table", "--formula", "thm3", "--n", "2", "--lambda", "-1"):
+        "lambda must be >= 0, got -1",
+    # an empty offset is a bad range, as an empty --lambda is, not offset 0
+    ("table", "--formula", "thm3", "--n", "2", "--lambda-offset", ""):
+        "bad range ''; expected 'A' or 'A..B'",
+    ("table", "--formula", "thm3", "--n", "1..2..3"):
+        "bad range '1..2..3'; expected 'A' or 'A..B'",
+    ("table", "--formula", "thm3", "--n", "2", "--lambda-offset", "-1"):
+        "lambda offset must be >= 0, got -1",
+    ("table", "--formula", "thm3", "--n", "2", "--lambda", "5..4"): "empty range '5..4'",
+    ("table", "--formula", "riordan", "--n", "2", "--lambda-offset", "0"):
+        "the riordan formula has no lambda parameter; drop --lambda/--lambda-offset",
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLE_ARGUMENT_ERRORS))
 def test_table_invalid_arguments_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err == f"error: {TABLE_ARGUMENT_ERRORS[argv]}\n"
 
 
 def test_table_unknown_formula_is_a_usage_error(capsys):

@@ -11,9 +11,16 @@ import pytest
 
 from latin3 import oracle
 from latin3.combinatorics import falling, gen_derangement
-from latin3.errors import MAX_SEARCH_DEPTH, BudgetExceededError
+from latin3.errors import BudgetExceededError
 from latin3.formulas import thm3_g
-from latin3.oracle import STAT_NAMES, count_latin, enumerate_latin, first_invalid, injection_counts
+from latin3.oracle import (
+    MAX_SEARCH_DEPTH,
+    STAT_NAMES,
+    count_latin,
+    enumerate_latin,
+    first_invalid,
+    injection_counts,
+)
 
 
 def test_count_latin_single_column():
