@@ -153,11 +153,15 @@ def _drop(adj: Coeffs, gone: int) -> Coeffs:
 def _contract(adj: Coeffs, u: int, v: int) -> Coeffs:
     """Merge v into u (u < v) and drop index v, collapsing parallel edges.
 
-    u and v need not be adjacent; an edge between them is dropped.
+    u and v need not be adjacent; an edge between them is dropped.  One pass
+    shifts every row's bits above v down past it and moves bit v to bit u;
+    row u then takes both rows' neighbours but itself, and row v goes.
     """
-    bu, bv = 1 << u, 1 << v
-    rows = tuple(m | bu if m & bv else m for m in adj)
-    return _drop(rows[:u] + ((adj[u] | adj[v]) & ~(bu | bv),) + rows[u + 1:], bv)
+    low = (1 << v) - 1
+    rows = [(m & low) | (m >> 1 & ~low) | (m >> v & 1) << u for m in adj]
+    rows[u] = (rows[u] | rows[v]) & ~(1 << u)
+    del rows[v]
+    return tuple(rows)
 
 
 def _memo_key(adj: Coeffs, degrees: list[int]) -> tuple[int, int]:

@@ -8,15 +8,17 @@ count_latin remembers, for the length of one call, how many ways each exact
 state of its search (the three rows' used-symbol sets) can be finished, so
 no state is searched twice.  The memo keys each state by one int that packs
 the three sets' bitmasks side by side.  It uses no symmetry and no
-relabelling of symbols.  It walks only the free symbols of each row, looks
-each next state up in the memo inside that loop so that only a miss
-recurses, and settles each last-column state in one step, counting its
-completions by inclusion-exclusion over the three rows' free sets (see its
-docstring).
-Its budget counts nodes, one per state searched; a memo hit costs no node,
-and the "completed" count in a budget error includes the rectangles a hit
-stood for.  A search that would recurse more than MAX_SEARCH_DEPTH columns
-deep is refused before it starts.
+relabelling of symbols.  It walks only the free symbols of each row and
+looks each next state up in the memo inside that loop, so that only a miss
+goes deeper.  A last-column state is settled in one step in the loop that
+probes it, with no call, counting its completions by inclusion-exclusion
+over the three rows' free sets (see its docstring).
+Its budget counts nodes, one per state searched, settled last-column states
+included; a memo hit costs no node, and the "completed" count in a budget
+error includes the rectangles a hit stood for.  A search needing more than
+MAX_SEARCH_DEPTH levels, one per column, is refused before it starts; the
+search stacks one level fewer, since a last-column state takes no call, but
+the limit still counts that column.
 
 enumerate_latin walks the rectangles, filling a row at a time from the list
 of perm(lam, n) candidate rows, and yields them lazily, so a reader that
@@ -107,21 +109,25 @@ def count_latin(
     used.  Each loop walks only the free symbols, as bits read from a
     per-call table keyed by the used-symbol mask, and looks each placement's
     next state up in the memo itself: a hit adds its count there, and only a
-    miss calls the search one column deeper.  In the last column no
-    placement can fail later, so a state there is settled in one step: with
-    A, B and F the free symbols of rows 0, 1 and 2 (A only col + 1 when
-    pinned) and pairs = |A||B| - |A&B|, it completes
-    pairs|F| - |A&F||B| - |B&F||A| + 2|A&B&F| rectangles.
+    miss goes one column deeper.  In the last column no placement can fail
+    later, so a state there is settled in one step: with A, B and F the free
+    symbols of rows 0, 1 and 2 (A only col + 1 when pinned) and
+    pairs = |A||B| - |A&B|, it completes
+    pairs|F| - |A&F||B| - |B&F||A| + 2|A&B&F| rectangles.  A miss in the
+    last column is settled in the loop that probes it, with no call of its
+    own; only the one state of n = 1 is settled as the root.
 
     Every state searched (a memo miss, last column included) costs one node
     against the budget; a memo hit costs none.  A state costs at most lam**3
     placements, so the budget bounds the work, and the default of
     DEFAULT_STATE_BUDGET bounds the memo too.  A budget error reports the
     nodes visited and the rectangles completed so far, counting every
-    rectangle a memo hit stood for.  The search recurses one level per
-    column and row 0 runs out of symbols after lam columns, so a call needing
-    more than MAX_SEARCH_DEPTH levels, min(n, lam + 1), raises
-    BudgetExceededError before it searches.  A dict passed as stats gets the
+    rectangle a memo hit stood for.  The search takes one level per column
+    and row 0 runs out of symbols after lam columns, so a call needing more
+    than MAX_SEARCH_DEPTH levels, min(n, lam + 1), raises
+    BudgetExceededError before it searches.  Settling the last column in its
+    parent's loop stacks one level fewer than that, but the limit still
+    counts the last column.  A dict passed as stats gets the
     counts named in STAT_NAMES added to it: nodes (states searched) and memo
     hits.
     """
@@ -141,16 +147,20 @@ def count_latin(
     nodes = hits = 0
     done = 0  # rectangles completed so far, memo hits included
 
+    def over_budget() -> BudgetExceededError:
+        return BudgetExceededError(
+            f"rectangle search exceeded the node budget of {node_budget}: "
+            f"visited {nodes} nodes, completed {done} rectangles"
+        )
+
     def fill(col: int, u0: int, u1: int, u2: int, key: int) -> int:
         """Search the state (u0, u1, u2) at column col, packed as key, which
-        the memo lacks."""
+        the memo lacks.  A state at column n - 2 settles its last-column
+        children in its own loop, so only the root of n = 1 is settled here."""
         nonlocal nodes, hits, done
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(
-                f"rectangle search exceeded the node budget of {node_budget}: "
-                f"visited {nodes} nodes, completed {done} rectangles"
-            )
+            raise over_budget()
         if col == n - 1:
             a_free = symbols & (1 << col + 1 if fixed_first_row else ~u0)
             b_free = symbols & ~u1
@@ -164,11 +174,13 @@ def count_latin(
                 + 2 * (a_free & b_free & c_free).bit_count()
             )
             done += total
-        else:
-            total = 0
-            nxt = col + 1
-            get = memo.get
-            top = ((1 << nxt,) if col < lam else ()) if fixed_first_row else free[u0]
+            memo[key] = total
+            return total
+        total = 0
+        nxt = col + 1
+        get = memo.get
+        top = ((1 << nxt,) if col < lam else ()) if fixed_first_row else free[u0]
+        if nxt < n - 1:
             for bit_a in top:
                 v0 = u0 | bit_a
                 for bit_b in free[u1 | bit_a]:
@@ -182,6 +194,48 @@ def count_latin(
                             hits += 1
                             done += found
                         total += found
+        else:
+            # col = n - 2: every child is a last-column state, and each miss
+            # is settled here, one node apiece, by the formula above, with its
+            # pair's free sets built on the pair's first miss.  No call below
+            # this frame touches the counters, so its hits and completions
+            # (total) stay in locals until the frame ends or the budget runs
+            # out.
+            found_hits = 0
+            c_left = symbols & ~u2
+            nc = c_left.bit_count() - 1  # |F| of every child: bit_c is one of c_left
+            for bit_a in top:
+                v0 = u0 | bit_a
+                for bit_b in free[u1 | bit_a]:
+                    v1 = u1 | bit_b
+                    k01 = ((v0 << w) | v1) << w | u2
+                    a_free = None
+                    for bit_c in free[u2 | bit_a | bit_b]:
+                        found = get(k01 | bit_c)
+                        if found is None:
+                            nodes += 1
+                            if nodes > node_budget:
+                                hits += found_hits
+                                done += total
+                                raise over_budget()
+                            if a_free is None:  # the pair's first miss
+                                a_free = symbols & (1 << n if fixed_first_row else ~v0)
+                                b_free = symbols & ~v1
+                                ab_free = a_free & b_free
+                                na, nb = a_free.bit_count(), b_free.bit_count()
+                                pairs = na * nb - ab_free.bit_count()
+                            c_free = c_left ^ bit_c
+                            found = memo[k01 | bit_c] = (
+                                pairs * nc
+                                - (a_free & c_free).bit_count() * nb
+                                - (b_free & c_free).bit_count() * na
+                                + 2 * (ab_free & c_free).bit_count()
+                            )
+                        else:
+                            found_hits += 1
+                        total += found
+            hits += found_hits
+            done += total
         memo[key] = total
         return total
 

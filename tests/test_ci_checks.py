@@ -11,6 +11,7 @@ sys.path.insert(0, str(CI))
 
 import checks  # noqa: E402
 from latin3.chromatic import Poly  # noqa: E402
+from latin3.errors import BudgetExceededError  # noqa: E402
 from latin3.formulas import riordan_l3, thm3_g  # noqa: E402
 
 BRUTE_23 = "table --formula brute --n 2 --lambda 3"
@@ -115,3 +116,21 @@ def test_a_wrong_pinned_count_at_9_fails_the_oracle_row(monkeypatch, capsys):
     )
     log = fails(row("Pinned oracle past brute force's reach"), capsys)
     assert f"at (9, 9): falling(lambda, n) * pinned {thm3_g(9, 9) + factorial(9)}, thm3_g {thm3_g(9, 9)}" in log
+
+
+def test_a_lost_completion_fails_the_mid_search_state_budget_part(monkeypatch, capsys):
+    # the row's mid-search part alone, against a search whose budget error
+    # reports one rectangle too few
+    name, *parts = row("Oracle state budget")
+    real = checks.cli.count_latin
+
+    def short(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except BudgetExceededError as exc:
+            head, _, tail = str(exc).rpartition("completed ")
+            raise BudgetExceededError(f"{head}completed {int(tail.split()[0]) - 1} rectangles") from None
+
+    monkeypatch.setattr(checks.cli, "count_latin", short)
+    log = fails((name, parts[-1]), capsys)
+    assert "budget 5000: exit 3" in log and "visited 5001 nodes, completed 863562 rectangles" in log

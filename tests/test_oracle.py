@@ -276,6 +276,94 @@ def test_one_node_per_state_searched():
             assert stats["nodes"] == searched, (n, lam, pinned)
 
 
+def _count_latin_one_call_per_state(n, lam, pinned, node_budget, stats):
+    """count_latin's search with one fill call per state searched, the last
+    column included: the same memo, nodes, budget errors and stats."""
+    memo, free = {}, {}
+    w = lam + 1
+    symbols = (1 << w) - 2
+    nodes = hits = done = 0
+
+    def free_bits(used):
+        if used not in free:
+            free[used] = tuple(1 << s for s in range(1, w) if not used >> s & 1)
+        return free[used]
+
+    def fill(col, u0, u1, u2, key):
+        nonlocal nodes, hits, done
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(
+                f"rectangle search exceeded the node budget of {node_budget}: "
+                f"visited {nodes} nodes, completed {done} rectangles"
+            )
+        if col == n - 1:
+            a = symbols & (1 << col + 1 if pinned else ~u0)
+            b, c = symbols & ~u1, symbols & ~u2
+            na, nb = a.bit_count(), b.bit_count()
+            total = (
+                (na * nb - (a & b).bit_count()) * c.bit_count()
+                - (a & c).bit_count() * nb
+                - (b & c).bit_count() * na
+                + 2 * (a & b & c).bit_count()
+            )
+            done += total
+        else:
+            total = 0
+            top = ((1 << col + 1,) if col < lam else ()) if pinned else free_bits(u0)
+            for bit_a in top:
+                v0 = u0 | bit_a
+                for bit_b in free_bits(u1 | bit_a):
+                    v1 = u1 | bit_b
+                    k01 = ((v0 << w) | v1) << w | u2
+                    for bit_c in free_bits(u2 | bit_a | bit_b):
+                        found = memo.get(k01 | bit_c)
+                        if found is None:
+                            found = fill(col + 1, v0, v1, u2 | bit_c, k01 | bit_c)
+                        else:
+                            hits += 1
+                            done += found
+                        total += found
+        memo[key] = total
+        return total
+
+    try:
+        return fill(0, 0, 0, 0, 0)
+    finally:
+        stats.update(nodes=nodes, memo_hits=hits)
+
+
+def test_every_budget_outcome_matches_one_call_per_state():
+    # Settling a last-column state in its parent's loop must keep every
+    # outcome: at each budget, the value or the budget error's text, and the
+    # stats.  At n = 2 the root settles all its children, so every budget
+    # error there is raised inside a settlement; at n = 3 and 4 errors come
+    # from settlements and from deeper calls alike.
+    cells = [(n, lam) for n in (1, 2, 3) for lam in range(7)] + [(4, 4), (4, 5)]
+    for n, lam in cells:
+        for pinned in (False, True):
+            stats: dict = {}
+            want = count_latin(n, lam, pinned, stats=stats)
+            size = stats["nodes"]
+            # every budget but on (3, 6) and (4, 5), which take every 50th,
+            # and always the last state's error and the value
+            step = 50 if (n, lam) in ((3, 6), (4, 5)) else 1
+            budgets = sorted({*range(1, size + 1, step), size - 1, size} - {0})
+            outcomes = []
+            for search in (count_latin, _count_latin_one_call_per_state):
+                seen = []
+                for budget in budgets:
+                    stats = {}
+                    try:
+                        value = search(n, lam, pinned, node_budget=budget, stats=stats)
+                    except BudgetExceededError as exc:
+                        value = str(exc)
+                    seen.append((budget, value, stats))
+                outcomes.append(seen)
+            assert outcomes[0] == outcomes[1], (n, lam, pinned)
+            assert outcomes[0][-1][1] == want, (n, lam, pinned)
+
+
 def test_memo_keys_wider_than_three_machine_words():
     # A memo key packs the three rows' used-symbol masks, lam + 1 bits each,
     # so lam >= 64 makes it wider than 192 bits.  Two columns with row 0
