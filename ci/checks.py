@@ -30,7 +30,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from latin3 import cli, verify  # noqa: E402
-from latin3.chromatic import chromatic_poly, eval_poly  # noqa: E402
+from latin3.chromatic import Poly, chromatic_poly, eval_poly  # noqa: E402
 from latin3.combinatorics import falling  # noqa: E402
 from latin3.formulas import aps_g, g_npq_closed, riordan_l3, thm3_g  # noqa: E402
 from latin3.graphs import build_gnpq  # noqa: E402
@@ -83,6 +83,12 @@ def pinned_rectangles(n, lam):
 @functools.cache
 def gnpq_poly(n, p, q):
     return chromatic_poly(build_gnpq(n, p, q), max_vertices=3 * n)
+
+
+def theorem2_sum(n, m):
+    """Theorem 2's sum over q of (-1)^q C(m, q) P(G(n, m - q, q)), as a Poly."""
+    terms = (Poly(((-1) ** q * math.comb(m, q),)) * gnpq_poly(n, m - q, q) for q in range(m + 1))
+    return sum(terms, Poly((0,)))
 
 
 def agree(cells, routes):
@@ -230,11 +236,14 @@ CHECKS = [
     ("Engine exactness past tier-1",
      # G(5) has 15 vertices, past the engine's default limit.
      (tables, 4, "--n 5 --lambda-offset 0..3", "engine --max-vertices 15", "thm3")),
-    ("Engine exactness on every G(5,p,q)",
-     # 16 points fix a polynomial of degree <= 15 on lambda >= 5; verify's
-     # surgery-closed-form stops at n = 4.
-     (agree, surgered([5], lambda n: range(5, 21)),
-      {"engine": lambda n, p, q, lam: eval_poly(gnpq_poly(n, p, q), lam), "g_npq_closed": g_npq_closed})),
+    ("Engine grounds G(n,p,q) and Theorem 2 to n = 7",
+     # 3n + 1 points fix a polynomial of degree <= 3n on lambda >= n; verify's
+     # surgery-closed-form stops at n = 4, and its theorem2-m-invariance
+     # samples points at n <= 3.  The 36 G(7,p,q) take most of this row's 2 s.
+     (agree, surgered(range(5, 8), lambda n: range(n, 4 * n + 1)),
+      {"engine": lambda n, p, q, lam: eval_poly(gnpq_poly(n, p, q), lam), "g_npq_closed": g_npq_closed}),
+     (agree, [(n, m) for n in range(1, 8) for m in range(1, n + 1)],
+      {"Theorem 2's sum": theorem2_sum, "P(G(n))": lambda n, m: gnpq_poly(n, 0, 0)})),
     ("Engine counters unchanged",
      # The engine's search is pinned node for node.
      (counters, "table --formula engine --n 4 --lambda 4",

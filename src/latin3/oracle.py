@@ -8,11 +8,13 @@ count_latin remembers, for the length of one call, how many ways each exact
 state of its search (the three rows' used-symbol sets) can be finished, so
 no state is searched twice.  The memo keys each state by one int that packs
 the three sets' bitmasks side by side.  It uses no symmetry and no
-relabelling of symbols.  It walks only the free symbols of each row and
-looks each next state up in the memo inside that loop, so that only a miss
-goes deeper.  A last-column state is settled in one step in the loop that
-probes it, with no call, counting its completions by inclusion-exclusion
-over the three rows' free sets (see its docstring).
+relabelling of symbols.  One probe loop walks only the free symbols of each
+row and looks each next state up in the memo: a hit adds its count there,
+and a miss goes one column deeper or, in the last column, is settled where
+it is probed, with no call, counting its completions by inclusion-exclusion
+over the three rows' free sets (see its docstring).  Each search frame keeps
+its hits and completions in locals and adds them to the call's counters
+before it goes deeper, before it raises a budget error and when it returns.
 Its budget counts nodes, one per state searched, settled last-column states
 included; a memo hit costs no node, and the "completed" count in a budget
 error includes the rectangles a hit stood for.  A search needing more than
@@ -103,19 +105,23 @@ def count_latin(
     has used), so each such state is searched once per call and its count is
     remembered for the rest of that call.  The memo key is the exact state,
     the three rows' masks packed into one int, (u0 << 2w) | (u1 << w) | u2
-    with w = lam + 1 bits each, so no tuple is built per lookup: each loop
+    with w = lam + 1 bits each, so no tuple is built per lookup: the loop
     builds the key's row-0 and row-1 part once per placement of those rows
     and ORs in row 2's bit per probe.  No symbol relabelling or symmetry is
-    used.  Each loop walks only the free symbols, as bits read from a
+    used.  One probe loop walks only the free symbols, as bits read from a
     per-call table keyed by the used-symbol mask, and looks each placement's
-    next state up in the memo itself: a hit adds its count there, and only a
-    miss goes one column deeper.  In the last column no placement can fail
+    next state up in the memo itself: a hit adds its count there, and a miss
+    goes one column deeper.  In the last column no placement can fail
     later, so a state there is settled in one step: with A, B and F the free
     symbols of rows 0, 1 and 2 (A only col + 1 when pinned) and
     pairs = |A||B| - |A&B|, it completes
     pairs|F| - |A&F||B| - |B&F||A| + 2|A&B&F| rectangles.  A miss in the
     last column is settled in the loop that probes it, with no call of its
-    own; only the one state of n = 1 is settled as the root.
+    own, its pair's A and B built on the pair's first miss; only the one
+    state of n = 1 is settled as the root.  A frame of the search counts its
+    hits and completions in locals and adds them to the call's counters
+    before it goes a column deeper, before it raises a budget error and
+    when it returns, so the counters are exact wherever the search stops.
 
     Every state searched (a memo miss, last column included) costs one node
     against the budget; a memo hit costs none.  A state costs at most lam**3
@@ -155,8 +161,8 @@ def count_latin(
 
     def fill(col: int, u0: int, u1: int, u2: int, key: int) -> int:
         """Search the state (u0, u1, u2) at column col, packed as key, which
-        the memo lacks.  A state at column n - 2 settles its last-column
-        children in its own loop, so only the root of n = 1 is settled here."""
+        the memo lacks.  Its last-column children are settled in its own
+        loop, so only the root of n = 1 is settled here."""
         nonlocal nodes, hits, done
         nodes += 1
         if nodes > node_budget:
@@ -176,66 +182,56 @@ def count_latin(
             done += total
             memo[key] = total
             return total
-        total = 0
+        # hits and done are flushed before a call, before a budget error and
+        # on return; a call adds its own completions to done, so flushed is
+        # how much of total is already there.
+        total = flushed = found_hits = 0
         nxt = col + 1
+        last = nxt == n - 1
         get = memo.get
+        c_left = symbols & ~u2
+        nc = c_left.bit_count() - 1  # |F| of a last-column child: bit_c is one of c_left
         top = ((1 << nxt,) if col < lam else ()) if fixed_first_row else free[u0]
-        if nxt < n - 1:
-            for bit_a in top:
-                v0 = u0 | bit_a
-                for bit_b in free[u1 | bit_a]:
-                    v1 = u1 | bit_b
-                    k01 = ((v0 << w) | v1) << w | u2
-                    for bit_c in free[u2 | bit_a | bit_b]:
-                        found = get(k01 | bit_c)
-                        if found is None:
-                            found = fill(nxt, v0, v1, u2 | bit_c, k01 | bit_c)
-                        else:
-                            hits += 1
-                            done += found
-                        total += found
-        else:
-            # col = n - 2: every child is a last-column state, and each miss
-            # is settled here, one node apiece, by the formula above, with its
-            # pair's free sets built on the pair's first miss.  No call below
-            # this frame touches the counters, so its hits and completions
-            # (total) stay in locals until the frame ends or the budget runs
-            # out.
-            found_hits = 0
-            c_left = symbols & ~u2
-            nc = c_left.bit_count() - 1  # |F| of every child: bit_c is one of c_left
-            for bit_a in top:
-                v0 = u0 | bit_a
-                for bit_b in free[u1 | bit_a]:
-                    v1 = u1 | bit_b
-                    k01 = ((v0 << w) | v1) << w | u2
-                    a_free = None
-                    for bit_c in free[u2 | bit_a | bit_b]:
-                        found = get(k01 | bit_c)
-                        if found is None:
-                            nodes += 1
-                            if nodes > node_budget:
-                                hits += found_hits
-                                done += total
-                                raise over_budget()
-                            if a_free is None:  # the pair's first miss
-                                a_free = symbols & (1 << n if fixed_first_row else ~v0)
-                                b_free = symbols & ~v1
-                                ab_free = a_free & b_free
-                                na, nb = a_free.bit_count(), b_free.bit_count()
-                                pairs = na * nb - ab_free.bit_count()
-                            c_free = c_left ^ bit_c
-                            found = memo[k01 | bit_c] = (
-                                pairs * nc
-                                - (a_free & c_free).bit_count() * nb
-                                - (b_free & c_free).bit_count() * na
-                                + 2 * (ab_free & c_free).bit_count()
-                            )
-                        else:
-                            found_hits += 1
-                        total += found
-            hits += found_hits
-            done += total
+        for bit_a in top:
+            v0 = u0 | bit_a
+            for bit_b in free[u1 | bit_a]:
+                v1 = u1 | bit_b
+                k01 = ((v0 << w) | v1) << w | u2
+                a_free = None
+                for bit_c in free[u2 | bit_a | bit_b]:
+                    found = get(k01 | bit_c)
+                    if found is not None:
+                        found_hits += 1
+                    elif last:
+                        # settled here, one node, by the formula above, with
+                        # the pair's free sets built on the pair's first miss
+                        nodes += 1
+                        if nodes > node_budget:
+                            hits += found_hits
+                            done += total - flushed
+                            raise over_budget()
+                        if a_free is None:
+                            a_free = symbols & (1 << n if fixed_first_row else ~v0)
+                            b_free = symbols & ~v1
+                            ab_free = a_free & b_free
+                            na, nb = a_free.bit_count(), b_free.bit_count()
+                            pairs = na * nb - ab_free.bit_count()
+                        c_free = c_left ^ bit_c
+                        found = memo[k01 | bit_c] = (
+                            pairs * nc
+                            - (a_free & c_free).bit_count() * nb
+                            - (b_free & c_free).bit_count() * na
+                            + 2 * (ab_free & c_free).bit_count()
+                        )
+                    else:
+                        hits += found_hits
+                        done += total - flushed
+                        found_hits = 0
+                        found = fill(nxt, v0, v1, u2 | bit_c, k01 | bit_c)
+                        flushed = total + found
+                    total += found
+        hits += found_hits
+        done += total - flushed
         memo[key] = total
         return total
 

@@ -12,7 +12,7 @@ sys.path.insert(0, str(CI))
 import checks  # noqa: E402
 from latin3.chromatic import Poly  # noqa: E402
 from latin3.errors import BudgetExceededError  # noqa: E402
-from latin3.formulas import riordan_l3, thm3_g  # noqa: E402
+from latin3.formulas import g_npq_closed, riordan_l3, thm3_g  # noqa: E402
 
 BRUTE_23 = "table --formula brute --n 2 --lambda 3"
 
@@ -93,20 +93,45 @@ def row(name):
     return next(r for r in checks.CHECKS if r[0] == name)
 
 
-def test_an_engine_coefficient_off_by_one_fails_the_gn_row(monkeypatch, capsys):
-    # the row's own kind and routes, on its G(7) cells alone
-    name, (kind, cells, routes) = row("Engine grounds G(n) to n = 9")
+def bump_lambda5(monkeypatch, graph):
+    """Make checks.gnpq_poly add 1 to the lambda^5 coefficient of G(n,p,q)
+    for the triple graph; return the engine's own polynomials."""
     real = checks.gnpq_poly
 
     def off(n, p, q):
         c = list(real(n, p, q).coefficients)
-        c[5] += 1
+        c[5] += (n, p, q) == graph
         return Poly.of(c)
 
     monkeypatch.setattr(checks, "gnpq_poly", off)
+    return real
+
+
+def test_an_engine_coefficient_off_by_one_fails_the_gn_row(monkeypatch, capsys):
+    # the row's own kind and routes, on its G(7) cells alone
+    name, (kind, cells, routes) = row("Engine grounds G(n) to n = 9")
+    bump_lambda5(monkeypatch, (7, 0, 0))
     log = fails((name, (kind, [cell for cell in cells if cell[0] == 7], routes)), capsys)
     # lambda^5 adds 7^5 at the first cell
     assert f"at (7, 7): engine {thm3_g(7, 7) + 7**5}, thm3_g {thm3_g(7, 7)}" in log
+
+
+def test_a_g712_coefficient_off_by_one_fails_both_gnpq_parts(monkeypatch, capsys):
+    # each part alone, with its own kind and routes: the closed-form part on
+    # G(7,1,2)'s cells, and Theorem 2 at n = 7, where G(7,1,2) first enters
+    # at m = 3 with weight C(3, 2) = 3
+    name, (kind, cells, routes), (sum_kind, sums, sum_routes) = row(
+        "Engine grounds G(n,p,q) and Theorem 2 to n = 7"
+    )
+    real = bump_lambda5(monkeypatch, (7, 1, 2))
+    log = fails((name, (kind, [cell for cell in cells if cell[:3] == (7, 1, 2)], routes)), capsys)
+    want = g_npq_closed(7, 1, 2, 7)
+    assert f"at (7, 1, 2, 7): engine {want + 7**5}, g_npq_closed {want}" in log
+    log = fails((name, (sum_kind, [cell for cell in sums if cell[0] == 7], sum_routes)), capsys)
+    gn = real(7, 0, 0)
+    c = list(gn.coefficients)
+    c[5] += 3
+    assert f"at (7, 3): Theorem 2's sum {Poly.of(c)}, P(G(n)) {gn}" in log
 
 
 def test_a_wrong_pinned_count_at_9_fails_the_oracle_row(monkeypatch, capsys):

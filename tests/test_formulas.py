@@ -13,7 +13,7 @@ from math import comb, factorial
 import pytest
 
 from latin3 import formulas
-from latin3.chromatic import chromatic_poly, eval_poly
+from latin3.chromatic import Poly, chromatic_poly, eval_poly
 from latin3.combinatorics import (
     binom,
     falling,
@@ -442,22 +442,19 @@ def alternating_sum(n, m, lam, g_eval):
 
 
 def test_theorem2_engine_m_invariance():
-    for n in range(1, 4):
+    # As polynomial identities, not at points: for every 1 <= m <= n <= 4,
+    # sum_q (-1)^q C(m, q) P(G(n, m-q, q)) is P(G(n)) itself.
+    for n in range(1, 5):
         polys = {
             (p, q): chromatic_poly(build_gnpq(n, p, q))
             for p in range(n + 1)
             for q in range(n - p + 1)
         }
-
-        def cached_eval(n_, p, q, lam):
-            return eval_poly(polys[(p, q)], lam)
-
-        for lam in range(1, 7):
-            values = {
-                alternating_sum(n, m, lam, cached_eval) for m in range(1, n + 1)
-            }
-            assert len(values) == 1
-            assert values == {eval_poly(polys[(0, 0)], lam)}
+        for m in range(1, n + 1):
+            total = Poly((0,))
+            for q in range(m + 1):
+                total = total + Poly(((-1) ** q * binom(m, q),)) * polys[(m - q, q)]
+            assert total == polys[(0, 0)], (n, m)
 
 
 def test_theorem2_full_split_equals_alternating_sum():
